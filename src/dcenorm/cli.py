@@ -57,6 +57,11 @@ _SECTION_KEYS = {
 }
 
 
+def _check_denoise_radius(radius, name: str, path: Path | str | None = None) -> None:
+    if radius is not None and (isinstance(radius, bool) or not isinstance(radius, int) or radius < 1):
+        raise ConfigError(f"{name} must be an integer >= 1, got {radius!r}", path=path)
+
+
 def load_cli_config(path: Path | str | None) -> CliConfig:
     if path is None:
         return CliConfig(segmentation=SegmentationConfig())
@@ -87,8 +92,7 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
     )
     if cfg.heart_rule not in anchors_mod.HEART_RULES:
         raise ConfigError(f"unknown heart_rule {cfg.heart_rule!r}", path=path)
-    if cfg.denoise_radius is not None and int(cfg.denoise_radius) < 1:
-        raise ConfigError("features.denoise_radius must be >= 1", path=path)
+    _check_denoise_radius(cfg.denoise_radius, "features.denoise_radius", path=path)
     if cfg.group_by is not None and cfg.group_by not in eval_mod.GROUP_KEYS:
         raise ConfigError(f"evaluation.group_by must be one of {eval_mod.GROUP_KEYS}", path=path)
     return cfg
@@ -265,6 +269,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_features(args) -> int:
     cli_cfg = load_cli_config(args.config)
+    _check_denoise_radius(args.denoise_median, "--denoise-median")
     manifest = load_manifest(args.manifest)
     radius = args.denoise_median if args.denoise_median is not None else cli_cfg.denoise_radius
     job = partial(

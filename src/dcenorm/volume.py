@@ -281,28 +281,41 @@ def median_filter(volume: Volume, radius: int) -> Volume:
     the median of a window of n values is the nearest-rank median (the
     value at index ceil(n/2) - 1 of the ascending sort), so the output
     is always drawn from values actually present in the window.
+
+    Besides the output and a NaN-padded copy of the input, working
+    memory is one window buffer, reused for every slab of
+    ``max(1, 2**14 // (ny * nx))`` z-planes: about 16k voxels times
+    ``(2*radius + 1)**3`` float32 values (1.8 MB at radius 1), or one
+    plane's worth when a plane alone holds more voxels than that.
     """
     if radius < 1:
         raise ValidationError(f"filter radius must be >= 1, got {radius}")
     data = volume.data
     nz, ny, nx = data.shape
     side = 2 * radius + 1
-    window = side ** 3
 
     padded = np.full((nz + 2 * radius, ny + 2 * radius, nx + 2 * radius), np.nan, dtype=np.float32)
     padded[radius : radius + nz, radius : radius + ny, radius : radius + nx] = data
+    windows = sliding_window_view(padded, (side, side, side))
     out = np.empty_like(data)
 
-    # Slab size chosen to keep the sorted window copy around 128 MB.
-    per_slice = (ny + 2 * radius) * (nx + 2 * radius) * window * 4 * 2
-    chunk = max(1, int(128e6 / per_slice)) if per_slice else nz
-    for z0 in range(0, nz, chunk):
-        z1 = min(z0 + chunk, nz)
-        block = padded[z0 : z1 + 2 * radius, :, :]
-        win = sliding_window_view(block, (side, side, side))
-        flat = win.reshape(win.shape[0], win.shape[1], win.shape[2], window)
-        ordered = np.sort(flat, axis=-1)  # NaN sorts to the end
-        n_valid = window - np.count_nonzero(np.isnan(ordered), axis=-1)
+    # Voxels inside each clipped window, per axis; their outer product
+    # counts the non-NaN values that the sort leaves ahead of the padding.
+    def clipped(n: int) -> np.ndarray:
+        i = np.arange(n)
+        return np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1
+
+    count_z = clipped(nz)
+    count_yx = np.multiply.outer(clipped(ny), clipped(nx))
+
+    slab = max(1, 2 ** 14 // (ny * nx))
+    buf = np.empty((min(slab, nz), ny, nx, side ** 3), dtype=np.float32)
+    for z0 in range(0, nz, slab):
+        z1 = min(z0 + slab, nz)
+        work = buf[: z1 - z0]
+        np.copyto(work.reshape(windows[z0:z1].shape), windows[z0:z1])
+        work.sort(axis=-1)  # NaN sorts to the end
+        n_valid = np.multiply.outer(count_z[z0:z1], count_yx)
         k = (n_valid + 1) // 2 - 1
-        out[z0:z1] = np.take_along_axis(ordered, k[..., None], axis=-1)[..., 0]
+        out[z0:z1] = np.take_along_axis(work, k[..., None], axis=-1)[..., 0]
     return Volume(out, volume.spacing_mm, volume.modality_tag)

@@ -1,11 +1,15 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcenorm import Volume, load_manifest, load_model, read_features_csv, save_volume
-from dcenorm.cli import main
+from dcenorm.cli import load_cli_config, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +178,30 @@ class TestErrorPaths:
         assert rc == 1
         assert "denoise_radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ['"2"', "1.5", "true"])
+    def test_denoise_radius_must_be_integer(self, tmp_path, capsys, radius):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"features": {"denoise_radius": %s}}' % radius)
+        rc = main(["features", "--manifest", "x.json", "--out", "f.csv", "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "denoise_radius" in err
+        assert len(err.splitlines()) == 1
+
+    def test_denoise_flag_checked_before_subjects_load(self, pipeline, tmp_path, capsys, monkeypatch):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("subject loaded before the flag was checked")
+
+        monkeypatch.setattr("dcenorm.cli._load_subject", no_loading)
+        out = tmp_path / "f.csv"
+        rc = main(["features", "--manifest", str(pipeline / "seg" / "manifest.json"),
+                   "--out", str(out), "--denoise-median", "-1", "--jobs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "--denoise-median" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_unknown_flag_is_validation_failure(self, capsys):
         rc = main(["phantom", "--out", "d", "--bogus"])
         assert rc == 1
@@ -239,3 +267,14 @@ class TestOtherFlags:
                    "--jobs", "1"])
         assert rc == 0
         assert load_model(tmp_path / "model.json").archetype_subject_id in SUBJECTS
+
+
+def test_readme_config_example_loads(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(block)
+    cfg = load_cli_config(cfg_path)
+    assert cfg.segmentation.morphology_radius == 2
+    assert cfg.denoise_radius == 1
+    assert (cfg.group_by, cfg.group_threshold) == ("te", 2.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from dcenorm import (
     build_mapping,
     evaluate,
     export_mapping_curve,
+    extract_anchors,
+    load_mask,
+    load_series,
+    median_filter,
+    train_archetype,
 )
 from dcenorm.mapping import write_mapping_curve
 from dcenorm.model import NormalizationModel
@@ -247,3 +254,26 @@ class TestCurveExport:
             [[float(a), float(b), float(c)] for a, b, c in (l.split(",") for l in lines[1:])]
         )
         assert np.array_equal(parsed, curve)
+
+
+class TestRankPreservation:
+    def test_median_filter_commutes_with_mapping(self, phantom_dataset):
+        """The map is monotone and the filter selects a window element, so
+        filtering after mapping equals mapping after filtering, bit for bit.
+        Denoised features before and after normalization stay comparable."""
+        _, manifest = phantom_dataset
+        cohort = [(load_series(e), load_mask(e.mask)) for e in manifest.entries[:6]]
+        anchors = [extract_anchors(series, mask) for series, mask in cohort]
+        model = train_archetype(anchors)
+        for (series, _), anchor in zip(cohort, anchors):
+            mapping = build_mapping(anchor, model)
+            filtered = dataclasses.replace(
+                series,
+                pre=median_filter(series.pre, 1),
+                posts=tuple(median_filter(p, 1) for p in series.posts),
+            )
+            mapped = apply_mapping(mapping, series)
+            mapped_filtered = apply_mapping(mapping, filtered)
+            pairs = zip((mapped.pre,) + mapped.posts, (mapped_filtered.pre,) + mapped_filtered.posts)
+            for after_map, after_filter in pairs:
+                assert np.array_equal(median_filter(after_map, 1).data, after_filter.data)

@@ -308,6 +308,23 @@ class TestMedianFilter:
         out = median_filter(vol(data), 1)
         assert np.array_equal(out.data, median_filter_oracle(data, 1))
 
+    @given(
+        shape=st.tuples(*[st.integers(1, 7)] * 3),
+        radius=st.integers(1, 3),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_oracle_on_tied_values(self, shape, radius, seed):
+        # axes shorter than the window, and few distinct values, so ties abound
+        data = np.random.default_rng(seed).integers(0, 4, size=shape).astype(np.float32)
+        out = median_filter(vol(data), radius)
+        assert np.array_equal(out.data, median_filter_oracle(data, radius))
+
+    def test_matches_oracle_with_partial_last_slab(self, rng):
+        # 64x64 planes are filtered four at a time, so nz = 7 ends on a slab of three
+        data = rng.integers(0, 8, size=(7, 64, 64)).astype(np.float32)
+        out = median_filter(vol(data), 1)
+        assert np.array_equal(out.data, median_filter_oracle(data, 1))
+
     def test_output_within_input_range(self, rng):
         data = rng.normal(size=(7, 6, 5)).astype(np.float32)
         out = median_filter(vol(data), 1).data
