@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -27,14 +28,14 @@ from pathlib import Path
 from . import anchors as anchors_mod
 from . import evaluation as eval_mod
 from .errors import ConfigError, DcenormError, MissingInputError, SegmentationError, ValidationError
-from .features import FEATURE_NAMES, extract_features, read_features_csv, write_features_csv
+from .features import extract_features, read_features_csv, write_features_csv
 from .manifest import SubjectEntry, load_manifest, load_series
 from .mapping import apply_mapping, build_mapping, export_mapping_curve, write_mapping_curve
-from .model import load_model, save_model, train_archetype
+from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask, load_external_mask
 from .volume import save_mask, save_volume
-from .util import atomic_write_json, atomic_write_text, default_jobs, read_json, run_parallel
+from .util import atomic_write_json, atomic_write_text, default_jobs, is_number, read_json, run_parallel
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +59,7 @@ _SECTION_KEYS = {
 
 
 def _check_denoise_radius(radius, name: str, path: Path | str | None = None) -> None:
-    if radius is not None and (isinstance(radius, bool) or not isinstance(radius, int) or radius < 1):
+    if radius is not None and not (is_number(radius, int) and radius >= 1):
         raise ConfigError(f"{name} must be an integer >= 1, got {radius!r}", path=path)
 
 
@@ -82,10 +83,13 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
     anchors_sec = raw.get("anchors", {})
     features_sec = raw.get("features", {})
     eval_sec = raw.get("evaluation", {})
+    clamp_floor = anchors_sec.get("clamp_floor", 0.0)
+    if not is_number(clamp_floor):
+        raise ConfigError(f"anchors.clamp_floor must be a number, got {clamp_floor!r}", path=path)
     cfg = CliConfig(
         segmentation=seg,
         heart_rule=anchors_sec.get("heart_rule", "p90"),
-        clamp_floor=float(anchors_sec.get("clamp_floor", 0.0)),
+        clamp_floor=float(clamp_floor),
         denoise_radius=features_sec.get("denoise_radius"),
         group_by=eval_sec.get("group_by"),
         group_threshold=eval_sec.get("threshold"),
@@ -93,6 +97,8 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
     if cfg.heart_rule not in anchors_mod.HEART_RULES:
         raise ConfigError(f"unknown heart_rule {cfg.heart_rule!r}", path=path)
     _check_denoise_radius(cfg.denoise_radius, "features.denoise_radius", path=path)
+    if cfg.group_threshold is not None and not is_number(cfg.group_threshold):
+        raise ConfigError(f"evaluation.threshold must be a number, got {cfg.group_threshold!r}", path=path)
     if cfg.group_by is not None and cfg.group_by not in eval_mod.GROUP_KEYS:
         raise ConfigError(f"evaluation.group_by must be one of {eval_mod.GROUP_KEYS}", path=path)
     return cfg
@@ -123,6 +129,22 @@ def _anchor_job(entry: SubjectEntry, masks_dir: str | None, heart_rule: str):
     return anchors_mod.extract_anchors(series, mask, heart_rule=heart_rule)
 
 
+def _manifest_record(entry: SubjectEntry, out_dir: str, pre: Path, posts) -> dict:
+    """One subject's record in ``out_dir``'s manifest; volume paths are relative to ``out_dir``."""
+    record = {
+        "subject_id": entry.subject_id,
+        "pre": os.path.relpath(pre, out_dir),
+        "posts": [os.path.relpath(p, out_dir) for p in posts],
+        "mask": f"{entry.subject_id}_mask.json",
+        "te_ms": entry.te_ms,
+        "tr_ms": entry.tr_ms,
+        "field_t": entry.field_t,
+    }
+    if entry.label is not None:
+        record["label"] = entry.label
+    return record
+
+
 def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConfig):
     series = load_series(entry)
     if entry.mask is not None:
@@ -133,32 +155,19 @@ def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConf
         except SegmentationError as exc:
             log.warning("subject %s skipped: %s", entry.subject_id, exc)
             return None
-    sid = entry.subject_id
-    save_mask(mask, Path(out_dir) / f"{sid}_mask")
-    record = {
-        "subject_id": sid,
-        "pre": str(entry.pre),
-        "posts": [str(p) for p in entry.posts],
-        "mask": f"{sid}_mask.json",
-        "te_ms": entry.te_ms,
-        "tr_ms": entry.tr_ms,
-        "field_t": entry.field_t,
-    }
-    if entry.label is not None:
-        record["label"] = entry.label
-    return record
+    save_mask(mask, Path(out_dir) / f"{entry.subject_id}_mask")
+    return _manifest_record(entry, out_dir, entry.pre, entry.posts)
 
 
 def _normalize_job(
     entry: SubjectEntry,
-    model_path: str,
+    model: NormalizationModel,
     out_dir: str,
     masks_dir: str | None,
     heart_rule: str,
     clamp_floor: float,
     mapping_dir: str | None,
 ):
-    model = load_model(model_path)
     series, mask = _load_subject(entry, masks_dir)
     anchor_set = anchors_mod.extract_anchors(series, mask, heart_rule=heart_rule)
     mapping = build_mapping(anchor_set, model, clamp_floor=clamp_floor)
@@ -166,26 +175,16 @@ def _normalize_job(
 
     sid = entry.subject_id
     out = Path(out_dir)
-    save_volume(mapped.pre, out / f"{sid}_pre")
-    for i, post in enumerate(mapped.posts):
-        save_volume(post, out / f"{sid}_post{i + 1}")
+    pre = out / f"{sid}_pre.json"
+    posts = [out / f"{sid}_post{i + 1}.json" for i in range(len(mapped.posts))]
+    save_volume(mapped.pre, pre)
+    for post, path in zip(mapped.posts, posts):
+        save_volume(post, path)
     save_mask(mask, out / f"{sid}_mask")
     if mapping_dir is not None:
         curve = export_mapping_curve(mapping)
         write_mapping_curve(Path(mapping_dir) / f"{sid}_mapping.csv", curve)
-
-    record = {
-        "subject_id": sid,
-        "pre": f"{sid}_pre.json",
-        "posts": [f"{sid}_post{i + 1}.json" for i in range(len(mapped.posts))],
-        "mask": f"{sid}_mask.json",
-        "te_ms": entry.te_ms,
-        "tr_ms": entry.tr_ms,
-        "field_t": entry.field_t,
-    }
-    if entry.label is not None:
-        record["label"] = entry.label
-    return record
+    return _manifest_record(entry, out_dir, pre, posts)
 
 
 def _features_job(entry: SubjectEntry, masks_dir: str | None, denoise_radius: int | None, normalized: bool):
@@ -247,14 +246,14 @@ def _cmd_train(args) -> int:
 def _cmd_normalize(args) -> int:
     cli_cfg = load_cli_config(args.config)
     manifest = load_manifest(args.manifest)
-    load_model(args.model)  # fail fast before any per-subject work
+    model = load_model(args.model)  # fail fast before any per-subject work
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.emit_mapping:
         Path(args.emit_mapping).mkdir(parents=True, exist_ok=True)
     job = partial(
         _normalize_job,
-        model_path=str(args.model),
+        model=model,
         out_dir=str(out),
         masks_dir=args.masks,
         heart_rule=cli_cfg.heart_rule,
@@ -328,14 +327,10 @@ def _cmd_auc(args) -> int:
     if missing:
         raise ValidationError(f"subjects missing from labels file: {missing}")
     lines = ["feature,auc,n"]
-    for name in FEATURE_NAMES:
-        pairs = [(r.values[name], labels[r.subject_id]) for r in rows if r.values[name] is not None]
-        try:
-            auc = eval_mod.roc_auc([p[0] for p in pairs], [p[1] for p in pairs])
-            lines.append(f"{name},{auc!r},{len(pairs)}")
-        except ValidationError as exc:
+    for name, (auc, n, exc) in eval_mod.feature_aucs(rows, labels).items():
+        if exc is not None:
             log.warning("feature %s: AUC unavailable (%s)", name, exc)
-            lines.append(f"{name},,{len(pairs)}")
+        lines.append(f"{name},{'' if auc is None else repr(auc)},{n}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     log.info("auc: written to %s", args.out)
     return 0

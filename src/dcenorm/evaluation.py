@@ -116,6 +116,21 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def feature_aucs(rows: list[FeatureVector], labels: dict[str, int]) -> dict[str, tuple]:
+    """Single-feature AUC against binary labels over the rows where the feature is present.
+
+    Per feature: ``(auc, n, None)``, or ``(None, n, error)`` where the AUC is undefined.
+    """
+    out = {}
+    for name in FEATURE_NAMES:
+        pairs = [(r.values[name], labels[r.subject_id]) for r in rows if r.values[name] is not None]
+        try:
+            out[name] = (roc_auc([p[0] for p in pairs], [p[1] for p in pairs]), len(pairs), None)
+        except ValidationError as exc:
+            out[name] = (None, len(pairs), exc)
+    return out
+
+
 _REPORT_TISSUES = {"fat": FAT, "dense": DENSE, "heart": HEART, "tumor": TUMOR}
 
 
@@ -215,22 +230,12 @@ def build_report(
     auc_rows = None
     labels_by_id = {e.subject_id: e.label for e in manifest}
     if all(v is not None for v in labels_by_id.values()) and len(set(labels_by_id.values())) == 2:
-        auc_rows = []
-        for name in FEATURE_NAMES:
-            row = {"feature": name}
-            for phase, table in (("before", before), ("after", after)):
-                pairs = [
-                    (table[sid].values[name], labels_by_id[sid])
-                    for sid in labels_by_id
-                    if table[sid].values[name] is not None
-                ]
-                scores = np.asarray([p[0] for p in pairs], dtype=np.float64)
-                labs = np.asarray([p[1] for p in pairs])
-                try:
-                    row[phase] = roc_auc(scores, labs)
-                except ValidationError:
-                    row[phase] = None
-            auc_rows.append(row)
+        before_aucs = feature_aucs(features_before, labels_by_id)
+        after_aucs = feature_aucs(features_after, labels_by_id)
+        auc_rows = [
+            {"feature": name, "before": before_aucs[name][0], "after": after_aucs[name][0]}
+            for name in FEATURE_NAMES
+        ]
 
     intensity = {"before": _tissue_intensity_summary(manifest)}
     if manifest_after is not None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +120,7 @@ def _entropy_bits(weights: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def pe_entropy(series: StudySeries, tissue: np.ndarray) -> float:
+def pe_entropy(washin: np.ndarray, tissue: np.ndarray) -> float:
     """Shannon entropy (bits) of percent enhancement over a tissue set.
 
     Percent enhancement is 100 times washin. Values are histogrammed
@@ -128,7 +128,7 @@ def pe_entropy(series: StudySeries, tissue: np.ndarray) -> float:
     """
     if not tissue.any():
         raise ValidationError("percent enhancement entropy of an empty tissue set")
-    pe = 100.0 * washin_map(series).data[tissue].astype(np.float64)
+    pe = 100.0 * washin[tissue].astype(np.float64)
     lo = float(pe.min())
     hi = float(pe.max())
     if hi == lo:
@@ -204,14 +204,10 @@ def extract_features(
 
     work = series
     if denoise_radius is not None:
-        work = StudySeries(
-            subject_id=series.subject_id,
+        work = replace(
+            series,
             pre=median_filter(series.pre, denoise_radius),
             posts=tuple(median_filter(p, denoise_radius) for p in series.posts),
-            te_ms=series.te_ms,
-            tr_ms=series.tr_ms,
-            field_t=series.field_t,
-            mask_path=series.mask_path,
         )
 
     dense = mask.tissue(DENSE)
@@ -237,7 +233,7 @@ def extract_features(
             values["F1"] = mean_ser
             values["F6"] = std_ser
         values["F3"] = _stats(washin[tissue])[0]
-        values["F7"] = pe_entropy(work, tissue)
+        values["F7"] = pe_entropy(washin, tissue)
     else:
         log.warning("subject %s: no healthy dense tissue, tissue features missing", series.subject_id)
 

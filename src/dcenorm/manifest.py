@@ -87,9 +87,12 @@ def _parse_entry(record: object, index: int, base_dir: Path) -> SubjectEntry:
     if label is not None and label not in (0, 1):
         raise ManifestError(f"subject {subject_id}: label must be 0 or 1, got {label!r}")
 
+    mask = record.get("mask")
+    if not all(isinstance(p, str) for p in (record["pre"], *posts, *([] if mask is None else [mask]))):
+        raise ManifestError(f"subject {subject_id}: pre, posts and mask must be path strings")
+
     pre = base_dir / record["pre"]
     post_paths = tuple(base_dir / p for p in posts)
-    mask = record.get("mask")
     mask_path = base_dir / mask if mask is not None else None
 
     for path in (pre, *post_paths) + ((mask_path,) if mask_path else ()):

@@ -15,7 +15,7 @@ within-subject intensity order and keeps enhancement ratios meaningful.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -158,15 +158,7 @@ def apply_mapping(mapping: MappingFunction, series: StudySeries) -> StudySeries:
         mapped = evaluate(mapping, vol.data).astype(np.float32)
         return Volume(mapped, vol.spacing_mm, vol.modality_tag)
 
-    return StudySeries(
-        subject_id=series.subject_id,
-        pre=_map(series.pre),
-        posts=tuple(_map(p) for p in series.posts),
-        te_ms=series.te_ms,
-        tr_ms=series.tr_ms,
-        field_t=series.field_t,
-        mask_path=series.mask_path,
-    )
+    return replace(series, pre=_map(series.pre), posts=tuple(_map(p) for p in series.posts))
 
 
 def export_mapping_curve(

@@ -12,13 +12,14 @@ from __future__ import annotations
 import datetime as _dt
 import os
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
 from .anchors import TISSUES, AnchorSet
 from .errors import ModelFormatError, ValidationError
-from .util import atomic_write_json, read_json
+from .util import atomic_write_json, is_number, read_json
 
 MODEL_FORMAT_VERSION = 1
 
@@ -128,6 +129,9 @@ def load_model(path) -> NormalizationModel:
             f"unknown model format_version {version!r}, expected {MODEL_FORMAT_VERSION}",
             path=path,
         )
+    for key in ("m_air", "m_fat", "m_dense", "m_heart", "n_training"):
+        if key in data and not is_number(data[key], Integral if key == "n_training" else Real):
+            raise ModelFormatError(f"model key {key!r} has a malformed value {data[key]!r}", path=path)
     try:
         return NormalizationModel(
             m_air=float(data["m_air"]),

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import SegmentationError, ValidationError
 from .manifest import StudySeries
+from .util import is_number
 from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, percentile
 
 log = logging.getLogger(__name__)
@@ -39,8 +41,6 @@ class SegmentationConfig:
     heart_enhancement_percentile
         Percentile of the subtraction image (first post minus pre) above
         which voxels are heart candidates.
-    dense_threshold_method
-        Currently only "otsu" is implemented.
     dense_polarity
         "dark" means dense tissue is the lower-intensity of the two
         intensity classes inside the breast (the usual situation in
@@ -54,28 +54,23 @@ class SegmentationConfig:
 
     air_fraction: float = 0.05
     heart_enhancement_percentile: float = 99.0
-    dense_threshold_method: str = "otsu"
     dense_polarity: str = "dark"
     min_component_voxels: int = 500
     morphology_radius: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.air_fraction < 1.0:
-            raise ValidationError(f"air_fraction must be in (0, 1), got {self.air_fraction}")
-        if not 0.0 < self.heart_enhancement_percentile <= 100.0:
-            raise ValidationError(
-                f"heart_enhancement_percentile must be in (0, 100], got {self.heart_enhancement_percentile}"
-            )
-        if self.dense_threshold_method != "otsu":
-            raise ValidationError(
-                f"unknown dense_threshold_method {self.dense_threshold_method!r}"
-            )
+        if not (is_number(self.air_fraction) and 0.0 < self.air_fraction < 1.0):
+            raise ValidationError(f"air_fraction must be a number in (0, 1), got {self.air_fraction!r}")
+        pct = self.heart_enhancement_percentile
+        if not (is_number(pct) and 0.0 < pct <= 100.0):
+            raise ValidationError(f"heart_enhancement_percentile must be a number in (0, 100], got {pct!r}")
         if self.dense_polarity not in ("dark", "bright"):
             raise ValidationError(f"dense_polarity must be 'dark' or 'bright', got {self.dense_polarity!r}")
-        if self.min_component_voxels < 1:
-            raise ValidationError("min_component_voxels must be >= 1")
-        if self.morphology_radius < 0:
-            raise ValidationError("morphology_radius must be >= 0")
+        voxels, radius = self.min_component_voxels, self.morphology_radius
+        if not (is_number(voxels, Integral) and voxels >= 1):
+            raise ValidationError(f"min_component_voxels must be an integer >= 1, got {voxels!r}")
+        if not (is_number(radius, Integral) and radius >= 0):
+            raise ValidationError(f"morphology_radius must be an integer >= 0, got {radius!r}")
 
 
 def otsu_upper_class(values: np.ndarray, bins: int = OTSU_BINS) -> np.ndarray | None:
@@ -173,14 +168,16 @@ def _drop_small_components(mask: np.ndarray, min_voxels: int) -> np.ndarray:
     return keep[labeled]
 
 
-def segment_breast(pre: Volume, config: SegmentationConfig) -> np.ndarray:
+def segment_breast(pre: Volume, body: np.ndarray, config: SegmentationConfig) -> np.ndarray:
     """Body voxels anterior of the chest-wall plane, cleaned up.
 
-    Applies morphological closing with a cubic structuring element and
-    removes connected components below ``min_component_voxels``. Raises
-    SegmentationError when nothing survives.
+    ``body`` is the subject's ``body_mask(pre)``. Applies morphological
+    closing with a cubic structuring element and removes connected
+    components below ``min_component_voxels``. Raises SegmentationError
+    when nothing survives.
     """
-    body = body_mask(pre)
+    if body.shape != pre.data.shape:
+        raise ValidationError("body mask shape does not match volume")
     if not body.any():
         raise SegmentationError("no body voxels above the air threshold")
     planes = chest_wall_planes(body)
@@ -291,10 +288,10 @@ def classical_mask(series: StudySeries, config: SegmentationConfig) -> TissueMas
     """
     pre = series.pre
     air = segment_air(pre, config)
-    breast = segment_breast(pre, config)
+    body = body_mask(pre)
+    breast = segment_breast(pre, body, config)
     dense = segment_dense(pre, breast, config)
     fat = breast & ~dense
-    body = body_mask(pre)
     heart = segment_heart(pre, series.posts[0], body, config)
     tumor = np.zeros(pre.data.shape, dtype=bool)
     return assemble_mask(air, fat, dense, heart, tumor, series.spacing_mm)

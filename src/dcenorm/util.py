@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from numbers import Real
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -47,6 +48,11 @@ def read_json(path: Path | str) -> Any:
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             path=path,
         ) from exc
+
+
+def is_number(value: Any, kind: type = Real) -> bool:
+    """True for an instance of the number type ``kind`` that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def run_parallel(fn: Callable, items: Sequence, jobs: int) -> list:

@@ -142,6 +142,20 @@ class TestPipeline:
         assert 0.0 <= float(by_name["F1"][1]) <= 1.0 and by_name["F1"][2] == "5"
         assert by_name["F2"] == ["F2", "", "0"]
 
+    def test_auc_csv_matches_report(self, pipeline, tmp_path, caplog):
+        out = tmp_path / "auc.csv"
+        rc = main(["auc", "--features", str(pipeline / "before.csv"),
+                   "--labels", str(pipeline / "data" / "labels.csv"), "--out", str(out)])
+        assert rc == 0
+        assert "feature F2: AUC unavailable" in caplog.text
+        report = json.loads((pipeline / "report.json").read_text())
+        assert report["auc"] is not None
+        lines = out.read_text().strip().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == [row["feature"] for row in report["auc"]]
+        for line, row in zip(lines, report["auc"]):
+            value = line.split(",")[1]
+            assert (float(value) if value else None) == row["before"]
+
 
 class TestErrorPaths:
     def test_missing_model_is_io_failure(self, tmp_path, pipeline, capsys):
@@ -238,6 +252,60 @@ class TestErrorPaths:
         assert rc == 1
         assert "every subject" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, key", [
+        ('{"segmentation": {"air_fraction": "x"}}', "air_fraction"),
+        ('{"segmentation": {"heart_enhancement_percentile": null}}', "heart_enhancement_percentile"),
+        ('{"segmentation": {"min_component_voxels": 2.5}}', "min_component_voxels"),
+        ('{"segmentation": {"morphology_radius": true}}', "morphology_radius"),
+        ('{"anchors": {"clamp_floor": "abc"}}', "clamp_floor"),
+        ('{"anchors": {"clamp_floor": false}}', "clamp_floor"),
+        ('{"evaluation": {"threshold": "2.0"}}', "threshold"),
+    ])
+    def test_config_value_types_checked(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        rc = main(["segment", "--manifest", "x.json", "--out-dir", str(tmp_path), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and key in err
+        assert len(err.splitlines()) == 1
+
+    def test_dense_threshold_method_is_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"segmentation": {"dense_threshold_method": "otsu"}}')
+        rc = main(["segment", "--manifest", "x.json", "--out-dir", str(tmp_path), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "dense_threshold_method" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [("pre", 5), ("posts", [5]), ("mask", ["m"])])
+    def test_manifest_path_types_checked(self, tmp_path, capsys, field, value):
+        entry = {"subject_id": "s0", "pre": "s0_pre.json", "posts": ["s0_post1.json"],
+                 "te_ms": 1.8, "tr_ms": 4.0, "field_t": 1.5, field: value}
+        (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+        rc = main(["train", "--manifest", str(tmp_path / "manifest.json"),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "s0" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("m_air", "x"), ("m_heart", None), ("m_fat", True), ("n_training", 2.5),
+    ])
+    def test_model_value_types_checked(self, pipeline, tmp_path, capsys, key, value):
+        payload = json.loads((pipeline / "model.json").read_text())
+        payload[key] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        rc = main(["normalize", "--manifest", str(pipeline / "seg" / "manifest.json"),
+                   "--model", str(model), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and key in err
+        assert len(err.splitlines()) == 1
+
 
 class TestOtherFlags:
     def test_phantom_seed_deterministic(self, tmp_path):
@@ -267,6 +335,22 @@ class TestOtherFlags:
                    "--jobs", "1"])
         assert rc == 0
         assert load_model(tmp_path / "model.json").archetype_subject_id in SUBJECTS
+
+
+def test_walkthrough_with_relative_paths(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("phantom.json").write_text(json.dumps({
+        "dims": [32, 32, 12], "groups": [{"name": "A", "n_subjects": 2}],
+    }))
+    for argv in (
+        ["phantom", "--out", "work/data", "--config", "phantom.json"],
+        ["segment", "--manifest", "work/data/manifest.json", "--out-dir", "work/masks"],
+        ["train", "--manifest", "work/masks/manifest.json", "--out", "work/model.json"],
+    ):
+        assert main([*argv, "--jobs", "1"]) == 0, argv
+    record = json.loads(Path("work/masks/manifest.json").read_text())[0]
+    assert record["pre"] == "../data/A000_pre.json"
+    assert record["mask"] == "A000_mask.json"
 
 
 def test_readme_config_example_loads(tmp_path):

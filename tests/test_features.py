@@ -110,7 +110,7 @@ class TestPeEntropy:
         shape = (1, 1, 8)
         series = series_of(const(shape, 100), [const(shape, 200)])
         tissue = np.ones(shape, dtype=bool)
-        assert pe_entropy(series, tissue) == 0.0
+        assert pe_entropy(washin_map(series).data, tissue) == 0.0
 
     def test_one_value_per_bin_is_six_bits(self):
         # washin of voxel i lands exactly mid-bin i of the 64-bin
@@ -120,13 +120,13 @@ class TestPeEntropy:
         pre = const(shape, 100)
         post = (100.0 * (np.arange(n) + 1.5)).astype(np.float32).reshape(shape)
         series = series_of(pre, [post])
-        assert pe_entropy(series, np.ones(shape, dtype=bool)) == 6.0
+        assert pe_entropy(washin_map(series).data, np.ones(shape, dtype=bool)) == 6.0
 
     def test_empty_tissue_rejected(self):
         shape = (1, 1, 4)
         series = series_of(const(shape, 1), [const(shape, 2)])
         with pytest.raises(ValidationError):
-            pe_entropy(series, np.zeros(shape, dtype=bool))
+            pe_entropy(washin_map(series).data, np.zeros(shape, dtype=bool))
 
     def test_matches_histogram_oracle(self, rng):
         shape = (2, 4, 8)
@@ -134,7 +134,7 @@ class TestPeEntropy:
         post = rng.uniform(100, 400, size=shape).astype(np.float32)
         series = series_of(pre, [post])
         tissue = rng.random(shape) < 0.7
-        got = pe_entropy(series, tissue)
+        got = pe_entropy(washin_map(series).data, tissue)
 
         washin = washin_map(series).data[tissue].astype(np.float64)
         pe = [100.0 * w for w in washin]

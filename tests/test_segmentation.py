@@ -126,7 +126,7 @@ class TestBodyAndChestWall:
 class TestSegmentBreast:
     def test_phantom_dice(self, phantom_subject):
         series, truth = phantom_subject
-        breast = segment_breast(series.pre, SegmentationConfig())
+        breast = segment_breast(series.pre, body_mask(series.pre), SegmentationConfig())
         truth_breast = (
             truth.tissue(FAT) | truth.tissue(DENSE) | truth.tissue(TUMOR)
         )
@@ -134,7 +134,8 @@ class TestSegmentBreast:
 
     def test_constant_volume_rejected(self):
         with pytest.raises(SegmentationError, match="no body voxels"):
-            segment_breast(vol(np.zeros((4, 8, 8))), SegmentationConfig())
+            pre = vol(np.zeros((4, 8, 8)))
+            segment_breast(pre, body_mask(pre), SegmentationConfig())
 
     def test_breast_sits_anterior_of_heart(self, phantom_subject):
         series, _ = phantom_subject
@@ -184,7 +185,7 @@ class TestSegmentDense:
 
     def test_phantom_fat_dense_partition_breast(self, phantom_subject):
         series, _ = phantom_subject
-        breast = segment_breast(series.pre, SegmentationConfig())
+        breast = segment_breast(series.pre, body_mask(series.pre), SegmentationConfig())
         mask = classical_mask(series, SegmentationConfig())
         fat_or_dense = mask.tissue(FAT) | mask.tissue(DENSE)
         # heart has precedence but never overlaps the breast territory
@@ -337,10 +338,6 @@ class TestSegmentationConfig:
             SegmentationConfig(air_fraction=0.0)
         with pytest.raises(ValidationError):
             SegmentationConfig(air_fraction=1.0)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValidationError):
-            SegmentationConfig(dense_threshold_method="kmeans")
 
     def test_rejects_unknown_polarity(self):
         with pytest.raises(ValidationError):
