@@ -106,7 +106,7 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
 
 def _resolve_mask_path(entry: SubjectEntry, masks_dir: str | None) -> Path:
     if masks_dir is not None:
-        return Path(masks_dir) / f"{entry.subject_id}_mask.json"
+        return Path(masks_dir) / f"{entry.subject_id}_mask"
     if entry.mask is not None:
         return entry.mask
     raise ValidationError(
@@ -129,13 +129,13 @@ def _anchor_job(entry: SubjectEntry, masks_dir: str | None, heart_rule: str):
     return anchors_mod.extract_anchors(series, mask, heart_rule=heart_rule)
 
 
-def _manifest_record(entry: SubjectEntry, out_dir: str, pre: Path, posts) -> dict:
+def _manifest_record(entry: SubjectEntry, out_dir: str, pre: Path, posts, mask: Path) -> dict:
     """One subject's record in ``out_dir``'s manifest; volume paths are relative to ``out_dir``."""
     record = {
         "subject_id": entry.subject_id,
         "pre": os.path.relpath(pre, out_dir),
         "posts": [os.path.relpath(p, out_dir) for p in posts],
-        "mask": f"{entry.subject_id}_mask.json",
+        "mask": os.path.relpath(mask, out_dir),
         "te_ms": entry.te_ms,
         "tr_ms": entry.tr_ms,
         "field_t": entry.field_t,
@@ -155,8 +155,8 @@ def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConf
         except SegmentationError as exc:
             log.warning("subject %s skipped: %s", entry.subject_id, exc)
             return None
-    save_mask(mask, Path(out_dir) / f"{entry.subject_id}_mask")
-    return _manifest_record(entry, out_dir, entry.pre, entry.posts)
+    mask_file = save_mask(mask, Path(out_dir) / f"{entry.subject_id}_mask")
+    return _manifest_record(entry, out_dir, entry.pre, entry.posts, mask_file)
 
 
 def _normalize_job(
@@ -175,16 +175,12 @@ def _normalize_job(
 
     sid = entry.subject_id
     out = Path(out_dir)
-    pre = out / f"{sid}_pre.json"
-    posts = [out / f"{sid}_post{i + 1}.json" for i in range(len(mapped.posts))]
-    save_volume(mapped.pre, pre)
-    for post, path in zip(mapped.posts, posts):
-        save_volume(post, path)
-    save_mask(mask, out / f"{sid}_mask")
+    pre = save_volume(mapped.pre, out / f"{sid}_pre")
+    posts = [save_volume(post, out / f"{sid}_post{i + 1}") for i, post in enumerate(mapped.posts)]
     if mapping_dir is not None:
         curve = export_mapping_curve(mapping)
         write_mapping_curve(Path(mapping_dir) / f"{sid}_mapping.csv", curve)
-    return _manifest_record(entry, out_dir, pre, posts)
+    return _manifest_record(entry, out_dir, pre, posts, _resolve_mask_path(entry, masks_dir))
 
 
 def _features_job(entry: SubjectEntry, masks_dir: str | None, denoise_radius: int | None, normalized: bool):

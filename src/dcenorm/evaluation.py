@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ValidationError
 from .features import FEATURE_NAMES, FeatureVector
 from .manifest import DatasetManifest, load_series
-from .volume import HEART, DENSE, FAT, TUMOR, load_mask
+from .segmentation import load_external_mask
+from .volume import HEART, DENSE, FAT, TUMOR
 from .util import atomic_write_text
 
 log = logging.getLogger(__name__)
@@ -160,7 +161,7 @@ def _tissue_intensity_summary(manifest: DatasetManifest) -> dict[str, dict[str, 
     per_tissue: dict[str, list[float]] = {name: [] for name in _REPORT_TISSUES}
     for entry in manifest:
         series = load_series(entry)
-        mask = load_mask(entry.mask)
+        mask = load_external_mask(entry.mask, series)
         for name, label in _REPORT_TISSUES.items():
             sel = mask.labels == label
             if not sel.any():

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .errors import ManifestError, MissingInputError, ValidationError
 from .util import read_json
-from .volume import Volume, base_path, load_volume
+from .volume import Volume, load_volume, volume_files
 
 _REQUIRED_KEYS = {"subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"}
 _OPTIONAL_KEYS = {"mask", "label"}
@@ -52,11 +52,6 @@ class DatasetManifest:
             if entry.subject_id == subject_id:
                 return entry
         raise ManifestError(f"unknown subject_id {subject_id!r}")
-
-
-def _volume_files_exist(path: Path) -> bool:
-    base = base_path(path)
-    return base.with_suffix(".json").exists() and base.with_suffix(".raw").exists()
 
 
 def _parse_entry(record: object, index: int, base_dir: Path) -> SubjectEntry:
@@ -96,10 +91,9 @@ def _parse_entry(record: object, index: int, base_dir: Path) -> SubjectEntry:
     mask_path = base_dir / mask if mask is not None else None
 
     for path in (pre, *post_paths) + ((mask_path,) if mask_path else ()):
-        if not _volume_files_exist(path):
-            raise MissingInputError(
-                f"subject {subject_id}: referenced file missing", path=base_path(path)
-            )
+        for file in volume_files(path):
+            if not file.exists():
+                raise MissingInputError(f"subject {subject_id}: referenced file missing", path=file)
 
     return SubjectEntry(
         subject_id=subject_id,

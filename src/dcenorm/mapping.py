@@ -14,8 +14,7 @@ within-subject intensity order and keeps enhancement ratios meaningful.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import ConfigError
 from .manifest import DatasetManifest, load_manifest
 from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, save_mask, save_volume
-from .util import atomic_write_json, atomic_write_text, read_json, run_parallel
+from .util import atomic_write_json, atomic_write_text, is_number, read_json, run_parallel
 
 # Anatomy layout, as fractions of the volume dims so any grid works.
 # Each entry is (center_frac, semi_axis_frac) in (x, y, z) order; y = 0
@@ -44,6 +45,19 @@ _BREAST = ((0.5, 0.28125, 0.5), (0.375, 0.203125, 0.375))
 _DENSE = ((0.5, 0.25, 0.5), (0.15625, 0.09375, 5.0 / 24.0))
 _TUMOR = ((0.40625, 0.25, 0.5), (0.05, 0.05, 3.2 / 24.0))
 _HEART = ((0.5, 0.71875, 0.5), (0.09375, 0.09375, 0.25))
+
+
+def _numbers(value, key: str, n: int | None = None, kind: type = Real) -> tuple:
+    """``value`` as a tuple of ``kind`` numbers (``n`` of them if given), or a ConfigError naming ``key``."""
+    if (
+        not isinstance(value, (list, tuple))
+        or (n is not None and len(value) != n)
+        or not all(is_number(v, kind) for v in value)
+    ):
+        count = "" if n is None else f"{n} "
+        noun = "integers" if kind is Integral else "numbers"
+        raise ConfigError(f"{key} must be a list of {count}{noun}, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -60,10 +74,13 @@ class GroupSpec:
     noise_sigma: float = 2.0
 
     def __post_init__(self):
-        if not self.name or not self.name.isalnum():
+        if not isinstance(self.name, str) or not self.name.isalnum():
             raise ConfigError(f"group name must be non-empty alphanumeric, got {self.name!r}")
-        if self.n_subjects < 1:
-            raise ConfigError(f"group {self.name}: n_subjects must be >= 1")
+        if not (is_number(self.n_subjects, Integral) and self.n_subjects >= 1):
+            raise ConfigError(f"group {self.name}: n_subjects must be an integer >= 1, got {self.n_subjects!r}")
+        for key in ("scale", "offset", "te_ms", "tr_ms", "field_t", "noise_sigma"):
+            if not is_number(getattr(self, key)):
+                raise ConfigError(f"group {self.name}: {key} must be a number, got {getattr(self, key)!r}")
         if self.scale <= 0:
             raise ConfigError(f"group {self.name}: scale must be positive")
         if self.noise_sigma < 0:
@@ -108,16 +125,24 @@ class PhantomConfig:
     groups: tuple[GroupSpec, ...] = field(default_factory=_default_groups)
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) < 8 for d in self.dims):
+        dims = _numbers(self.dims, "dims", 3, Integral)
+        if any(d < 8 for d in dims):
             raise ConfigError(f"dims must be 3 entries >= 8, got {self.dims}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.n_posts < 1:
-            raise ConfigError("n_posts must be >= 1")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spacing_mm", _numbers(self.spacing_mm, "spacing_mm", 3))
+        if not (is_number(self.seed, Integral) and 0 <= self.seed < 2 ** 64):
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not (is_number(self.n_posts, Integral) and self.n_posts >= 1):
+            raise ConfigError(f"n_posts must be an integer >= 1, got {self.n_posts!r}")
         missing = set(_default_intensities()) - set(self.intensities)
         if missing:
             raise ConfigError(f"intensities missing tissues: {sorted(missing)}")
-        for tissue, factors in self.enhancement.items():
+        for tissue, value in self.intensities.items():
+            if not is_number(value):
+                raise ConfigError(f"intensities[{tissue!r}] must be a number, got {value!r}")
+        enhancement = {k: _numbers(v, f"enhancement[{k!r}]") for k, v in self.enhancement.items()}
+        object.__setattr__(self, "enhancement", enhancement)
+        for tissue, factors in enhancement.items():
             if len(factors) < self.n_posts:
                 raise ConfigError(
                     f"enhancement[{tissue!r}] has {len(factors)} factors, need {self.n_posts}"
@@ -127,7 +152,8 @@ class PhantomConfig:
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise ConfigError(f"group names must be unique, got {names}")
-        lo, hi = self.gradient_range
+        lo, hi = _numbers(self.gradient_range, "gradient_range", 2)
+        object.__setattr__(self, "gradient_range", (lo, hi))
         if not (0.0 <= lo <= hi):
             raise ConfigError(f"gradient_range must satisfy 0 <= lo <= hi, got {self.gradient_range}")
 
@@ -146,12 +172,6 @@ def phantom_config_from_json(path: Path | str) -> PhantomConfig:
     if unknown:
         raise ConfigError(f"unknown phantom config keys: {sorted(unknown)}", path=path)
     kwargs: dict = dict(raw)
-    if "dims" in kwargs:
-        kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
-    if "spacing_mm" in kwargs:
-        kwargs["spacing_mm"] = tuple(float(s) for s in kwargs["spacing_mm"])
-    if "gradient_range" in kwargs:
-        kwargs["gradient_range"] = tuple(float(b) for b in kwargs["gradient_range"])
     if "enhancement" in kwargs:
         enh = kwargs["enhancement"]
         if not isinstance(enh, dict):
@@ -160,7 +180,7 @@ def phantom_config_from_json(path: Path | str) -> PhantomConfig:
         if unknown:
             raise ConfigError(f"unknown enhancement keys: {sorted(unknown)}", path=path)
         merged = _default_enhancement()
-        merged.update({k: tuple(float(x) for x in v) for k, v in enh.items()})
+        merged.update(enh)
         kwargs["enhancement"] = merged
     if "intensities" in kwargs:
         vals = kwargs["intensities"]
@@ -170,19 +190,21 @@ def phantom_config_from_json(path: Path | str) -> PhantomConfig:
         if unknown:
             raise ConfigError(f"unknown intensity keys: {sorted(unknown)}", path=path)
         merged_i = _default_intensities()
-        merged_i.update({k: float(v) for k, v in vals.items()})
+        merged_i.update(vals)
         kwargs["intensities"] = merged_i
-    if "groups" in kwargs:
-        groups = []
-        for i, g in enumerate(kwargs["groups"]):
-            if not isinstance(g, dict):
-                raise ConfigError(f"groups[{i}] must be an object", path=path)
-            unknown = set(g) - _GROUP_KEYS
-            if unknown:
-                raise ConfigError(f"groups[{i}] has unknown keys: {sorted(unknown)}", path=path)
-            groups.append(GroupSpec(**g))
-        kwargs["groups"] = tuple(groups)
+    if "groups" in kwargs and not isinstance(kwargs["groups"], list):
+        raise ConfigError("groups must be a list of objects", path=path)
     try:
+        if "groups" in kwargs:
+            groups = []
+            for i, g in enumerate(kwargs["groups"]):
+                if not isinstance(g, dict):
+                    raise ConfigError(f"groups[{i}] must be an object", path=path)
+                unknown = set(g) - _GROUP_KEYS
+                if unknown:
+                    raise ConfigError(f"groups[{i}] has unknown keys: {sorted(unknown)}", path=path)
+                groups.append(GroupSpec(**g))
+            kwargs["groups"] = tuple(groups)
         return PhantomConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad phantom config: {exc}", path=path) from None
@@ -292,17 +314,18 @@ def _generate_anatomy(job: tuple[PhantomConfig, str, int]) -> list[dict]:
         if anatomy >= group.n_subjects:
             continue
         sid = f"{group.name}{anatomy:03d}"
+        files = []
         for seq_name, clean, noise in zip(names, fields, unit_noise):
             data = (clean + group.noise_sigma * noise) * group.scale + group.offset
             vol = Volume(data.astype(np.float32), cfg.spacing_mm, f"dce-{seq_name}")
-            save_volume(vol, out / f"{sid}_{seq_name}")
-        save_mask(mask, out / f"{sid}_mask")
+            files.append(save_volume(vol, out / f"{sid}_{seq_name}").name)
+        mask_file = save_mask(mask, out / f"{sid}_mask").name
         entries.append(
             {
                 "subject_id": sid,
-                "pre": f"{sid}_pre.json",
-                "posts": [f"{sid}_{n}.json" for n in names[1:]],
-                "mask": f"{sid}_mask.json",
+                "pre": files[0],
+                "posts": files[1:],
+                "mask": mask_file,
                 "te_ms": group.te_ms,
                 "tr_ms": group.tr_ms,
                 "field_t": group.field_t,

@@ -8,7 +8,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from numbers import Real
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import ManifestError, MissingInputError
 

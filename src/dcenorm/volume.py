@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,7 +34,7 @@ from .errors import (
     ValidationError,
     VolumeFormatError,
 )
-from .util import atomic_write_bytes, atomic_write_json, read_json
+from .util import atomic_write_bytes, atomic_write_json, is_number
 
 VOLUME_DTYPE = "f32le"
 MASK_DTYPE = "u8"
@@ -150,10 +149,17 @@ def base_path(path: Path | str) -> Path:
     return path
 
 
-def _load_pair(path: Path | str, expected_dtype: str):
+def volume_files(path: Path | str) -> tuple[Path, Path]:
+    """Sidecar and payload paths of the volume named by its base name or either file.
+
+    The suffixes are appended, not substituted, so a dotted name such as ``A.1_pre`` keeps its dots.
+    """
     base = base_path(path)
-    sidecar_path = base.with_suffix(".json")
-    payload_path = base.with_suffix(".raw")
+    return Path(f"{base}.json"), Path(f"{base}.raw")
+
+
+def _load_pair(path: Path | str, expected_dtype: str):
+    sidecar_path, payload_path = volume_files(path)
     for p in (sidecar_path, payload_path):
         if not p.exists():
             raise MissingInputError("volume file not found", path=p)
@@ -162,17 +168,19 @@ def _load_pair(path: Path | str, expected_dtype: str):
             sidecar = json.load(handle)
     except json.JSONDecodeError as exc:
         raise VolumeFormatError(f"sidecar is not valid JSON: {exc}", path=sidecar_path) from exc
+    if not isinstance(sidecar, dict):
+        raise VolumeFormatError("sidecar must be a JSON object", path=sidecar_path)
 
     dims = sidecar.get("dims")
     if (
         not isinstance(dims, list)
         or len(dims) != 3
-        or any(not isinstance(d, int) or d < 1 for d in dims)
+        or any(not is_number(d, int) or d < 1 for d in dims)
     ):
         raise VolumeFormatError(f"sidecar dims must be 3 positive integers, got {dims!r}", path=sidecar_path)
     spacing = sidecar.get("spacing_mm")
-    if not isinstance(spacing, list) or len(spacing) != 3:
-        raise VolumeFormatError(f"sidecar spacing_mm must have 3 entries, got {spacing!r}", path=sidecar_path)
+    if not isinstance(spacing, list) or len(spacing) != 3 or not all(is_number(s) for s in spacing):
+        raise VolumeFormatError(f"sidecar spacing_mm must be 3 numbers, got {spacing!r}", path=sidecar_path)
     dtype = sidecar.get("dtype")
     if dtype != expected_dtype:
         raise UnsupportedDtypeError(
@@ -196,28 +204,34 @@ def _load_pair(path: Path | str, expected_dtype: str):
     return sidecar, flat, dims, spacing, payload_path
 
 
+def _save_pair(path: Path | str, grid: Volume | TissueMask, dtype: str, payload: bytes, **extra) -> Path:
+    """Write payload, then sidecar, both atomically; return the sidecar path."""
+    sidecar_path, payload_path = volume_files(path)
+    sidecar = {
+        "dims": list(grid.dims),
+        "spacing_mm": list(grid.spacing_mm),
+        "dtype": dtype,
+        "order": VOXEL_ORDER,
+        **extra,
+    }
+    atomic_write_bytes(payload_path, payload)
+    atomic_write_json(sidecar_path, sidecar)
+    return sidecar_path
+
+
 def load_volume(path: Path | str) -> Volume:
     """Load an intensity volume from its sidecar/payload pair."""
     sidecar, flat, dims, spacing, payload_path = _load_pair(path, VOLUME_DTYPE)
-    if not np.isfinite(flat).all():
-        raise NonFiniteDataError("payload contains NaN or infinite values", path=payload_path)
     tag = str(sidecar.get("modality_tag", ""))
-    return Volume.from_flat(flat, dims, spacing, tag)
+    try:
+        return Volume.from_flat(flat, dims, spacing, tag)
+    except NonFiniteDataError as exc:
+        raise NonFiniteDataError(str(exc), path=payload_path) from exc
 
 
-def save_volume(volume: Volume, path: Path | str) -> None:
-    """Write sidecar and payload; both writes are atomic."""
-    base = base_path(path)
-    nx, ny, nz = volume.dims
-    sidecar = {
-        "dims": [nx, ny, nz],
-        "spacing_mm": list(volume.spacing_mm),
-        "dtype": VOLUME_DTYPE,
-        "order": VOXEL_ORDER,
-        "modality_tag": volume.modality_tag,
-    }
-    atomic_write_bytes(base.with_suffix(".raw"), volume.data.tobytes())
-    atomic_write_json(base.with_suffix(".json"), sidecar)
+def save_volume(volume: Volume, path: Path | str) -> Path:
+    """Write sidecar and payload; both writes are atomic. Returns the sidecar path."""
+    return _save_pair(path, volume, VOLUME_DTYPE, volume.data.tobytes(), modality_tag=volume.modality_tag)
 
 
 def load_mask(path: Path | str) -> TissueMask:
@@ -230,17 +244,9 @@ def load_mask(path: Path | str) -> TissueMask:
         raise MaskError(str(exc), path=payload_path) from exc
 
 
-def save_mask(mask: TissueMask, path: Path | str) -> None:
-    base = base_path(path)
-    nx, ny, nz = mask.dims
-    sidecar = {
-        "dims": [nx, ny, nz],
-        "spacing_mm": list(mask.spacing_mm),
-        "dtype": MASK_DTYPE,
-        "order": VOXEL_ORDER,
-    }
-    atomic_write_bytes(base.with_suffix(".raw"), mask.labels.tobytes())
-    atomic_write_json(base.with_suffix(".json"), sidecar)
+def save_mask(mask: TissueMask, path: Path | str) -> Path:
+    """Write a mask's sidecar and payload like save_volume. Returns the sidecar path."""
+    return _save_pair(path, mask, MASK_DTYPE, mask.labels.tobytes())
 
 
 def nearest_rank_index(n: int, q: float) -> int:

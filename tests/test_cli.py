@@ -1,12 +1,18 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcenorm import Volume, load_manifest, load_model, read_features_csv, save_volume
+from dcenorm import TissueMask, Volume, load_manifest, load_model, read_features_csv, save_mask, save_volume
 from dcenorm.cli import load_cli_config, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -94,6 +100,11 @@ class TestPipeline:
         assert manifest.subject_ids() == SUBJECTS
         entry = manifest.get("A000")
         assert len(entry.posts) == 3 and entry.mask is not None
+
+    def test_normalize_references_masks_it_read(self, pipeline):
+        records = json.loads((pipeline / "norm" / "manifest.json").read_text())
+        assert [r["mask"] for r in records] == [f"../seg/{sid}_mask.json" for sid in SUBJECTS]
+        assert not list((pipeline / "norm").glob("*_mask.*"))
 
     def test_mapping_curves_monotone(self, pipeline):
         for sid in SUBJECTS:
@@ -279,6 +290,43 @@ class TestErrorPaths:
         assert err.startswith("error[validation]:") and "dense_threshold_method" in err
         assert len(err.splitlines()) == 1
 
+    def test_evaluate_checks_mask_geometry(self, pipeline, tmp_path, capsys):
+        seg = pipeline / "seg"
+        records = json.loads((seg / "manifest.json").read_text())
+        for record in records:
+            record["pre"] = str(seg / record["pre"])
+            record["posts"] = [str(seg / p) for p in record["posts"]]
+            record["mask"] = str(seg / record["mask"])
+        records[0]["mask"] = str(save_mask(TissueMask(np.ones((8, 8, 8), np.uint8), (2.0, 2.0, 4.0)),
+                                           tmp_path / "small_mask"))
+        (tmp_path / "manifest.json").write_text(json.dumps(records))
+        rc = main(["evaluate", "--before", str(pipeline / "before.csv"),
+                   "--after", str(pipeline / "after.csv"),
+                   "--manifest", str(tmp_path / "manifest.json"), "--group-by", "te",
+                   "--out", str(tmp_path / "report.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "mask dims" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("config, key", [
+        ({"dims": ["x", 16, 8]}, "dims"),
+        ({"intensities": {"fat": "x"}}, "intensities"),
+        ({"gradient_range": [0.1]}, "gradient_range"),
+        ({"groups": [{"name": "A", "n_subjects": "2"}]}, "n_subjects"),
+        ({"n_posts": 1.5}, "n_posts"),
+        ({"enhancement": {"fat": 5}}, "enhancement"),
+        ({"seed": "x"}, "seed"),
+    ])
+    def test_phantom_config_types_checked(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "phantom.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "data"), "--jobs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and key in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("field, value", [("pre", 5), ("posts", [5]), ("mask", ["m"])])
     def test_manifest_path_types_checked(self, tmp_path, capsys, field, value):
         entry = {"subject_id": "s0", "pre": "s0_pre.json", "posts": ["s0_post1.json"],
@@ -362,3 +410,135 @@ def test_readme_config_example_loads(tmp_path):
     assert cfg.segmentation.morphology_radius == 2
     assert cfg.denoise_radius == 1
     assert (cfg.group_by, cfg.group_threshold) == ("te", 2.0)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one value of a small valid input replaced by a value of another type
+
+TINY_PHANTOM = {
+    "dims": [8, 8, 8],
+    "spacing_mm": [2.0, 2.0, 4.0],
+    "seed": 0,
+    "n_posts": 3,
+    "intensities": {"air": 0.0, "fat": 400.0, "dense": 200.0, "heart": 300.0, "tumor": 240.0},
+    "enhancement": {"fat": [1.05, 1.1, 1.15], "dense": [1.3, 1.45, 1.6], "heart": [3.0, 2.8, 2.6],
+                    "tumor_label0": [2.0, 1.9, 1.8], "tumor_label1": [2.4, 2.2, 2.0]},
+    "gradient_range": [0.1, 0.55],
+    "groups": [{"name": "A", "n_subjects": 1, "scale": 1.0, "offset": 0.0, "te_ms": 1.8,
+                "tr_ms": 4.0, "field_t": 1.5, "noise_sigma": 2.0}],
+}
+
+CLI_CONFIG = {
+    "segmentation": {"air_fraction": 0.05, "heart_enhancement_percentile": 99.0,
+                     "dense_polarity": "dark", "min_component_voxels": 500, "morphology_radius": 1},
+    "anchors": {"heart_rule": "p90", "clamp_floor": 0.0},
+    "features": {"denoise_radius": 1},
+    "evaluation": {"group_by": "te", "threshold": 2.0},
+}
+
+OTHER_TYPE = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 9) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 9), max_size=2),
+    st.floats(),
+    st.integers(max_value=-1),
+)
+
+
+def _positions(doc, prefix=()):
+    """Key paths of every value in a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _positions(value, (*prefix, key))
+
+
+def _replace(doc, position, value):
+    if not position:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in position[:-1]:
+        target = target[key]
+    target[position[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A one-subject 8x8x8 phantom, its model, and the valid documents the fuzz mutates."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    (root / "phantom.json").write_text(json.dumps(TINY_PHANTOM))
+    data = root / "data"
+    assert main(["phantom", "--config", str(root / "phantom.json"), "--out", str(data), "--jobs", "1"]) == 0
+    assert main(["train", "--manifest", str(data / "manifest.json"), "--out", str(root / "model.json"),
+                 "--jobs", "1"]) == 0
+    return root
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _fuzz_phantom(tiny, doc, work):
+    (work / "phantom.json").write_text(json.dumps(doc))
+    return _run(["phantom", "--config", str(work / "phantom.json"), "--out", str(work / "data"),
+                 "--jobs", "1"])
+
+
+def _fuzz_cli_config(tiny, doc, work):
+    (work / "config.json").write_text(json.dumps(doc))
+    return _run(["normalize", "--manifest", str(tiny / "data" / "manifest.json"),
+                 "--model", str(tiny / "model.json"), "--out-dir", str(work / "norm"),
+                 "--config", str(work / "config.json"), "--jobs", "1"])
+
+
+def _fuzz_manifest(tiny, doc, work):
+    manifest = tiny / "data" / "fuzzed_manifest.json"
+    manifest.write_text(json.dumps([doc]))
+    return _run(["features", "--manifest", str(manifest), "--out", str(work / "f.csv"), "--jobs", "1"])
+
+
+def _fuzz_sidecar(tiny, doc, work):
+    sidecar = tiny / "data" / "A000_pre.json"
+    original = sidecar.read_text()
+    sidecar.write_text(json.dumps(doc))
+    try:
+        return _run(["features", "--manifest", str(tiny / "data" / "manifest.json"),
+                     "--out", str(work / "f.csv"), "--jobs", "1"])
+    finally:
+        sidecar.write_text(original)
+
+
+FUZZ_KINDS = {
+    "phantom-config": (_fuzz_phantom, lambda tiny: TINY_PHANTOM),
+    "cli-config": (_fuzz_cli_config, lambda tiny: CLI_CONFIG),
+    "manifest-record": (_fuzz_manifest,
+                        lambda tiny: json.loads((tiny / "data" / "manifest.json").read_text())[0]),
+    "volume-sidecar": (_fuzz_sidecar,
+                       lambda tiny: json.loads((tiny / "data" / "A000_pre.json").read_text())),
+}
+
+
+@pytest.mark.parametrize("kind", list(FUZZ_KINDS))
+def test_fuzzed_inputs_keep_the_exit_contract(tiny, kind):
+    """Exit 0, 1 or 2; a failure prints exactly one ``error[...]`` line."""
+    run, valid = FUZZ_KINDS[kind]
+    doc = valid(tiny)
+    assert run(tiny, doc, Path(tempfile.mkdtemp(dir=tiny)))[0] == 0
+
+    @settings(max_examples=30)
+    @given(position=st.sampled_from(list(_positions(doc))), value=OTHER_TYPE)
+    def check(position, value):
+        with tempfile.TemporaryDirectory(dir=tiny) as work:
+            rc, err = run(tiny, _replace(doc, position, value), Path(work))
+        assert rc in (0, 1, 2)
+        if rc:
+            assert len(err.splitlines()) == 1 and err.startswith("error["), err
+
+    check()

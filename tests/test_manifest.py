@@ -139,6 +139,15 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             manifest.get("s9")
 
+    def test_dotted_subject_id_finds_its_files(self, tmp_path):
+        write_volumes(tmp_path, ["A.1_pre", "A.1_post1"])
+        manifest = load_manifest(write_manifest(tmp_path, [
+            record("A.1", pre="A.1_pre.json", posts=["A.1_post1.json"]),
+        ]))
+        series = load_series(manifest.get("A.1"))
+        assert series.pre.data.max() == 0.0
+        assert series.posts[0].data.max() == 1.0
+
 
 class TestLoadSeries:
     def test_loads_all_volumes(self, dataset):

@@ -98,6 +98,13 @@ class TestVolumeIO:
         with pytest.raises(VolumeFormatError, match="dims"):
             load_volume(path)
 
+    @pytest.mark.parametrize("spacing", [["x", 1, 1], [True, 1, 1], [1, None, 1], [1, 1]])
+    def test_bad_spacing_in_sidecar(self, tmp_path, spacing):
+        path = write_pair(tmp_path, "v", [1, 1, 1], f32_bytes([0]), spacing=spacing)
+        with pytest.raises(VolumeFormatError, match="spacing_mm") as info:
+            load_volume(path)
+        assert str(path) in str(info.value)
+
     def test_sidecar_not_json(self, tmp_path):
         (tmp_path / "v.json").write_text("{not json")
         (tmp_path / "v.raw").write_bytes(f32_bytes([0]))
@@ -124,6 +131,22 @@ class TestVolumeIO:
             assert back.dims == v.dims
             assert back.spacing_mm == v.spacing_mm
             assert back.modality_tag == v.modality_tag
+
+    def test_dotted_names_keep_their_own_files(self, tmp_path):
+        pre = vol(np.zeros((1, 1, 2)) + 1.0)
+        post = vol(np.zeros((1, 1, 2)) + 2.0)
+        assert save_volume(pre, tmp_path / "A.1_pre") == tmp_path / "A.1_pre.json"
+        assert save_volume(post, tmp_path / "A.1_post1") == tmp_path / "A.1_post1.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "A.1_post1.json", "A.1_post1.raw", "A.1_pre.json", "A.1_pre.raw",
+        ]
+        for name, expected in (("A.1_pre", pre), ("A.1_post1", post)):
+            for path in (f"{name}.json", f"{name}.raw", name):
+                assert np.array_equal(load_volume(tmp_path / path).data, expected.data)
+
+    def test_save_mask_returns_sidecar(self, tmp_path):
+        assert save_mask(mask_of(np.ones((1, 1, 2))), tmp_path / "B.2_mask") == tmp_path / "B.2_mask.json"
+        assert load_mask(tmp_path / "B.2_mask.json").dims == (2, 1, 1)
 
     def test_base_path_strips_known_suffixes(self):
         assert base_path("a/b.json").name == "b"
