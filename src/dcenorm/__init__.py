@@ -41,10 +41,11 @@ from .manifest import DatasetManifest, StudySeries, SubjectEntry, load_manifest,
 from .mapping import MappingFunction, apply_mapping, build_mapping, evaluate, export_mapping_curve
 from .model import NormalizationModel, load_model, rank_subjects, save_model, train_archetype
 from .phantom import GroupSpec, PhantomConfig, generate_phantom
-from .segmentation import SegmentationConfig, classical_mask, load_external_mask
+from .segmentation import SegmentationConfig, classical_mask
 from .volume import (
     TissueMask,
     Volume,
+    load_external_mask,
     load_mask,
     load_volume,
     median_filter,

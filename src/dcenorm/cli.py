@@ -33,8 +33,8 @@ from .manifest import SubjectEntry, load_manifest, load_series
 from .mapping import apply_mapping, build_mapping, export_mapping_curve, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
-from .segmentation import SegmentationConfig, classical_mask, load_external_mask
-from .volume import save_mask, save_volume
+from .segmentation import SegmentationConfig, classical_mask
+from .volume import load_external_mask, save_mask, save_volume
 from .util import atomic_write_json, atomic_write_text, default_jobs, is_number, read_json, run_parallel
 
 log = logging.getLogger(__name__)
@@ -146,6 +146,7 @@ def _manifest_record(entry: SubjectEntry, out_dir: str, pre: Path, posts, mask: 
 
 
 def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConfig):
+    """Mask one subject: ``(record, None)``, or ``(None, reason)`` when classical segmentation fails."""
     series = load_series(entry)
     if entry.mask is not None:
         mask = load_external_mask(entry.mask, series)
@@ -153,10 +154,9 @@ def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConf
         try:
             mask = classical_mask(series, seg_config)
         except SegmentationError as exc:
-            log.warning("subject %s skipped: %s", entry.subject_id, exc)
-            return None
+            return None, str(exc)
     mask_file = save_mask(mask, Path(out_dir) / f"{entry.subject_id}_mask")
-    return _manifest_record(entry, out_dir, entry.pre, entry.posts, mask_file)
+    return _manifest_record(entry, out_dir, entry.pre, entry.posts, mask_file), None
 
 
 def _normalize_job(
@@ -206,10 +206,21 @@ def _cmd_segment(args) -> int:
     manifest = load_manifest(args.manifest)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    entries = list(manifest)
+    if any(entry.mask is None for entry in entries):
+        # The classical chain needs scipy.ndimage; import it once here so
+        # forked workers inherit it instead of each importing it again.
+        import scipy.ndimage  # noqa: F401
     job = partial(_segment_job, out_dir=str(out), seg_config=cli_cfg.segmentation)
-    records = [r for r in run_parallel(job, list(manifest), args.jobs) if r is not None]
+    outcomes = run_parallel(job, entries, args.jobs)
+    records = [record for record, _ in outcomes if record is not None]
+    skipped = [(e.subject_id, reason) for e, (_, reason) in zip(entries, outcomes) if reason is not None]
     if not records:
-        raise ValidationError("segmentation failed for every subject")
+        reasons = "; ".join(f"{sid}: {reason}" for sid, reason in skipped)
+        raise ValidationError(f"segmentation failed for every subject: {reasons}")
+    # Skips are logged here, not in the workers, so a run that fails prints only its error line.
+    for sid, reason in skipped:
+        log.warning("subject %s skipped: %s", sid, reason)
     atomic_write_json(out / "manifest.json", records)
     log.info("segment: %d/%d subjects masked", len(records), len(manifest))
     return 0

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .features import FEATURE_NAMES, FeatureVector
 from .manifest import DatasetManifest, load_series
-from .segmentation import load_external_mask
-from .volume import HEART, DENSE, FAT, TUMOR
+from .volume import HEART, DENSE, FAT, TUMOR, load_external_mask
 from .util import atomic_write_text
 
 log = logging.getLogger(__name__)

@@ -9,12 +9,13 @@ directory, so a dataset directory can be moved as a unit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .errors import ManifestError, MissingInputError, ValidationError
-from .util import read_json
+from .util import is_number, read_json
 from .volume import Volume, load_volume, volume_files
 
 _REQUIRED_KEYS = {"subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"}
@@ -75,8 +76,9 @@ def _parse_entry(record: object, index: int, base_dir: Path) -> SubjectEntry:
 
     for key in ("te_ms", "tr_ms", "field_t"):
         value = record[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise ManifestError(f"subject {subject_id}: {key} must be a positive number")
+        # NaN fails every comparison, and infinity or an int too large for a float fails the upper bound.
+        if not (is_number(value) and 0 < value <= sys.float_info.max):
+            raise ManifestError(f"subject {subject_id}: {key} must be a finite positive number")
 
     label = record.get("label")
     if label is not None and label not in (0, 1):

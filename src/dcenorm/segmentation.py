@@ -8,6 +8,10 @@ here is robustness and determinism rather than voxel-perfect contours.
 Conventions: volumes are indexed ``data[z, y, x]`` and y = 0 is the
 anterior side, so the breast occupies low y and the heart sits at
 higher y behind the chest-wall plane.
+
+``scipy.ndimage`` is imported inside the functions that call it, so
+importing this module (and through it the command line) does not pay
+for it; only runs of the classical chain do.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import SegmentationError, ValidationError
 from .manifest import StudySeries
@@ -159,6 +162,8 @@ def chest_wall_planes(body: np.ndarray) -> np.ndarray:
 
 
 def _drop_small_components(mask: np.ndarray, min_voxels: int) -> np.ndarray:
+    from scipy import ndimage
+
     labeled, n = ndimage.label(mask, structure=_CONN26)
     if n == 0:
         return mask
@@ -176,6 +181,8 @@ def segment_breast(pre: Volume, body: np.ndarray, config: SegmentationConfig) ->
     components below ``min_component_voxels``. Raises SegmentationError
     when nothing survives.
     """
+    from scipy import ndimage
+
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
     if not body.any():
@@ -228,6 +235,8 @@ def segment_heart(
     (no enhancement anywhere, or a component below the size floor) is
     an error so callers can skip the subject explicitly.
     """
+    from scipy import ndimage
+
     if post1.dims != pre.dims:
         raise ValidationError("pre and post volumes disagree on dims")
     if body.shape != pre.data.shape:
@@ -295,21 +304,3 @@ def classical_mask(series: StudySeries, config: SegmentationConfig) -> TissueMas
     heart = segment_heart(pre, series.posts[0], body, config)
     tumor = np.zeros(pre.data.shape, dtype=bool)
     return assemble_mask(air, fat, dense, heart, tumor, series.spacing_mm)
-
-
-def load_external_mask(path, series: StudySeries) -> TissueMask:
-    """Load a mask file and check it matches the series geometry."""
-    from .volume import load_mask
-    from .errors import MaskError
-
-    mask = load_mask(path)
-    if mask.dims != series.dims:
-        raise MaskError(
-            f"mask dims {mask.dims} do not match series dims {series.dims}", path=path
-        )
-    if mask.spacing_mm != series.spacing_mm:
-        raise MaskError(
-            f"mask spacing {mask.spacing_mm} does not match series spacing {series.spacing_mm}",
-            path=path,
-        )
-    return mask

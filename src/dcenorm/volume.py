@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,6 +36,9 @@ from .errors import (
     VolumeFormatError,
 )
 from .util import atomic_write_bytes, atomic_write_json, is_number
+
+if TYPE_CHECKING:
+    from .manifest import StudySeries
 
 VOLUME_DTYPE = "f32le"
 MASK_DTYPE = "u8"
@@ -242,6 +246,21 @@ def load_mask(path: Path | str) -> TissueMask:
         return TissueMask(arr, tuple(spacing))
     except MaskError as exc:
         raise MaskError(str(exc), path=payload_path) from exc
+
+
+def load_external_mask(path: Path | str, series: StudySeries) -> TissueMask:
+    """Load a mask file and check it matches the series geometry."""
+    mask = load_mask(path)
+    if mask.dims != series.dims:
+        raise MaskError(
+            f"mask dims {mask.dims} do not match series dims {series.dims}", path=path
+        )
+    if mask.spacing_mm != series.spacing_mm:
+        raise MaskError(
+            f"mask spacing {mask.spacing_mm} does not match series spacing {series.spacing_mm}",
+            path=path,
+        )
+    return mask
 
 
 def save_mask(mask: TissueMask, path: Path | str) -> Path:

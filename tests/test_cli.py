@@ -3,7 +3,11 @@ import copy
 import csv
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcenorm
 from dcenorm import TissueMask, Volume, load_manifest, load_model, read_features_csv, save_mask, save_volume
 from dcenorm.cli import load_cli_config, main
 
@@ -250,18 +255,39 @@ class TestErrorPaths:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
-    def test_segment_failing_every_subject(self, tmp_path, capsys):
-        flat = np.full((8, 8, 8), 7.0, dtype=np.float32)
-        save_volume(Volume(flat, (1.0, 1.0, 1.0), "dce-pre"), tmp_path / "c0_pre")
-        save_volume(Volume(flat * 2, (1.0, 1.0, 1.0), "dce-post1"), tmp_path / "c0_post1")
-        (tmp_path / "manifest.json").write_text(json.dumps([{
-            "subject_id": "c0", "pre": "c0_pre.json", "posts": ["c0_post1.json"],
-            "te_ms": 1.8, "tr_ms": 4.0, "field_t": 1.5,
-        }]))
+    def test_segment_failing_every_subject(self, tmp_path):
+        """Run as a real process, so a log line reaching stderr would show as a second line."""
+        (tmp_path / "manifest.json").write_text(json.dumps([_unsegmentable_record(tmp_path)]))
+        done = _run_process(["-m", "dcenorm", "segment", "--manifest", str(tmp_path / "manifest.json"),
+                             "--out-dir", str(tmp_path / "seg"), "--jobs", "1"])
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith("error[validation]: segmentation failed for every subject: c0: ")
+
+    def test_segment_logs_skips_when_a_subject_succeeds(self, pipeline, tmp_path, caplog):
+        data = pipeline / "data"
+        good = _absolute_paths(json.loads((data / "manifest_nomask.json").read_text())[0], data)
+        (tmp_path / "manifest.json").write_text(json.dumps([_unsegmentable_record(tmp_path), good]))
         rc = main(["segment", "--manifest", str(tmp_path / "manifest.json"),
                    "--out-dir", str(tmp_path / "seg"), "--jobs", "1"])
+        assert rc == 0
+        assert load_manifest(tmp_path / "seg" / "manifest.json").subject_ids() == [good["subject_id"]]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1 and messages[0].startswith("subject c0 skipped: "), messages
+
+    def test_non_finite_acquisition_parameter_rejected(self, pipeline, tmp_path, capsys):
+        data = pipeline / "data"
+        records = [_absolute_paths(rec, data) for rec in json.loads((data / "manifest.json").read_text())]
+        records[1]["te_ms"] = math.nan
+        (tmp_path / "manifest.json").write_text(json.dumps(records))
+        rc = main(["train", "--manifest", str(tmp_path / "manifest.json"),
+                   "--out", str(tmp_path / "model.json"), "--jobs", "1"])
         assert rc == 1
-        assert "every subject" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error[validation]:") and "te_ms" in err
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("config, key", [
         ('{"segmentation": {"air_fraction": "x"}}', "air_fraction"),
@@ -410,6 +436,48 @@ def test_readme_config_example_loads(tmp_path):
     assert cfg.segmentation.morphology_radius == 2
     assert cfg.denoise_radius == 1
     assert (cfg.group_by, cfg.group_threshold) == ("te", 2.0)
+
+
+def _unsegmentable_record(directory: Path) -> dict:
+    """Write a flat subject ``c0`` that classical segmentation rejects; return its manifest record."""
+    flat = np.full((8, 8, 8), 7.0, dtype=np.float32)
+    save_volume(Volume(flat, (1.0, 1.0, 1.0), "dce-pre"), directory / "c0_pre")
+    save_volume(Volume(flat * 2, (1.0, 1.0, 1.0), "dce-post1"), directory / "c0_post1")
+    return {
+        "subject_id": "c0", "pre": str(directory / "c0_pre.json"), "posts": [str(directory / "c0_post1.json")],
+        "te_ms": 1.8, "tr_ms": 4.0, "field_t": 1.5,
+    }
+
+
+def _absolute_paths(record: dict, base: Path) -> dict:
+    """A manifest record with its volume paths resolved against ``base``, to reuse in another manifest."""
+    record = dict(record, pre=str(base / record["pre"]), posts=[str(base / p) for p in record["posts"]])
+    if "mask" in record:
+        record["mask"] = str(base / record["mask"])
+    return record
+
+
+def _run_process(args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports dcenorm from the same sources as this test."""
+    src = str(Path(dcenorm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["dcenorm", "dcenorm.cli"])
+def test_import_does_not_load_scipy_ndimage(module):
+    """Only classical segmentation needs scipy.ndimage, so no subcommand's start-up pays for it."""
+    done = _run_process(["-c", f"import sys, {module}; sys.exit('scipy.ndimage' in sys.modules)"])
+    assert done.returncode == 0, done.stderr or f"importing {module} loaded scipy.ndimage"
+
+
+def test_segment_copying_masks_does_not_load_scipy_ndimage(pipeline, tmp_path):
+    manifest = pipeline / "data" / "manifest.json"
+    done = _run_process(["-c", "import sys; from dcenorm.cli import main; "
+                               f"rc = main(['segment', '--manifest', {str(manifest)!r}, "
+                               f"'--out-dir', {str(tmp_path)!r}, '--jobs', '2']); "
+                               "sys.exit(rc or 3 * ('scipy.ndimage' in sys.modules))"])
+    assert done.returncode == 0, done.stderr or "segment loaded scipy.ndimage without running it"
 
 
 # ---------------------------------------------------------------------------

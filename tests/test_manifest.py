@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -86,7 +87,8 @@ class TestLoadManifest:
             load_manifest(write_manifest(dataset, [record("s1", posts=[])]))
 
     @pytest.mark.parametrize("key", ["te_ms", "tr_ms", "field_t"])
-    @pytest.mark.parametrize("bad", [0, -1.5, "3", True])
+    @pytest.mark.parametrize("bad", [0, -1.5, "3", True, math.nan, math.inf,
+                                     pytest.param(10 ** 400, id="huge-int")])
     def test_acquisition_params_must_be_positive_numbers(self, dataset, key, bad):
         rec = record("s1")
         rec[key] = bad
