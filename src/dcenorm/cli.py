@@ -29,12 +29,12 @@ from . import anchors as anchors_mod
 from . import evaluation as eval_mod
 from .errors import ConfigError, DcenormError, MissingInputError, SegmentationError, ValidationError
 from .features import extract_features, read_features_csv, write_features_csv
-from .manifest import SubjectEntry, load_manifest, load_series
+from .manifest import SubjectEntry, load_manifest, load_series, load_subject as _load_subject
 from .mapping import apply_mapping, build_mapping, export_mapping_curve, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask
-from .volume import load_external_mask, save_mask, save_volume
+from .volume import save_mask, save_volume
 from .util import atomic_write_json, atomic_write_text, default_jobs, is_number, read_json, run_parallel
 
 log = logging.getLogger(__name__)
@@ -104,28 +104,12 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
     return cfg
 
 
-def _resolve_mask_path(entry: SubjectEntry, masks_dir: str | None) -> Path:
-    if masks_dir is not None:
-        return Path(masks_dir) / f"{entry.subject_id}_mask"
-    if entry.mask is not None:
-        return entry.mask
-    raise ValidationError(
-        f"subject {entry.subject_id}: no mask available; add masks to the manifest or pass --masks"
-    )
-
-
-def _load_subject(entry: SubjectEntry, masks_dir: str | None):
-    series = load_series(entry)
-    mask = load_external_mask(_resolve_mask_path(entry, masks_dir), series)
-    return series, mask
-
-
 # ---------------------------------------------------------------------------
 # per-subject workers (top level so process pools can pickle them)
 
 
-def _anchor_job(entry: SubjectEntry, masks_dir: str | None, heart_rule: str):
-    series, mask = _load_subject(entry, masks_dir)
+def _anchor_job(entry: SubjectEntry, heart_rule: str):
+    series, mask = _load_subject(entry)
     return anchors_mod.extract_anchors(series, mask, heart_rule=heart_rule)
 
 
@@ -146,16 +130,19 @@ def _manifest_record(entry: SubjectEntry, out_dir: str, pre: Path, posts, mask: 
 
 
 def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConfig):
-    """Mask one subject: ``(record, None)``, or ``(None, reason)`` when classical segmentation fails."""
-    series = load_series(entry)
+    """Mask one subject: ``(record, None)``, or ``(None, reason)`` when classical segmentation fails.
+
+    A mask the entry already gives is checked against the series and referenced, not copied.
+    """
     if entry.mask is not None:
-        mask = load_external_mask(entry.mask, series)
+        _load_subject(entry)
+        mask_file = entry.mask
     else:
         try:
-            mask = classical_mask(series, seg_config)
+            mask = classical_mask(load_series(entry), seg_config)
         except SegmentationError as exc:
             return None, str(exc)
-    mask_file = save_mask(mask, Path(out_dir) / f"{entry.subject_id}_mask")
+        mask_file = save_mask(mask, Path(out_dir) / f"{entry.subject_id}_mask")
     return _manifest_record(entry, out_dir, entry.pre, entry.posts, mask_file), None
 
 
@@ -163,12 +150,11 @@ def _normalize_job(
     entry: SubjectEntry,
     model: NormalizationModel,
     out_dir: str,
-    masks_dir: str | None,
     heart_rule: str,
     clamp_floor: float,
     mapping_dir: str | None,
 ):
-    series, mask = _load_subject(entry, masks_dir)
+    series, mask = _load_subject(entry)
     anchor_set = anchors_mod.extract_anchors(series, mask, heart_rule=heart_rule)
     mapping = build_mapping(anchor_set, model, clamp_floor=clamp_floor)
     mapped = apply_mapping(mapping, series)
@@ -180,11 +166,11 @@ def _normalize_job(
     if mapping_dir is not None:
         curve = export_mapping_curve(mapping)
         write_mapping_curve(Path(mapping_dir) / f"{sid}_mapping.csv", curve)
-    return _manifest_record(entry, out_dir, pre, posts, _resolve_mask_path(entry, masks_dir))
+    return _manifest_record(entry, out_dir, pre, posts, entry.mask)
 
 
-def _features_job(entry: SubjectEntry, masks_dir: str | None, denoise_radius: int | None, normalized: bool):
-    series, mask = _load_subject(entry, masks_dir)
+def _features_job(entry: SubjectEntry, denoise_radius: int | None, normalized: bool):
+    series, mask = _load_subject(entry)
     return extract_features(series, mask, denoise_radius=denoise_radius, normalized=normalized)
 
 
@@ -229,7 +215,7 @@ def _cmd_segment(args) -> int:
 def _cmd_train(args) -> int:
     cli_cfg = load_cli_config(args.config)
     manifest = load_manifest(args.manifest)
-    job = partial(_anchor_job, masks_dir=args.masks, heart_rule=cli_cfg.heart_rule)
+    job = partial(_anchor_job, heart_rule=cli_cfg.heart_rule)
     anchor_sets = run_parallel(job, list(manifest), args.jobs)
     model = train_archetype(anchor_sets)
     save_model(model, args.out)
@@ -262,7 +248,6 @@ def _cmd_normalize(args) -> int:
         _normalize_job,
         model=model,
         out_dir=str(out),
-        masks_dir=args.masks,
         heart_rule=cli_cfg.heart_rule,
         clamp_floor=cli_cfg.clamp_floor,
         mapping_dir=args.emit_mapping,
@@ -278,9 +263,7 @@ def _cmd_features(args) -> int:
     _check_denoise_radius(args.denoise_median, "--denoise-median")
     manifest = load_manifest(args.manifest)
     radius = args.denoise_median if args.denoise_median is not None else cli_cfg.denoise_radius
-    job = partial(
-        _features_job, masks_dir=args.masks, denoise_radius=radius, normalized=args.normalized
-    )
+    job = partial(_features_job, denoise_radius=radius, normalized=args.normalized)
     rows = run_parallel(job, list(manifest), args.jobs)
     write_features_csv(args.out, rows)
     log.info("features: %d subjects -> %s", len(rows), args.out)
@@ -381,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-anchors", default=None)
-    p.add_argument("--masks", default=None, help="directory of <subject>_mask files")
     _add_common(p)
     p.set_defaults(func=_cmd_train)
 
@@ -390,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--emit-mapping", default=None, help="directory for mapping curve CSVs")
-    p.add_argument("--masks", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_normalize)
 
@@ -398,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--denoise-median", type=int, default=None, metavar="R")
-    p.add_argument("--masks", default=None)
     p.add_argument("--normalized", action="store_true", help="mark rows as post-normalization")
     _add_common(p)
     p.set_defaults(func=_cmd_features)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .features import FEATURE_NAMES, FeatureVector
-from .manifest import DatasetManifest, load_series
-from .volume import HEART, DENSE, FAT, TUMOR, load_external_mask
+from .manifest import DatasetManifest, load_subject
+from .volume import HEART, DENSE, FAT, TUMOR
 from .util import atomic_write_text
 
 log = logging.getLogger(__name__)
@@ -159,8 +159,7 @@ def _tissue_intensity_summary(manifest: DatasetManifest) -> dict[str, dict[str, 
         return None
     per_tissue: dict[str, list[float]] = {name: [] for name in _REPORT_TISSUES}
     for entry in manifest:
-        series = load_series(entry)
-        mask = load_external_mask(entry.mask, series)
+        series, mask = load_subject(entry)
         for name, label in _REPORT_TISSUES.items():
             sel = mask.labels == label
             if not sel.any():

@@ -1,10 +1,12 @@
-"""Dataset manifests and per-subject series loading.
+"""Dataset manifests and per-subject series and mask loading.
 
 A manifest is a JSON array of subject records. Each record names the
 pre-contrast volume, an ordered list of post-contrast volumes, the
 acquisition parameters used for grouping, and optionally a tissue mask
 and a binary label. Paths are resolved relative to the manifest file's
-directory, so a dataset directory can be moved as a unit.
+directory, so a dataset directory can be moved as a unit. A subject's
+entry is the only source of its mask; ``dcenorm segment`` writes a
+manifest that gives one for every subject.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterator
 
 from .errors import ManifestError, MissingInputError, ValidationError
 from .util import is_number, read_json
-from .volume import Volume, load_volume, volume_files
+from .volume import TissueMask, Volume, load_external_mask, load_volume, volume_files
 
 _REQUIRED_KEYS = {"subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"}
 _OPTIONAL_KEYS = {"mask", "label"}
@@ -141,7 +143,6 @@ class StudySeries:
     te_ms: float
     tr_ms: float
     field_t: float
-    mask_path: Path | None = None
 
     def __post_init__(self):
         if len(self.posts) < 1:
@@ -173,5 +174,14 @@ def load_series(entry: SubjectEntry) -> StudySeries:
         te_ms=entry.te_ms,
         tr_ms=entry.tr_ms,
         field_t=entry.field_t,
-        mask_path=entry.mask,
     )
+
+
+def load_subject(entry: SubjectEntry) -> tuple[StudySeries, TissueMask]:
+    """Load a subject's series and the mask its entry names, checked against the series geometry."""
+    if entry.mask is None:
+        raise ValidationError(
+            f"subject {entry.subject_id}: the manifest gives no mask; run `dcenorm segment` on it first"
+        )
+    series = load_series(entry)
+    return series, load_external_mask(entry.mask, series)

@@ -249,12 +249,11 @@ def _anatomy_rng(seed: int, anatomy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | anatomy))
 
 
-def _base_fields(cfg: PhantomConfig, anatomy: int, grad_amp: float) -> list[np.ndarray]:
-    """Undistorted per-sequence intensity fields for one anatomy index.
+def _base_fields(cfg: PhantomConfig, mask: TissueMask, anatomy: int, grad_amp: float) -> list[np.ndarray]:
+    """Undistorted per-sequence intensity fields for one anatomy index on ``mask``'s labels.
 
     Returns n_posts + 1 float64 arrays: pre first, then each post.
     """
-    mask = phantom_mask(cfg.dims, cfg.spacing_mm)
     fat = mask.labels == FAT
     dense = mask.labels == DENSE
     tumor = mask.labels == TUMOR
@@ -287,6 +286,8 @@ def _sequence_names(n_posts: int) -> list[str]:
     return ["pre"] + [f"post{p + 1}" for p in range(n_posts)]
 
 
+# Extreme configured values overflow float32 silently; Volume then rejects the non-finite data as one error.
+@np.errstate(over="ignore", invalid="ignore")
 def _generate_anatomy(job: tuple[PhantomConfig, str, int]) -> list[dict]:
     """Emit every subject at one anatomy index; returns manifest entries.
 
@@ -304,9 +305,9 @@ def _generate_anatomy(job: tuple[PhantomConfig, str, int]) -> list[dict]:
     lo, hi = cfg.gradient_range
     stratum = (anatomy % n_anat + 0.3 + 0.4 * float(rng.random())) / n_anat
     grad_amp = lo + (hi - lo) * stratum
-    fields = _base_fields(cfg, anatomy, grad_amp)
-    unit_noise = [rng.standard_normal(size=fields[0].shape) for _ in fields]
     mask = phantom_mask(cfg.dims, cfg.spacing_mm)
+    fields = _base_fields(cfg, mask, anatomy, grad_amp)
+    unit_noise = [rng.standard_normal(size=fields[0].shape) for _ in fields]
     names = _sequence_names(cfg.n_posts)
 
     entries = []

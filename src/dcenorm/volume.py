@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -183,8 +184,11 @@ def _load_pair(path: Path | str, expected_dtype: str):
     ):
         raise VolumeFormatError(f"sidecar dims must be 3 positive integers, got {dims!r}", path=sidecar_path)
     spacing = sidecar.get("spacing_mm")
-    if not isinstance(spacing, list) or len(spacing) != 3 or not all(is_number(s) for s in spacing):
-        raise VolumeFormatError(f"sidecar spacing_mm must be 3 numbers, got {spacing!r}", path=sidecar_path)
+    # NaN fails the bound, as do infinity and an int too large for a float, which float() cannot convert.
+    if not isinstance(spacing, list) or len(spacing) != 3 or not all(
+        is_number(s) and abs(s) <= sys.float_info.max for s in spacing
+    ):
+        raise VolumeFormatError(f"sidecar spacing_mm must be 3 finite numbers, got {spacing!r}", path=sidecar_path)
     dtype = sidecar.get("dtype")
     if dtype != expected_dtype:
         raise UnsupportedDtypeError(

@@ -106,6 +106,14 @@ class TestPipeline:
         entry = manifest.get("A000")
         assert len(entry.posts) == 3 and entry.mask is not None
 
+    def test_segment_references_manifest_masks(self, pipeline):
+        out = pipeline / "seg_given"
+        assert main(["segment", "--manifest", str(pipeline / "data" / "manifest.json"),
+                     "--out-dir", str(out), "--jobs", "2"]) == 0
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        records = json.loads((out / "manifest.json").read_text())
+        assert [r["mask"] for r in records] == [f"../data/{sid}_mask.json" for sid in SUBJECTS]
+
     def test_normalize_references_masks_it_read(self, pipeline):
         records = json.loads((pipeline / "norm" / "manifest.json").read_text())
         assert [r["mask"] for r in records] == [f"../seg/{sid}_mask.json" for sid in SUBJECTS]
@@ -265,6 +273,42 @@ class TestErrorPaths:
         assert len(lines) == 1, done.stderr
         assert lines[0].startswith("error[validation]: segmentation failed for every subject: c0: ")
 
+    def test_phantom_overflow_prints_only_its_error_line(self, tmp_path):
+        """Run as a real process, so a numpy warning reaching stderr would show before the error line."""
+        (tmp_path / "phantom.json").write_text(json.dumps({"dims": [8, 8, 8], "intensities": {"fat": 1e308}}))
+        done = _run_process(["-m", "dcenorm", "phantom", "--config", str(tmp_path / "phantom.json"),
+                             "--out", str(tmp_path / "data"), "--jobs", "1"])
+        assert done.returncode == 1
+        assert done.stderr == "error[validation]: volume contains NaN or infinite values\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["phantom", "--out", "d"],
+        ["segment", "--manifest", "m.json", "--out-dir", "d"],
+        ["train", "--manifest", "m.json", "--out", "model.json"],
+        ["normalize", "--manifest", "m.json", "--model", "model.json", "--out-dir", "d"],
+        ["features", "--manifest", "m.json", "--out", "f.csv"],
+        ["evaluate", "--before", "b.csv", "--after", "a.csv", "--manifest", "m.json", "--out", "r.json"],
+        ["auc", "--features", "f.csv", "--labels", "l.csv", "--out", "auc.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_masks_flag_rejected(self, tmp_path, capsys, argv):
+        assert main([*argv, "--masks", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "--masks" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out", "{tmp}/model.json"],
+        ["normalize", "--model", "{root}/model.json", "--out-dir", "{tmp}/norm"],
+        ["features", "--out", "{tmp}/f.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_subject_without_mask_names_segment(self, pipeline, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path, root=pipeline) for a in argv]
+        rc = main([*argv, "--manifest", str(pipeline / "data" / "manifest_nomask.json"), "--jobs", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]: subject A000:") and "dcenorm segment" in err
+        assert len(err.splitlines()) == 1
+
     def test_segment_logs_skips_when_a_subject_succeeds(self, pipeline, tmp_path, caplog):
         data = pipeline / "data"
         good = _absolute_paths(json.loads((data / "manifest_nomask.json").read_text())[0], data)
@@ -403,13 +447,6 @@ class TestOtherFlags:
         rows = read_features_csv(out)
         assert all(r.denoised for r in rows)
 
-    def test_train_resolves_masks_directory(self, pipeline, tmp_path):
-        rc = main(["train", "--manifest", str(pipeline / "data" / "manifest_nomask.json"),
-                   "--masks", str(pipeline / "seg"), "--out", str(tmp_path / "model.json"),
-                   "--jobs", "1"])
-        assert rc == 0
-        assert load_model(tmp_path / "model.json").archetype_subject_id in SUBJECTS
-
 
 def test_walkthrough_with_relative_paths(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -424,7 +461,7 @@ def test_walkthrough_with_relative_paths(tmp_path, monkeypatch):
         assert main([*argv, "--jobs", "1"]) == 0, argv
     record = json.loads(Path("work/masks/manifest.json").read_text())[0]
     assert record["pre"] == "../data/A000_pre.json"
-    assert record["mask"] == "A000_mask.json"
+    assert record["mask"] == "../data/A000_mask.json"
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -105,6 +105,13 @@ class TestVolumeIO:
             load_volume(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("spacing", [[10 ** 400, 1, 1], [1, math.inf, 1], [1, 1, math.nan]])
+    def test_non_finite_spacing_in_sidecar(self, tmp_path, spacing):
+        path = write_pair(tmp_path, "v", [1, 1, 1], f32_bytes([0]), spacing=spacing)
+        with pytest.raises(VolumeFormatError, match="spacing_mm") as info:
+            load_volume(path)
+        assert str(path) in str(info.value)
+
     def test_sidecar_not_json(self, tmp_path):
         (tmp_path / "v.json").write_text("{not json")
         (tmp_path / "v.raw").write_bytes(f32_bytes([0]))
