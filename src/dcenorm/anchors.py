@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AnchorError, ValidationError
 from .manifest import StudySeries
-from .volume import AIR, DENSE, FAT, HEART, TissueMask, nearest_rank_index, percentile
+from .volume import AIR, DENSE, FAT, HEART, TissueMask, percentile
 
 TISSUES = ("air", "fat", "dense", "heart")
 
@@ -47,13 +47,10 @@ class AnchorSet:
 
 def _heart_anchor(values: np.ndarray, rule: str) -> float:
     if rule == "p90":
-        k = nearest_rank_index(values.size, 90.0)
-        return float(np.partition(values, k)[k])
-    if rule == "top10_mean":
-        count = max(math.ceil(values.size * 0.1), 1)
-        top = np.sort(values)[-count:]
-        return float(np.mean(top.astype(np.float64)))
-    raise ValidationError(f"unknown heart anchor rule {rule!r}")
+        return percentile(values, 90.0)
+    count = max(math.ceil(values.size * 0.1), 1)
+    top = np.sort(values)[-count:]
+    return float(np.mean(top.astype(np.float64)))
 
 
 def extract_anchors(series: StudySeries, mask: TissueMask, heart_rule: str = "p90") -> AnchorSet:

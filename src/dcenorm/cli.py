@@ -85,7 +85,7 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
     eval_sec = raw.get("evaluation", {})
     clamp_floor = anchors_sec.get("clamp_floor", 0.0)
     if not is_number(clamp_floor):
-        raise ConfigError(f"anchors.clamp_floor must be a number, got {clamp_floor!r}", path=path)
+        raise ConfigError(f"anchors.clamp_floor must be a finite number, got {clamp_floor!r}", path=path)
     cfg = CliConfig(
         segmentation=seg,
         heart_rule=anchors_sec.get("heart_rule", "p90"),
@@ -98,7 +98,7 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
         raise ConfigError(f"unknown heart_rule {cfg.heart_rule!r}", path=path)
     _check_denoise_radius(cfg.denoise_radius, "features.denoise_radius", path=path)
     if cfg.group_threshold is not None and not is_number(cfg.group_threshold):
-        raise ConfigError(f"evaluation.threshold must be a number, got {cfg.group_threshold!r}", path=path)
+        raise ConfigError(f"evaluation.threshold must be a finite number, got {cfg.group_threshold!r}", path=path)
     if cfg.group_by is not None and cfg.group_by not in eval_mod.GROUP_KEYS:
         raise ConfigError(f"evaluation.group_by must be one of {eval_mod.GROUP_KEYS}", path=path)
     return cfg

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import MissingInputError, ValidationError
 from .manifest import StudySeries
 from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, median_filter
 from .util import atomic_write_text
@@ -285,8 +285,6 @@ def write_features_csv(path: Path | str, rows: list[FeatureVector]) -> None:
 
 def read_features_csv(path: Path | str) -> list[FeatureVector]:
     path = Path(path)
-    from .errors import MissingInputError
-
     if not path.exists():
         raise MissingInputError("features file not found", path=path)
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -296,13 +294,21 @@ def read_features_csv(path: Path | str) -> list[FeatureVector]:
             raise ValidationError(f"unexpected feature CSV header: {reader.fieldnames}", path=path)
         rows = []
         for record in reader:
-            values = {
-                name: (float(record[name]) if record[name] != "" else None)
-                for name in FEATURE_NAMES
-            }
+            subject = record["subject_id"]
+            if None in record or None in record.values():
+                raise ValidationError(f"subject {subject!r}: row and header differ in field count", path=path)
+            values = {}
+            for name in FEATURE_NAMES:
+                cell = record[name]
+                try:
+                    values[name] = float(cell) if cell != "" else None
+                except ValueError:
+                    raise ValidationError(
+                        f"subject {subject!r}: column {name} is not a number: {cell!r}", path=path
+                    ) from None
             rows.append(
                 FeatureVector(
-                    subject_id=record["subject_id"],
+                    subject_id=subject,
                     values=values,
                     denoised=record["denoised"] == "1",
                     normalized=record["normalized"] == "1",

@@ -11,7 +11,6 @@ manifest that gives one for every subject.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -78,8 +77,7 @@ def _parse_entry(record: object, index: int, base_dir: Path) -> SubjectEntry:
 
     for key in ("te_ms", "tr_ms", "field_t"):
         value = record[key]
-        # NaN fails every comparison, and infinity or an int too large for a float fails the upper bound.
-        if not (is_number(value) and 0 < value <= sys.float_info.max):
+        if not (is_number(value) and value > 0):
             raise ManifestError(f"subject {subject_id}: {key} must be a finite positive number")
 
     label = record.get("label")

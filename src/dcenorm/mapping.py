@@ -54,8 +54,8 @@ class MappingFunction:
             raise DegenerateAnchorError(f"control point values must strictly increase, got {self.knots_v}")
         if not np.all(np.diff(m) >= 0):
             raise NonMonotoneModelError(f"target values must be non-decreasing, got {self.knots_m}")
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_m", m)
+        if not (self.lower_slope >= 0 and self.upper_slope >= 0):  # NaN fails too
+            raise NonMonotoneModelError(f"slopes must be >= 0, got {self.lower_slope}, {self.upper_slope}")
 
     @property
     def control_points(self) -> tuple[tuple[float, float], ...]:
@@ -110,37 +110,35 @@ def build_mapping(
 def evaluate(mapping: MappingFunction, x) -> np.ndarray | float:
     """Evaluate the mapping in float64 at scalar or array ``x``.
 
-    Control points reproduce their targets exactly: every knot is the
-    left endpoint of its own segment (or of the upper extrapolation),
-    where the slope form m0 + t * (m1 - m0) evaluates to m0 with t = 0.
-    That form is also weakly monotone under rounding, which the
-    symmetric (1 - t) * m0 + t * m1 blend is not; clipping each segment
-    at its upper target removes the one remaining ulp-level overshoot
-    at the far end.
+    Each piece (lower tail, three segments, upper tail) is one row of a
+    table, and every point takes its row's slope form
+    m0 + (x - v0) / width * rise, clipped at the row's cap and floor.
+    Knots reproduce their targets exactly, as the left ends of their
+    pieces. The slope form is weakly monotone under rounding, which the
+    blend (1 - t) * m0 + t * m1 is not, and the cap at each segment's
+    upper target removes the one remaining ulp of overshoot at its far
+    end. The tails have width 1, and dividing by 1.0 is exact. Only the
+    lower tail has a finite floor and only the segments a finite cap,
+    so every other clip leaves its value as it is, signed zeros too.
     """
-    v: np.ndarray = mapping._v  # type: ignore[attr-defined]
-    m: np.ndarray = mapping._m  # type: ignore[attr-defined]
+    v = [float(a) for a in mapping.knots_v]
+    m = [float(a) for a in mapping.knots_m]
+    start_v, width, start_m, rise, floor, cap = np.array([
+        (v[0], 1.0, m[0], mapping.lower_slope, mapping.effective_floor, np.inf),
+        *((v[i], v[i + 1] - v[i], m[i], m[i + 1] - m[i], -np.inf, m[i + 1]) for i in range(3)),
+        (v[3], 1.0, m[3], mapping.upper_slope, -np.inf, np.inf),
+    ]).T
     xs = np.asarray(x, dtype=np.float64)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
+    k = np.searchsorted(start_v[1:], xs, side="right")  # start_v[1:] is the four knots
 
-    idx = np.searchsorted(v, xs, side="right") - 1
-    out = np.empty(xs.shape, dtype=np.float64)
-
-    below = idx < 0
-    above = idx >= 3
-    mid = ~(below | above)
-
-    if mid.any():
-        i = idx[mid]
-        t = (xs[mid] - v[i]) / (v[i + 1] - v[i])
-        out[mid] = np.minimum(m[i] + t * (m[i + 1] - m[i]), m[i + 1])
-    if above.any():
-        out[above] = m[3] + mapping.upper_slope * (xs[above] - v[3])
-    if below.any():
-        lowered = m[0] + mapping.lower_slope * (xs[below] - v[0])
-        out[below] = np.maximum(mapping.effective_floor, lowered)
-
+    out = xs - start_v[k]
+    out /= width[k]
+    out *= rise[k]
+    out += start_m[k]
+    np.minimum(out, cap[k], out=out)
+    np.maximum(floor[k], out, out=out)
     if scalar:
         return float(out[0])
     return out
@@ -176,7 +174,7 @@ def export_mapping_curve(
     """
     if n_samples < 2:
         raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
-    v = mapping._v  # type: ignore[attr-defined]
+    v = np.asarray(mapping.knots_v, dtype=np.float64)
     span = float(v[3] - v[0])
     if lo is None:
         lo = float(v[0]) - 0.05 * span

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -51,8 +52,11 @@ def read_json(path: Path | str) -> Any:
 
 
 def is_number(value: Any, kind: type = Real) -> bool:
-    """True for an instance of the number type ``kind`` that is not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """True for a ``kind`` number that is not a bool and, unless ``kind`` is integral, is finite."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    # NaN fails the bound, as do infinity and an int too large for a float, which float() cannot convert.
+    return issubclass(kind, Integral) or abs(value) <= sys.float_info.max
 
 
 def run_parallel(fn: Callable, items: Sequence, jobs: int) -> list:

@@ -341,6 +341,8 @@ class TestErrorPaths:
         ('{"anchors": {"clamp_floor": "abc"}}', "clamp_floor"),
         ('{"anchors": {"clamp_floor": false}}', "clamp_floor"),
         ('{"evaluation": {"threshold": "2.0"}}', "threshold"),
+        ('{"anchors": {"clamp_floor": NaN}}', "clamp_floor"),
+        ('{"evaluation": {"threshold": NaN}}', "threshold"),
     ])
     def test_config_value_types_checked(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
@@ -350,6 +352,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error[validation]:") and key in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("edit, column", [
+        (lambda row: row[:3] + ["abc"] + row[4:], "F3"),
+        (lambda row: row[:5], "field count"),
+        (lambda row: row + ["1"], "field count"),
+    ], ids=["non-numeric", "short-row", "long-row"])
+    def test_malformed_feature_rows_named(self, pipeline, tmp_path, capsys, edit, column):
+        rows = list(csv.reader((pipeline / "before.csv").read_text().splitlines()))
+        rows[2] = edit(rows[2])
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        rc = main(["auc", "--features", str(bad), "--labels", str(pipeline / "data" / "labels.csv"),
+                   "--out", str(tmp_path / "auc.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and len(err.splitlines()) == 1
+        assert rows[2][0] in err and column in err and str(bad) in err
 
     def test_dense_threshold_method_is_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -411,6 +430,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("key, value", [
         ("m_air", "x"), ("m_heart", None), ("m_fat", True), ("n_training", 2.5),
+        ("m_heart", math.inf), ("m_air", math.nan),
     ])
     def test_model_value_types_checked(self, pipeline, tmp_path, capsys, key, value):
         payload = json.loads((pipeline / "model.json").read_text())

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dcenorm import (
     DegenerateAnchorError,
@@ -55,6 +57,55 @@ def random_mapping(rng, allow_flat_targets=True):
     if allow_flat_targets and rng.random() < 0.2:
         m[2] = m[1]
     return mapping_of(tuple(v), tuple(np.sort(m)))
+
+
+def three_branch_evaluate(mapping, x):
+    """The per-piece masked evaluation that the piece table replaced, kept
+    as the reference the table must match bit for bit."""
+    v = np.asarray(mapping.knots_v, dtype=np.float64)
+    m = np.asarray(mapping.knots_m, dtype=np.float64)
+    xs = np.asarray(x, dtype=np.float64)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+
+    idx = np.searchsorted(v, xs, side="right") - 1
+    out = np.empty(xs.shape, dtype=np.float64)
+
+    below = idx < 0
+    above = idx >= 3
+    mid = ~(below | above)
+
+    if mid.any():
+        i = idx[mid]
+        t = (xs[mid] - v[i]) / (v[i + 1] - v[i])
+        out[mid] = np.minimum(m[i] + t * (m[i + 1] - m[i]), m[i + 1])
+    if above.any():
+        out[above] = m[3] + mapping.upper_slope * (xs[above] - v[3])
+    if below.any():
+        lowered = m[0] + mapping.lower_slope * (xs[below] - v[0])
+        out[below] = np.maximum(mapping.effective_floor, lowered)
+
+    if scalar:
+        return float(out[0])
+    return out
+
+
+finite = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def built_mappings(draw):
+    """Maps from build_mapping with flat target runs and any floor."""
+    v = draw(st.lists(finite, min_size=4, max_size=4, unique=True))
+    m = sorted(draw(st.lists(finite, min_size=4, max_size=4)))
+    for j, flat in enumerate(draw(st.lists(st.booleans(), min_size=3, max_size=3))):
+        if flat:
+            m[j + 1] = m[j]
+    order = np.argsort(v)
+    targets = [0.0] * 4
+    for rank, tissue in enumerate(order):
+        targets[tissue] = m[rank]
+    return mapping_of(tuple(v), tuple(targets), clamp=draw(finite))
 
 
 class TestBuildMapping:
@@ -113,6 +164,11 @@ class TestMappingFunction:
     def test_flat_targets_allowed(self):
         f = MappingFunction((0, 10, 20, 30), (5, 5, 5, 5), 0.0, 0.0)
         assert evaluate(f, 15.0) == 5.0
+
+    @pytest.mark.parametrize("slopes", [(-1.0, 1.0), (1.0, -1e-300), (np.nan, 1.0), (1.0, np.nan)])
+    def test_rejects_negative_or_nan_slopes(self, slopes):
+        with pytest.raises(NonMonotoneModelError, match="slope"):
+            MappingFunction((0, 10, 20, 30), (0, 1, 2, 3), *slopes)
 
     def test_control_points_property(self):
         f = MappingFunction((0, 1, 2, 3), (0, 2, 4, 6), 2.0, 2.0)
@@ -177,6 +233,28 @@ class TestEvaluate:
         ys = evaluate(f, xs)
         for x, y in zip(xs, ys):
             assert evaluate(f, float(x)) == y
+
+    @given(built_mappings(), st.lists(st.floats(0.0, 1.0), max_size=8), finite)
+    # signed zeros: a global floor or a finite cap on a tail would flip these
+    @example(mapping_of((0.0, 1.0, 2.0, 3.0), (0.0, 0.0, 0.0, -0.0)), [0.5], 0.0)
+    @example(mapping_of((1.0, 0.0, 2.0, 3.0), (-0.0, -0.0, 1.0, 2.0), clamp=-5.0), [0.5], 0.0)
+    def test_piece_table_matches_three_branch_evaluate(self, f, fractions, far):
+        v = np.array(f.knots_v)
+        span = v[3] - v[0]
+        xs = np.concatenate([
+            v,
+            np.nextafter(v, -np.inf),
+            np.nextafter(v, np.inf),
+            v[0] + np.array(fractions) * span,
+            [v[0] - abs(far) - 1e12, v[3] + abs(far) + 1e12, v[0] - abs(far), v[3] + abs(far)],
+            [-np.inf, np.inf, np.nan, 0.0, -0.0],
+        ])
+        with np.errstate(invalid="ignore"):  # a flat tail times an infinity is NaN in both
+            pairs = [(evaluate(f, p), three_branch_evaluate(f, p)) for p in (xs, xs.astype(np.float32))]
+            pairs.append(tuple(np.array([fn(f, x) for x in xs]) for fn in (evaluate, three_branch_evaluate)))
+        for got, want in pairs:
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))  # == does not tell -0.0 from 0.0
 
 
 class TestApplyMapping:
