@@ -35,7 +35,9 @@ from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask
 from .volume import save_mask, save_volume
-from .util import atomic_write_json, atomic_write_text, default_jobs, is_number, read_json, run_parallel
+from .util import (
+    atomic_write_json, atomic_write_text, check_csv_row, default_jobs, is_number, read_json, run_parallel,
+)
 
 log = logging.getLogger(__name__)
 
@@ -300,6 +302,7 @@ def _read_labels_csv(path: Path | str) -> dict[str, int]:
             raise ValidationError("labels CSV must have columns subject_id,label", path=path)
         for record in reader:
             sid = record["subject_id"]
+            check_csv_row(record, sid, path)
             if sid in labels:
                 raise ValidationError(f"duplicate subject {sid} in labels", path=path)
             if record["label"] not in ("0", "1"):

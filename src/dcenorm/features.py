@@ -41,7 +41,7 @@ import numpy as np
 from .errors import MissingInputError, ValidationError
 from .manifest import StudySeries
 from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, median_filter
-from .util import atomic_write_text
+from .util import atomic_write_text, check_csv_row
 
 log = logging.getLogger(__name__)
 
@@ -295,8 +295,7 @@ def read_features_csv(path: Path | str) -> list[FeatureVector]:
         rows = []
         for record in reader:
             subject = record["subject_id"]
-            if None in record or None in record.values():
-                raise ValidationError(f"subject {subject!r}: row and header differ in field count", path=path)
+            check_csv_row(record, subject, path)
             values = {}
             for name in FEATURE_NAMES:
                 cell = record[name]

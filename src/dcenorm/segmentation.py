@@ -161,16 +161,36 @@ def chest_wall_planes(body: np.ndarray) -> np.ndarray:
     return planes.astype(np.int64)
 
 
+def _bounding_box(mask: np.ndarray, margin: int) -> tuple[slice, ...] | None:
+    """Per-axis extent of ``mask``'s voxels widened by ``margin`` and clipped to the grid.
+
+    Returns None for an empty mask.
+    """
+    box = []
+    for axis in range(mask.ndim):
+        others = tuple(a for a in range(mask.ndim) if a != axis)
+        hits = np.flatnonzero(mask.any(axis=others))
+        if hits.size == 0:
+            return None
+        box.append(slice(max(int(hits[0]) - margin, 0), min(int(hits[-1]) + 1 + margin, mask.shape[axis])))
+    return tuple(box)
+
+
 def _drop_small_components(mask: np.ndarray, min_voxels: int) -> np.ndarray:
     from scipy import ndimage
 
-    labeled, n = ndimage.label(mask, structure=_CONN26)
-    if n == 0:
+    # Every component lies inside the bounding box, and labels are
+    # numbered in scan order, which the box keeps.
+    box = _bounding_box(mask, 0)
+    if box is None:
         return mask
+    labeled, _ = ndimage.label(mask[box], structure=_CONN26)
     sizes = np.bincount(labeled.ravel())
     keep = sizes >= min_voxels
     keep[0] = False
-    return keep[labeled]
+    kept = np.zeros(mask.shape, dtype=bool)
+    kept[box] = keep[labeled]
+    return kept
 
 
 def segment_breast(pre: Volume, body: np.ndarray, config: SegmentationConfig) -> np.ndarray:
@@ -180,6 +200,15 @@ def segment_breast(pre: Volume, body: np.ndarray, config: SegmentationConfig) ->
     closing with a cubic structuring element and removes connected
     components below ``min_component_voxels``. Raises SegmentationError
     when nothing survives.
+
+    Both steps run on the candidate's bounding box, which is a small
+    part of a clinical grid, and give the full-volume result exactly.
+    The closing's box is widened by the element's radius r: the
+    dilation never reaches further than r past the candidate, so it
+    fits in the box, and where the erosion's element crosses a face of
+    the box it reads the zeros that lie beyond it in the full volume,
+    which is what ``border_value=0`` supplies. No component crosses the
+    labelling's box, and labels keep their scan order inside it.
     """
     from scipy import ndimage
 
@@ -194,7 +223,11 @@ def segment_breast(pre: Volume, body: np.ndarray, config: SegmentationConfig) ->
     if config.morphology_radius > 0:
         side = 2 * config.morphology_radius + 1
         structure = np.ones((side, side, side), dtype=bool)
-        candidate = ndimage.binary_closing(candidate, structure=structure)
+        # Never None: each slice's chest-wall row holds body voxels.
+        box = _bounding_box(candidate, config.morphology_radius)
+        closed = np.zeros(candidate.shape, dtype=bool)
+        closed[box] = ndimage.binary_closing(candidate[box], structure=structure)
+        candidate = closed
     candidate = _drop_small_components(candidate, config.min_component_voxels)
     if not candidate.any():
         raise SegmentationError("breast segmentation produced an empty mask")
@@ -234,6 +267,10 @@ def segment_heart(
     The largest 26-connected candidate component is returned; failure
     (no enhancement anywhere, or a component below the size floor) is
     an error so callers can skip the subject explicitly.
+
+    Components are labelled on the candidates' bounding box only. That
+    is exact: no component crosses the box, and labels keep their scan
+    order inside it, so ties for the largest resolve as on the full grid.
     """
     from scipy import ndimage
 
@@ -249,9 +286,10 @@ def segment_heart(
     yy = np.arange(body.shape[1])[None, :, None]
     posterior = yy > planes[:, None, None]
     candidate = body & posterior & (sub >= threshold)
-    labeled, n = ndimage.label(candidate, structure=_CONN26)
-    if n == 0:
+    box = _bounding_box(candidate, 0)
+    if box is None:
         raise SegmentationError("no heart candidates behind the chest wall")
+    labeled, _ = ndimage.label(candidate[box], structure=_CONN26)
     sizes = np.bincount(labeled.ravel())
     sizes[0] = 0
     best = int(np.argmax(sizes))
@@ -260,7 +298,9 @@ def segment_heart(
             f"largest enhancing component has {int(sizes[best])} voxels, "
             f"below the floor of {config.min_component_voxels}"
         )
-    return labeled == best
+    heart = np.zeros(candidate.shape, dtype=bool)
+    heart[box] = labeled == best
+    return heart
 
 
 def assemble_mask(

@@ -11,7 +11,7 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .errors import ManifestError, MissingInputError
+from .errors import ManifestError, MissingInputError, ValidationError
 
 
 def atomic_write_bytes(path: Path | str, data: bytes) -> None:
@@ -49,6 +49,15 @@ def read_json(path: Path | str) -> Any:
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             path=path,
         ) from exc
+
+
+def check_csv_row(record: dict, subject: str, path: Path) -> None:
+    """Reject a ``csv.DictReader`` record whose field count differs from the header's.
+
+    The reader files extra fields under the key None and fills missing ones with None.
+    """
+    if None in record or None in record.values():
+        raise ValidationError(f"subject {subject!r}: row and header differ in field count", path=path)
 
 
 def is_number(value: Any, kind: type = Real) -> bool:

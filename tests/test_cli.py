@@ -370,6 +370,19 @@ class TestErrorPaths:
         assert err.startswith("error[validation]:") and len(err.splitlines()) == 1
         assert rows[2][0] in err and column in err and str(bad) in err
 
+    @pytest.mark.parametrize("edit", [lambda row: row + ["7"], lambda row: row[:1]], ids=["extra-field", "short-row"])
+    def test_malformed_label_rows_named(self, pipeline, tmp_path, capsys, edit):
+        rows = list(csv.reader((pipeline / "data" / "labels.csv").read_text().splitlines()))
+        rows[1] = edit(rows[1])
+        bad = tmp_path / "labels.csv"
+        bad.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        rc = main(["auc", "--features", str(pipeline / "before.csv"), "--labels", str(bad),
+                   "--out", str(tmp_path / "auc.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and len(err.splitlines()) == 1
+        assert rows[1][0] in err and "field count" in err and str(bad) in err
+
     def test_dense_threshold_method_is_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"segmentation": {"dense_threshold_method": "otsu"}}')

@@ -170,6 +170,25 @@ class TestMappingFunction:
         with pytest.raises(NonMonotoneModelError, match="slope"):
             MappingFunction((0, 10, 20, 30), (0, 1, 2, 3), *slopes)
 
+    @pytest.mark.parametrize("at", range(4))
+    def test_rejects_nan_knot(self, at):
+        knots = [0.0, 10.0, 20.0, 30.0]
+        knots[at] = np.nan
+        with pytest.raises(DegenerateAnchorError, match="strictly increase"):
+            MappingFunction(tuple(knots), (0, 1, 2, 3), 1.0, 1.0)
+
+    @pytest.mark.parametrize("at", range(4))
+    def test_rejects_nan_target(self, at):
+        targets = [0.0, 1.0, 2.0, 3.0]
+        targets[at] = np.nan
+        with pytest.raises(NonMonotoneModelError, match="non-decreasing"):
+            MappingFunction((0, 10, 20, 30), tuple(targets), 1.0, 1.0)
+
+    @pytest.mark.parametrize("knots_v, knots_m", [((0, 10, 20), (0, 1, 2, 3)), ((0, 10, 20, 30), (0, 1, 2))])
+    def test_rejects_three_control_points(self, knots_v, knots_m):
+        with pytest.raises(ValidationError, match="exactly 4"):
+            MappingFunction(knots_v, knots_m, 1.0, 1.0)
+
     def test_control_points_property(self):
         f = MappingFunction((0, 1, 2, 3), (0, 2, 4, 6), 2.0, 2.0)
         assert f.control_points == ((0, 0), (1, 2), (2, 4), (3, 6))

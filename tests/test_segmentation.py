@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from dcenorm import (
@@ -17,6 +19,7 @@ from dcenorm import (
     save_mask,
 )
 from dcenorm.segmentation import (
+    _drop_small_components,
     assemble_mask,
     body_mask,
     chest_wall_planes,
@@ -26,7 +29,7 @@ from dcenorm.segmentation import (
     segment_dense,
     segment_heart,
 )
-from dcenorm.volume import DENSE, FAT, HEART, TUMOR, TissueMask
+from dcenorm.volume import DENSE, FAT, HEART, TUMOR, TissueMask, percentile
 
 from helpers import flat_vol, series_of, vol
 
@@ -35,6 +38,111 @@ def dice(a, b):
     inter = np.count_nonzero(a & b)
     total = np.count_nonzero(a) + np.count_nonzero(b)
     return 2.0 * inter / total if total else 1.0
+
+
+# Full-volume versions of the closing and the labelling that now run on
+# the candidate's bounding box, kept as the reference the crops must match.
+
+CONN26 = np.ones((3, 3, 3), dtype=bool)
+
+
+def full_volume_drop_small_components(mask, min_voxels):
+    labeled, n = ndimage.label(mask, structure=CONN26)
+    if n == 0:
+        return mask
+    sizes = np.bincount(labeled.ravel())
+    keep = sizes >= min_voxels
+    keep[0] = False
+    return keep[labeled]
+
+
+def full_volume_segment_breast(pre, body, config):
+    if body.shape != pre.data.shape:
+        raise ValidationError("body mask shape does not match volume")
+    if not body.any():
+        raise SegmentationError("no body voxels above the air threshold")
+    planes = chest_wall_planes(body)
+    yy = np.arange(body.shape[1])[None, :, None]
+    anterior = yy <= planes[:, None, None]
+    candidate = body & anterior
+    if config.morphology_radius > 0:
+        side = 2 * config.morphology_radius + 1
+        structure = np.ones((side, side, side), dtype=bool)
+        candidate = ndimage.binary_closing(candidate, structure=structure)
+    candidate = full_volume_drop_small_components(candidate, config.min_component_voxels)
+    if not candidate.any():
+        raise SegmentationError("breast segmentation produced an empty mask")
+    return candidate
+
+
+def full_volume_segment_heart(pre, post1, body, config):
+    if post1.dims != pre.dims:
+        raise ValidationError("pre and post volumes disagree on dims")
+    if body.shape != pre.data.shape:
+        raise ValidationError("body mask shape does not match volume")
+    sub = post1.data.astype(np.float64) - pre.data.astype(np.float64)
+    if not (sub > 0).any():
+        raise SegmentationError("subtraction image shows no enhancement")
+    threshold = percentile(sub, config.heart_enhancement_percentile)
+    planes = chest_wall_planes(body)
+    yy = np.arange(body.shape[1])[None, :, None]
+    posterior = yy > planes[:, None, None]
+    candidate = body & posterior & (sub >= threshold)
+    labeled, n = ndimage.label(candidate, structure=CONN26)
+    if n == 0:
+        raise SegmentationError("no heart candidates behind the chest wall")
+    sizes = np.bincount(labeled.ravel())
+    sizes[0] = 0
+    best = int(np.argmax(sizes))
+    if sizes[best] < config.min_component_voxels:
+        raise SegmentationError(
+            f"largest enhancing component has {int(sizes[best])} voxels, "
+            f"below the floor of {config.min_component_voxels}"
+        )
+    return labeled == best
+
+
+@st.composite
+def masks(draw):
+    """3-D masks of 1-12 voxels per axis: any pattern, one kept 1-3 voxels
+    away from every face, one with a voxel on each of the six faces, a
+    single voxel, or no voxel at all."""
+    shape = draw(st.tuples(*[st.integers(1, 12)] * 3))
+    kind = draw(st.sampled_from(["any", "inner", "faces", "single", "empty"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) < draw(st.sampled_from([0.05, 0.2, 0.5, 0.8]))
+    if kind == "inner":
+        gap = draw(st.integers(1, 3))
+        inner = np.zeros(shape, dtype=bool)
+        inner[tuple(slice(gap, n - gap) for n in shape)] = True
+        mask &= inner
+    if kind == "faces":
+        for axis, n in enumerate(shape):
+            for end in (0, n - 1):
+                index = [draw(st.integers(0, k - 1)) for k in shape]
+                index[axis] = end
+                mask[tuple(index)] = True
+    if kind in ("single", "empty"):
+        mask[:] = False
+    if kind == "single":
+        mask[tuple(draw(st.integers(0, k - 1)) for k in shape)] = True
+    return mask
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the message of the SegmentationError it raises."""
+    try:
+        return fn(*args)
+    except SegmentationError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +351,46 @@ class TestSegmentHeart:
             series.pre, series.posts[0], body_mask(series.pre), SegmentationConfig()
         )
         assert dice(heart, truth.tissue(HEART)) >= 0.9
+
+
+def min_voxels(mask, fraction):
+    """A size floor from 1 up to the mask's voxel count."""
+    return max(1, round(fraction * int(mask.sum())))
+
+
+class TestBoundingBoxCrops:
+    @given(masks(), st.floats(0.0, 1.0))
+    def test_drop_small_components_matches_full_volume(self, mask, fraction):
+        floor = min_voxels(mask, fraction)
+        assert_same_outcome(_drop_small_components(mask, floor), full_volume_drop_small_components(mask, floor))
+
+    @given(masks(), st.booleans(), st.integers(0, 3), st.floats(0.0, 1.0))
+    # one voxel exactly r from every face: the closing keeps it only when
+    # the box is widened by the full radius
+    @example(np.pad(np.ones((1, 1, 1), bool), 1), False, 1, 0.0)
+    @example(np.pad(np.ones((1, 1, 1), bool), 3), False, 3, 0.0)
+    def test_segment_breast_matches_full_volume(self, body, flat_back, radius, fraction):
+        if flat_back:
+            # a full back row in every slice puts the whole body anterior
+            # of the chest wall, so the candidate is the body itself
+            body[:, -1, :] = True
+        cfg = SegmentationConfig(morphology_radius=radius, min_component_voxels=min_voxels(body, fraction))
+        pre = vol(np.zeros(body.shape))
+        got = outcome(segment_breast, pre, body, cfg)
+        assert_same_outcome(got, outcome(full_volume_segment_breast, pre, body, cfg))
+
+    @given(masks(), st.booleans(), st.floats(1.0, 100.0), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_segment_heart_matches_full_volume(self, body, chest_wall, pct, seed, fraction):
+        if chest_wall:
+            # a full front row in every slice, and at most half of each row
+            # behind it, put the chest wall at y = 0 and the rest behind it
+            body[:, 0, :] = True
+            body[:, 1:, body.shape[2] // 2:] = False
+        sub = np.random.default_rng(seed).integers(0, 4, body.shape)
+        cfg = SegmentationConfig(heart_enhancement_percentile=pct, min_component_voxels=min_voxels(body, fraction))
+        pre, post = vol(np.zeros(body.shape)), vol(sub)
+        got = outcome(segment_heart, pre, post, body, cfg)
+        assert_same_outcome(got, outcome(full_volume_segment_heart, pre, post, body, cfg))
 
 
 class TestAssembleMask:
