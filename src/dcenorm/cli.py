@@ -36,7 +36,8 @@ from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask
 from .volume import save_mask, save_volume
 from .util import (
-    atomic_write_json, atomic_write_text, check_csv_row, default_jobs, is_number, read_json, run_parallel,
+    atomic_write_json, atomic_write_text, check_csv_header, check_csv_row, default_jobs, is_number, read_json,
+    run_parallel,
 )
 
 log = logging.getLogger(__name__)
@@ -300,6 +301,7 @@ def _read_labels_csv(path: Path | str) -> dict[str, int]:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or set(reader.fieldnames) != {"subject_id", "label"}:
             raise ValidationError("labels CSV must have columns subject_id,label", path=path)
+        check_csv_header(reader.fieldnames, path)
         for record in reader:
             sid = record["subject_id"]
             check_csv_row(record, sid, path)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import MissingInputError, ValidationError
 from .manifest import StudySeries
 from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, median_filter
-from .util import atomic_write_text, check_csv_row
+from .util import atomic_write_text, check_csv_header, check_csv_row
 
 log = logging.getLogger(__name__)
 
@@ -292,6 +292,7 @@ def read_features_csv(path: Path | str) -> list[FeatureVector]:
         expected = {"subject_id", *FEATURE_NAMES, "denoised", "normalized"}
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise ValidationError(f"unexpected feature CSV header: {reader.fieldnames}", path=path)
+        check_csv_header(reader.fieldnames, path)
         rows = []
         for record in reader:
             subject = record["subject_id"]

@@ -19,11 +19,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anchors import TISSUES, AnchorSet
-from .errors import DegenerateAnchorError, NonMonotoneModelError, ValidationError
+from .errors import DegenerateAnchorError, NonFiniteDataError, NonMonotoneModelError, ValidationError
 from .manifest import StudySeries
 from .model import NormalizationModel
 from .volume import Volume
 from .util import atomic_write_text
+
+# Voxels per evaluate call in apply_mapping: each float64 temporary is
+# 256 KiB, so a block's working set stays in L2.
+_BLOCK_VOXELS = 2**15
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,13 @@ def evaluate(mapping: MappingFunction, x) -> np.ndarray | float:
     xs = np.asarray(x, dtype=np.float64)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
-    k = np.searchsorted(start_v[1:], xs, side="right")  # start_v[1:] is the four knots
+    # The row is the number of knots at or below x: 4 less those above it.
+    # NaN is above no knot, so it lands on the upper tail, as a sorted
+    # search would put it.
+    k = np.full(xs.shape, 4, dtype=np.uint8)
+    for knot in v:
+        k -= (xs < knot).view(np.uint8)
+    k = k.astype(np.intp)  # one cast here, not one in each of the six gathers
 
     out = xs - start_v[k]
     out /= width[k]
@@ -148,12 +158,28 @@ def apply_mapping(mapping: MappingFunction, series: StudySeries) -> StudySeries:
     """Map every volume of a series with the same function.
 
     Arithmetic runs in float64 and results are stored as float32,
-    matching the on-disk volume format.
+    matching the on-disk volume format. Each volume is evaluated in
+    blocks of ``_BLOCK_VOXELS`` voxels written into one float32 output,
+    so each float64 temporary is one block long, whatever the volume
+    size, and stays in cache. Blocks join bit for bit: the map is
+    pointwise.
+
+    A result beyond float32's range stores as infinity, which ``Volume``
+    rejects; the error names the subject.
     """
 
     def _map(vol: Volume) -> Volume:
-        mapped = evaluate(mapping, vol.data).astype(np.float32)
-        return Volume(mapped, vol.spacing_mm, vol.modality_tag)
+        src = vol.data.reshape(-1)
+        mapped = np.empty(src.shape, dtype=np.float32)
+        # A non-finite result is reported once, by Volume's check below, not as a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, src.size, _BLOCK_VOXELS):
+                block = slice(start, start + _BLOCK_VOXELS)
+                mapped[block] = evaluate(mapping, src[block])
+        try:
+            return Volume(mapped.reshape(vol.data.shape), vol.spacing_mm, vol.modality_tag)
+        except NonFiniteDataError as exc:
+            raise NonFiniteDataError(f"subject {series.subject_id}: mapped {exc}") from None
 
     return replace(series, pre=_map(series.pre), posts=tuple(_map(p) for p in series.posts))
 

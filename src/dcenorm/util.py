@@ -51,6 +51,15 @@ def read_json(path: Path | str) -> Any:
         ) from exc
 
 
+def check_csv_header(fieldnames: Sequence[str], path: Path) -> None:
+    """Reject a header that names a column twice: ``csv.DictReader`` would keep only the last one's values."""
+    seen = set()
+    for name in fieldnames:
+        if name in seen:
+            raise ValidationError(f"header repeats column {name!r}", path=path)
+        seen.add(name)
+
+
 def check_csv_row(record: dict, subject: str, path: Path) -> None:
     """Reject a ``csv.DictReader`` record whose field count differs from the header's.
 

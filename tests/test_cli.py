@@ -281,6 +281,25 @@ class TestErrorPaths:
         assert done.returncode == 1
         assert done.stderr == "error[validation]: volume contains NaN or infinite values\n"
 
+    @pytest.mark.parametrize("targets", [
+        {"m_heart": 1e300},  # overflows float32
+        {"m_air": -1.7e308, "m_dense": -1.7e308, "m_fat": 1.7e308, "m_heart": 1.7e308},  # inf rise: NaN at a knot
+    ], ids=["overflow", "nan"])
+    def test_normalize_non_finite_result_prints_only_its_error_line(self, tmp_path, targets):
+        """Finite but extreme model targets map some voxels to no float32 value; run as a real
+        process with two workers, so a numpy warning from either would show before the error line."""
+        (tmp_path / "phantom.json").write_text(json.dumps({"dims": [16, 16, 8],
+                                                           "groups": [{"name": "A", "n_subjects": 2}]}))
+        data, model = tmp_path / "data", tmp_path / "model.json"
+        assert main(["phantom", "--config", str(tmp_path / "phantom.json"), "--out", str(data),
+                     "--jobs", "1"]) == 0
+        assert main(["train", "--manifest", str(data / "manifest.json"), "--out", str(model), "--jobs", "1"]) == 0
+        model.write_text(json.dumps(dict(json.loads(model.read_text()), **targets)))
+        done = _run_process(["-m", "dcenorm", "normalize", "--manifest", str(data / "manifest.json"),
+                             "--model", str(model), "--out-dir", str(tmp_path / "norm"), "--jobs", "2"])
+        assert done.returncode == 1
+        assert done.stderr == "error[validation]: subject A000: mapped volume contains NaN or infinite values\n"
+
     @pytest.mark.parametrize("argv", [
         ["phantom", "--out", "d"],
         ["segment", "--manifest", "m.json", "--out-dir", "d"],
@@ -382,6 +401,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error[validation]:") and len(err.splitlines()) == 1
         assert rows[1][0] in err and "field count" in err and str(bad) in err
+
+    @pytest.mark.parametrize("reader, column", [("labels", "label"), ("features", "F3")])
+    def test_repeated_header_column_named(self, pipeline, tmp_path, capsys, reader, column):
+        """csv.DictReader keeps a repeated column's last values, so the header must name each once."""
+        source = pipeline / "data" / "labels.csv" if reader == "labels" else pipeline / "before.csv"
+        rows = list(csv.reader(source.read_text().splitlines()))
+        at = rows[0].index(column)
+        bad = tmp_path / source.name
+        bad.write_text("\n".join(",".join(row + [row[at]]) for row in rows) + "\n")
+        files = {"labels": pipeline / "data" / "labels.csv", "features": pipeline / "before.csv", reader: bad}
+        rc = main(["auc", "--features", str(files["features"]), "--labels", str(files["labels"]),
+                   "--out", str(tmp_path / "auc.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and len(err.splitlines()) == 1
+        assert repr(column) in err and str(bad) in err
+        assert not (tmp_path / "auc.csv").exists()
 
     def test_dense_threshold_method_is_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dcenorm import (
     DegenerateAnchorError,
     MappingFunction,
+    NonFiniteDataError,
     NonMonotoneModelError,
     ValidationError,
     apply_mapping,
@@ -20,6 +21,7 @@ from dcenorm import (
     median_filter,
     train_archetype,
 )
+from dcenorm import mapping as mapping_mod
 from dcenorm.mapping import write_mapping_curve
 from dcenorm.model import NormalizationModel
 
@@ -301,6 +303,27 @@ class TestApplyMapping:
         mapped = apply_mapping(f, series)
         assert np.array_equal(mapped.posts[0].data, mapped.pre.data)
         assert np.array_equal(mapped.posts[1].data, mapped.pre.data)
+
+    @given(built_mappings(), st.integers(0, 2**32 - 1))
+    def test_blocks_join_bit_for_bit(self, f, seed):
+        """apply_mapping evaluates in blocks; its store equals one whole-volume evaluate cast to float32."""
+        rng = np.random.default_rng(seed)
+        v = np.array(f.knots_v)
+        span = v[3] - v[0]
+        block = mapping_mod._BLOCK_VOXELS
+        for n in (1, block - 1, block, block + 1, 3 * block + 123):
+            data = rng.uniform(v[0] - span, v[3] + span, size=(n, 1, 1)).astype(np.float32)
+            series = series_of(data, [data[::-1].copy()], subject_id="s")
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = [evaluate(f, vol.data).astype(np.float32) for vol in (series.pre, *series.posts)]
+            if not all(np.isfinite(w).all() for w in want):  # a steep tail can pass float32's range
+                with pytest.raises(NonFiniteDataError, match="subject s: mapped volume"):
+                    apply_mapping(f, series)
+                continue
+            mapped = apply_mapping(f, series)
+            for got, w in zip((mapped.pre, *mapped.posts), want):
+                assert got.data.shape == w.shape
+                assert np.array_equal(got.data.view(np.uint32), w.view(np.uint32))
 
 
 class TestCurveExport:
