@@ -21,8 +21,10 @@ dense tissue, the dense label minus any tumor voxels.
 
 The signal enhancement ratio at a voxel is (S1 - S0) / (Slast - S0) and
 washin is (S1 - S0) / max(S0, eps), where S0 is pre-contrast, S1 the
-first post and Slast the last post. Standard deviations everywhere are
-population standard deviations (divide by n).
+first post and Slast the last post. Extraction evaluates both only at
+tissue and tumor voxels, the only ones F1-F7 read; eps still comes
+from the whole series' dynamic range. Standard deviations everywhere
+are population standard deviations (divide by n).
 
 A feature whose source label is missing is reported as missing, never
 silently zero; in CSV output missing features are empty fields.
@@ -74,42 +76,64 @@ def _epsilon(series: StudySeries) -> float:
     return 1e-6 * _dynamic_range(series)
 
 
-def ser_map(series: StudySeries) -> Volume:
+def _values(volume: Volume, voxels: np.ndarray | None) -> np.ndarray:
+    """Float64 copy of the grid, or of its values at flat C-order ``voxels``."""
+    data = volume.data if voxels is None else volume.data.reshape(-1)[voxels]
+    return data.astype(np.float64)
+
+
+def ser_map(
+    series: StudySeries, voxels: np.ndarray | None = None, eps: float | None = None
+) -> Volume | np.ndarray:
     """Voxelwise signal enhancement ratio (S1 - S0) / (Slast - S0).
 
     Voxels whose denominator magnitude does not exceed eps are set to
     0; their count is logged at debug level. The inclusive comparison
     keeps an all-constant series (eps of 0) at ratio 0 instead of 0/0.
+
+    By default the whole grid is mapped into a Volume. With ``voxels``,
+    flat C-order indices into the grid, the ratio is evaluated only at
+    those voxels and returned as a float32 array in their order, and
+    the guarded count covers only them. ``eps`` defaults to 1e-6 of the
+    whole series' dynamic range; pass it to skip that scan.
     """
     if len(series.posts) < 2:
         raise ValidationError(
             f"subject {series.subject_id}: enhancement ratio needs at least 2 post volumes"
         )
-    eps = _epsilon(series)
-    s0 = series.pre.data.astype(np.float64)
-    s1 = series.posts[0].data.astype(np.float64)
-    slast = series.posts[-1].data.astype(np.float64)
+    if eps is None:
+        eps = _epsilon(series)
+    s0 = _values(series.pre, voxels)
+    s1 = _values(series.posts[0], voxels)
+    slast = _values(series.posts[-1], voxels)
     denom = slast - s0
     guarded = np.abs(denom) <= eps
     n_guarded = int(np.count_nonzero(guarded))
     if n_guarded:
         log.debug("subject %s: %d voxels guarded in enhancement ratio", series.subject_id, n_guarded)
     safe = np.where(guarded, 1.0, denom)
-    out = np.where(guarded, 0.0, (s1 - s0) / safe)
-    return Volume(out.astype(np.float32), series.spacing_mm, "ser")
+    out = np.where(guarded, 0.0, (s1 - s0) / safe).astype(np.float32)
+    return out if voxels is not None else Volume(out, series.spacing_mm, "ser")
 
 
-def washin_map(series: StudySeries) -> Volume:
-    """Voxelwise washin (S1 - S0) / max(S0, eps)."""
-    eps = _epsilon(series)
-    s0 = series.pre.data.astype(np.float64)
-    s1 = series.posts[0].data.astype(np.float64)
-    denom = np.maximum(s0, eps)
+def washin_map(
+    series: StudySeries, voxels: np.ndarray | None = None, eps: float | None = None
+) -> Volume | np.ndarray:
+    """Voxelwise washin (S1 - S0) / max(S0, eps).
+
+    ``voxels`` and ``eps`` work as in ``ser_map``: with ``voxels`` the
+    result is a float32 array of washin at those voxels only.
+    """
+    if eps is None:
+        eps = _epsilon(series)
+    s0 = _values(series.pre, voxels)
     if eps <= 0:
         # Constant series: every denominator is 0, define the map as 0.
-        return Volume(np.zeros_like(s0, dtype=np.float32), series.spacing_mm, "washin")
-    out = (s1 - s0) / denom
-    return Volume(out.astype(np.float32), series.spacing_mm, "washin")
+        out = np.zeros_like(s0, dtype=np.float32)
+    else:
+        s1 = _values(series.posts[0], voxels)
+        out = ((s1 - s0) / np.maximum(s0, eps)).astype(np.float32)
+    return out if voxels is not None else Volume(out, series.spacing_mm, "washin")
 
 
 def _entropy_bits(weights: np.ndarray) -> float:
@@ -137,6 +161,15 @@ def pe_entropy(washin: np.ndarray, tissue: np.ndarray) -> float:
     return _entropy_bits(counts.astype(np.float64))
 
 
+def _bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice]:
+    """Slices of the smallest box holding every voxel of a non-empty 3D mask."""
+    zs = np.flatnonzero(mask.any(axis=(1, 2)))
+    slab = mask[zs[0] : zs[-1] + 1]
+    ys = np.flatnonzero(slab.any(axis=(0, 2)))
+    xs = np.flatnonzero(slab.any(axis=(0, 1)))
+    return tuple(slice(int(a[0]), int(a[-1]) + 1) for a in (zs, ys, xs))
+
+
 def dhog(series: StudySeries, tumor: np.ndarray) -> float:
     """Entropy of the in-plane gradient direction histogram at the tumor.
 
@@ -149,15 +182,25 @@ def dhog(series: StudySeries, tumor: np.ndarray) -> float:
     """
     if not tumor.any():
         raise ValidationError("gradient histogram of an empty tumor set")
-    sub = series.posts[0].data.astype(np.float64) - series.pre.data.astype(np.float64)
-    nz, ny, nx = sub.shape
+    _, ny, nx = series.pre.data.shape
+    # The tumor's box, widened by one voxel in y and x and clipped at the
+    # grid, holds every neighbour a difference at a tumor voxel reads and
+    # keeps the grid's own faces, so each gradient there is the grid's.
+    bz, by, bx = _bounding_box(tumor)
+    box = (
+        bz,
+        slice(max(by.start - 1, 0), min(by.stop + 1, ny)),
+        slice(max(bx.start - 1, 0), min(bx.stop + 1, nx)),
+    )
+    sub = series.posts[0].data[box].astype(np.float64) - series.pre.data[box].astype(np.float64)
     gx = np.gradient(sub, axis=2) if nx > 1 else np.zeros_like(sub)
     gy = np.gradient(sub, axis=1) if ny > 1 else np.zeros_like(sub)
-    mag = np.hypot(gx[tumor], gy[tumor])
+    inside = tumor[box]
+    mag = np.hypot(gx[inside], gy[inside])
     if not (mag > 0).any():
         log.warning("subject %s: all tumor gradients are zero", series.subject_id)
         return 0.0
-    theta = np.mod(np.arctan2(gy[tumor], gx[tumor]), np.pi)
+    theta = np.mod(np.arctan2(gy[inside], gx[inside]), np.pi)
     bins = np.minimum((theta * (DHOG_BINS / np.pi)).astype(np.int64), DHOG_BINS - 1)
     hist = np.bincount(bins, weights=mag, minlength=DHOG_BINS)
     return _entropy_bits(hist)
@@ -169,9 +212,11 @@ def major_axis_length(tumor: np.ndarray, spacing_mm) -> float:
     Coordinates are voxel centers in millimeters. Needs at least two
     tumor voxels.
     """
-    coords_idx = np.argwhere(tumor)  # rows of (z, y, x)
-    if coords_idx.shape[0] < 2:
-        raise ValidationError(f"major axis needs >= 2 tumor voxels, got {coords_idx.shape[0]}")
+    n = int(np.count_nonzero(tumor))
+    if n < 2:
+        raise ValidationError(f"major axis needs >= 2 tumor voxels, got {n}")
+    box = _bounding_box(tumor)
+    coords_idx = np.argwhere(tumor[box]) + [s.start for s in box]  # rows of (z, y, x)
     sx, sy, sz = spacing_mm
     coords = coords_idx[:, ::-1].astype(np.float64) * np.array([sx, sy, sz])
     cov = np.cov(coords, rowvar=False, bias=True)
@@ -223,24 +268,32 @@ def extract_features(
 
     values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
 
-    ser = ser_map(work).data if have_ser else None
-    washin = washin_map(work).data
+    # F1-F7 read SER and washin only at tissue and tumor voxels, so the
+    # maps are evaluated there alone, in C order: the same values in the
+    # same order as indexing whole-grid maps. eps still comes from the
+    # whole series, scanned once for both maps.
+    eps = _epsilon(work)
+    voxels = np.flatnonzero(tissue | tumor)
+    in_tissue = tissue.reshape(-1)[voxels]
+    in_tumor = tumor.reshape(-1)[voxels]
+    ser = ser_map(work, voxels, eps) if have_ser else None
+    washin = washin_map(work, voxels, eps)
     post1 = work.posts[0].data
 
     if have_tissue:
         if ser is not None:
-            mean_ser, std_ser = _stats(ser[tissue])
+            mean_ser, std_ser = _stats(ser[in_tissue])
             values["F1"] = mean_ser
             values["F6"] = std_ser
-        values["F3"] = _stats(washin[tissue])[0]
-        values["F7"] = pe_entropy(washin, tissue)
+        values["F3"] = _stats(washin[in_tissue])[0]
+        values["F7"] = pe_entropy(washin, in_tissue)
     else:
         log.warning("subject %s: no healthy dense tissue, tissue features missing", series.subject_id)
 
     if have_tumor:
         if ser is not None:
-            values["F2"] = _stats(ser[tumor])[0]
-        values["F4"], values["F5"] = _stats(washin[tumor])
+            values["F2"] = _stats(ser[in_tumor])[0]
+        values["F4"], values["F5"] = _stats(washin[in_tumor])
         values["F8"] = dhog(work, tumor)
         if int(np.count_nonzero(tumor)) >= 2:
             values["F9"] = major_axis_length(tumor, series.spacing_mm)

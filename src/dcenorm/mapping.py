@@ -14,6 +14,7 @@ within-subject intensity order and keeps enhancement ratios meaningful.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +69,23 @@ class MappingFunction:
     @property
     def effective_floor(self) -> float:
         return min(self.clamp_floor, self.knots_m[0])
+
+    @functools.cached_property
+    def _pieces(self) -> tuple[list[float], np.ndarray]:
+        """The knots as floats and ``evaluate``'s piece table, transposed.
+
+        Built on first use and kept, since ``apply_mapping`` calls
+        ``evaluate`` once per block with the same mapping.
+        """
+        v = [float(a) for a in self.knots_v]
+        m = [float(a) for a in self.knots_m]
+        table = np.array([
+            (v[0], 1.0, m[0], self.lower_slope, self.effective_floor, np.inf),
+            *((v[i], v[i + 1] - v[i], m[i], m[i + 1] - m[i], -np.inf, m[i + 1]) for i in range(3)),
+            (v[3], 1.0, m[3], self.upper_slope, -np.inf, np.inf),
+        ]).T
+        table.flags.writeable = False
+        return v, table
 
 
 def build_mapping(
@@ -125,13 +143,7 @@ def evaluate(mapping: MappingFunction, x) -> np.ndarray | float:
     lower tail has a finite floor and only the segments a finite cap,
     so every other clip leaves its value as it is, signed zeros too.
     """
-    v = [float(a) for a in mapping.knots_v]
-    m = [float(a) for a in mapping.knots_m]
-    start_v, width, start_m, rise, floor, cap = np.array([
-        (v[0], 1.0, m[0], mapping.lower_slope, mapping.effective_floor, np.inf),
-        *((v[i], v[i + 1] - v[i], m[i], m[i + 1] - m[i], -np.inf, m[i + 1]) for i in range(3)),
-        (v[3], 1.0, m[3], mapping.upper_slope, -np.inf, np.inf),
-    ]).T
+    v, (start_v, width, start_m, rise, floor, cap) = mapping._pieces
     xs = np.asarray(x, dtype=np.float64)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)

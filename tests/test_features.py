@@ -1,8 +1,11 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcenorm import (
     MissingInputError,
@@ -24,6 +27,7 @@ from dcenorm.features import (
 )
 from dcenorm.mapping import apply_mapping
 from dcenorm.model import NormalizationModel
+from dcenorm.volume import DENSE, FAT, TUMOR
 
 from helpers import anchor_set, labeled_scene, mask_of, series_of, vol
 
@@ -486,3 +490,218 @@ class TestFeatureCsv:
     def test_vector_requires_all_names(self):
         with pytest.raises(ValidationError, match="F15"):
             FeatureVector("s", {n: 0.0 for n in FEATURE_NAMES[:-1]})
+
+
+# Whole-grid references: extraction from SER and washin maps of the
+# whole grid, and dhog and the major axis over the whole grid.
+# dcenorm.features evaluates the maps at tissue and tumor voxels only
+# and the two kernels on the tumor's box; it must match these bit for
+# bit.
+
+
+def full_grid_dhog(series, tumor):
+    if not tumor.any():
+        raise ValidationError("gradient histogram of an empty tumor set")
+    sub = series.posts[0].data.astype(np.float64) - series.pre.data.astype(np.float64)
+    nz, ny, nx = sub.shape
+    gx = np.gradient(sub, axis=2) if nx > 1 else np.zeros_like(sub)
+    gy = np.gradient(sub, axis=1) if ny > 1 else np.zeros_like(sub)
+    mag = np.hypot(gx[tumor], gy[tumor])
+    if not (mag > 0).any():
+        return 0.0
+    theta = np.mod(np.arctan2(gy[tumor], gx[tumor]), np.pi)
+    bins = np.minimum((theta * (9 / np.pi)).astype(np.int64), 8)
+    hist = np.bincount(bins, weights=mag, minlength=9)
+    total = hist.sum()
+    if total <= 0:
+        return 0.0
+    p = hist[hist > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def full_grid_major_axis_length(tumor, spacing_mm):
+    coords_idx = np.argwhere(tumor)
+    if coords_idx.shape[0] < 2:
+        raise ValidationError(f"major axis needs >= 2 tumor voxels, got {coords_idx.shape[0]}")
+    sx, sy, sz = spacing_mm
+    coords = coords_idx[:, ::-1].astype(np.float64) * np.array([sx, sy, sz])
+    cov = np.cov(coords, rowvar=False, bias=True)
+    largest = float(np.linalg.eigvalsh(cov).max())
+    return 4.0 * math.sqrt(max(largest, 0.0))
+
+
+def whole_grid_extract_features(series, mask, denoise_radius=None, normalized=False):
+    def stats(values):
+        v = values.astype(np.float64)
+        return float(v.mean()), float(v.std())
+
+    work = series
+    if denoise_radius is not None:
+        work = replace(
+            series,
+            pre=median_filter(series.pre, denoise_radius),
+            posts=tuple(median_filter(p, denoise_radius) for p in series.posts),
+        )
+    dense = mask.tissue(DENSE)
+    fat = mask.tissue(FAT)
+    tumor = mask.tissue(TUMOR)
+    tissue = dense & ~tumor
+    values = {name: None for name in FEATURE_NAMES}
+    ser = ser_map(work).data if len(work.posts) >= 2 else None
+    washin = washin_map(work).data
+    post1 = work.posts[0].data
+    if tissue.any():
+        if ser is not None:
+            values["F1"], values["F6"] = stats(ser[tissue])
+        values["F3"] = stats(washin[tissue])[0]
+        values["F7"] = pe_entropy(washin, tissue)
+    if tumor.any():
+        if ser is not None:
+            values["F2"] = stats(ser[tumor])[0]
+        values["F4"], values["F5"] = stats(washin[tumor])
+        values["F8"] = full_grid_dhog(work, tumor)
+        if int(np.count_nonzero(tumor)) >= 2:
+            values["F9"] = full_grid_major_axis_length(tumor, series.spacing_mm)
+        values["F14"], values["F15"] = stats(post1[tumor])
+    if fat.any():
+        values["F10"], values["F11"] = stats(post1[fat])
+    if dense.any():
+        values["F12"], values["F13"] = stats(post1[dense])
+    return FeatureVector(series.subject_id, values, denoise_radius is not None, normalized)
+
+
+def same_bits(a, b):
+    return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
+def assert_same_features(got, expected):
+    for name in FEATURE_NAMES:
+        a, b = got.values[name], expected.values[name]
+        assert (a is None) == (b is None), name
+        assert a is None or same_bits(a, b), (name, a, b)
+
+
+SERIES_KINDS = ("random", "guarded", "constant")
+LABEL_KINDS = ("mixed", "tumor only", "tissue only", "no labels", "tumor on faces")
+
+
+def scene_of(rng, shape, n_posts, series_kind, label_kind):
+    """Series and mask on a small grid; see SERIES_KINDS and LABEL_KINDS.
+
+    "guarded" makes the last post equal the pre-contrast at about half
+    the voxels (a zero SER denominator) and zeroes the pre-contrast on
+    the low half of x (washin divides by eps there, also after a median
+    filter). "tumor on faces" puts the tumor on the grid's y and x
+    faces.
+    """
+    pre = rng.uniform(0, 100, size=shape)
+    posts = [rng.uniform(50, 400, size=shape) for _ in range(n_posts)]
+    if series_kind == "guarded":
+        posts[-1] = np.where(rng.random(shape) < 0.5, pre, posts[-1])
+        pre[:, :, : (shape[2] + 1) // 2] = 0.0
+    elif series_kind == "constant":
+        pre = np.full(shape, 7.0)
+        posts = [pre] * n_posts
+    if label_kind == "mixed":
+        labels = rng.integers(0, 6, size=shape)
+    elif label_kind == "tumor only":
+        labels = np.where(rng.random(shape) < 0.5, TUMOR, 0)
+    elif label_kind == "tissue only":
+        labels = np.where(rng.random(shape) < 0.5, DENSE, FAT)
+    elif label_kind == "no labels":
+        labels = rng.choice([0, 1, 4], size=shape)
+    else:
+        labels = rng.integers(0, 5, size=shape)
+        face = np.zeros(shape, dtype=bool)
+        face[:, [0, -1], :] = True
+        face[:, :, [0, -1]] = True
+        labels[face & (rng.random(shape) < 0.6)] = TUMOR
+    return series_of(pre, posts, spacing=(0.9, 1.1, 2.0)), mask_of(labels, (0.9, 1.1, 2.0))
+
+
+@st.composite
+def scenes(draw):
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 7), st.integers(1, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return scene_of(
+        rng, shape, draw(st.integers(1, 3)),
+        draw(st.sampled_from(SERIES_KINDS)), draw(st.sampled_from(LABEL_KINDS)),
+    )
+
+
+@st.composite
+def tumors(draw):
+    """A series and a non-empty tumor mask, often on the grid's faces."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tumor = rng.random(shape) < draw(st.sampled_from([0.05, 0.3, 0.9]))
+    tumor[tuple(draw(st.integers(0, k - 1)) for k in shape)] = True
+    series = series_of(rng.uniform(0, 50, size=shape), [rng.uniform(0, 200, size=shape)])
+    return series, tumor
+
+
+class TestGatheredExtraction:
+    """Extraction equals the whole-grid reference bit for bit."""
+
+    @given(scenes(), st.sampled_from([None, 1]))
+    def test_matches_whole_grid_reference(self, scene, radius):
+        series, mask = scene
+        got = extract_features(series, mask, denoise_radius=radius)
+        assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=radius))
+
+    @pytest.mark.parametrize("label_kind", LABEL_KINDS)
+    @pytest.mark.parametrize("series_kind", SERIES_KINDS)
+    @pytest.mark.parametrize("shape, n_posts", [
+        ((3, 6, 7), 3), ((3, 6, 7), 1), ((2, 1, 9), 2), ((2, 9, 1), 2), ((1, 1, 1), 2),
+    ])
+    def test_edge_cases_match_whole_grid_reference(self, shape, n_posts, series_kind, label_kind, caplog):
+        series, mask = scene_of(np.random.default_rng(7), shape, n_posts, series_kind, label_kind)
+        with caplog.at_level(logging.WARNING):
+            got = extract_features(series, mask)
+        assert_same_features(got, whole_grid_extract_features(series, mask))
+        assert ("no healthy dense tissue" in caplog.text) == (got.values["F3"] is None)
+        assert ("no tumor label" in caplog.text) == (got.values["F4"] is None)
+
+    def test_guarded_count_covers_only_read_voxels(self, caplog):
+        shape = (1, 1, 4)
+        pre = const(shape, 10)
+        last = np.array([[[10.0, 10.0, 10.0, 50.0]]], dtype=np.float32)
+        series = series_of(pre, [const(shape, 30), last])
+        mask = mask_of(np.array([[[DENSE, 0, 0, DENSE]]]))
+        with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
+            extract_features(series, mask)
+        assert "1 voxels guarded" in caplog.text
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
+            ser_map(series)
+        assert "3 voxels guarded" in caplog.text
+
+    def test_maps_at_voxels_equal_whole_grid_maps(self, rng):
+        series, _ = random_scene(rng)
+        pool = np.concatenate([v.data.ravel() for v in series.volumes])
+        eps = 1e-6 * (float(pool.max()) - float(pool.min()))
+        voxels = np.array([0, 5, 17, pool.size // len(series.volumes) - 1])
+        for build in (ser_map, washin_map):
+            whole = build(series).data.reshape(-1)[voxels]
+            for gathered in (build(series, voxels), build(series, voxels, eps)):
+                assert gathered.dtype == np.float32
+                assert np.array_equal(gathered.view(np.uint32), whole.view(np.uint32))
+
+
+class TestCroppedKernels:
+    """dhog and the major axis on the tumor's box equal their full-grid forms."""
+
+    @given(tumors())
+    def test_dhog_matches_full_grid(self, case):
+        series, tumor = case
+        assert same_bits(dhog(series, tumor), full_grid_dhog(series, tumor))
+
+    @given(tumors())
+    def test_major_axis_matches_full_grid(self, case):
+        _, tumor = case
+        if np.count_nonzero(tumor) < 2:
+            with pytest.raises(ValidationError, match="got 1"):
+                major_axis_length(tumor, (0.9, 1.1, 2.0))
+        else:
+            got = major_axis_length(tumor, (0.9, 1.1, 2.0))
+            assert same_bits(got, full_grid_major_axis_length(tumor, (0.9, 1.1, 2.0)))
