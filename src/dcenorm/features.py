@@ -66,9 +66,19 @@ class FeatureVector:
             raise ValidationError(f"feature vector is missing entries: {missing}")
 
 
+# Voxels per block of the dynamic-range scan: 512 KB of float32, so a
+# block's max reads what its min left in cache.
+_RANGE_BLOCK_VOXELS = 2**17
+
+
 def _dynamic_range(series: StudySeries) -> float:
-    lo = min(float(v.data.min()) for v in series.volumes)
-    hi = max(float(v.data.max()) for v in series.volumes)
+    lo, hi = math.inf, -math.inf
+    for volume in series.volumes:
+        flat = volume.data.reshape(-1)
+        for start in range(0, flat.size, _RANGE_BLOCK_VOXELS):
+            block = flat[start : start + _RANGE_BLOCK_VOXELS]
+            lo = min(lo, float(block.min()))
+            hi = max(hi, float(block.max()))
     return hi - lo
 
 

@@ -193,10 +193,13 @@ def _drop_small_components(mask: np.ndarray, min_voxels: int) -> np.ndarray:
     return kept
 
 
-def segment_breast(pre: Volume, body: np.ndarray, config: SegmentationConfig) -> np.ndarray:
+def segment_breast(
+    pre: Volume, body: np.ndarray, planes: np.ndarray, config: SegmentationConfig
+) -> np.ndarray:
     """Body voxels anterior of the chest-wall plane, cleaned up.
 
-    ``body`` is the subject's ``body_mask(pre)``. Applies morphological
+    ``body`` is the subject's ``body_mask(pre)`` and ``planes`` its
+    ``chest_wall_planes(body)``. Applies morphological
     closing with a cubic structuring element and removes connected
     components below ``min_component_voxels``. Raises SegmentationError
     when nothing survives.
@@ -216,7 +219,6 @@ def segment_breast(pre: Volume, body: np.ndarray, config: SegmentationConfig) ->
         raise ValidationError("body mask shape does not match volume")
     if not body.any():
         raise SegmentationError("no body voxels above the air threshold")
-    planes = chest_wall_planes(body)
     yy = np.arange(body.shape[1])[None, :, None]
     anterior = yy <= planes[:, None, None]
     candidate = body & anterior
@@ -257,9 +259,11 @@ def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -
 
 
 def segment_heart(
-    pre: Volume, post1: Volume, body: np.ndarray, config: SegmentationConfig
+    pre: Volume, post1: Volume, body: np.ndarray, planes: np.ndarray, config: SegmentationConfig
 ) -> np.ndarray:
     """Largest strongly-enhancing component behind the chest wall.
+
+    ``body`` and ``planes`` are as in ``segment_breast``.
 
     Candidates are body voxels whose subtraction value (first post minus
     pre) reaches the configured percentile of the whole subtraction
@@ -282,7 +286,6 @@ def segment_heart(
     if not (sub > 0).any():
         raise SegmentationError("subtraction image shows no enhancement")
     threshold = percentile(sub, config.heart_enhancement_percentile)
-    planes = chest_wall_planes(body)
     yy = np.arange(body.shape[1])[None, :, None]
     posterior = yy > planes[:, None, None]
     candidate = body & posterior & (sub >= threshold)
@@ -338,9 +341,10 @@ def classical_mask(series: StudySeries, config: SegmentationConfig) -> TissueMas
     pre = series.pre
     air = segment_air(pre, config)
     body = body_mask(pre)
-    breast = segment_breast(pre, body, config)
+    planes = chest_wall_planes(body)
+    breast = segment_breast(pre, body, planes, config)
     dense = segment_dense(pre, breast, config)
     fat = breast & ~dense
-    heart = segment_heart(pre, series.posts[0], body, config)
+    heart = segment_heart(pre, series.posts[0], body, planes, config)
     tumor = np.zeros(pre.data.shape, dtype=bool)
     return assemble_mask(air, fat, dense, heart, tumor, series.spacing_mm)

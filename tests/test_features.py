@@ -25,6 +25,7 @@ from dcenorm.features import (
     read_features_csv,
     write_features_csv,
 )
+from dcenorm import features as features_module
 from dcenorm.mapping import apply_mapping
 from dcenorm.model import NormalizationModel
 from dcenorm.volume import DENSE, FAT, TUMOR
@@ -686,6 +687,30 @@ class TestGatheredExtraction:
             for gathered in (build(series, voxels), build(series, voxels, eps)):
                 assert gathered.dtype == np.float32
                 assert np.array_equal(gathered.view(np.uint32), whole.view(np.uint32))
+
+
+class TestDynamicRange:
+    """The blocked range scan equals one min and one max per volume."""
+
+    @pytest.mark.parametrize("holder", [0, 1, 2])
+    @pytest.mark.parametrize("where", ["first", "last", "middle"])
+    def test_matches_whole_volume_min_and_max(self, rng, where, holder):
+        # One full block and a partial second per volume; the minimum
+        # sits in volume ``holder`` and the maximum in the next one, both
+        # in the first block, the partial one, or across the block edge.
+        shape = (3, 240, 190)
+        volumes = [rng.normal(100.0, 20.0, shape).astype(np.float32) for _ in range(3)]
+        flat_index = {"first": 5, "middle": 2 ** 17, "last": volumes[0].size - 1}[where]
+        volumes[holder].reshape(-1)[flat_index] = -np.finfo(np.float32).max
+        volumes[(holder + 1) % 3].reshape(-1)[flat_index - 1] = 1e30
+        series = series_of(volumes[0], volumes[1:])
+        expected = max(float(v.max()) for v in volumes) - min(float(v.min()) for v in volumes)
+        got = features_module._dynamic_range(series)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_single_voxel_series(self):
+        series = series_of(const((1, 1, 1), 3), [const((1, 1, 1), -2), const((1, 1, 1), 7)])
+        assert features_module._dynamic_range(series) == 9.0
 
 
 class TestCroppedKernels:

@@ -56,6 +56,11 @@ def full_volume_drop_small_components(mask, min_voxels):
     return keep[labeled]
 
 
+def body_and_planes(pre):
+    body = body_mask(pre)
+    return body, chest_wall_planes(body)
+
+
 def full_volume_segment_breast(pre, body, config):
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
@@ -234,7 +239,7 @@ class TestBodyAndChestWall:
 class TestSegmentBreast:
     def test_phantom_dice(self, phantom_subject):
         series, truth = phantom_subject
-        breast = segment_breast(series.pre, body_mask(series.pre), SegmentationConfig())
+        breast = segment_breast(series.pre, *body_and_planes(series.pre), SegmentationConfig())
         truth_breast = (
             truth.tissue(FAT) | truth.tissue(DENSE) | truth.tissue(TUMOR)
         )
@@ -243,7 +248,7 @@ class TestSegmentBreast:
     def test_constant_volume_rejected(self):
         with pytest.raises(SegmentationError, match="no body voxels"):
             pre = vol(np.zeros((4, 8, 8)))
-            segment_breast(pre, body_mask(pre), SegmentationConfig())
+            segment_breast(pre, *body_and_planes(pre), SegmentationConfig())
 
     def test_breast_sits_anterior_of_heart(self, phantom_subject):
         series, _ = phantom_subject
@@ -293,7 +298,7 @@ class TestSegmentDense:
 
     def test_phantom_fat_dense_partition_breast(self, phantom_subject):
         series, _ = phantom_subject
-        breast = segment_breast(series.pre, body_mask(series.pre), SegmentationConfig())
+        breast = segment_breast(series.pre, *body_and_planes(series.pre), SegmentationConfig())
         mask = classical_mask(series, SegmentationConfig())
         fat_or_dense = mask.tissue(FAT) | mask.tissue(DENSE)
         # heart has precedence but never overlaps the breast territory
@@ -317,38 +322,38 @@ class TestSegmentHeart:
     def test_largest_enhancing_component_wins(self):
         pre, post, big, small = self._two_blob_scene()
         cfg = SegmentationConfig(min_component_voxels=10)
-        heart = segment_heart(pre, post, body_mask(pre), cfg)
+        heart = segment_heart(pre, post, *body_and_planes(pre), cfg)
         assert np.array_equal(heart, big)
         assert not (heart & small).any()
 
     def test_result_is_single_connected_component(self):
         pre, post, _, _ = self._two_blob_scene()
         cfg = SegmentationConfig(min_component_voxels=10)
-        heart = segment_heart(pre, post, body_mask(pre), cfg)
+        heart = segment_heart(pre, post, *body_and_planes(pre), cfg)
         _, n = ndimage.label(heart, structure=np.ones((3, 3, 3), bool))
         assert n == 1
 
     def test_zero_subtraction_rejected(self):
         pre, _, _, _ = self._two_blob_scene()
         with pytest.raises(SegmentationError, match="no enhancement"):
-            segment_heart(pre, pre, body_mask(pre), SegmentationConfig())
+            segment_heart(pre, pre, *body_and_planes(pre), SegmentationConfig())
 
     def test_component_below_size_floor_rejected(self):
         pre, post, _, _ = self._two_blob_scene()
         cfg = SegmentationConfig(min_component_voxels=1000)
         with pytest.raises(SegmentationError, match="below the floor"):
-            segment_heart(pre, post, body_mask(pre), cfg)
+            segment_heart(pre, post, *body_and_planes(pre), cfg)
 
     def test_dims_mismatch_rejected(self):
         pre, post, _, _ = self._two_blob_scene()
         other = vol(np.zeros((2, 2, 2)))
         with pytest.raises(ValidationError):
-            segment_heart(pre, other, body_mask(pre), SegmentationConfig())
+            segment_heart(pre, other, *body_and_planes(pre), SegmentationConfig())
 
     def test_phantom_dice(self, phantom_subject):
         series, truth = phantom_subject
         heart = segment_heart(
-            series.pre, series.posts[0], body_mask(series.pre), SegmentationConfig()
+            series.pre, series.posts[0], *body_and_planes(series.pre), SegmentationConfig()
         )
         assert dice(heart, truth.tissue(HEART)) >= 0.9
 
@@ -376,7 +381,7 @@ class TestBoundingBoxCrops:
             body[:, -1, :] = True
         cfg = SegmentationConfig(morphology_radius=radius, min_component_voxels=min_voxels(body, fraction))
         pre = vol(np.zeros(body.shape))
-        got = outcome(segment_breast, pre, body, cfg)
+        got = outcome(segment_breast, pre, body, chest_wall_planes(body), cfg)
         assert_same_outcome(got, outcome(full_volume_segment_breast, pre, body, cfg))
 
     @given(masks(), st.booleans(), st.floats(1.0, 100.0), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
@@ -389,7 +394,7 @@ class TestBoundingBoxCrops:
         sub = np.random.default_rng(seed).integers(0, 4, body.shape)
         cfg = SegmentationConfig(heart_enhancement_percentile=pct, min_component_voxels=min_voxels(body, fraction))
         pre, post = vol(np.zeros(body.shape)), vol(sub)
-        got = outcome(segment_heart, pre, post, body, cfg)
+        got = outcome(segment_heart, pre, post, body, chest_wall_planes(body), cfg)
         assert_same_outcome(got, outcome(full_volume_segment_heart, pre, post, body, cfg))
 
 
@@ -443,6 +448,19 @@ class TestClassicalPipeline:
         a = classical_mask(series, SegmentationConfig())
         b = classical_mask(series, SegmentationConfig())
         assert np.array_equal(a.labels, b.labels)
+
+    def test_chest_wall_planes_computed_once(self, phantom_subject, monkeypatch):
+        import dcenorm.segmentation as segmentation
+
+        calls = []
+
+        def counted(body):
+            calls.append(body)
+            return chest_wall_planes(body)
+
+        monkeypatch.setattr(segmentation, "chest_wall_planes", counted)
+        classical_mask(phantom_subject[0], SegmentationConfig())
+        assert len(calls) == 1
 
 
 class TestExternalMask:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,3 +371,43 @@ class TestMedianFilter:
         out = median_filter(v, 1)
         assert out.spacing_mm == (1.0, 2.0, 3.0)
         assert out.modality_tag == "post1"
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("shape", [(5, 6, 7), (2, 3, 9), (4, 64, 64), (3, 70, 250)])
+    def test_extreme_values_tied_at_faces_match_oracle(self, shape, radius):
+        # Near +-float32 max a padding sentinel of finite value would tie
+        # with voxels, and NaN would break the min/max network. The outer
+        # shell holds mostly extremes, with ties throughout; (4, 64, 64)
+        # runs blocks of whole planes, (3, 70, 250) blocks of rows.
+        big = np.finfo(np.float32).max
+        rng = np.random.default_rng(sum(shape) + radius)
+        data = rng.choice(np.array([-big, -1.0, 0.0, 2.0, big], dtype=np.float32), size=shape)
+        shell = np.ones(shape, dtype=bool)
+        shell[tuple(slice(radius + 1, n - radius - 1) for n in shape)] = False
+        data[shell] = rng.choice(np.array([-big, big, big, 2.0], dtype=np.float32), size=int(shell.sum()))
+        out = median_filter(vol(data), radius).data
+        assert out.tobytes() == median_filter_oracle(data, radius).tobytes()
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_peak_allocation_within_stated_working_memory(self, radius):
+        # The output, the padded copy with its tail, and the work rows
+        # (radius 1) or window buffer (radius 2) that the docstring states.
+        nz, ny, nx = shape = (24, 64, 64)
+        v = vol(np.random.default_rng(0).normal(size=shape))
+        median_filter(v, radius)  # builds the cached networks outside the trace
+        pad = 2 * radius
+        padded = (nz + pad) * (ny + pad) * (nx + pad)
+        if radius == 1:
+            tail = pad * (nx + pad) + pad
+            work = 29 * (2 ** 14 + tail)
+        else:
+            tail = 0
+            work = max(1, 2 ** 14 // (ny * nx)) * ny * nx * (2 * radius + 1) ** 3
+        bound = 4 * (nz * ny * nx + padded + tail + work)
+        tracemalloc.start()
+        try:
+            median_filter(v, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
