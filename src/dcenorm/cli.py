@@ -16,7 +16,6 @@ are rejected by name.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import logging
 import os
@@ -36,8 +35,8 @@ from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask
 from .volume import save_mask, save_volume
 from .util import (
-    atomic_write_json, atomic_write_text, check_csv_header, check_csv_row, default_jobs, is_number, read_json,
-    run_parallel,
+    atomic_write_json, atomic_write_text, binary_cell, default_jobs, is_number, json_object, read_csv_records,
+    read_json, run_parallel,
 )
 
 log = logging.getLogger(__name__)
@@ -69,23 +68,12 @@ def _check_denoise_radius(radius, name: str, path: Path | str | None = None) -> 
 def load_cli_config(path: Path | str | None) -> CliConfig:
     if path is None:
         return CliConfig(segmentation=SegmentationConfig())
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object", path=path)
-    unknown = set(raw) - set(_SECTION_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}", path=path)
-    for section, keys in _SECTION_KEYS.items():
-        body = raw.get(section, {})
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be an object", path=path)
-        bad = set(body) - keys
-        if bad:
-            raise ConfigError(f"unknown keys in config section {section!r}: {sorted(bad)}", path=path)
-    seg = SegmentationConfig(**raw.get("segmentation", {}))
-    anchors_sec = raw.get("anchors", {})
-    features_sec = raw.get("features", {})
-    eval_sec = raw.get("evaluation", {})
+    raw = json_object(read_json(path), _SECTION_KEYS, "config", ConfigError, path)
+    seg_sec, anchors_sec, features_sec, eval_sec = (
+        json_object(raw.get(section, {}), keys, f"config section {section!r}", ConfigError, path)
+        for section, keys in _SECTION_KEYS.items()
+    )
+    seg = SegmentationConfig(**seg_sec)
     clamp_floor = anchors_sec.get("clamp_floor", 0.0)
     if not is_number(clamp_floor):
         raise ConfigError(f"anchors.clamp_floor must be a finite number, got {clamp_floor!r}", path=path)
@@ -293,25 +281,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _read_labels_csv(path: Path | str) -> dict[str, int]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingInputError("labels file not found", path=path)
     labels: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"subject_id", "label"}:
-            raise ValidationError("labels CSV must have columns subject_id,label", path=path)
-        check_csv_header(reader.fieldnames, path)
-        for record in reader:
-            sid = record["subject_id"]
-            check_csv_row(record, sid, path)
-            if sid in labels:
-                raise ValidationError(f"duplicate subject {sid} in labels", path=path)
-            if record["label"] not in ("0", "1"):
-                raise ValidationError(
-                    f"subject {sid}: label must be 0 or 1, got {record['label']!r}", path=path
-                )
-            labels[sid] = int(record["label"])
+    for sid, record in read_csv_records(path, ("subject_id", "label"), "labels CSV"):
+        if sid in labels:
+            raise ValidationError(f"duplicate subject {sid} in labels", path=path)
+        labels[sid] = binary_cell(record, "label", sid, path)
     return labels
 
 

@@ -32,7 +32,6 @@ silently zero; in CSV output missing features are empty fields.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -40,10 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingInputError, ValidationError
+from .errors import ValidationError
 from .manifest import StudySeries
-from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, median_filter
-from .util import atomic_write_text, check_csv_header, check_csv_row
+from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, bounding_box, median_filter
+from .util import atomic_write_text, binary_cell, read_csv_records
 
 log = logging.getLogger(__name__)
 
@@ -171,15 +170,6 @@ def pe_entropy(washin: np.ndarray, tissue: np.ndarray) -> float:
     return _entropy_bits(counts.astype(np.float64))
 
 
-def _bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice]:
-    """Slices of the smallest box holding every voxel of a non-empty 3D mask."""
-    zs = np.flatnonzero(mask.any(axis=(1, 2)))
-    slab = mask[zs[0] : zs[-1] + 1]
-    ys = np.flatnonzero(slab.any(axis=(0, 2)))
-    xs = np.flatnonzero(slab.any(axis=(0, 1)))
-    return tuple(slice(int(a[0]), int(a[-1]) + 1) for a in (zs, ys, xs))
-
-
 def dhog(series: StudySeries, tumor: np.ndarray) -> float:
     """Entropy of the in-plane gradient direction histogram at the tumor.
 
@@ -196,7 +186,7 @@ def dhog(series: StudySeries, tumor: np.ndarray) -> float:
     # The tumor's box, widened by one voxel in y and x and clipped at the
     # grid, holds every neighbour a difference at a tumor voxel reads and
     # keeps the grid's own faces, so each gradient there is the grid's.
-    bz, by, bx = _bounding_box(tumor)
+    bz, by, bx = bounding_box(tumor)
     box = (
         bz,
         slice(max(by.start - 1, 0), min(by.stop + 1, ny)),
@@ -225,7 +215,7 @@ def major_axis_length(tumor: np.ndarray, spacing_mm) -> float:
     n = int(np.count_nonzero(tumor))
     if n < 2:
         raise ValidationError(f"major axis needs >= 2 tumor voxels, got {n}")
-    box = _bounding_box(tumor)
+    box = bounding_box(tumor)
     coords_idx = np.argwhere(tumor[box]) + [s.start for s in box]  # rows of (z, y, x)
     sx, sy, sz = spacing_mm
     coords = coords_idx[:, ::-1].astype(np.float64) * np.array([sx, sy, sz])
@@ -347,34 +337,24 @@ def write_features_csv(path: Path | str, rows: list[FeatureVector]) -> None:
 
 
 def read_features_csv(path: Path | str) -> list[FeatureVector]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingInputError("features file not found", path=path)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        expected = {"subject_id", *FEATURE_NAMES, "denoised", "normalized"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ValidationError(f"unexpected feature CSV header: {reader.fieldnames}", path=path)
-        check_csv_header(reader.fieldnames, path)
-        rows = []
-        for record in reader:
-            subject = record["subject_id"]
-            check_csv_row(record, subject, path)
-            values = {}
-            for name in FEATURE_NAMES:
-                cell = record[name]
-                try:
-                    values[name] = float(cell) if cell != "" else None
-                except ValueError:
-                    raise ValidationError(
-                        f"subject {subject!r}: column {name} is not a number: {cell!r}", path=path
-                    ) from None
-            rows.append(
-                FeatureVector(
-                    subject_id=subject,
-                    values=values,
-                    denoised=record["denoised"] == "1",
-                    normalized=record["normalized"] == "1",
-                )
+    columns = ("subject_id", *FEATURE_NAMES, "denoised", "normalized")
+    rows = []
+    for subject, record in read_csv_records(path, columns, "features CSV"):
+        values = {}
+        for name in FEATURE_NAMES:
+            cell = record[name]
+            try:
+                values[name] = float(cell) if cell != "" else None
+            except ValueError:
+                raise ValidationError(
+                    f"subject {subject!r}: column {name} is not a number: {cell!r}", path=path
+                ) from None
+        rows.append(
+            FeatureVector(
+                subject_id=subject,
+                values=values,
+                denoised=bool(binary_cell(record, "denoised", subject, path)),
+                normalized=bool(binary_cell(record, "normalized", subject, path)),
             )
+        )
     return rows

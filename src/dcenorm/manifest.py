@@ -12,11 +12,12 @@ manifest that gives one for every subject.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Iterator
 
 from .errors import ManifestError, MissingInputError, ValidationError
-from .util import is_number, read_json
+from .util import is_number, json_object, read_json
 from .volume import TissueMask, Volume, load_external_mask, load_volume, volume_files
 
 _REQUIRED_KEYS = {"subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"}
@@ -57,15 +58,8 @@ class DatasetManifest:
 
 
 def _parse_entry(record: object, index: int, base_dir: Path) -> SubjectEntry:
-    if not isinstance(record, dict):
-        raise ManifestError(f"entry {index} is not an object")
-    keys = set(record)
-    missing = _REQUIRED_KEYS - keys
-    if missing:
-        raise ManifestError(f"entry {index} is missing required keys: {sorted(missing)}")
-    unknown = keys - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if unknown:
-        raise ManifestError(f"entry {index} has unknown keys: {sorted(unknown)}")
+    keys = _REQUIRED_KEYS | _OPTIONAL_KEYS
+    record = json_object(record, keys, f"entry {index}", ManifestError, None, required=_REQUIRED_KEYS)
 
     subject_id = record["subject_id"]
     if not isinstance(subject_id, str) or not subject_id:
@@ -81,8 +75,8 @@ def _parse_entry(record: object, index: int, base_dir: Path) -> SubjectEntry:
             raise ManifestError(f"subject {subject_id}: {key} must be a finite positive number")
 
     label = record.get("label")
-    if label is not None and label not in (0, 1):
-        raise ManifestError(f"subject {subject_id}: label must be 0 or 1, got {label!r}")
+    if label is not None and not (is_number(label, Integral) and label in (0, 1)):
+        raise ManifestError(f"subject {subject_id}: label must be the integer 0 or 1, got {label!r}")
 
     mask = record.get("mask")
     if not all(isinstance(p, str) for p in (record["pre"], *posts, *([] if mask is None else [mask]))):
@@ -105,7 +99,7 @@ def _parse_entry(record: object, index: int, base_dir: Path) -> SubjectEntry:
         tr_ms=float(record["tr_ms"]),
         field_t=float(record["field_t"]),
         mask=mask_path,
-        label=None if label is None else int(label),
+        label=label,
     )
 
 

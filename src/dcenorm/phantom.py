@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConfigError
 from .manifest import DatasetManifest, load_manifest
 from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, save_mask, save_volume
-from .util import atomic_write_json, atomic_write_text, is_number, read_json, run_parallel
+from .util import atomic_write_json, atomic_write_text, is_number, json_object, read_json, run_parallel
 
 # Anatomy layout, as fractions of the volume dims so any grid works.
 # Each entry is (center_frac, semi_axis_frac) in (x, y, z) order; y = 0
@@ -160,54 +160,27 @@ class PhantomConfig:
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(PhantomConfig)}
 _GROUP_KEYS = {f.name for f in dataclasses.fields(GroupSpec)}
-_ENH_KEYS = set(_default_enhancement())
+_GROUP_REQUIRED = {"name", "n_subjects"}
+# Sections given as objects whose entries override the defaults one by one.
+_MERGED_SECTIONS = {"enhancement": _default_enhancement, "intensities": _default_intensities}
 
 
 def phantom_config_from_json(path: Path | str) -> PhantomConfig:
     """Load a phantom config file, rejecting unknown keys by name."""
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigError("phantom config must be a JSON object", path=path)
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown phantom config keys: {sorted(unknown)}", path=path)
-    kwargs: dict = dict(raw)
-    if "enhancement" in kwargs:
-        enh = kwargs["enhancement"]
-        if not isinstance(enh, dict):
-            raise ConfigError("enhancement must be an object", path=path)
-        unknown = set(enh) - _ENH_KEYS
-        if unknown:
-            raise ConfigError(f"unknown enhancement keys: {sorted(unknown)}", path=path)
-        merged = _default_enhancement()
-        merged.update(enh)
-        kwargs["enhancement"] = merged
-    if "intensities" in kwargs:
-        vals = kwargs["intensities"]
-        if not isinstance(vals, dict):
-            raise ConfigError("intensities must be an object", path=path)
-        unknown = set(vals) - set(_default_intensities())
-        if unknown:
-            raise ConfigError(f"unknown intensity keys: {sorted(unknown)}", path=path)
-        merged_i = _default_intensities()
-        merged_i.update(vals)
-        kwargs["intensities"] = merged_i
-    if "groups" in kwargs and not isinstance(kwargs["groups"], list):
-        raise ConfigError("groups must be a list of objects", path=path)
-    try:
-        if "groups" in kwargs:
-            groups = []
-            for i, g in enumerate(kwargs["groups"]):
-                if not isinstance(g, dict):
-                    raise ConfigError(f"groups[{i}] must be an object", path=path)
-                unknown = set(g) - _GROUP_KEYS
-                if unknown:
-                    raise ConfigError(f"groups[{i}] has unknown keys: {sorted(unknown)}", path=path)
-                groups.append(GroupSpec(**g))
-            kwargs["groups"] = tuple(groups)
-        return PhantomConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad phantom config: {exc}", path=path) from None
+    kwargs = dict(json_object(read_json(path), _CONFIG_KEYS, "phantom config", ConfigError, path))
+    for key, defaults in _MERGED_SECTIONS.items():
+        if key in kwargs:
+            merged = defaults()
+            merged.update(json_object(kwargs[key], merged, key, ConfigError, path))
+            kwargs[key] = merged
+    if "groups" in kwargs:
+        if not isinstance(kwargs["groups"], list):
+            raise ConfigError("groups must be a list of objects", path=path)
+        kwargs["groups"] = tuple(
+            GroupSpec(**json_object(g, _GROUP_KEYS, f"groups[{i}]", ConfigError, path, _GROUP_REQUIRED))
+            for i, g in enumerate(kwargs["groups"])
+        )
+    return PhantomConfig(**kwargs)
 
 
 def _ellipsoid(dims: tuple[int, int, int], shape) -> np.ndarray:

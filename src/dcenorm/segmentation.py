@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SegmentationError, ValidationError
 from .manifest import StudySeries
 from .util import is_number
-from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, percentile
+from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, percentile
 
 log = logging.getLogger(__name__)
 
@@ -161,27 +161,12 @@ def chest_wall_planes(body: np.ndarray) -> np.ndarray:
     return planes.astype(np.int64)
 
 
-def _bounding_box(mask: np.ndarray, margin: int) -> tuple[slice, ...] | None:
-    """Per-axis extent of ``mask``'s voxels widened by ``margin`` and clipped to the grid.
-
-    Returns None for an empty mask.
-    """
-    box = []
-    for axis in range(mask.ndim):
-        others = tuple(a for a in range(mask.ndim) if a != axis)
-        hits = np.flatnonzero(mask.any(axis=others))
-        if hits.size == 0:
-            return None
-        box.append(slice(max(int(hits[0]) - margin, 0), min(int(hits[-1]) + 1 + margin, mask.shape[axis])))
-    return tuple(box)
-
-
 def _drop_small_components(mask: np.ndarray, min_voxels: int) -> np.ndarray:
     from scipy import ndimage
 
     # Every component lies inside the bounding box, and labels are
     # numbered in scan order, which the box keeps.
-    box = _bounding_box(mask, 0)
+    box = bounding_box(mask)
     if box is None:
         return mask
     labeled, _ = ndimage.label(mask[box], structure=_CONN26)
@@ -226,7 +211,7 @@ def segment_breast(
         side = 2 * config.morphology_radius + 1
         structure = np.ones((side, side, side), dtype=bool)
         # Never None: each slice's chest-wall row holds body voxels.
-        box = _bounding_box(candidate, config.morphology_radius)
+        box = bounding_box(candidate, config.morphology_radius)
         closed = np.zeros(candidate.shape, dtype=bool)
         closed[box] = ndimage.binary_closing(candidate[box], structure=structure)
         candidate = closed
@@ -289,7 +274,7 @@ def segment_heart(
     yy = np.arange(body.shape[1])[None, :, None]
     posterior = yy > planes[:, None, None]
     candidate = body & posterior & (sub >= threshold)
-    box = _bounding_box(candidate, 0)
+    box = bounding_box(candidate)
     if box is None:
         raise SegmentationError("no heart candidates behind the chest wall")
     labeled, _ = ndimage.label(candidate[box], structure=_CONN26)

@@ -1,7 +1,8 @@
-"""Small shared helpers: atomic writes, JSON I/O, parallel maps."""
+"""Small shared helpers: atomic writes, JSON and CSV input checks, parallel maps."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import sys
@@ -9,7 +10,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import ManifestError, MissingInputError, ValidationError
 
@@ -51,22 +52,51 @@ def read_json(path: Path | str) -> Any:
         ) from exc
 
 
-def check_csv_header(fieldnames: Sequence[str], path: Path) -> None:
-    """Reject a header that names a column twice: ``csv.DictReader`` would keep only the last one's values."""
-    seen = set()
-    for name in fieldnames:
-        if name in seen:
-            raise ValidationError(f"header repeats column {name!r}", path=path)
-        seen.add(name)
+def json_object(value: Any, keys, what: str, error: type, path: Path | str | None, required=()) -> dict:
+    """``value`` if it is a dict whose keys lie in ``keys`` and include ``required``.
 
-
-def check_csv_row(record: dict, subject: str, path: Path) -> None:
-    """Reject a ``csv.DictReader`` record whose field count differs from the header's.
-
-    The reader files extra fields under the key None and fills missing ones with None.
+    Otherwise raises ``error`` (the caller's class), naming the missing or unknown keys.
     """
-    if None in record or None in record.values():
-        raise ValidationError(f"subject {subject!r}: row and header differ in field count", path=path)
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object", path=path)
+    missing = set(required) - set(value)
+    if missing:
+        raise error(f"{what} is missing required keys: {sorted(missing)}", path=path)
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise error(f"{what} has unknown keys: {sorted(unknown)}", path=path)
+    return value
+
+
+def read_csv_records(path: Path | str, columns: Sequence[str], what: str) -> Iterator[tuple[str, dict]]:
+    """Yield ``(subject, record)`` for each row of a CSV whose header names each of ``columns`` once.
+
+    ``columns[0]`` holds the subject. A row whose field count differs from the
+    header's is an error: ``csv.DictReader`` would file extra fields under the key
+    None and fill missing ones with None.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise MissingInputError(f"{what} not found", path=path)
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        # Sorted lists, not sets: the reader would keep only a repeated column's last values.
+        header = reader.fieldnames or []
+        if sorted(header) != sorted(columns):
+            raise ValidationError(f"{what} header must name each of {','.join(columns)} once, got {header}", path=path)
+        for record in reader:
+            subject = record[columns[0]]
+            if None in record or None in record.values():
+                raise ValidationError(f"subject {subject!r}: row and header differ in field count", path=path)
+            yield subject, record
+
+
+def binary_cell(record: dict, column: str, subject: str, path: Path | str) -> int:
+    """The CSV cell ``record[column]`` as 0 or 1; any other text is an error naming the subject and column."""
+    cell = record[column]
+    if cell not in ("0", "1"):
+        raise ValidationError(f"subject {subject!r}: {column} must be 0 or 1, got {cell!r}", path=path)
+    return int(cell)
 
 
 def is_number(value: Any, kind: type = Real) -> bool:

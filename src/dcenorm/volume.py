@@ -298,6 +298,23 @@ def percentile(volume: Volume | np.ndarray, q: float, mask: np.ndarray | None = 
     return float(np.partition(values, k)[k])
 
 
+def bounding_box(mask: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice] | None:
+    """Slices of the smallest box holding every voxel of a 3D mask, widened by ``margin`` and clipped to the grid.
+
+    Returns None for an empty mask. y and x are scanned over the z-slab only.
+    """
+    zs = np.flatnonzero(mask.any(axis=(1, 2)))
+    if zs.size == 0:
+        return None
+    slab = mask[zs[0] : zs[-1] + 1]
+    ys = np.flatnonzero(slab.any(axis=(0, 2)))
+    xs = np.flatnonzero(slab.any(axis=(0, 1)))
+    return tuple(
+        slice(max(int(a[0]) - margin, 0), min(int(a[-1]) + 1 + margin, n))
+        for a, n in zip((zs, ys, xs), mask.shape)
+    )
+
+
 def median_filter(volume: Volume, radius: int) -> Volume:
     """Median filter with a cubic window of side 2*radius + 1.
 

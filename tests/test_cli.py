@@ -376,7 +376,9 @@ class TestErrorPaths:
         (lambda row: row[:3] + ["abc"] + row[4:], "F3"),
         (lambda row: row[:5], "field count"),
         (lambda row: row + ["1"], "field count"),
-    ], ids=["non-numeric", "short-row", "long-row"])
+        (lambda row: row[:16] + ["yes"] + row[17:], "denoised"),
+        (lambda row: row[:17] + ["2"], "normalized"),
+    ], ids=["non-numeric", "short-row", "long-row", "denoised-flag", "normalized-flag"])
     def test_malformed_feature_rows_named(self, pipeline, tmp_path, capsys, edit, column):
         rows = list(csv.reader((pipeline / "before.csv").read_text().splitlines()))
         rows[2] = edit(rows[2])
@@ -659,32 +661,38 @@ def _run(argv):
     return rc, err.getvalue()
 
 
-def _fuzz_phantom(tiny, doc, work):
+def _launch(argv):
+    """``_run`` in a fresh ``python -m dcenorm`` process, whose stderr also holds any logging or warning."""
+    done = _run_process(["-m", "dcenorm", *argv])
+    return done.returncode, done.stderr
+
+
+def _fuzz_phantom(tiny, doc, work, launch=_run):
     (work / "phantom.json").write_text(json.dumps(doc))
-    return _run(["phantom", "--config", str(work / "phantom.json"), "--out", str(work / "data"),
-                 "--jobs", "1"])
+    return launch(["phantom", "--config", str(work / "phantom.json"), "--out", str(work / "data"),
+                   "--jobs", "1"])
 
 
-def _fuzz_cli_config(tiny, doc, work):
+def _fuzz_cli_config(tiny, doc, work, launch=_run):
     (work / "config.json").write_text(json.dumps(doc))
-    return _run(["normalize", "--manifest", str(tiny / "data" / "manifest.json"),
-                 "--model", str(tiny / "model.json"), "--out-dir", str(work / "norm"),
-                 "--config", str(work / "config.json"), "--jobs", "1"])
+    return launch(["normalize", "--manifest", str(tiny / "data" / "manifest.json"),
+                   "--model", str(tiny / "model.json"), "--out-dir", str(work / "norm"),
+                   "--config", str(work / "config.json"), "--jobs", "1"])
 
 
-def _fuzz_manifest(tiny, doc, work):
+def _fuzz_manifest(tiny, doc, work, launch=_run):
     manifest = tiny / "data" / "fuzzed_manifest.json"
     manifest.write_text(json.dumps([doc]))
-    return _run(["features", "--manifest", str(manifest), "--out", str(work / "f.csv"), "--jobs", "1"])
+    return launch(["features", "--manifest", str(manifest), "--out", str(work / "f.csv"), "--jobs", "1"])
 
 
-def _fuzz_sidecar(tiny, doc, work):
+def _fuzz_sidecar(tiny, doc, work, launch=_run):
     sidecar = tiny / "data" / "A000_pre.json"
     original = sidecar.read_text()
     sidecar.write_text(json.dumps(doc))
     try:
-        return _run(["features", "--manifest", str(tiny / "data" / "manifest.json"),
-                     "--out", str(work / "f.csv"), "--jobs", "1"])
+        return launch(["features", "--manifest", str(tiny / "data" / "manifest.json"),
+                       "--out", str(work / "f.csv"), "--jobs", "1"])
     finally:
         sidecar.write_text(original)
 
@@ -716,3 +724,26 @@ def test_fuzzed_inputs_keep_the_exit_contract(tiny, kind):
             assert len(err.splitlines()) == 1 and err.startswith("error["), err
 
     check()
+
+
+# Fixed malformed examples per kind, run through a real process: the
+# in-process fuzz above cannot see logging or warnings on stderr.
+PROCESS_CASES = [
+    ("phantom-config", ("groups", 0), {}),
+    ("phantom-config", ("intensities", "fat"), 1e308),
+    ("cli-config", ("segmentation",), []),
+    ("cli-config", ("anchors", "clamp_floor"), math.nan),
+    ("manifest-record", ("label",), True),
+    ("manifest-record", (), [1]),
+    ("volume-sidecar", ("spacing_mm", 0), 10 ** 400),
+    ("volume-sidecar", ("dims",), [8, 8]),
+]
+
+
+@pytest.mark.parametrize("kind, position, value", PROCESS_CASES,
+                         ids=[f"{kind}-{'.'.join(map(str, pos)) or 'root'}" for kind, pos, _ in PROCESS_CASES])
+def test_malformed_inputs_keep_the_exit_contract_in_a_process(tiny, tmp_path, kind, position, value):
+    run, valid = FUZZ_KINDS[kind]
+    rc, err = run(tiny, _replace(valid(tiny), position, value), tmp_path, launch=_launch)
+    assert rc in (1, 2)
+    assert len(err.splitlines()) == 1 and err.startswith("error["), err

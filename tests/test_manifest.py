@@ -95,9 +95,10 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=key):
             load_manifest(write_manifest(dataset, [rec]))
 
-    def test_label_must_be_binary(self, dataset):
+    @pytest.mark.parametrize("label", [2, True, 1.0])
+    def test_label_must_be_binary(self, dataset, label):
         with pytest.raises(ManifestError, match="label"):
-            load_manifest(write_manifest(dataset, [record("s1", label=2)]))
+            load_manifest(write_manifest(dataset, [record("s1", label=label)]))
 
     def test_missing_referenced_file(self, dataset):
         path = write_manifest(dataset, [record("s1", posts=["absent"])])
