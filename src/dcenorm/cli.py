@@ -28,7 +28,7 @@ from . import anchors as anchors_mod
 from . import evaluation as eval_mod
 from .errors import ConfigError, DcenormError, MissingInputError, SegmentationError, ValidationError
 from .features import extract_features, read_features_csv, write_features_csv
-from .manifest import SubjectEntry, load_manifest, load_series, load_subject as _load_subject
+from .manifest import SubjectEntry, check_subject_grids, load_manifest, load_series, load_subject as _load_subject
 from .mapping import apply_mapping, build_mapping, export_mapping_curve, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
@@ -121,20 +121,17 @@ def _manifest_record(entry: SubjectEntry, out_dir: str, pre: Path, posts, mask: 
 
 
 def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConfig):
-    """Mask one subject: ``(record, None)``, or ``(None, reason)`` when classical segmentation fails.
+    """Classically mask a subject whose grids ``check_subject_grids`` has passed.
 
-    A mask the entry already gives is checked against the series and referenced, not copied.
+    Returns ``(mask file, None)``, or ``(None, reason)`` when segmentation fails.
+    Only pre and the first post are loaded: they are all the chain reads.
     """
-    if entry.mask is not None:
-        _load_subject(entry)
-        mask_file = entry.mask
-    else:
-        try:
-            mask = classical_mask(load_series(entry), seg_config)
-        except SegmentationError as exc:
-            return None, str(exc)
-        mask_file = save_mask(mask, Path(out_dir) / f"{entry.subject_id}_mask")
-    return _manifest_record(entry, out_dir, entry.pre, entry.posts, mask_file), None
+    series = load_series(dataclasses.replace(entry, posts=entry.posts[:1]))
+    try:
+        mask = classical_mask(series, seg_config)
+    except SegmentationError as exc:
+        return None, str(exc)
+    return save_mask(mask, Path(out_dir) / f"{entry.subject_id}_mask"), None
 
 
 def _normalize_job(
@@ -184,14 +181,20 @@ def _cmd_segment(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = list(manifest)
-    if any(entry.mask is None for entry in entries):
-        # The classical chain needs scipy.ndimage; import it once here so
-        # forked workers inherit it instead of each importing it again.
-        import scipy.ndimage  # noqa: F401
+    # Every subject's grids are checked here, from the sidecars; a mask the
+    # manifest gives is then referenced, and only the others are segmented.
+    for entry in entries:
+        check_subject_grids(entry)
+    unmasked = [entry for entry in entries if entry.mask is None]
     job = partial(_segment_job, out_dir=str(out), seg_config=cli_cfg.segmentation)
-    outcomes = run_parallel(job, entries, args.jobs)
-    records = [record for record, _ in outcomes if record is not None]
-    skipped = [(e.subject_id, reason) for e, (_, reason) in zip(entries, outcomes) if reason is not None]
+    outcomes = dict(zip((entry.subject_id for entry in unmasked), run_parallel(job, unmasked, args.jobs)))
+    records, skipped = [], []
+    for entry in entries:
+        mask_file, reason = outcomes.get(entry.subject_id, (entry.mask, None))
+        if reason is None:
+            records.append(_manifest_record(entry, str(out), entry.pre, entry.posts, mask_file))
+        else:
+            skipped.append((entry.subject_id, reason))
     if not records:
         reasons = "; ".join(f"{sid}: {reason}" for sid, reason in skipped)
         raise ValidationError(f"segmentation failed for every subject: {reasons}")

@@ -344,11 +344,13 @@ def read_features_csv(path: Path | str) -> list[FeatureVector]:
         for name in FEATURE_NAMES:
             cell = record[name]
             try:
-                values[name] = float(cell) if cell != "" else None
+                value = float(cell) if cell != "" else None
             except ValueError:
-                raise ValidationError(
-                    f"subject {subject!r}: column {name} is not a number: {cell!r}", path=path
-                ) from None
+                value = math.nan
+            # float() also reads "nan" and "inf", which no feature takes.
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"subject {subject!r}: column {name} is not a finite number: {cell!r}", path=path)
+            values[name] = value
         rows.append(
             FeatureVector(
                 subject_id=subject,

@@ -18,7 +18,9 @@ from typing import Iterator
 
 from .errors import ManifestError, MissingInputError, ValidationError
 from .util import is_number, json_object, read_json
-from .volume import TissueMask, Volume, load_external_mask, load_volume, volume_files
+from .volume import (
+    MASK_DTYPE, TissueMask, Volume, check_mask_grid, load_external_mask, load_volume, read_sidecar, volume_files,
+)
 
 _REQUIRED_KEYS = {"subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"}
 _OPTIONAL_KEYS = {"mask", "label"}
@@ -57,37 +59,39 @@ class DatasetManifest:
         raise ManifestError(f"unknown subject_id {subject_id!r}")
 
 
-def _parse_entry(record: object, index: int, base_dir: Path) -> SubjectEntry:
+def _parse_entry(record: object, index: int, path: Path) -> SubjectEntry:
+    """One manifest record as an entry; errors name the manifest ``path``."""
     keys = _REQUIRED_KEYS | _OPTIONAL_KEYS
-    record = json_object(record, keys, f"entry {index}", ManifestError, None, required=_REQUIRED_KEYS)
+    record = json_object(record, keys, f"entry {index}", ManifestError, path, required=_REQUIRED_KEYS)
 
     subject_id = record["subject_id"]
     if not isinstance(subject_id, str) or not subject_id:
-        raise ManifestError(f"entry {index}: subject_id must be a non-empty string")
+        raise ManifestError(f"entry {index}: subject_id must be a non-empty string", path=path)
 
     posts = record["posts"]
     if not isinstance(posts, list) or len(posts) < 1:
-        raise ManifestError(f"subject {subject_id}: posts must list at least one volume")
+        raise ManifestError(f"subject {subject_id}: posts must list at least one volume", path=path)
 
     for key in ("te_ms", "tr_ms", "field_t"):
         value = record[key]
         if not (is_number(value) and value > 0):
-            raise ManifestError(f"subject {subject_id}: {key} must be a finite positive number")
+            raise ManifestError(f"subject {subject_id}: {key} must be a finite positive number", path=path)
 
     label = record.get("label")
     if label is not None and not (is_number(label, Integral) and label in (0, 1)):
-        raise ManifestError(f"subject {subject_id}: label must be the integer 0 or 1, got {label!r}")
+        raise ManifestError(f"subject {subject_id}: label must be the integer 0 or 1, got {label!r}", path=path)
 
     mask = record.get("mask")
     if not all(isinstance(p, str) for p in (record["pre"], *posts, *([] if mask is None else [mask]))):
-        raise ManifestError(f"subject {subject_id}: pre, posts and mask must be path strings")
+        raise ManifestError(f"subject {subject_id}: pre, posts and mask must be path strings", path=path)
 
+    base_dir = path.parent
     pre = base_dir / record["pre"]
     post_paths = tuple(base_dir / p for p in posts)
     mask_path = base_dir / mask if mask is not None else None
 
-    for path in (pre, *post_paths) + ((mask_path,) if mask_path else ()):
-        for file in volume_files(path):
+    for volume in (pre, *post_paths) + ((mask_path,) if mask_path else ()):
+        for file in volume_files(volume):
             if not file.exists():
                 raise MissingInputError(f"subject {subject_id}: referenced file missing", path=file)
 
@@ -109,11 +113,10 @@ def load_manifest(path: Path | str) -> DatasetManifest:
     data = read_json(path)
     if not isinstance(data, list):
         raise ManifestError("manifest must be a JSON array of subject records", path=path)
-    base_dir = path.parent
     entries = []
     seen: set[str] = set()
     for index, record in enumerate(data):
-        entry = _parse_entry(record, index, base_dir)
+        entry = _parse_entry(record, index, path)
         if entry.subject_id in seen:
             raise ManifestError(f"duplicate subject_id {entry.subject_id!r}", path=path)
         seen.add(entry.subject_id)
@@ -139,11 +142,7 @@ class StudySeries:
     def __post_init__(self):
         if len(self.posts) < 1:
             raise ValidationError(f"subject {self.subject_id}: series needs at least one post volume")
-        for vol in self.posts:
-            if vol.dims != self.pre.dims or vol.spacing_mm != self.pre.spacing_mm:
-                raise ValidationError(
-                    f"subject {self.subject_id}: series volumes disagree on dims or spacing"
-                )
+        _check_series_grid(self.subject_id, self.pre, self.posts)
 
     @property
     def volumes(self) -> tuple[Volume, ...]:
@@ -156,6 +155,25 @@ class StudySeries:
     @property
     def spacing_mm(self) -> tuple[float, float, float]:
         return self.pre.spacing_mm
+
+
+def _check_series_grid(subject_id: str, pre, posts) -> None:
+    """Raise unless every post has the dims and spacing of ``pre``; volumes or their ``Sidecar``s."""
+    if any(post.dims != pre.dims or post.spacing_mm != pre.spacing_mm for post in posts):
+        raise ValidationError(f"subject {subject_id}: series volumes disagree on dims or spacing")
+
+
+def check_subject_grids(entry: SubjectEntry) -> None:
+    """Check from the sidecars that the entry's volumes, and the mask it gives, share one grid.
+
+    Reads no payload: each payload's size is checked, but the checks on
+    voxel values (finite intensities, known mask labels) are left to the
+    stages that load the volumes.
+    """
+    pre = read_sidecar(entry.pre)
+    _check_series_grid(entry.subject_id, pre, [read_sidecar(post) for post in entry.posts])
+    if entry.mask is not None:
+        check_mask_grid(entry.mask, read_sidecar(entry.mask, MASK_DTYPE), pre)
 
 
 def load_series(entry: SubjectEntry) -> StudySeries:

@@ -9,9 +9,13 @@ Conventions: volumes are indexed ``data[z, y, x]`` and y = 0 is the
 anterior side, so the breast occupies low y and the heart sits at
 higher y behind the chest-wall plane.
 
-``scipy.ndimage`` is imported inside the functions that call it, so
-importing this module (and through it the command line) does not pay
-for it; only runs of the classical chain do.
+The chain needs numpy only. Its two morphology kernels, a binary
+closing with a cubic element and 26-connected component labelling, are
+private helpers here (``_closing``, ``_label``). Each is exact, not an
+approximation: the closing is the textbook one with the grid's outside
+read as 0, and the labels number the components in the scan order of
+their first voxels, as the common image libraries do. The tests compare
+both, element for element, with such a library.
 """
 
 from __future__ import annotations
@@ -28,9 +32,6 @@ from .util import is_number
 from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, percentile
 
 log = logging.getLogger(__name__)
-
-# 26-connectivity in 3D: every voxel touching by face, edge or corner.
-_CONN26 = np.ones((3, 3, 3), dtype=bool)
 
 OTSU_BINS = 256
 
@@ -161,15 +162,113 @@ def chest_wall_planes(body: np.ndarray) -> np.ndarray:
     return planes.astype(np.int64)
 
 
-def _drop_small_components(mask: np.ndarray, min_voxels: int) -> np.ndarray:
-    from scipy import ndimage
+def _closing(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Binary closing of a 3-D mask with a cubic element of side ``2 * radius + 1``.
 
+    Voxels beyond the array count as 0, as with ``border_value=0``. The
+    cube is the product of three segments, so its dilation and its
+    erosion are each three 1-D passes, one per axis, of ``radius`` shifted
+    ORs or ANDs in each direction. Where the eroding segment reaches past
+    a face it reads a 0, so the erosion clears the ``radius`` voxels at
+    each face.
+    """
+    out = mask.copy()
+    for combine in (np.logical_or, np.logical_and):
+        for axis in range(3):
+            src = np.moveaxis(out.copy(), axis, 0)
+            dst = np.moveaxis(out, axis, 0)
+            for shift in range(1, radius + 1):
+                combine(dst[shift:], src[:-shift], out=dst[shift:])
+                combine(dst[:-shift], src[shift:], out=dst[:-shift])
+            if combine is np.logical_and:
+                dst[:radius] = False
+                dst[len(dst) - radius :] = False
+    return out
+
+
+# Rows (dz, dy) after row (z, y) in scan order that hold 26-neighbours of its voxels.
+_FORWARD_ROWS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """26-connected components of a 3-D mask, numbered 1, 2, ... in scan order.
+
+    Returns the int32 label array and the number of components.
+
+    The mask is cut into runs along x, numbered in scan order. Two runs
+    touch when their rows are 26-neighbours and their x ranges overlap
+    once one is widened by a voxel on each side, so each run's
+    neighbours in a forward row are a contiguous range of run numbers,
+    read off prefix counts of run starts and run ends. Every pair joins
+    a later run to an earlier one, so the first union hooks each run
+    under the earliest run it touches. A union-find then points every
+    run at its root and hooks the larger of two roots under the smaller,
+    until no pair has two roots. Each root is then the smallest run
+    number of its component, whose first voxel in scan order is the
+    component's, so ranking the roots numbers the components in scan
+    order.
+    """
+    nz, ny, nx = mask.shape
+    # An empty row before and after each slice's rows, and an empty slice
+    # after the last, give every run all four forward rows.
+    padded = np.zeros((nz + 1, ny + 2, nx), dtype=bool)
+    padded[:nz, 1 : ny + 1] = mask
+    rows = padded.reshape(-1, nx)
+    first = rows.copy()
+    first[:, 1:] &= ~rows[:, :-1]
+    last = rows.copy()
+    last[:, :-1] &= ~rows[:, 1:]
+    index = np.int32 if rows.size < 2**31 else np.int64
+    # Runs started at or before each flat position, and runs ended before it.
+    started = np.cumsum(first.ravel(), dtype=index)
+    ended = np.concatenate((np.zeros(1, index), np.cumsum(last.ravel(), dtype=index)))
+    n_runs = int(started[-1])
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    if n_runs == 0:
+        return labels, 0
+    start = np.flatnonzero(first).astype(index)
+    stop = np.flatnonzero(last).astype(index) + 1
+    # The run widened by a voxel on each side, within its row.
+    left = start - (start % nx != 0)
+    right = stop - (stop % nx == 0)
+
+    runs = np.arange(n_runs, dtype=index)
+    pairs_a, pairs_b = [], []
+    for dz, dy in _FORWARD_ROWS:
+        offset = (dz * (ny + 2) + dy) * nx
+        lo = ended[left + offset]
+        count = started[right + offset] - lo
+        pairs_a.append(np.repeat(runs, count))
+        # Run i's pairs sit at block_start[i] onwards and name lo[i], lo[i] + 1, ...
+        block_start = np.cumsum(count, dtype=index) - count
+        pairs_b.append(np.repeat(lo - block_start, count) + np.arange(pairs_a[-1].size, dtype=index))
+    a, b = np.concatenate(pairs_a), np.concatenate(pairs_b)
+    parent = runs.copy()
+    np.minimum.at(parent, b, a)
+    while True:
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        root_a, root_b = parent[a], parent[b]
+        differ = root_a != root_b
+        if not differ.any():
+            break
+        a, b, root_a, root_b = a[differ], b[differ], root_a[differ], root_b[differ]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+    rank = np.cumsum(parent == runs, dtype=np.int32)
+    labels[mask] = np.repeat(rank[parent], stop - start)
+    return labels, int(rank[-1])
+
+
+def _drop_small_components(mask: np.ndarray, min_voxels: int) -> np.ndarray:
     # Every component lies inside the bounding box, and labels are
     # numbered in scan order, which the box keeps.
     box = bounding_box(mask)
     if box is None:
         return mask
-    labeled, _ = ndimage.label(mask[box], structure=_CONN26)
+    labeled, _ = _label(mask[box])
     sizes = np.bincount(labeled.ravel())
     keep = sizes >= min_voxels
     keep[0] = False
@@ -185,9 +284,15 @@ def segment_breast(
 
     ``body`` is the subject's ``body_mask(pre)`` and ``planes`` its
     ``chest_wall_planes(body)``. Applies morphological
-    closing with a cubic structuring element and removes connected
+    closing with a cubic structuring element and removes 26-connected
     components below ``min_component_voxels``. Raises SegmentationError
     when nothing survives.
+
+    The closing (``_closing``) is a dilation then an erosion, each
+    done as shifted ORs or ANDs along z, y and x; that is exact because
+    the cubic element is the product of three segments. The components
+    come from run-based labelling (``_label``), whose sizes are exact
+    voxel counts.
 
     Both steps run on the candidate's bounding box, which is a small
     part of a clinical grid, and give the full-volume result exactly.
@@ -195,11 +300,10 @@ def segment_breast(
     dilation never reaches further than r past the candidate, so it
     fits in the box, and where the erosion's element crosses a face of
     the box it reads the zeros that lie beyond it in the full volume,
-    which is what ``border_value=0`` supplies. No component crosses the
-    labelling's box, and labels keep their scan order inside it.
+    which is what the closing reads beyond the grid. No component
+    crosses the labelling's box, and labels keep their scan order
+    inside it.
     """
-    from scipy import ndimage
-
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
     if not body.any():
@@ -208,12 +312,10 @@ def segment_breast(
     anterior = yy <= planes[:, None, None]
     candidate = body & anterior
     if config.morphology_radius > 0:
-        side = 2 * config.morphology_radius + 1
-        structure = np.ones((side, side, side), dtype=bool)
         # Never None: each slice's chest-wall row holds body voxels.
         box = bounding_box(candidate, config.morphology_radius)
         closed = np.zeros(candidate.shape, dtype=bool)
-        closed[box] = ndimage.binary_closing(candidate[box], structure=structure)
+        closed[box] = _closing(candidate[box], config.morphology_radius)
         candidate = closed
     candidate = _drop_small_components(candidate, config.min_component_voxels)
     if not candidate.any():
@@ -257,12 +359,13 @@ def segment_heart(
     (no enhancement anywhere, or a component below the size floor) is
     an error so callers can skip the subject explicitly.
 
-    Components are labelled on the candidates' bounding box only. That
-    is exact: no component crosses the box, and labels keep their scan
-    order inside it, so ties for the largest resolve as on the full grid.
+    Components are labelled by ``_label``, which numbers them in the
+    scan order of their first voxels, so a tie for the largest goes to
+    the component that comes first in scan order. They are labelled on
+    the candidates' bounding box only. That is exact: no component
+    crosses the box, and labels keep their scan order inside it, so ties
+    resolve as on the full grid.
     """
-    from scipy import ndimage
-
     if post1.dims != pre.dims:
         raise ValidationError("pre and post volumes disagree on dims")
     if body.shape != pre.data.shape:
@@ -277,7 +380,7 @@ def segment_heart(
     box = bounding_box(candidate)
     if box is None:
         raise SegmentationError("no heart candidates behind the chest wall")
-    labeled, _ = ndimage.label(candidate[box], structure=_CONN26)
+    labeled, _ = _label(candidate[box])
     sizes = np.bincount(labeled.ravel())
     sizes[0] = 0
     best = int(np.argmax(sizes))

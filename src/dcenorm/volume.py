@@ -42,6 +42,7 @@ if TYPE_CHECKING:
 VOLUME_DTYPE = "f32le"
 MASK_DTYPE = "u8"
 VOXEL_ORDER = "x-fastest"
+_ITEMSIZE = {VOLUME_DTYPE: 4, MASK_DTYPE: 1}
 
 # Tissue label codes used in masks. Background covers anything that is
 # none of the named tissues.
@@ -161,7 +162,23 @@ def volume_files(path: Path | str) -> tuple[Path, Path]:
     return Path(f"{base}.json"), Path(f"{base}.raw")
 
 
-def _load_pair(path: Path | str, expected_dtype: str):
+@dataclass(frozen=True)
+class Sidecar:
+    """A volume's checked sidecar: its grid, its modality tag and the path of its payload."""
+
+    dims: tuple[int, int, int]
+    spacing_mm: tuple[float, float, float]
+    modality_tag: str
+    payload_path: Path
+
+
+def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sidecar:
+    """Read and check the sidecar of the volume named by ``path``, and its payload's size, not its bytes.
+
+    Checks the dims, the spacing, the dtype (which must be ``expected_dtype``)
+    and the voxel order, and that the payload holds exactly the bytes the dims
+    require. Only the checks on voxel values are left to the loaders.
+    """
     sidecar_path, payload_path = volume_files(path)
     for p in (sidecar_path, payload_path):
         if not p.exists():
@@ -182,8 +199,10 @@ def _load_pair(path: Path | str, expected_dtype: str):
     ):
         raise VolumeFormatError(f"sidecar dims must be 3 positive integers, got {dims!r}", path=sidecar_path)
     spacing = sidecar.get("spacing_mm")
-    if not isinstance(spacing, list) or len(spacing) != 3 or not all(is_number(s) for s in spacing):
-        raise VolumeFormatError(f"sidecar spacing_mm must be 3 finite numbers, got {spacing!r}", path=sidecar_path)
+    if not isinstance(spacing, list) or len(spacing) != 3 or not all(is_number(s) and s > 0 for s in spacing):
+        raise VolumeFormatError(
+            f"sidecar spacing_mm must be 3 positive finite numbers, got {spacing!r}", path=sidecar_path
+        )
     dtype = sidecar.get("dtype")
     if dtype != expected_dtype:
         raise UnsupportedDtypeError(
@@ -193,18 +212,14 @@ def _load_pair(path: Path | str, expected_dtype: str):
     if order != VOXEL_ORDER:
         raise VolumeFormatError(f"unsupported voxel order {order!r}", path=sidecar_path)
 
-    itemsize = 4 if dtype == VOLUME_DTYPE else 1
     nx, ny, nz = dims
-    expected_bytes = nx * ny * nz * itemsize
-    payload = payload_path.read_bytes()
-    if len(payload) != expected_bytes:
-        raise PayloadSizeError(
-            f"payload is {len(payload)} bytes, dims {dims} require {expected_bytes}",
-            path=payload_path,
-        )
-    np_dtype = "<f4" if dtype == VOLUME_DTYPE else np.uint8
-    flat = np.frombuffer(payload, dtype=np_dtype)
-    return sidecar, flat, dims, spacing, payload_path
+    expected_bytes = nx * ny * nz * _ITEMSIZE[dtype]
+    size = payload_path.stat().st_size
+    if size != expected_bytes:
+        raise PayloadSizeError(f"payload is {size} bytes, dims {dims} require {expected_bytes}", path=payload_path)
+    return Sidecar(
+        (nx, ny, nz), tuple(float(s) for s in spacing), str(sidecar.get("modality_tag", "")), payload_path
+    )
 
 
 def _save_pair(path: Path | str, grid: Volume | TissueMask, dtype: str, payload: bytes, **extra) -> Path:
@@ -224,12 +239,12 @@ def _save_pair(path: Path | str, grid: Volume | TissueMask, dtype: str, payload:
 
 def load_volume(path: Path | str) -> Volume:
     """Load an intensity volume from its sidecar/payload pair."""
-    sidecar, flat, dims, spacing, payload_path = _load_pair(path, VOLUME_DTYPE)
-    tag = str(sidecar.get("modality_tag", ""))
+    sidecar = read_sidecar(path, VOLUME_DTYPE)
     try:
-        return Volume.from_flat(flat, dims, spacing, tag)
+        flat = np.frombuffer(sidecar.payload_path.read_bytes(), dtype="<f4")
+        return Volume.from_flat(flat, sidecar.dims, sidecar.spacing_mm, sidecar.modality_tag)
     except NonFiniteDataError as exc:
-        raise NonFiniteDataError(str(exc), path=payload_path) from exc
+        raise NonFiniteDataError(str(exc), path=sidecar.payload_path) from exc
 
 
 def save_volume(volume: Volume, path: Path | str) -> Path:
@@ -238,27 +253,32 @@ def save_volume(volume: Volume, path: Path | str) -> Path:
 
 
 def load_mask(path: Path | str) -> TissueMask:
-    _, flat, dims, spacing, payload_path = _load_pair(path, MASK_DTYPE)
-    nx, ny, nz = dims
-    arr = flat.reshape(nz, ny, nx)
+    sidecar = read_sidecar(path, MASK_DTYPE)
+    nx, ny, nz = sidecar.dims
+    labels = np.frombuffer(sidecar.payload_path.read_bytes(), dtype=np.uint8).reshape(nz, ny, nx)
     try:
-        return TissueMask(arr, tuple(spacing))
+        return TissueMask(labels, sidecar.spacing_mm)
     except MaskError as exc:
-        raise MaskError(str(exc), path=payload_path) from exc
+        raise MaskError(str(exc), path=sidecar.payload_path) from exc
+
+
+def check_mask_grid(path: Path | str, mask, series) -> None:
+    """Raise MaskError, naming ``path``, unless ``mask`` has the dims and spacing of ``series``.
+
+    Either may be anything with ``dims`` and ``spacing_mm``: a loaded grid or a ``Sidecar``.
+    """
+    if mask.dims != series.dims:
+        raise MaskError(f"mask dims {mask.dims} do not match series dims {series.dims}", path=path)
+    if mask.spacing_mm != series.spacing_mm:
+        raise MaskError(
+            f"mask spacing {mask.spacing_mm} does not match series spacing {series.spacing_mm}", path=path
+        )
 
 
 def load_external_mask(path: Path | str, series: StudySeries) -> TissueMask:
     """Load a mask file and check it matches the series geometry."""
     mask = load_mask(path)
-    if mask.dims != series.dims:
-        raise MaskError(
-            f"mask dims {mask.dims} do not match series dims {series.dims}", path=path
-        )
-    if mask.spacing_mm != series.spacing_mm:
-        raise MaskError(
-            f"mask spacing {mask.spacing_mm} does not match series spacing {series.spacing_mm}",
-            path=path,
-        )
+    check_mask_grid(path, mask, series)
     return mask
 
 

@@ -378,7 +378,10 @@ class TestErrorPaths:
         (lambda row: row + ["1"], "field count"),
         (lambda row: row[:16] + ["yes"] + row[17:], "denoised"),
         (lambda row: row[:17] + ["2"], "normalized"),
-    ], ids=["non-numeric", "short-row", "long-row", "denoised-flag", "normalized-flag"])
+        (lambda row: row[:3] + ["nan"] + row[4:], "F3"),
+        (lambda row: row[:4] + ["inf"] + row[5:], "F4"),
+        (lambda row: row[:1] + ["-Infinity"] + row[2:], "F1"),
+    ], ids=["non-numeric", "short-row", "long-row", "denoised-flag", "normalized-flag", "nan", "inf", "minus-infinity"])
     def test_malformed_feature_rows_named(self, pipeline, tmp_path, capsys, edit, column):
         rows = list(csv.reader((pipeline / "before.csv").read_text().splitlines()))
         rows[2] = edit(rows[2])
@@ -420,6 +423,36 @@ class TestErrorPaths:
         assert err.startswith("error[validation]:") and len(err.splitlines()) == 1
         assert repr(column) in err and str(bad) in err
         assert not (tmp_path / "auc.csv").exists()
+
+    @pytest.mark.parametrize("which", ["manifest", "manifest-after"])
+    def test_manifest_entry_errors_name_the_manifest(self, pipeline, tmp_path, capsys, which):
+        """evaluate reads two manifests, so an entry's error must say which one it is in."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"subject_id": "s0"}]))
+        files = {"manifest": pipeline / "seg" / "manifest.json", "manifest-after": pipeline / "norm" / "manifest.json",
+                 which: bad}
+        rc = main(["evaluate", "--before", str(pipeline / "before.csv"), "--after", str(pipeline / "after.csv"),
+                   "--manifest", str(files["manifest"]), "--manifest-after", str(files["manifest-after"]),
+                   "--group-by", "te", "--out", str(tmp_path / "report.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]: entry 0 is missing required keys") and len(err.splitlines()) == 1
+        assert err.rstrip().endswith(f"[{bad}]")
+
+    @pytest.mark.parametrize("volume, keys, payload, message", [
+        ("mask", {"dims": [8, 8, 8]}, lambda payload: bytes(8 * 8 * 8), "mask dims"),
+        ("mask", {"spacing_mm": [9.0, 9.0, 9.0]}, lambda payload: payload, "mask spacing"),
+        ("post2", {"spacing_mm": [9.0, 9.0, 9.0]}, lambda payload: payload, "disagree on dims or spacing"),
+    ], ids=["mask-dims", "mask-spacing", "post2-spacing"])
+    def test_segment_checks_grids_from_the_sidecars(self, pipeline, tmp_path, capsys, volume, keys, payload, message):
+        def edit(sidecar):
+            sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **keys)))
+
+        manifest = _damaged_subject(pipeline, tmp_path, volume, payload, sidecar=edit)
+        rc = main(["segment", "--manifest", str(manifest), "--out-dir", str(tmp_path / "seg"), "--jobs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and message in err and len(err.splitlines()) == 1
 
     def test_dense_threshold_method_is_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -574,7 +607,7 @@ def _run_process(args) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("module", ["dcenorm", "dcenorm.cli"])
 def test_import_does_not_load_scipy_ndimage(module):
-    """Only classical segmentation needs scipy.ndimage, so no subcommand's start-up pays for it."""
+    """The program needs no scipy.ndimage, so no subcommand's start-up pays for it."""
     done = _run_process(["-c", f"import sys, {module}; sys.exit('scipy.ndimage' in sys.modules)"])
     assert done.returncode == 0, done.stderr or f"importing {module} loaded scipy.ndimage"
 
@@ -586,6 +619,94 @@ def test_segment_copying_masks_does_not_load_scipy_ndimage(pipeline, tmp_path):
                                f"'--out-dir', {str(tmp_path)!r}, '--jobs', '2']); "
                                "sys.exit(rc or 3 * ('scipy.ndimage' in sys.modules))"])
     assert done.returncode == 0, done.stderr or "segment loaded scipy.ndimage without running it"
+
+
+def test_segment_runs_without_scipy(pipeline, tmp_path):
+    """With scipy unimportable, classical segmentation writes the masks of the fixture's run, byte for byte."""
+    manifest = pipeline / "data" / "manifest_nomask.json"
+    done = _run_process(["-c", "import sys; sys.modules['scipy'] = None; from dcenorm.cli import main; "
+                               f"sys.exit(main(['segment', '--manifest', {str(manifest)!r}, "
+                               f"'--out-dir', {str(tmp_path)!r}, '--jobs', '2']))"])
+    assert done.returncode == 0, done.stderr
+    written = sorted(p.name for p in tmp_path.glob("*_mask.*"))
+    assert len(written) == 2 * len(SUBJECTS)
+    assert written == sorted(p.name for p in (pipeline / "seg").glob("*_mask.*"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (pipeline / "seg" / name).read_bytes(), name
+
+
+def _damaged_subject(pipeline, directory: Path, volume: str, payload, sidecar=None, with_mask=True) -> Path:
+    """A one-subject manifest in ``directory`` for the cohort's A000, whose ``volume`` ("post2" or
+    "mask") is a copy there with its payload bytes passed through ``payload`` and its sidecar file,
+    if given, through ``sidecar``. Returns the manifest's path."""
+    data = pipeline / "data"
+    record = _absolute_paths(json.loads((data / "manifest.json").read_text())[0], data)
+    source = Path(record["posts"][1] if volume == "post2" else record["mask"])
+    copy = directory / f"A000_{volume}"
+    (directory / f"{copy.name}.json").write_bytes(source.read_bytes())
+    (directory / f"{copy.name}.raw").write_bytes(payload(source.with_suffix(".raw").read_bytes()))
+    if sidecar is not None:
+        sidecar(directory / f"{copy.name}.json")
+    if volume == "post2":
+        record["posts"][1] = f"{copy}.json"
+    else:
+        record["mask"] = f"{copy}.json"
+    if not with_mask:
+        del record["mask"]
+    (directory / "manifest.json").write_text(json.dumps([record]))
+    return directory / "manifest.json"
+
+
+def _nan_first_voxel(payload: bytes) -> bytes:
+    values = np.frombuffer(payload, "<f4").copy()
+    values[0] = np.nan
+    return values.tobytes()
+
+
+@pytest.mark.parametrize("with_mask", [True, False], ids=["mask-given", "mask-less"])
+def test_segment_leaves_a_nan_voxel_in_post2_to_the_stages_that_read_it(pipeline, tmp_path, with_mask):
+    """segment checks post2's sidecar and payload size only; the classical chain reads pre and post1."""
+    manifest = _damaged_subject(pipeline, tmp_path, "post2", _nan_first_voxel, with_mask=with_mask)
+    rc, err = _launch(["segment", "--manifest", str(manifest), "--out-dir", str(tmp_path / "seg"), "--jobs", "1"])
+    assert (rc, err) == (0, "")
+    assert load_manifest(tmp_path / "seg" / "manifest.json").subject_ids() == ["A000"]
+
+
+@pytest.mark.parametrize("stage", ["train", "normalize", "features"])
+def test_nan_voxel_in_post2_fails_after_segment(pipeline, tmp_path, stage):
+    manifest = _damaged_subject(pipeline, tmp_path, "post2", _nan_first_voxel)
+    assert main(["segment", "--manifest", str(manifest), "--out-dir", str(tmp_path / "seg"), "--jobs", "1"]) == 0
+    argv = {
+        "train": ["train", "--out", str(tmp_path / "model.json")],
+        "normalize": ["normalize", "--model", str(pipeline / "model.json"), "--out-dir", str(tmp_path / "norm")],
+        "features": ["features", "--out", str(tmp_path / "f.csv")],
+    }[stage]
+    rc, err = _launch([*argv, "--manifest", str(tmp_path / "seg" / "manifest.json"), "--jobs", "1"])
+    assert rc == 1
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error[validation]: volume contains NaN or infinite values") and "A000_post2.raw" in err
+
+
+def test_illegal_mask_label_fails_after_segment(pipeline, tmp_path):
+    """Mask labels are voxel values too: segment references the mask, train rejects it."""
+    manifest = _damaged_subject(pipeline, tmp_path, "mask", lambda payload: b"\x09" + payload[1:])
+    assert main(["segment", "--manifest", str(manifest), "--out-dir", str(tmp_path / "seg"), "--jobs", "1"]) == 0
+    rc, err = _launch(["train", "--manifest", str(tmp_path / "seg" / "manifest.json"),
+                       "--out", str(tmp_path / "model.json"), "--jobs", "1"])
+    assert rc == 1
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error[validation]: illegal label value 9") and "A000_mask.raw" in err
+
+
+@pytest.mark.parametrize("volume, with_mask", [("post2", True), ("post2", False), ("mask", True)],
+                         ids=["post2-mask-given", "post2-mask-less", "mask"])
+def test_truncated_payload_fails_at_segment(pipeline, tmp_path, volume, with_mask):
+    manifest = _damaged_subject(pipeline, tmp_path, volume, lambda payload: payload[:-1], with_mask=with_mask)
+    rc, err = _launch(["segment", "--manifest", str(manifest), "--out-dir", str(tmp_path / "seg"), "--jobs", "1"])
+    assert rc == 1
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error[validation]: payload is ") and f"A000_{volume}.raw" in err
+    assert not (tmp_path / "seg" / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------

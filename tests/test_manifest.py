@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 
 from dcenorm import (
+    MaskError,
     ManifestError,
     MissingInputError,
+    NonFiniteDataError,
+    PayloadSizeError,
     StudySeries,
+    TissueMask,
     ValidationError,
     load_manifest,
     load_series,
+    save_mask,
     save_volume,
 )
+from dcenorm.manifest import check_subject_grids
 
 from helpers import vol
 
@@ -182,3 +188,42 @@ class TestLoadSeries:
         v = vol(np.zeros((1, 1, 1)))
         with pytest.raises(ValidationError):
             StudySeries("s1", v, (), 1.8, 4.0, 1.5)
+
+
+class TestCheckSubjectGrids:
+    def entry(self, directory, **extra):
+        return load_manifest(write_manifest(directory, [record("s1", posts=["post1", "post2"], **extra)])).entries[0]
+
+    def test_voxel_values_are_left_to_the_loaders(self, dataset):
+        (dataset / "post2.raw").write_bytes(np.full(4, np.nan, "<f4").tobytes())
+        entry = self.entry(dataset)
+        check_subject_grids(entry)
+        with pytest.raises(NonFiniteDataError):
+            load_series(entry)
+
+    def test_payload_size_checked(self, dataset):
+        (dataset / "post2.raw").write_bytes(bytes(12))
+        with pytest.raises(PayloadSizeError, match="12 bytes"):
+            check_subject_grids(self.entry(dataset))
+
+    def test_series_grids_must_agree(self, dataset):
+        save_volume(vol(np.zeros((1, 2, 2)), spacing=(2, 2, 2)), dataset / "post2")
+        with pytest.raises(ValidationError, match="dims or spacing"):
+            check_subject_grids(self.entry(dataset))
+
+    @pytest.mark.parametrize("shape, spacing, message", [
+        ((1, 2, 3), (1.0, 1.0, 1.0), "mask dims"),
+        ((1, 2, 2), (1.0, 1.0, 3.0), "mask spacing"),
+    ])
+    def test_mask_grid_must_match(self, dataset, shape, spacing, message):
+        save_mask(TissueMask(np.zeros(shape, np.uint8), spacing), dataset / "mask")
+        with pytest.raises(MaskError, match=message) as info:
+            check_subject_grids(self.entry(dataset, mask="mask"))
+        assert str(dataset / "mask") in str(info.value)
+
+
+def test_entry_errors_name_the_manifest(dataset):
+    path = write_manifest(dataset, [record("s1", label=2)])
+    with pytest.raises(ManifestError, match="label") as info:
+        load_manifest(path)
+    assert str(info.value).endswith(f"[{path}]")

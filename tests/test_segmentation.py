@@ -19,7 +19,9 @@ from dcenorm import (
     save_mask,
 )
 from dcenorm.segmentation import (
+    _closing,
     _drop_small_components,
+    _label,
     assemble_mask,
     body_mask,
     chest_wall_planes,
@@ -396,6 +398,61 @@ class TestBoundingBoxCrops:
         pre, post = vol(np.zeros(body.shape)), vol(sub)
         got = outcome(segment_heart, pre, post, body, chest_wall_planes(body), cfg)
         assert_same_outcome(got, outcome(full_volume_segment_heart, pre, post, body, cfg))
+
+
+@st.composite
+def kernel_masks(draw):
+    """``masks()``, or one of the patterns that stress the run-based
+    labelling: all voxels on, a 3-D checkerboard (every component touches
+    its neighbours only at edges and corners), or stripes along x."""
+    kind = draw(st.sampled_from(["masks", "full", "checkerboard", "stripes"]))
+    if kind == "masks":
+        return draw(masks())
+    shape = draw(st.tuples(*[st.integers(1, 12)] * 3))
+    if kind == "full":
+        return np.ones(shape, dtype=bool)
+    z, y, x = np.indices(shape)
+    phase = draw(st.integers(0, 1))
+    if kind == "checkerboard":
+        return (z + y + x) % 2 == phase
+    return (x + phase) % draw(st.integers(2, 4)) == 0
+
+
+class TestMorphologyKernels:
+    """The numpy closing and labelling against scipy.ndimage, which the program does not import."""
+
+    @given(kernel_masks(), st.integers(0, 2))
+    @example(np.zeros((1, 1, 1), bool), 1)
+    @example(np.ones((1, 5, 7), bool), 1)
+    @example(np.ones((3, 1, 9), bool), 2)
+    @example(np.ones((5, 5, 5), bool), 2)
+    def test_closing_matches_ndimage(self, mask, radius):
+        before = mask.copy()
+        side = 2 * radius + 1
+        want = ndimage.binary_closing(mask, structure=np.ones((side,) * 3, bool), border_value=0)
+        assert np.array_equal(_closing(mask, radius), want)
+        assert np.array_equal(mask, before)
+
+    @given(kernel_masks())
+    @example(np.zeros((1, 1, 1), bool))
+    @example(np.ones((1, 1, 1), bool))
+    @example(np.ones((1, 1, 9), bool))
+    @example(np.eye(6, dtype=bool)[None])
+    @example(np.eye(6, dtype=bool)[:, :, None])
+    def test_label_matches_ndimage(self, mask):
+        want, n = ndimage.label(mask, structure=CONN26)
+        got, count = _label(mask)
+        assert count == n
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(9, 40, 70), (30, 17, 3), (4, 3, 130)])
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.9])
+    def test_label_matches_ndimage_on_larger_masks(self, shape, density):
+        """Many runs per row and many rows, so run numbers and prefix counts cross row ends."""
+        mask = np.random.default_rng(7).random(shape) < density
+        want, n = ndimage.label(mask, structure=CONN26)
+        got, count = _label(mask)
+        assert count == n and np.array_equal(got, want)
 
 
 class TestAssembleMask:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from dcenorm import (
     save_mask,
     save_volume,
 )
-from dcenorm.volume import base_path, nearest_rank_index
+from dcenorm.volume import MASK_DTYPE, base_path, nearest_rank_index, read_sidecar
 
 from helpers import flat_vol, mask_of, vol
 
@@ -111,6 +112,29 @@ class TestVolumeIO:
         path = write_pair(tmp_path, "v", [1, 1, 1], f32_bytes([0]), spacing=spacing)
         with pytest.raises(VolumeFormatError, match="spacing_mm") as info:
             load_volume(path)
+        assert str(path) in str(info.value)
+
+    def test_read_sidecar_checks_the_payload_size_without_reading_it(self, tmp_path, monkeypatch):
+        path = write_pair(tmp_path, "v", [2, 2, 1], f32_bytes([1, 2, 3, np.nan]), spacing=(1, 2, 3), tag="pre")
+
+        def no_read(self):
+            raise AssertionError(f"read {self}")
+
+        monkeypatch.setattr(Path, "read_bytes", no_read)
+        sidecar = read_sidecar(path)
+        assert (sidecar.dims, sidecar.spacing_mm, sidecar.modality_tag) == ((2, 2, 1), (1.0, 2.0, 3.0), "pre")
+        assert sidecar.payload_path == tmp_path / "v.raw"
+        (tmp_path / "v.raw").write_bytes(f32_bytes([1, 2, 3]))
+        with pytest.raises(PayloadSizeError, match="12 bytes"):
+            read_sidecar(path)
+        with pytest.raises(UnsupportedDtypeError, match="u8"):
+            read_sidecar(path, MASK_DTYPE)
+
+    @pytest.mark.parametrize("spacing", [[0, 1, 1], [1, -2.5, 1]])
+    def test_non_positive_spacing_in_sidecar(self, tmp_path, spacing):
+        path = write_pair(tmp_path, "v", [1, 1, 1], f32_bytes([0]), spacing=spacing)
+        with pytest.raises(VolumeFormatError, match="spacing_mm") as info:
+            read_sidecar(path)
         assert str(path) in str(info.value)
 
     def test_sidecar_not_json(self, tmp_path):
