@@ -37,7 +37,7 @@ from .features import (
     washin_map,
     write_features_csv,
 )
-from .manifest import DatasetManifest, StudySeries, SubjectEntry, load_manifest, load_series
+from .manifest import StudySeries, SubjectEntry, load_manifest, load_series
 from .mapping import MappingFunction, apply_mapping, build_mapping, evaluate, export_mapping_curve
 from .model import NormalizationModel, load_model, rank_subjects, save_model, train_archetype
 from .phantom import GroupSpec, PhantomConfig, generate_phantom
@@ -60,7 +60,6 @@ __all__ = [
     "AnchorSet",
     "AnchorError",
     "ConfigError",
-    "DatasetManifest",
     "DcenormError",
     "DegenerateAnchorError",
     "FeatureVector",

@@ -15,9 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import AnchorError, ValidationError
+from .errors import AnchorError, MaskError, ValidationError
 from .manifest import StudySeries
-from .volume import AIR, DENSE, FAT, HEART, TissueMask, percentile
+from .volume import AIR, DENSE, FAT, HEART, TissueMask, check_same_grid, percentile
 
 TISSUES = ("air", "fat", "dense", "heart")
 
@@ -61,10 +61,7 @@ def extract_anchors(series: StudySeries, mask: TissueMask, heart_rule: str = "p9
     """
     if heart_rule not in HEART_RULES:
         raise ValidationError(f"unknown heart anchor rule {heart_rule!r}")
-    if mask.dims != series.dims:
-        raise ValidationError(
-            f"subject {series.subject_id}: mask dims {mask.dims} do not match series {series.dims}"
-        )
+    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", MaskError)
 
     counts: dict[str, int] = {}
     medians: dict[str, float] = {}

@@ -7,10 +7,12 @@ success, 1 on a validation failure, and 2 on an I/O failure (missing
 inputs, unwritable outputs); failures print exactly one line to stderr
 of the form ``error[validation]: ...`` or ``error[io]: ...``.
 
-An optional JSON config file tunes the pipeline via the sections
-``segmentation``, ``anchors``, ``features``, and ``evaluation``;
-command-line flags override config values. Unknown sections or keys
-are rejected by name.
+An optional JSON config file (``--config``) tunes the pipeline via the
+sections ``segmentation`` (read by ``segment``), ``anchors`` (``train``
+and ``normalize``), ``features`` (``features``) and ``evaluation``
+(``evaluate``); command-line flags override config values. Unknown
+sections or keys are rejected by name. ``phantom --config`` takes a
+phantom description instead, and ``auc`` takes no config.
 """
 
 from __future__ import annotations
@@ -177,10 +179,9 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_segment(args) -> int:
     cli_cfg = load_cli_config(args.config)
-    manifest = load_manifest(args.manifest)
+    entries = load_manifest(args.manifest)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = list(manifest)
     # Every subject's grids are checked here, from the sidecars; a mask the
     # manifest gives is then referenced, and only the others are segmented.
     for entry in entries:
@@ -202,7 +203,7 @@ def _cmd_segment(args) -> int:
     for sid, reason in skipped:
         log.warning("subject %s skipped: %s", sid, reason)
     atomic_write_json(out / "manifest.json", records)
-    log.info("segment: %d/%d subjects masked", len(records), len(manifest))
+    log.info("segment: %d/%d subjects masked", len(records), len(entries))
     return 0
 
 
@@ -210,22 +211,11 @@ def _cmd_train(args) -> int:
     cli_cfg = load_cli_config(args.config)
     manifest = load_manifest(args.manifest)
     job = partial(_anchor_job, heart_rule=cli_cfg.heart_rule)
-    anchor_sets = run_parallel(job, list(manifest), args.jobs)
+    anchor_sets = run_parallel(job, manifest, args.jobs)
     model = train_archetype(anchor_sets)
     save_model(model, args.out)
     if args.emit_anchors:
-        records = [
-            {
-                "subject_id": a.subject_id,
-                "v_air": a.v_air,
-                "v_fat": a.v_fat,
-                "v_dense": a.v_dense,
-                "v_heart": a.v_heart,
-                "source_counts": dict(a.source_counts),
-            }
-            for a in anchor_sets
-        ]
-        atomic_write_json(args.emit_anchors, records)
+        atomic_write_json(args.emit_anchors, [dataclasses.asdict(a) for a in anchor_sets])
     log.info("train: archetype %s from %d subjects", model.archetype_subject_id, len(anchor_sets))
     return 0
 
@@ -246,7 +236,7 @@ def _cmd_normalize(args) -> int:
         clamp_floor=cli_cfg.clamp_floor,
         mapping_dir=args.emit_mapping,
     )
-    records = run_parallel(job, list(manifest), args.jobs)
+    records = run_parallel(job, manifest, args.jobs)
     atomic_write_json(out / "manifest.json", records)
     log.info("normalize: %d subjects written to %s", len(records), out)
     return 0
@@ -258,7 +248,7 @@ def _cmd_features(args) -> int:
     manifest = load_manifest(args.manifest)
     radius = args.denoise_median if args.denoise_median is not None else cli_cfg.denoise_radius
     job = partial(_features_job, denoise_radius=radius, normalized=args.normalized)
-    rows = run_parallel(job, list(manifest), args.jobs)
+    rows = run_parallel(job, manifest, args.jobs)
     write_features_csv(args.out, rows)
     log.info("features: %d subjects -> %s", len(rows), args.out)
     return 0
@@ -319,8 +309,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub, jobs: bool = True):
-    sub.add_argument("--config", default=None, help="JSON config file")
+def _add_common(sub, jobs: bool = True, config: bool = True):
+    if config:
+        sub.add_argument("--config", default=None, help="JSON config file")
     sub.add_argument("-v", "--verbose", action="count", default=0)
     if jobs:
         sub.add_argument("--jobs", type=int, default=default_jobs(), help="worker processes")
@@ -379,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, jobs=False)
+    _add_common(p, jobs=False, config=False)
     p.set_defaults(func=_cmd_auc)
 
     return parser

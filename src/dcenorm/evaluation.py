@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .features import FEATURE_NAMES, FeatureVector
-from .manifest import DatasetManifest, load_subject
+from .manifest import SubjectEntry, load_subject
 from .volume import HEART, DENSE, FAT, TUMOR
 from .util import atomic_write_text
 
@@ -49,7 +49,7 @@ class GroupingSpec:
         return DEFAULT_THRESHOLDS[self.key]
 
 
-def _entry_value(entry, key: str) -> float:
+def _entry_value(entry: SubjectEntry, key: str) -> float:
     if key == "te":
         return entry.te_ms
     if key == "tr":
@@ -57,7 +57,7 @@ def _entry_value(entry, key: str) -> float:
     return entry.field_t
 
 
-def group_subjects(manifest: DatasetManifest, spec: GroupingSpec) -> dict[str, list[str]]:
+def group_subjects(manifest: tuple[SubjectEntry, ...], spec: GroupingSpec) -> dict[str, list[str]]:
     """Partition subject ids into {"low": [...], "high": [...]}.
 
     Values greater than or equal to the threshold go to the high group.
@@ -150,7 +150,7 @@ def _group_values(
     return np.asarray(vals, dtype=np.float64)
 
 
-def _tissue_intensity_summary(manifest: DatasetManifest) -> dict[str, dict[str, float]] | None:
+def _tissue_intensity_summary(manifest: tuple[SubjectEntry, ...]) -> dict[str, dict[str, float]] | None:
     """Mean/std of per-subject mean intensity (pre and first post) by tissue.
 
     Needs every subject to carry a mask; returns None otherwise.
@@ -177,12 +177,12 @@ def _tissue_intensity_summary(manifest: DatasetManifest) -> dict[str, dict[str, 
 
 
 def build_report(
-    manifest: DatasetManifest,
+    manifest: tuple[SubjectEntry, ...],
     features_before: list[FeatureVector],
     features_after: list[FeatureVector],
     spec: GroupingSpec,
     *,
-    manifest_after: DatasetManifest | None = None,
+    manifest_after: tuple[SubjectEntry, ...] | None = None,
 ) -> dict:
     """Assemble the evaluation report structure.
 
@@ -190,7 +190,7 @@ def build_report(
     for a feature is computed over subjects where it is present; a
     feature missing everywhere is reported with null statistics.
     """
-    ids = set(manifest.subject_ids())
+    ids = {entry.subject_id for entry in manifest}
     before = _feature_table(features_before)
     after = _feature_table(features_after)
     for label_, table in (("before", before), ("after", after)):

@@ -39,9 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import MaskError, ValidationError
 from .manifest import StudySeries
-from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, bounding_box, median_filter
+from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, median_filter
 from .util import atomic_write_text, binary_cell, read_csv_records
 
 log = logging.getLogger(__name__)
@@ -242,10 +242,7 @@ def extract_features(
     and unaffected. Features whose source labels are absent come back
     as None.
     """
-    if mask.dims != series.dims:
-        raise ValidationError(
-            f"subject {series.subject_id}: mask dims {mask.dims} do not match series {series.dims}"
-        )
+    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", MaskError)
 
     work = series
     if denoise_radius is not None:

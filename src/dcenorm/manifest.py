@@ -4,26 +4,29 @@ A manifest is a JSON array of subject records. Each record names the
 pre-contrast volume, an ordered list of post-contrast volumes, the
 acquisition parameters used for grouping, and optionally a tissue mask
 and a binary label. Paths are resolved relative to the manifest file's
-directory, so a dataset directory can be moved as a unit. A subject's
-entry is the only source of its mask; ``dcenorm segment`` writes a
-manifest that gives one for every subject.
+directory, so a dataset directory can be moved as a unit. A loaded
+manifest is its tuple of entries. A subject's entry is the only source
+of its mask and of its acquisition parameters; ``dcenorm segment``
+writes a manifest that gives a mask for every subject.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
-from typing import Iterator
 
-from .errors import ManifestError, MissingInputError, ValidationError
+from .errors import ManifestError, MaskError, MissingInputError, ValidationError
 from .util import is_number, json_object, read_json
 from .volume import (
-    MASK_DTYPE, TissueMask, Volume, check_mask_grid, load_external_mask, load_volume, read_sidecar, volume_files,
+    MASK_DTYPE, TissueMask, Volume, check_same_grid, load_external_mask, load_volume, read_sidecar, volume_files,
 )
 
 _REQUIRED_KEYS = {"subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"}
 _OPTIONAL_KEYS = {"mask", "label"}
+# Subject ids become file names and CSV cells: no path separator, CSV delimiter, quote or control character.
+_UNSAFE_ID_CHARS = re.compile(r'[/\\,"\x00-\x1f\x7f-\x9f]')
 
 
 @dataclass(frozen=True)
@@ -38,27 +41,6 @@ class SubjectEntry:
     label: int | None = None
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    entries: tuple[SubjectEntry, ...]
-    path: Path
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[SubjectEntry]:
-        return iter(self.entries)
-
-    def subject_ids(self) -> list[str]:
-        return [e.subject_id for e in self.entries]
-
-    def get(self, subject_id: str) -> SubjectEntry:
-        for entry in self.entries:
-            if entry.subject_id == subject_id:
-                return entry
-        raise ManifestError(f"unknown subject_id {subject_id!r}")
-
-
 def _parse_entry(record: object, index: int, path: Path) -> SubjectEntry:
     """One manifest record as an entry; errors name the manifest ``path``."""
     keys = _REQUIRED_KEYS | _OPTIONAL_KEYS
@@ -67,6 +49,11 @@ def _parse_entry(record: object, index: int, path: Path) -> SubjectEntry:
     subject_id = record["subject_id"]
     if not isinstance(subject_id, str) or not subject_id:
         raise ManifestError(f"entry {index}: subject_id must be a non-empty string", path=path)
+    if _UNSAFE_ID_CHARS.search(subject_id):
+        raise ManifestError(
+            f"entry {index}: subject_id {subject_id!r} may not contain '/', '\\', ',', '\"' or a control character",
+            path=path,
+        )
 
     posts = record["posts"]
     if not isinstance(posts, list) or len(posts) < 1:
@@ -107,8 +94,8 @@ def _parse_entry(record: object, index: int, path: Path) -> SubjectEntry:
     )
 
 
-def load_manifest(path: Path | str) -> DatasetManifest:
-    """Load and validate a manifest, checking referenced files exist."""
+def load_manifest(path: Path | str) -> tuple[SubjectEntry, ...]:
+    """Load and validate a manifest's entries, checking referenced files exist."""
     path = Path(path)
     data = read_json(path)
     if not isinstance(data, list):
@@ -121,12 +108,12 @@ def load_manifest(path: Path | str) -> DatasetManifest:
             raise ManifestError(f"duplicate subject_id {entry.subject_id!r}", path=path)
         seen.add(entry.subject_id)
         entries.append(entry)
-    return DatasetManifest(entries=tuple(entries), path=path)
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
 class StudySeries:
-    """One subject's loaded volumes plus acquisition metadata.
+    """One subject's loaded volumes, all on one grid; its acquisition parameters stay on its entry.
 
     ``posts[0]`` is the first post-contrast volume; the heart anchor and
     all post-contrast intensity features are defined on it.
@@ -135,14 +122,12 @@ class StudySeries:
     subject_id: str
     pre: Volume
     posts: tuple[Volume, ...]
-    te_ms: float
-    tr_ms: float
-    field_t: float
 
     def __post_init__(self):
         if len(self.posts) < 1:
             raise ValidationError(f"subject {self.subject_id}: series needs at least one post volume")
-        _check_series_grid(self.subject_id, self.pre, self.posts)
+        for i, post in enumerate(self.posts):
+            check_same_grid(post, self.pre, f"subject {self.subject_id}: post{i + 1} and pre", ValidationError)
 
     @property
     def volumes(self) -> tuple[Volume, ...]:
@@ -157,12 +142,6 @@ class StudySeries:
         return self.pre.spacing_mm
 
 
-def _check_series_grid(subject_id: str, pre, posts) -> None:
-    """Raise unless every post has the dims and spacing of ``pre``; volumes or their ``Sidecar``s."""
-    if any(post.dims != pre.dims or post.spacing_mm != pre.spacing_mm for post in posts):
-        raise ValidationError(f"subject {subject_id}: series volumes disagree on dims or spacing")
-
-
 def check_subject_grids(entry: SubjectEntry) -> None:
     """Check from the sidecars that the entry's volumes, and the mask it gives, share one grid.
 
@@ -170,10 +149,14 @@ def check_subject_grids(entry: SubjectEntry) -> None:
     voxel values (finite intensities, known mask labels) are left to the
     stages that load the volumes.
     """
+    sid = entry.subject_id
     pre = read_sidecar(entry.pre)
-    _check_series_grid(entry.subject_id, pre, [read_sidecar(post) for post in entry.posts])
+    posts = [read_sidecar(post) for post in entry.posts]
+    for i, (post, path) in enumerate(zip(posts, entry.posts)):
+        check_same_grid(post, pre, f"subject {sid}: post{i + 1} and pre", ValidationError, path)
     if entry.mask is not None:
-        check_mask_grid(entry.mask, read_sidecar(entry.mask, MASK_DTYPE), pre)
+        mask = read_sidecar(entry.mask, MASK_DTYPE)
+        check_same_grid(mask, pre, f"subject {sid}: mask and series", MaskError, entry.mask)
 
 
 def load_series(entry: SubjectEntry) -> StudySeries:
@@ -181,9 +164,6 @@ def load_series(entry: SubjectEntry) -> StudySeries:
         subject_id=entry.subject_id,
         pre=load_volume(entry.pre),
         posts=tuple(load_volume(p) for p in entry.posts),
-        te_ms=entry.te_ms,
-        tr_ms=entry.tr_ms,
-        field_t=entry.field_t,
     )
 
 

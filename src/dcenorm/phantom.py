@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .manifest import DatasetManifest, load_manifest
+from .manifest import SubjectEntry, load_manifest
 from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, save_mask, save_volume
 from .util import atomic_write_json, atomic_write_text, is_number, json_object, read_json, run_parallel
 
@@ -309,8 +309,8 @@ def _generate_anatomy(job: tuple[PhantomConfig, str, int]) -> list[dict]:
     return entries
 
 
-def generate_phantom(cfg: PhantomConfig, out_dir: Path | str, jobs: int = 1) -> DatasetManifest:
-    """Write a full phantom dataset and return its loaded manifest.
+def generate_phantom(cfg: PhantomConfig, out_dir: Path | str, jobs: int = 1) -> tuple[SubjectEntry, ...]:
+    """Write a full phantom dataset and return its loaded manifest entries.
 
     Produces per subject a pre volume, n_posts post volumes, and a
     ground-truth mask, plus manifest.json and labels.csv. The manifest

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import SegmentationError, ValidationError
 from .manifest import StudySeries
 from .util import is_number
-from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, percentile
+from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, percentile
 
 log = logging.getLogger(__name__)
 
@@ -366,8 +366,7 @@ def segment_heart(
     crosses the box, and labels keep their scan order inside it, so ties
     resolve as on the full grid.
     """
-    if post1.dims != pre.dims:
-        raise ValidationError("pre and post volumes disagree on dims")
+    check_same_grid(post1, pre, "post1 and pre", ValidationError)
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
     sub = post1.data.astype(np.float64) - pre.data.astype(np.float64)

@@ -262,23 +262,23 @@ def load_mask(path: Path | str) -> TissueMask:
         raise MaskError(str(exc), path=sidecar.payload_path) from exc
 
 
-def check_mask_grid(path: Path | str, mask, series) -> None:
-    """Raise MaskError, naming ``path``, unless ``mask`` has the dims and spacing of ``series``.
+def check_same_grid(a, b, what: str, error: type, path: Path | str | None = None) -> None:
+    """Raise ``error`` (the caller's class) unless ``a`` and ``b`` have the same dims and spacing.
 
-    Either may be anything with ``dims`` and ``spacing_mm``: a loaded grid or a ``Sidecar``.
+    Either may be anything with ``dims`` and ``spacing_mm``: a loaded grid or a
+    ``Sidecar``. ``what`` names the pair, as in ``"subject A000: mask and series"``.
     """
-    if mask.dims != series.dims:
-        raise MaskError(f"mask dims {mask.dims} do not match series dims {series.dims}", path=path)
-    if mask.spacing_mm != series.spacing_mm:
-        raise MaskError(
-            f"mask spacing {mask.spacing_mm} does not match series spacing {series.spacing_mm}", path=path
+    if a.dims != b.dims or a.spacing_mm != b.spacing_mm:
+        raise error(
+            f"{what} are on different grids: dims {a.dims} and {b.dims}, spacing {a.spacing_mm} and {b.spacing_mm}",
+            path=path,
         )
 
 
 def load_external_mask(path: Path | str, series: StudySeries) -> TissueMask:
     """Load a mask file and check it matches the series geometry."""
     mask = load_mask(path)
-    check_mask_grid(path, mask, series)
+    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", MaskError, path)
     return mask
 
 

@@ -26,11 +26,11 @@ def mask_of(labels, spacing=UNIT):
     return TissueMask(np.asarray(labels, dtype=np.uint8), spacing)
 
 
-def series_of(pre, posts, subject_id="s0", te=1.8, tr=4.0, field=1.5, spacing=UNIT):
+def series_of(pre, posts, subject_id="s0", spacing=UNIT):
     """Series from plain arrays; all volumes share one shape and spacing."""
     pre_v = vol(pre, spacing)
     post_v = tuple(vol(p, spacing) for p in posts)
-    return StudySeries(subject_id, pre_v, post_v, te, tr, field)
+    return StudySeries(subject_id, pre_v, post_v)
 
 
 def anchor_set(subject_id, air, fat, dense, heart):

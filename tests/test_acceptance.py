@@ -72,7 +72,7 @@ def run_pipeline(cfg, out_dir, train_count=30):
     series = {e.subject_id: load_series(e) for e in manifest}
     masks = {e.subject_id: load_mask(e.mask) for e in manifest}
     anchors = {sid: extract_anchors(series[sid], masks[sid]) for sid in series}
-    train_ids = [e.subject_id for e in manifest.entries[:train_count]]
+    train_ids = [e.subject_id for e in manifest[:train_count]]
     model = train_archetype([anchors[sid] for sid in train_ids])
     normed = {
         sid: apply_mapping(build_mapping(anchors[sid], model), series[sid]) for sid in series
@@ -384,7 +384,7 @@ def test_runtime_budget_on_clinical_grid(tmp_path, announce):
     with gate(announce, "runtime-budget"):
         cfg = PhantomConfig(dims=(256, 256, 60), groups=(GroupSpec(name="A", n_subjects=1),))
         manifest = generate_phantom(cfg, tmp_path, jobs=1)
-        series = load_series(manifest.entries[0])
+        series = load_series(manifest[0])
 
         t0 = time.perf_counter()
         mask = classical_mask(series, SegmentationConfig())

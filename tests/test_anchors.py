@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcenorm import AnchorError, AnchorSet, ValidationError, extract_anchors
+from dcenorm import AnchorError, AnchorSet, MaskError, ValidationError, extract_anchors
 
 from helpers import anchor_set, labeled_scene, mask_of, series_of, vol
 
@@ -124,6 +124,12 @@ class TestExtractAnchors:
         small = mask_of(labels[:, :, :6])
         with pytest.raises(ValidationError, match="dims"):
             extract_anchors(series_of(pre, [pre]), small)
+
+    def test_mask_spacing_mismatch(self):
+        labels = labeled_scene(tumor=False)
+        pre = np.ones(labels.shape, dtype=np.float32)
+        with pytest.raises(MaskError, match="mask and series are on different grids"):
+            extract_anchors(series_of(pre, [pre]), mask_of(labels, (1.0, 1.0, 2.0)))
 
     def test_unknown_heart_rule(self):
         labels = labeled_scene(tumor=False)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,8 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcenorm
-from dcenorm import TissueMask, Volume, load_manifest, load_model, read_features_csv, save_mask, save_volume
+from dcenorm import (
+    TissueMask, Volume, extract_anchors, load_manifest, load_model, read_features_csv, save_mask, save_volume,
+)
 from dcenorm.cli import load_cli_config, main
+from dcenorm.manifest import load_subject
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -82,7 +86,7 @@ class TestPipeline:
     def test_phantom_outputs(self, pipeline):
         data = pipeline / "data"
         assert (data / "labels.csv").exists()
-        assert load_manifest(data / "manifest.json").subject_ids() == SUBJECTS
+        assert [e.subject_id for e in load_manifest(data / "manifest.json")] == SUBJECTS
 
     def test_segment_emits_masks_and_manifest(self, pipeline):
         seg = pipeline / "seg"
@@ -90,7 +94,7 @@ class TestPipeline:
             assert (seg / f"{sid}_mask.json").exists()
             assert (seg / f"{sid}_mask.raw").exists()
         manifest = load_manifest(seg / "manifest.json")
-        assert manifest.subject_ids() == SUBJECTS
+        assert [e.subject_id for e in manifest] == SUBJECTS
         assert all(entry.mask is not None for entry in manifest)
 
     def test_train_outputs(self, pipeline):
@@ -99,11 +103,14 @@ class TestPipeline:
         anchors = json.loads((pipeline / "anchors.json").read_text())
         assert [a["subject_id"] for a in anchors] == SUBJECTS
         assert all(a["v_fat"] > a["v_air"] for a in anchors)
+        for record, entry in zip(anchors, load_manifest(pipeline / "seg" / "manifest.json")):
+            expected = dataclasses.asdict(extract_anchors(*load_subject(entry)))
+            assert list(record.items()) == list(expected.items())
 
     def test_normalize_outputs_load_as_manifest(self, pipeline):
         manifest = load_manifest(pipeline / "norm" / "manifest.json")
-        assert manifest.subject_ids() == SUBJECTS
-        entry = manifest.get("A000")
+        assert [e.subject_id for e in manifest] == SUBJECTS
+        entry = manifest[SUBJECTS.index("A000")]
         assert len(entry.posts) == 3 and entry.mask is not None
 
     def test_segment_references_manifest_masks(self, pipeline):
@@ -245,6 +252,36 @@ class TestErrorPaths:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[validation]:")
 
+    @pytest.mark.parametrize("config", [None, '{"typo_section": {}}'], ids=["missing", "unknown-section"])
+    def test_auc_takes_no_config(self, pipeline, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        if config is not None:
+            cfg.write_text(config)
+        out = tmp_path / "auc.csv"
+        rc = main(["auc", "--features", str(pipeline / "before.csv"), "--labels", str(pipeline / "data" / "labels.csv"),
+                   "--out", str(out), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "--config" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subject_id, argv", [
+        ("../escaped/A0", ["normalize", "--model", "{root}/model.json", "--out-dir", "{tmp}/out/norm"]),
+        ("B,0", ["features", "--out", "{tmp}/out/f.csv"]),
+    ], ids=["path", "comma"])
+    def test_unsafe_subject_id_writes_nothing(self, pipeline, tmp_path, capsys, subject_id, argv):
+        seg = pipeline / "seg"
+        records = [_absolute_paths(rec, seg) for rec in json.loads((seg / "manifest.json").read_text())]
+        records[0]["subject_id"] = subject_id
+        (tmp_path / "manifest.json").write_text(json.dumps(records))
+        argv = [a.format(tmp=tmp_path, root=pipeline) for a in argv]
+        rc = main([*argv, "--manifest", str(tmp_path / "manifest.json"), "--jobs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]: entry 0: subject_id") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
 
@@ -335,7 +372,7 @@ class TestErrorPaths:
         rc = main(["segment", "--manifest", str(tmp_path / "manifest.json"),
                    "--out-dir", str(tmp_path / "seg"), "--jobs", "1"])
         assert rc == 0
-        assert load_manifest(tmp_path / "seg" / "manifest.json").subject_ids() == [good["subject_id"]]
+        assert [e.subject_id for e in load_manifest(tmp_path / "seg" / "manifest.json")] == [good["subject_id"]]
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 1 and messages[0].startswith("subject c0 skipped: "), messages
 
@@ -440,9 +477,9 @@ class TestErrorPaths:
         assert err.rstrip().endswith(f"[{bad}]")
 
     @pytest.mark.parametrize("volume, keys, payload, message", [
-        ("mask", {"dims": [8, 8, 8]}, lambda payload: bytes(8 * 8 * 8), "mask dims"),
-        ("mask", {"spacing_mm": [9.0, 9.0, 9.0]}, lambda payload: payload, "mask spacing"),
-        ("post2", {"spacing_mm": [9.0, 9.0, 9.0]}, lambda payload: payload, "disagree on dims or spacing"),
+        ("mask", {"dims": [8, 8, 8]}, lambda payload: bytes(8 * 8 * 8), "mask and series are on different grids"),
+        ("mask", {"spacing_mm": [9.0, 9.0, 9.0]}, lambda payload: payload, "mask and series are on different grids"),
+        ("post2", {"spacing_mm": [9.0, 9.0, 9.0]}, lambda payload: payload, "post2 and pre are on different grids"),
     ], ids=["mask-dims", "mask-spacing", "post2-spacing"])
     def test_segment_checks_grids_from_the_sidecars(self, pipeline, tmp_path, capsys, volume, keys, payload, message):
         def edit(sidecar):
@@ -479,7 +516,7 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "report.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error[validation]:") and "mask dims" in err
+        assert err.startswith("error[validation]:") and "mask and series are on different grids" in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("config, key", [
@@ -669,7 +706,7 @@ def test_segment_leaves_a_nan_voxel_in_post2_to_the_stages_that_read_it(pipeline
     manifest = _damaged_subject(pipeline, tmp_path, "post2", _nan_first_voxel, with_mask=with_mask)
     rc, err = _launch(["segment", "--manifest", str(manifest), "--out-dir", str(tmp_path / "seg"), "--jobs", "1"])
     assert (rc, err) == (0, "")
-    assert load_manifest(tmp_path / "seg" / "manifest.json").subject_ids() == ["A000"]
+    assert [e.subject_id for e in load_manifest(tmp_path / "seg" / "manifest.json")] == ["A000"]
 
 
 @pytest.mark.parametrize("stage", ["train", "normalize", "features"])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dcenorm import (
-    DatasetManifest,
     FeatureVector,
     GroupingSpec,
     SubjectEntry,
@@ -32,10 +31,6 @@ def entry(sid, te=1.8, tr=4.0, field=1.5, label=None):
     )
 
 
-def manifest_of(entries):
-    return DatasetManifest(entries=tuple(entries), path=Path("manifest.json"))
-
-
 def feature_row(sid, value=1.0, **overrides):
     values = {name: float(value) for name in FEATURE_NAMES}
     values.update(overrides)
@@ -56,18 +51,18 @@ class TestGrouping:
         assert GroupingSpec("te", threshold=1.0).cut == 1.0
 
     def test_split_around_default_te(self):
-        manifest = manifest_of([entry("a", te=1.5), entry("b", te=2.5)])
+        manifest = tuple([entry("a", te=1.5), entry("b", te=2.5)])
         groups = group_subjects(manifest, GroupingSpec("te"))
         assert groups == {"low": ["a"], "high": ["b"]}
 
     def test_threshold_value_goes_high(self):
-        manifest = manifest_of([entry("a", te=2.0)])
+        manifest = tuple([entry("a", te=2.0)])
         groups = group_subjects(manifest, GroupingSpec("te"))
         assert groups == {"low": [], "high": ["a"]}
 
     def test_sixty_forty_split(self):
         entries = [entry(f"s{i:03d}", te=1.8 if i < 60 else 2.6) for i in range(100)]
-        groups = group_subjects(manifest_of(entries), GroupingSpec("te"))
+        groups = group_subjects(tuple(entries), GroupingSpec("te"))
         assert len(groups["low"]) == 60
         assert len(groups["high"]) == 40
 
@@ -185,7 +180,7 @@ class TestBuildReport:
             entry("c", te=2.5, label=labels[2]),
             entry("d", te=2.6, label=labels[3]),
         ]
-        manifest = manifest_of(entries)
+        manifest = tuple(entries)
         values_by_sid = values_by_sid or {}
         before = [feature_row(sid, values_by_sid.get(sid, 1.0)) for sid in "abcd"]
         after = [feature_row(sid, values_by_sid.get(sid, 1.0)) for sid in "abcd"]
@@ -225,7 +220,7 @@ class TestBuildReport:
 
     def test_empty_group_rejected(self):
         entries = [entry("a", te=1.0), entry("b", te=1.1)]
-        manifest = manifest_of(entries)
+        manifest = tuple(entries)
         rows = [feature_row("a"), feature_row("b")]
         with pytest.raises(ValidationError, match="empty"):
             build_report(manifest, rows, list(rows), GroupingSpec("te"))
@@ -264,9 +259,9 @@ class TestBuildReport:
 
     def test_phantom_manifest_carries_intensity_summary(self, phantom_dataset):
         _, manifest = phantom_dataset
-        rows = [feature_row(sid) for sid in manifest.subject_ids()]
+        rows = [feature_row(e.subject_id) for e in manifest]
         report = build_report(
-            manifest, rows, [feature_row(sid) for sid in manifest.subject_ids()],
+            manifest, rows, [feature_row(e.subject_id) for e in manifest],
             GroupingSpec("te"), manifest_after=manifest,
         )
         summary = report["tissue_intensity"]["before"]
@@ -285,7 +280,7 @@ class TestReportCsv:
             entry("c", te=2.5, label=0),
             entry("d", te=2.6, label=1),
         ]
-        manifest = manifest_of(entries)
+        manifest = tuple(entries)
         rows = [feature_row(sid, i) for i, sid in enumerate("abcd")]
         report = build_report(manifest, rows, [feature_row(sid, 0.5) for sid in "abcd"], GroupingSpec("te"))
         path = tmp_path / "report.csv"

@@ -61,12 +61,12 @@ class TestLoadManifest:
         ])
         manifest = load_manifest(path)
         assert len(manifest) == 2
-        assert manifest.subject_ids() == ["s1", "s2"]
-        first = manifest.entries[0]
+        assert [e.subject_id for e in manifest] == ["s1", "s2"]
+        first = manifest[0]
         assert first.pre == dataset / "pre"
         assert first.posts == (dataset / "post1", dataset / "post2")
         assert first.label is None
-        assert manifest.entries[1].label == 1
+        assert manifest[1].label == 1
 
     def test_duplicate_subject_id_named(self, dataset):
         path = write_manifest(dataset, [record("twin"), record("twin")])
@@ -135,25 +135,19 @@ class TestLoadManifest:
         write_volumes(sub, ["pre", "post1"])
         path = write_manifest(sub, [record("s1")])
         manifest = load_manifest(path)
-        assert manifest.entries[0].pre.parent == sub
+        assert manifest[0].pre.parent == sub
 
     def test_mask_path_recorded_and_checked(self, dataset):
         path = write_manifest(dataset, [record("s1", mask="nope")])
         with pytest.raises(MissingInputError):
             load_manifest(path)
 
-    def test_get_unknown_subject(self, dataset):
-        manifest = load_manifest(write_manifest(dataset, [record("s1")]))
-        assert manifest.get("s1").subject_id == "s1"
-        with pytest.raises(ManifestError):
-            manifest.get("s9")
-
     def test_dotted_subject_id_finds_its_files(self, tmp_path):
         write_volumes(tmp_path, ["A.1_pre", "A.1_post1"])
         manifest = load_manifest(write_manifest(tmp_path, [
             record("A.1", pre="A.1_pre.json", posts=["A.1_post1.json"]),
         ]))
-        series = load_series(manifest.get("A.1"))
+        series = load_series(manifest[0])
         assert series.pre.data.max() == 0.0
         assert series.posts[0].data.max() == 1.0
 
@@ -163,36 +157,36 @@ class TestLoadSeries:
         manifest = load_manifest(
             write_manifest(dataset, [record("s1", posts=["post1", "post2"])])
         )
-        series = load_series(manifest.entries[0])
+        series = load_series(manifest[0])
         assert series.subject_id == "s1"
         assert len(series.posts) == 2
         assert series.dims == (2, 2, 1)
         assert series.volumes == (series.pre, *series.posts)
-        assert series.te_ms == 1.8
+        assert manifest[0].te_ms == 1.8
 
     def test_rejects_dims_mismatch(self, tmp_path):
         save_volume(vol(np.zeros((1, 2, 2))), tmp_path / "pre")
         save_volume(vol(np.zeros((1, 2, 3))), tmp_path / "post1")
         manifest = load_manifest(write_manifest(tmp_path, [record("s1")]))
-        with pytest.raises(ValidationError, match="dims or spacing"):
-            load_series(manifest.entries[0])
+        with pytest.raises(ValidationError, match="post1 and pre are on different grids"):
+            load_series(manifest[0])
 
     def test_rejects_spacing_mismatch(self, tmp_path):
         save_volume(vol(np.zeros((1, 2, 2))), tmp_path / "pre")
         save_volume(vol(np.zeros((1, 2, 2)), spacing=(2, 2, 2)), tmp_path / "post1")
         manifest = load_manifest(write_manifest(tmp_path, [record("s1")]))
         with pytest.raises(ValidationError):
-            load_series(manifest.entries[0])
+            load_series(manifest[0])
 
     def test_series_needs_a_post_volume(self):
         v = vol(np.zeros((1, 1, 1)))
         with pytest.raises(ValidationError):
-            StudySeries("s1", v, (), 1.8, 4.0, 1.5)
+            StudySeries("s1", v, ())
 
 
 class TestCheckSubjectGrids:
     def entry(self, directory, **extra):
-        return load_manifest(write_manifest(directory, [record("s1", posts=["post1", "post2"], **extra)])).entries[0]
+        return load_manifest(write_manifest(directory, [record("s1", posts=["post1", "post2"], **extra)]))[0]
 
     def test_voxel_values_are_left_to_the_loaders(self, dataset):
         (dataset / "post2.raw").write_bytes(np.full(4, np.nan, "<f4").tobytes())
@@ -208,18 +202,33 @@ class TestCheckSubjectGrids:
 
     def test_series_grids_must_agree(self, dataset):
         save_volume(vol(np.zeros((1, 2, 2)), spacing=(2, 2, 2)), dataset / "post2")
-        with pytest.raises(ValidationError, match="dims or spacing"):
+        with pytest.raises(ValidationError, match="post2 and pre are on different grids"):
             check_subject_grids(self.entry(dataset))
 
     @pytest.mark.parametrize("shape, spacing, message", [
-        ((1, 2, 3), (1.0, 1.0, 1.0), "mask dims"),
-        ((1, 2, 2), (1.0, 1.0, 3.0), "mask spacing"),
+        ((1, 2, 3), (1.0, 1.0, 1.0), "mask and series are on different grids"),
+        ((1, 2, 2), (1.0, 1.0, 3.0), "mask and series are on different grids"),
     ])
     def test_mask_grid_must_match(self, dataset, shape, spacing, message):
         save_mask(TissueMask(np.zeros(shape, np.uint8), spacing), dataset / "mask")
         with pytest.raises(MaskError, match=message) as info:
             check_subject_grids(self.entry(dataset, mask="mask"))
         assert str(dataset / "mask") in str(info.value)
+
+
+@pytest.mark.parametrize("subject_id", [
+    "../escaped/A0", "a/b", "a\\b", "B,0", 'a"b', "a\nb", "a\tb", "a\x00b", "a\x7fb", "a\x85b",
+])
+def test_unsafe_subject_id_rejected(dataset, subject_id):
+    path = write_manifest(dataset, [record("s1"), record(subject_id)])
+    with pytest.raises(ManifestError, match=r"^entry 1: subject_id .* may not contain") as info:
+        load_manifest(path)
+    assert str(info.value).endswith(f"[{path}]")
+
+
+@pytest.mark.parametrize("subject_id", ["A.1", "a b", "A-0_x", "..", "é1"])
+def test_safe_subject_id_accepted(dataset, subject_id):
+    assert load_manifest(write_manifest(dataset, [record(subject_id)]))[0].subject_id == subject_id
 
 
 def test_entry_errors_name_the_manifest(dataset):

@@ -281,11 +281,11 @@ class TestEvaluate:
 class TestApplyMapping:
     def test_identity_mapping_preserves_voxels(self, rng):
         data = rng.uniform(0, 200, size=(3, 4, 5)).astype(np.float32)
-        series = series_of(data, [data * 2], te=2.6)
+        series = series_of(data, [data * 2], subject_id="s7")
         f = mapping_of((0, 10, 50, 100), (0, 10, 50, 100))
         mapped = apply_mapping(f, series)
         assert np.array_equal(mapped.pre.data, data)
-        assert mapped.te_ms == 2.6
+        assert mapped.subject_id == "s7"
         assert mapped.pre.data.dtype == np.float32
 
     def test_preserves_voxel_order(self, rng):
@@ -382,7 +382,7 @@ class TestRankPreservation:
         filtering after mapping equals mapping after filtering, bit for bit.
         Denoised features before and after normalization stay comparable."""
         _, manifest = phantom_dataset
-        cohort = [(load_series(e), load_mask(e.mask)) for e in manifest.entries[:6]]
+        cohort = [(load_series(e), load_mask(e.mask)) for e in manifest[:6]]
         anchors = [extract_anchors(series, mask) for series, mask in cohort]
         model = train_archetype(anchors)
         for (series, _), anchor in zip(cohort, anchors):

@@ -91,7 +91,7 @@ class TestGeneration:
 
     def test_manifest_interleaves_groups(self, tmp_path):
         manifest = generate_phantom(small_config(), tmp_path / "d", jobs=1)
-        assert manifest.subject_ids() == ["A000", "B000", "A001", "B001"]
+        assert [e.subject_id for e in manifest] == ["A000", "B000", "A001", "B001"]
 
     def test_uneven_groups_interleave_by_prefix(self, tmp_path):
         cfg = small_config(
@@ -101,7 +101,7 @@ class TestGeneration:
             )
         )
         manifest = generate_phantom(cfg, tmp_path / "d", jobs=1)
-        assert manifest.subject_ids() == ["A000", "B000", "A001", "A002"]
+        assert [e.subject_id for e in manifest] == ["A000", "B000", "A001", "A002"]
 
     def test_labels_file_matches_manifest(self, tmp_path):
         manifest = generate_phantom(small_config(), tmp_path / "d", jobs=1)
@@ -132,7 +132,7 @@ class TestGeneration:
         }))
         cfg = phantom_config_from_json(config_file)
         manifest = generate_phantom(cfg, tmp_path / "d", jobs=1)
-        entry = manifest.entries[0]
+        entry = manifest[0]
         series = load_series(entry)
         mask = load_mask(entry.mask)
         fat = mask.tissue(2)
@@ -164,17 +164,19 @@ class TestGeneration:
 
     def test_matched_subjects_differ_by_group_affine_only(self, phantom_dataset):
         _, manifest = phantom_dataset
-        a = load_series(manifest.get("A007"))
-        b = load_series(manifest.get("B007"))
-        assert b.te_ms == 2.6 and a.te_ms == 1.8
+        entries = {e.subject_id: e for e in manifest}
+        a = load_series(entries["A007"])
+        b = load_series(entries["B007"])
+        assert entries["B007"].te_ms == 2.6 and entries["A007"].te_ms == 1.8
         for va, vb in zip(a.volumes, b.volumes):
             expected = va.data.astype(np.float64) * 1.5 + 50.0
             assert np.allclose(vb.data, expected, rtol=1e-5, atol=0.05)
 
     def test_distinct_anatomies_are_not_affine_twins(self, phantom_dataset):
         _, manifest = phantom_dataset
-        a0 = load_series(manifest.get("A000")).pre.data
-        a1 = load_series(manifest.get("A001")).pre.data
+        entries = {e.subject_id: e for e in manifest}
+        a0 = load_series(entries["A000"]).pre.data
+        a1 = load_series(entries["A001"]).pre.data
         assert not np.allclose(a0, a1, atol=0.5)
 
 

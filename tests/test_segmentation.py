@@ -155,7 +155,7 @@ def assert_same_outcome(got, want):
 @pytest.fixture(scope="module")
 def phantom_subject(phantom_dataset):
     _, manifest = phantom_dataset
-    entry = manifest.entries[0]
+    entry = manifest[0]
     series = load_series(entry)
     truth = load_mask(entry.mask)
     return series, truth
