@@ -11,7 +11,7 @@ reported as well.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -153,13 +153,14 @@ def _group_values(
 def _tissue_intensity_summary(manifest: tuple[SubjectEntry, ...]) -> dict[str, dict[str, float]] | None:
     """Mean/std of per-subject mean intensity (pre and first post) by tissue.
 
-    Needs every subject to carry a mask; returns None otherwise.
+    Needs every subject to carry a mask; returns None otherwise. Only pre
+    and the first post are loaded: they are all the summary reads.
     """
     if any(entry.mask is None for entry in manifest):
         return None
     per_tissue: dict[str, list[float]] = {name: [] for name in _REPORT_TISSUES}
     for entry in manifest:
-        series, mask = load_subject(entry)
+        series, mask = load_subject(replace(entry, posts=entry.posts[:1]))
         for name, label in _REPORT_TISSUES.items():
             sel = mask.labels == label
             if not sel.any():

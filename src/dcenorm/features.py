@@ -21,10 +21,20 @@ dense tissue, the dense label minus any tumor voxels.
 
 The signal enhancement ratio at a voxel is (S1 - S0) / (Slast - S0) and
 washin is (S1 - S0) / max(S0, eps), where S0 is pre-contrast, S1 the
-first post and Slast the last post. Extraction evaluates both only at
-tissue and tumor voxels, the only ones F1-F7 read; eps still comes
-from the whole series' dynamic range. Standard deviations everywhere
+first post and Slast the last post, and eps is 1e-6 of the whole
+series' dynamic range. Extraction evaluates both only at tissue and
+tumor voxels, the only ones F1-F7 read. Standard deviations everywhere
 are population standard deviations (divide by n).
+
+With a median filter (``denoise_radius``) the features equal those of
+the whole filtered series, but only the voxels they read are filtered:
+the box of each volume's read set, widened by the radius, and only the
+box is kept. The pre-contrast volume is read at tissue and tumor and on
+the tumor's gradient box, the first post there and at fat and dense,
+the last post at tissue and tumor; middle posts are never read. eps is
+bounded instead of computed, and the whole grids are filtered only when
+the bounds leave a map value open (``extract_features`` gives the
+rule).
 
 A feature whose source label is missing is reported as missing, never
 silently zero; in CSV output missing features are empty fields.
@@ -34,7 +44,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +81,10 @@ class FeatureVector:
 _RANGE_BLOCK_VOXELS = 2**17
 
 
-def _dynamic_range(series: StudySeries) -> float:
+def _dynamic_range(volumes: Iterable[Volume]) -> float:
+    """Max minus min over every voxel of ``volumes``; -inf when there are none."""
     lo, hi = math.inf, -math.inf
-    for volume in series.volumes:
+    for volume in volumes:
         flat = volume.data.reshape(-1)
         for start in range(0, flat.size, _RANGE_BLOCK_VOXELS):
             block = flat[start : start + _RANGE_BLOCK_VOXELS]
@@ -81,8 +93,8 @@ def _dynamic_range(series: StudySeries) -> float:
     return hi - lo
 
 
-def _epsilon(series: StudySeries) -> float:
-    return 1e-6 * _dynamic_range(series)
+def _epsilon(volumes: Iterable[Volume]) -> float:
+    return 1e-6 * _dynamic_range(volumes)
 
 
 def _values(volume: Volume, voxels: np.ndarray | None) -> np.ndarray:
@@ -111,7 +123,7 @@ def ser_map(
             f"subject {series.subject_id}: enhancement ratio needs at least 2 post volumes"
         )
     if eps is None:
-        eps = _epsilon(series)
+        eps = _epsilon(series.volumes)
     s0 = _values(series.pre, voxels)
     s1 = _values(series.posts[0], voxels)
     slast = _values(series.posts[-1], voxels)
@@ -134,7 +146,7 @@ def washin_map(
     result is a float32 array of washin at those voxels only.
     """
     if eps is None:
-        eps = _epsilon(series)
+        eps = _epsilon(series.volumes)
     s0 = _values(series.pre, voxels)
     if eps <= 0:
         # Constant series: every denominator is 0, define the map as 0.
@@ -170,6 +182,26 @@ def pe_entropy(washin: np.ndarray, tissue: np.ndarray) -> float:
     return _entropy_bits(counts.astype(np.float64))
 
 
+_Box = tuple[slice, slice, slice]
+
+
+def _gradient_box(tumor: np.ndarray) -> _Box:
+    """The box of the voxels that ``dhog`` reads for a non-empty ``tumor``.
+
+    It is the tumor's box, widened by one voxel in y and x and clipped at
+    the grid: it holds every neighbour a difference at a tumor voxel
+    reads and keeps the grid's own faces, so each gradient there is the
+    grid's.
+    """
+    _, ny, nx = tumor.shape
+    bz, by, bx = bounding_box(tumor)
+    return (
+        bz,
+        slice(max(by.start - 1, 0), min(by.stop + 1, ny)),
+        slice(max(bx.start - 1, 0), min(bx.stop + 1, nx)),
+    )
+
+
 def dhog(series: StudySeries, tumor: np.ndarray) -> float:
     """Entropy of the in-plane gradient direction histogram at the tumor.
 
@@ -183,15 +215,7 @@ def dhog(series: StudySeries, tumor: np.ndarray) -> float:
     if not tumor.any():
         raise ValidationError("gradient histogram of an empty tumor set")
     _, ny, nx = series.pre.data.shape
-    # The tumor's box, widened by one voxel in y and x and clipped at the
-    # grid, holds every neighbour a difference at a tumor voxel reads and
-    # keeps the grid's own faces, so each gradient there is the grid's.
-    bz, by, bx = bounding_box(tumor)
-    box = (
-        bz,
-        slice(max(by.start - 1, 0), min(by.stop + 1, ny)),
-        slice(max(bx.start - 1, 0), min(bx.stop + 1, nx)),
-    )
+    box = _gradient_box(tumor)
     sub = series.posts[0].data[box].astype(np.float64) - series.pre.data[box].astype(np.float64)
     gx = np.gradient(sub, axis=2) if nx > 1 else np.zeros_like(sub)
     gy = np.gradient(sub, axis=1) if ny > 1 else np.zeros_like(sub)
@@ -229,6 +253,91 @@ def _stats(values: np.ndarray) -> tuple[float, float]:
     return float(v.mean()), float(v.std())
 
 
+def _union(*boxes: _Box | None) -> _Box | None:
+    """The smallest box holding every given box; None stands for no box."""
+    boxes = [b for b in boxes if b is not None]
+    if not boxes:
+        return None
+    return tuple(slice(min(b[axis].start for b in boxes), max(b[axis].stop for b in boxes)) for axis in range(3))
+
+
+def _intersection(*boxes: _Box) -> _Box:
+    """The box of the voxels that every given box holds."""
+    return tuple(slice(max(b[axis].start for b in boxes), min(b[axis].stop for b in boxes)) for axis in range(3))
+
+
+def _relative(box: _Box, outer: _Box) -> _Box:
+    """``box`` in the coordinates of ``outer``, which must hold it."""
+    if not all(o.start <= b.start and b.stop <= o.stop for b, o in zip(box, outer)):
+        raise ValueError(f"box {box} is not inside box {outer}")
+    return tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))
+
+
+@dataclass(frozen=True)
+class _Reads:
+    """A volume's values on ``box`` of its grid, held as a Volume of the box's shape.
+
+    Reads name grid voxels and raise unless those lie in the box, so no
+    read can reach a voxel that was not filtered.
+    """
+
+    volume: Volume
+    box: _Box
+
+    def crop(self, box: _Box) -> Volume:
+        """The values on ``box``, which must lie in this box."""
+        if box == self.box:
+            return self.volume
+        return Volume(self.volume.data[_relative(box, self.box)], self.volume.spacing_mm)
+
+    def at(self, where: np.ndarray) -> np.ndarray:
+        """The values at the voxels of the grid-shaped mask ``where``, in C order."""
+        values = self.volume.data[where[self.box]]
+        if values.size != np.count_nonzero(where):
+            raise ValueError(f"voxels read outside box {self.box}")
+        return values
+
+
+def _filtered(volume: Volume, box: _Box | None, radius: int) -> _Reads | None:
+    """``median_filter(volume, radius)`` on ``box`` alone; None for no box.
+
+    Filters the box widened by ``radius`` and clipped to the grid, and
+    keeps the box. The window of a box voxel lies in the widened box, or
+    is clipped by a grid face that the widened box shares, so it holds
+    the same values in the same places as in the whole-grid filter, and
+    so does its median.
+    """
+    if box is None:
+        return None
+    outer = tuple(slice(max(b.start - radius, 0), min(b.stop + radius, n)) for b, n in zip(box, volume.data.shape))
+    filtered = median_filter(Volume(volume.data[outer], volume.spacing_mm), radius)
+    return _Reads(_Reads(filtered, outer).crop(box), box)
+
+
+def _eps_settled(
+    pre: _Reads | None, last: _Reads | None, kinetic: np.ndarray, eps_lo: float, eps_hi: float
+) -> bool:
+    """Whether every eps in [eps_lo, eps_hi] gives the maps the same values at ``kinetic``.
+
+    washin divides by max(S0, eps), which is S0 for every such eps when
+    eps_lo > 0 and S0 >= eps_hi; SER zeroes a voxel where |Slast - S0|
+    <= eps, which every such eps decides alike unless |Slast - S0| lies
+    in (eps_lo, eps_hi]. ``pre`` is None when no voxel is kinetic, and
+    ``last`` when the series has no SER.
+    """
+    if not eps_lo > 0:
+        return False
+    if pre is None:
+        return True
+    s0 = pre.at(kinetic).astype(np.float64)
+    if (s0 < eps_hi).any():
+        return False
+    if last is None:
+        return True
+    gap = np.abs(last.at(kinetic).astype(np.float64) - s0)
+    return not ((eps_lo < gap) & (gap <= eps_hi)).any()
+
+
 def extract_features(
     series: StudySeries,
     mask: TissueMask,
@@ -237,45 +346,84 @@ def extract_features(
 ) -> FeatureVector:
     """Compute the full feature vector for one subject.
 
-    With ``denoise_radius`` set, every intensity volume is median
-    filtered before any map or statistic is computed; F9 is mask-only
-    and unaffected. Features whose source labels are absent come back
-    as None.
+    Features whose source labels are absent come back as None. F9 is
+    mask-only.
+
+    With ``denoise_radius`` set, the features are those of the series
+    with every volume median filtered, bit for bit, but each volume is
+    filtered only on the box of the voxels read from it, through
+    ``_filtered``: pre-contrast on tissue, tumor and the tumor's gradient
+    box; the first post on fat, dense, tumor and that gradient box; the
+    last post on tissue and tumor; middle posts not at all. A box's
+    values equal the whole-grid filter's there, because each window of a
+    box voxel lies in the box widened by the radius, or is clipped by the
+    grid face that the widened box shares.
+
+    eps needs the filtered series' range, which the boxes do not give.
+    Every median is a value of its window, so 1e-6 of the raw series'
+    range, eps_hi, bounds eps from above, and 1e-6 of the range of the
+    filtered boxes, eps_lo, bounds it from below (float subtraction and
+    scaling are monotone). When eps_lo > 0, every S0 read is >= eps_hi,
+    and no |Slast - S0| read lies in (eps_lo, eps_hi], every eps in the
+    bounds gives the same maps at the read voxels, and eps_hi is used.
+    Otherwise every volume is filtered on the whole grid and eps is
+    computed exactly, as without the boxes.
     """
     check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", MaskError)
-
-    work = series
-    if denoise_radius is not None:
-        work = replace(
-            series,
-            pre=median_filter(series.pre, denoise_radius),
-            posts=tuple(median_filter(p, denoise_radius) for p in series.posts),
-        )
+    sid = series.subject_id
 
     dense = mask.tissue(DENSE)
     fat = mask.tissue(FAT)
     tumor = mask.tissue(TUMOR)
-    tissue = dense & ~tumor
+    # Tissue is dense minus tumor, so tissue and tumor together are
+    # dense | tumor, and tissue is the part of that which is not tumor.
+    kinetic = dense | tumor
 
-    have_tissue = bool(tissue.any())
+    have_tissue = np.count_nonzero(kinetic) > np.count_nonzero(tumor)
     have_tumor = bool(tumor.any())
     have_fat = bool(fat.any())
     have_dense = bool(dense.any())
-    have_ser = len(work.posts) >= 2
+    have_ser = len(series.posts) >= 2
+
+    read = (series.pre, series.posts[0], series.posts[-1])
+    whole = tuple(slice(0, n) for n in tumor.shape)
+    eps = _epsilon(series.volumes)
+    if denoise_radius is None:
+        pre, post1, last = (_Reads(volume, whole) for volume in read)
+    else:
+        # The boxes that pre, the first post and the last post are read on.
+        kinetic_box = bounding_box(kinetic)
+        gradient_box = _gradient_box(tumor) if have_tumor else None
+        boxes = (
+            _union(kinetic_box, gradient_box),
+            _union(bounding_box(fat | kinetic), gradient_box),
+            kinetic_box if have_ser else None,
+        )
+        pre, post1, last = (_filtered(volume, box, denoise_radius) for volume, box in zip(read, boxes))
+        eps_lo = _epsilon(r.volume for r in (pre, post1, last) if r is not None)
+        if not _eps_settled(pre, last, kinetic, eps_lo, eps):
+            log.debug("subject %s: eps bounds leave a map value open, filtering whole grids", sid)
+            filtered = [_filtered(volume, whole, denoise_radius) for volume in series.volumes]
+            eps = _epsilon(r.volume for r in filtered)
+            pre, post1, last = filtered[0], filtered[1], filtered[-1]
 
     values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
 
     # F1-F7 read SER and washin only at tissue and tumor voxels, so the
     # maps are evaluated there alone, in C order: the same values in the
-    # same order as indexing whole-grid maps. eps still comes from the
-    # whole series, scanned once for both maps.
-    eps = _epsilon(work)
-    voxels = np.flatnonzero(tissue | tumor)
-    in_tissue = tissue.reshape(-1)[voxels]
-    in_tumor = tumor.reshape(-1)[voxels]
-    ser = ser_map(work, voxels, eps) if have_ser else None
-    washin = washin_map(work, voxels, eps)
-    post1 = work.posts[0].data
+    # same order as indexing whole-grid maps. The maps, and dhog below,
+    # run on the box that every volume they read holds, which is the
+    # whole grid unless the volumes were filtered on boxes.
+    if have_tissue or have_tumor:
+        reads = (pre, post1, last) if have_ser else (pre, post1)
+        box = _intersection(*(r.box for r in reads))
+        on_box = StudySeries(sid, pre.crop(box), tuple(r.crop(box) for r in reads[1:]))
+        inside = kinetic[box]
+        voxels = np.flatnonzero(inside)
+        in_tumor = tumor[box][inside]
+        in_tissue = ~in_tumor
+        ser = ser_map(on_box, voxels, eps) if have_ser else None
+        washin = washin_map(on_box, voxels, eps)
 
     if have_tissue:
         if ser is not None:
@@ -285,33 +433,34 @@ def extract_features(
         values["F3"] = _stats(washin[in_tissue])[0]
         values["F7"] = pe_entropy(washin, in_tissue)
     else:
-        log.warning("subject %s: no healthy dense tissue, tissue features missing", series.subject_id)
+        log.warning("subject %s: no healthy dense tissue, tissue features missing", sid)
 
     if have_tumor:
         if ser is not None:
             values["F2"] = _stats(ser[in_tumor])[0]
         values["F4"], values["F5"] = _stats(washin[in_tumor])
-        values["F8"] = dhog(work, tumor)
+        box = _intersection(pre.box, post1.box)
+        values["F8"] = dhog(StudySeries(sid, pre.crop(box), (post1.crop(box),)), tumor[box])
         if int(np.count_nonzero(tumor)) >= 2:
             values["F9"] = major_axis_length(tumor, series.spacing_mm)
         else:
-            log.warning("subject %s: single-voxel tumor, major axis missing", series.subject_id)
-        values["F14"], values["F15"] = _stats(post1[tumor])
+            log.warning("subject %s: single-voxel tumor, major axis missing", sid)
+        values["F14"], values["F15"] = _stats(post1.at(tumor))
     else:
-        log.warning("subject %s: no tumor label, tumor features missing", series.subject_id)
+        log.warning("subject %s: no tumor label, tumor features missing", sid)
 
     if have_fat:
-        values["F10"], values["F11"] = _stats(post1[fat])
+        values["F10"], values["F11"] = _stats(post1.at(fat))
     else:
-        log.warning("subject %s: no fat label, fat features missing", series.subject_id)
+        log.warning("subject %s: no fat label, fat features missing", sid)
 
     if have_dense:
-        values["F12"], values["F13"] = _stats(post1[dense])
+        values["F12"], values["F13"] = _stats(post1.at(dense))
     else:
-        log.warning("subject %s: no dense label, dense features missing", series.subject_id)
+        log.warning("subject %s: no dense label, dense features missing", sid)
 
     return FeatureVector(
-        subject_id=series.subject_id,
+        subject_id=sid,
         values=values,
         denoised=denoise_radius is not None,
         normalized=normalized,

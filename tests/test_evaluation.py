@@ -10,12 +10,15 @@ from dcenorm import (
     SubjectEntry,
     ValidationError,
     build_report,
+    generate_phantom,
     group_subjects,
     ks_statistic,
     roc_auc,
 )
+from dcenorm import manifest as manifest_module
 from dcenorm.evaluation import write_report_csv
 from dcenorm.features import FEATURE_NAMES
+from dcenorm.phantom import GroupSpec, PhantomConfig
 
 
 def entry(sid, te=1.8, tr=4.0, field=1.5, label=None):
@@ -270,6 +273,22 @@ class TestBuildReport:
             assert stats["n"] == 40
             assert stats["std"] >= 0.0
         assert report["tissue_intensity"]["after"] == summary
+
+    def test_intensity_summary_loads_only_pre_and_first_post(self, tmp_path, monkeypatch):
+        cfg = PhantomConfig(
+            dims=(16, 16, 8), n_posts=3,
+            groups=(GroupSpec(name="A", n_subjects=1), GroupSpec(name="B", n_subjects=1, te_ms=2.6)),
+        )
+        manifest = generate_phantom(cfg, str(tmp_path), jobs=1)
+        loaded = []
+        load_volume = manifest_module.load_volume
+        monkeypatch.setattr(manifest_module, "load_volume", lambda path: loaded.append(path) or load_volume(path))
+        rows = [feature_row(e.subject_id) for e in manifest]
+        build_report(manifest, rows, list(rows), GroupingSpec("te"), manifest_after=manifest)
+        # 2 subjects, pre and post1 only, once for each manifest.
+        assert sorted(Path(p).stem for p in loaded) == sorted(
+            f"{e.subject_id}_{kind}" for e in manifest for kind in ("pre", "post1") for _ in range(2)
+        )
 
 
 class TestReportCsv:

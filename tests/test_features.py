@@ -13,6 +13,7 @@ from dcenorm import (
     ValidationError,
     build_mapping,
     extract_features,
+    generate_phantom,
     major_axis_length,
     median_filter,
     ser_map,
@@ -27,8 +28,10 @@ from dcenorm.features import (
     write_features_csv,
 )
 from dcenorm import features as features_module
+from dcenorm.manifest import load_subject
 from dcenorm.mapping import apply_mapping
 from dcenorm.model import NormalizationModel
+from dcenorm.phantom import GroupSpec, PhantomConfig
 from dcenorm.volume import DENSE, FAT, TUMOR
 
 from helpers import anchor_set, labeled_scene, mask_of, series_of, vol
@@ -712,12 +715,12 @@ class TestDynamicRange:
         volumes[(holder + 1) % 3].reshape(-1)[flat_index - 1] = 1e30
         series = series_of(volumes[0], volumes[1:])
         expected = max(float(v.max()) for v in volumes) - min(float(v.min()) for v in volumes)
-        got = features_module._dynamic_range(series)
+        got = features_module._dynamic_range(series.volumes)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_single_voxel_series(self):
         series = series_of(const((1, 1, 1), 3), [const((1, 1, 1), -2), const((1, 1, 1), 7)])
-        assert features_module._dynamic_range(series) == 9.0
+        assert features_module._dynamic_range(series.volumes) == 9.0
 
 
 class TestCroppedKernels:
@@ -737,3 +740,163 @@ class TestCroppedKernels:
         else:
             got = major_axis_length(tumor, (0.9, 1.1, 2.0))
             assert same_bits(got, full_grid_major_axis_length(tumor, (0.9, 1.1, 2.0)))
+
+
+def box_of(lo, hi):
+    return tuple(slice(a, b) for a, b in zip(lo, hi))
+
+
+def face_boxes(shape):
+    """The whole grid, an inner box, a corner voxel, and a box touching each of the six faces."""
+    boxes = [box_of((0, 0, 0), shape), box_of((2, 3, 4), (4, 6, 7)), box_of((0, 0, 0), (1, 1, 1))]
+    for axis, n in enumerate(shape):
+        for lo, hi in ((0, 2), (n - 2, n)):
+            start, stop = [1, 2, 3], [k - 1 for k in shape]
+            start[axis], stop[axis] = lo, hi
+            boxes.append(box_of(start, stop))
+    return boxes
+
+
+class TestBoxFilter:
+    """The median filter on a box equals the whole-grid filter there, sign of zero included."""
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("box_index", range(9))
+    def test_matches_whole_grid_filter(self, radius, box_index):
+        shape = (7, 9, 11)
+        rng = np.random.default_rng(box_index)
+        # Few distinct values: many ties, and 0.0 next to -0.0.
+        data = rng.choice(np.array([-2.0, -0.0, 0.0, 1.0, 3.0], dtype=np.float32), size=shape)
+        volume = vol(data)
+        box = face_boxes(shape)[box_index]
+        got = features_module._filtered(volume, box, radius)
+        want = median_filter(volume, radius).data[box]
+        assert got.box == box
+        assert np.array_equal(got.volume.data, want)
+        assert np.array_equal(np.signbit(got.volume.data), np.signbit(want))
+
+    def test_no_box_filters_nothing(self, monkeypatch):
+        monkeypatch.setattr(features_module, "median_filter", None)
+        assert features_module._filtered(vol(const((2, 2, 2), 1)), None, 1) is None
+
+    def test_reads_outside_the_box_raise(self):
+        shape = (4, 5, 6)
+        box = box_of((1, 1, 1), (3, 4, 5))
+        volume = vol(np.arange(120.0).reshape(shape))
+        reads = features_module._filtered(volume, box, 1)
+        where = np.zeros(shape, dtype=bool)
+        where[1, 2, 3] = True
+        assert reads.at(where).tolist() == [median_filter(volume, 1).data[1, 2, 3]]
+        where[0, 2, 3] = True
+        with pytest.raises(ValueError, match="outside"):
+            reads.at(where)
+        with pytest.raises(ValueError, match="not inside"):
+            reads.crop(box_of((1, 1, 0), (3, 4, 5)))
+
+
+WHOLE_GRID_LOG = "filtering whole grids"
+
+
+def forced_scene(rng, shape, n_posts, labels):
+    """A series on which some read S0 filters to 0, below eps_hi: eps falls back to whole grids."""
+    pre = rng.uniform(20, 100, size=shape)
+    pre[:, :, : shape[2] // 2 + 1] = 0.0
+    posts = [rng.uniform(50, 400, size=shape) for _ in range(n_posts)]
+    labels = np.array(labels)
+    labels[shape[0] // 2, shape[1] // 2, 0] = DENSE
+    return series_of(pre, posts, spacing=(0.9, 1.1, 2.0)), mask_of(labels, (0.9, 1.1, 2.0))
+
+
+def undecided_gap_scene(rng):
+    """Every read S0 is far above eps_hi, but |Slast - S0| at the tissue is in (eps_lo, eps_hi].
+
+    A spike in the middle post, away from every read voxel, makes the raw
+    range, and so eps_hi, about 10; the filter removes it, and the
+    filtered eps is about 3e-4. The tissue sits where pre is 150 and the
+    last post 151, so eps_hi would zero its SER and the true eps does not.
+    """
+    shape = (5, 9, 10)
+    pre = rng.uniform(100, 200, size=shape)
+    posts = [rng.uniform(200, 400, size=shape) for _ in range(3)]
+    posts[1][0, 0, 0] = 1e7
+    pre[1:4, 2:7, 3:8] = 150.0
+    posts[2][1:4, 2:7, 3:8] = 151.0
+    labels = np.zeros(shape, dtype=np.uint8)
+    labels[:, 4:9, 5:10] = FAT
+    labels[2, 4, 5] = DENSE
+    labels[2, 4, 6] = TUMOR
+    return series_of(pre, posts), mask_of(labels)
+
+
+def exact_eps_scene(case):
+    rng = np.random.default_rng(11)
+    shape = (4, 7, 8)
+    mixed = rng.integers(0, 6, size=shape)
+    if case == "low s0":
+        return forced_scene(rng, shape, 3, mixed)
+    if case == "undecided SER gap":
+        return undecided_gap_scene(rng)
+    if case == "constant series":
+        return scene_of(rng, shape, 3, "constant", "mixed")
+    if case == "one post":
+        return forced_scene(rng, shape, 1, mixed)
+    if case == "no tumor":
+        return forced_scene(rng, shape, 2, rng.choice([0, FAT, DENSE], size=shape))
+    labels = rng.integers(0, 3, size=shape)
+    face = np.zeros(shape, dtype=bool)
+    face[[0, -1], :, :] = face[:, [0, -1], :] = face[:, :, [0, -1]] = True
+    labels[face] = rng.choice([DENSE, TUMOR], size=int(face.sum()))
+    return forced_scene(rng, shape, 3, labels)
+
+
+class TestExactEpsilon:
+    """Where the eps bounds leave a map value open, extraction filters whole grids and equals the reference."""
+
+    @pytest.mark.parametrize("case", [
+        "low s0", "undecided SER gap", "constant series", "one post", "no tumor", "labels on faces",
+    ])
+    def test_falls_back_to_whole_grids(self, case, caplog):
+        series, mask = exact_eps_scene(case)
+        with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
+            got = extract_features(series, mask, denoise_radius=1)
+        assert WHOLE_GRID_LOG in caplog.text
+        assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=1))
+
+    def test_bounded_eps_filters_boxes_only(self, rng, caplog):
+        series, mask = random_scene(rng)
+        with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
+            got = extract_features(series, mask, denoise_radius=1)
+        assert WHOLE_GRID_LOG not in caplog.text
+        assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=1))
+
+
+def widened_box_voxels(where, radius):
+    idx = np.argwhere(where)
+    lo = np.maximum(idx.min(axis=0) - radius, 0)
+    hi = np.minimum(idx.max(axis=0) + 1 + radius, where.shape)
+    return int(np.prod(hi - lo))
+
+
+def test_denoising_filters_only_the_read_boxes(tmp_path, monkeypatch):
+    cfg = PhantomConfig(dims=(48, 48, 16), groups=(GroupSpec(name="A", n_subjects=1, noise_sigma=10.0),))
+    series, mask = load_subject(generate_phantom(cfg, str(tmp_path), jobs=1)[0])
+    filtered = []
+    real = features_module.median_filter
+    monkeypatch.setattr(
+        features_module, "median_filter", lambda volume, radius: filtered.append(volume.data.size) or real(volume, radius)
+    )
+    got = extract_features(series, mask, denoise_radius=1)
+    assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=1))
+
+    dense, fat, tumor = mask.tissue(DENSE), mask.tissue(FAT), mask.tissue(TUMOR)
+    kinetic = dense | tumor
+    gradient = np.zeros_like(tumor)
+    zs, ys, xs = np.nonzero(tumor)
+    gradient[zs.min() : zs.max() + 1, max(ys.min() - 1, 0) : ys.max() + 2, max(xs.min() - 1, 0) : xs.max() + 2] = True
+    expected = [
+        widened_box_voxels(kinetic | gradient, 1),  # pre
+        widened_box_voxels(fat | dense | tumor | gradient, 1),  # first post
+        widened_box_voxels(kinetic, 1),  # last post; the middle one is never read
+    ]
+    assert sorted(filtered) == sorted(expected)
+    assert sum(filtered) < 0.3 * sum(v.n_voxels for v in series.volumes)
