@@ -21,9 +21,7 @@ from .errors import (
     ModelFormatError,
     NonFiniteDataError,
     NonMonotoneModelError,
-    PayloadSizeError,
     SegmentationError,
-    UnsupportedDtypeError,
     ValidationError,
     VolumeFormatError,
 )
@@ -73,14 +71,12 @@ __all__ = [
     "NonFiniteDataError",
     "NonMonotoneModelError",
     "NormalizationModel",
-    "PayloadSizeError",
     "PhantomConfig",
     "SegmentationConfig",
     "SegmentationError",
     "StudySeries",
     "SubjectEntry",
     "TissueMask",
-    "UnsupportedDtypeError",
     "ValidationError",
     "Volume",
     "VolumeFormatError",

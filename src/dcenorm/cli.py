@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -30,16 +29,15 @@ from . import anchors as anchors_mod
 from . import evaluation as eval_mod
 from .errors import ConfigError, DcenormError, MissingInputError, SegmentationError, ValidationError
 from .features import extract_features, read_features_csv, write_features_csv
-from .manifest import SubjectEntry, check_subject_grids, load_manifest, load_series, load_subject as _load_subject
+from .manifest import (
+    SubjectEntry, check_outputs_spare_inputs, check_subject_grids, load_manifest, load_series,
+    load_subject as _load_subject, read_labels_csv, save_manifest, save_subject, subject_file,
+)
 from .mapping import apply_mapping, build_mapping, export_mapping_curve, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask
-from .volume import save_mask, save_volume
-from .util import (
-    atomic_write_json, atomic_write_text, binary_cell, default_jobs, is_number, json_object, read_csv_records,
-    read_json, run_parallel,
-)
+from .util import atomic_write_json, atomic_write_text, default_jobs, is_number, json_object, read_json, run_parallel
 
 log = logging.getLogger(__name__)
 
@@ -106,26 +104,10 @@ def _anchor_job(entry: SubjectEntry, heart_rule: str):
     return anchors_mod.extract_anchors(series, mask, heart_rule=heart_rule)
 
 
-def _manifest_record(entry: SubjectEntry, out_dir: str, pre: Path, posts, mask: Path) -> dict:
-    """One subject's record in ``out_dir``'s manifest; volume paths are relative to ``out_dir``."""
-    record = {
-        "subject_id": entry.subject_id,
-        "pre": os.path.relpath(pre, out_dir),
-        "posts": [os.path.relpath(p, out_dir) for p in posts],
-        "mask": os.path.relpath(mask, out_dir),
-        "te_ms": entry.te_ms,
-        "tr_ms": entry.tr_ms,
-        "field_t": entry.field_t,
-    }
-    if entry.label is not None:
-        record["label"] = entry.label
-    return record
-
-
 def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConfig):
     """Classically mask a subject whose grids ``check_subject_grids`` has passed.
 
-    Returns ``(mask file, None)``, or ``(None, reason)`` when segmentation fails.
+    Returns ``(entry naming the mask written, None)``, or ``(None, reason)`` when segmentation fails.
     Only pre and the first post are loaded: they are all the chain reads.
     """
     series = load_series(dataclasses.replace(entry, posts=entry.posts[:1]))
@@ -133,7 +115,7 @@ def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConf
         mask = classical_mask(series, seg_config)
     except SegmentationError as exc:
         return None, str(exc)
-    return save_mask(mask, Path(out_dir) / f"{entry.subject_id}_mask"), None
+    return save_subject(entry, out_dir, mask=mask), None
 
 
 def _normalize_job(
@@ -147,16 +129,11 @@ def _normalize_job(
     series, mask = _load_subject(entry)
     anchor_set = anchors_mod.extract_anchors(series, mask, heart_rule=heart_rule)
     mapping = build_mapping(anchor_set, model, clamp_floor=clamp_floor)
-    mapped = apply_mapping(mapping, series)
-
-    sid = entry.subject_id
-    out = Path(out_dir)
-    pre = save_volume(mapped.pre, out / f"{sid}_pre")
-    posts = [save_volume(post, out / f"{sid}_post{i + 1}") for i, post in enumerate(mapped.posts)]
+    written = save_subject(entry, out_dir, apply_mapping(mapping, series).volumes)
     if mapping_dir is not None:
         curve = export_mapping_curve(mapping)
-        write_mapping_curve(Path(mapping_dir) / f"{sid}_mapping.csv", curve)
-    return _manifest_record(entry, out_dir, pre, posts, entry.mask)
+        write_mapping_curve(Path(mapping_dir) / f"{entry.subject_id}_mapping.csv", curve)
+    return written
 
 
 def _features_job(entry: SubjectEntry, denoise_radius: int | None, normalized: bool):
@@ -180,30 +157,32 @@ def _cmd_phantom(args) -> int:
 def _cmd_segment(args) -> int:
     cli_cfg = load_cli_config(args.config)
     entries = load_manifest(args.manifest)
+    unmasked = [entry for entry in entries if entry.mask is None]
+    masks = [subject_file(entry.subject_id, args.out_dir, None) for entry in unmasked]
+    check_outputs_spare_inputs(args.manifest, entries, args.out_dir, masks)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Every subject's grids are checked here, from the sidecars; a mask the
     # manifest gives is then referenced, and only the others are segmented.
     for entry in entries:
         check_subject_grids(entry)
-    unmasked = [entry for entry in entries if entry.mask is None]
     job = partial(_segment_job, out_dir=str(out), seg_config=cli_cfg.segmentation)
     outcomes = dict(zip((entry.subject_id for entry in unmasked), run_parallel(job, unmasked, args.jobs)))
-    records, skipped = [], []
+    masked, skipped = [], []
     for entry in entries:
-        mask_file, reason = outcomes.get(entry.subject_id, (entry.mask, None))
+        result, reason = outcomes.get(entry.subject_id, (entry, None))
         if reason is None:
-            records.append(_manifest_record(entry, str(out), entry.pre, entry.posts, mask_file))
+            masked.append(result)
         else:
             skipped.append((entry.subject_id, reason))
-    if not records:
+    if not masked:
         reasons = "; ".join(f"{sid}: {reason}" for sid, reason in skipped)
         raise ValidationError(f"segmentation failed for every subject: {reasons}")
     # Skips are logged here, not in the workers, so a run that fails prints only its error line.
     for sid, reason in skipped:
         log.warning("subject %s skipped: %s", sid, reason)
-    atomic_write_json(out / "manifest.json", records)
-    log.info("segment: %d/%d subjects masked", len(records), len(entries))
+    save_manifest(out, masked)
+    log.info("segment: %d/%d subjects masked", len(masked), len(entries))
     return 0
 
 
@@ -224,6 +203,8 @@ def _cmd_normalize(args) -> int:
     cli_cfg = load_cli_config(args.config)
     manifest = load_manifest(args.manifest)
     model = load_model(args.model)  # fail fast before any per-subject work
+    volumes = [subject_file(e.subject_id, args.out_dir, k) for e in manifest for k in range(len(e.posts) + 1)]
+    check_outputs_spare_inputs(args.manifest, manifest, args.out_dir, volumes)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.emit_mapping:
@@ -236,9 +217,9 @@ def _cmd_normalize(args) -> int:
         clamp_floor=cli_cfg.clamp_floor,
         mapping_dir=args.emit_mapping,
     )
-    records = run_parallel(job, manifest, args.jobs)
-    atomic_write_json(out / "manifest.json", records)
-    log.info("normalize: %d subjects written to %s", len(records), out)
+    written = run_parallel(job, manifest, args.jobs)
+    save_manifest(out, written)
+    log.info("normalize: %d subjects written to %s", len(written), out)
     return 0
 
 
@@ -273,18 +254,9 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _read_labels_csv(path: Path | str) -> dict[str, int]:
-    labels: dict[str, int] = {}
-    for sid, record in read_csv_records(path, ("subject_id", "label"), "labels CSV"):
-        if sid in labels:
-            raise ValidationError(f"duplicate subject {sid} in labels", path=path)
-        labels[sid] = binary_cell(record, "label", sid, path)
-    return labels
-
-
 def _cmd_auc(args) -> int:
     rows = read_features_csv(args.features)
-    labels = _read_labels_csv(args.labels)
+    labels = read_labels_csv(args.labels)
     missing = [r.subject_id for r in rows if r.subject_id not in labels]
     if missing:
         raise ValidationError(f"subjects missing from labels file: {missing}")

@@ -31,14 +31,6 @@ class VolumeFormatError(ValidationError):
     """Volume sidecar or payload violates the file format contract."""
 
 
-class PayloadSizeError(VolumeFormatError):
-    """Raw payload length disagrees with the sidecar dims."""
-
-
-class UnsupportedDtypeError(VolumeFormatError):
-    """Sidecar declares a dtype this reader does not support."""
-
-
 class NonFiniteDataError(VolumeFormatError):
     """Payload contains NaN or infinite values."""
 

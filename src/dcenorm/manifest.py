@@ -1,4 +1,4 @@
-"""Dataset manifests and per-subject series and mask loading.
+"""The dataset on disk: manifests, subject files and labels, read and written here.
 
 A manifest is a JSON array of subject records. Each record names the
 pre-contrast volume, an ordered list of post-contrast volumes, the
@@ -8,19 +8,27 @@ directory, so a dataset directory can be moved as a unit. A loaded
 manifest is its tuple of entries. A subject's entry is the only source
 of its mask and of its acquisition parameters; ``dcenorm segment``
 writes a manifest that gives a mask for every subject.
+
+Datasets are written as they are read: ``save_subject`` names a
+subject's files ``<id>_pre``, ``<id>_post<k>`` and ``<id>_mask``, and
+``save_manifest`` writes paths relative to the manifest's directory.
 """
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 from pathlib import Path
 
 from .errors import ManifestError, MaskError, MissingInputError, ValidationError
-from .util import is_number, json_object, read_json
+from .util import (
+    atomic_write_json, atomic_write_text, binary_cell, is_number, json_object, read_csv_records, read_json,
+)
 from .volume import (
-    MASK_DTYPE, TissueMask, Volume, check_same_grid, load_external_mask, load_volume, read_sidecar, volume_files,
+    MASK_DTYPE, TissueMask, Volume, check_same_grid, load_external_mask, load_volume, read_sidecar, save_mask,
+    save_volume, volume_files,
 )
 
 _REQUIRED_KEYS = {"subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"}
@@ -39,6 +47,12 @@ class SubjectEntry:
     field_t: float
     mask: Path | None = None
     label: int | None = None
+
+
+def entry_files(entry: SubjectEntry) -> list[Path]:
+    """The sidecar and payload of every volume ``entry`` names: pre, posts, then the mask if it gives one."""
+    volumes = (entry.pre, *entry.posts) + ((entry.mask,) if entry.mask is not None else ())
+    return [file for volume in volumes for file in volume_files(volume)]
 
 
 def _parse_entry(record: object, index: int, path: Path) -> SubjectEntry:
@@ -73,25 +87,20 @@ def _parse_entry(record: object, index: int, path: Path) -> SubjectEntry:
         raise ManifestError(f"subject {subject_id}: pre, posts and mask must be path strings", path=path)
 
     base_dir = path.parent
-    pre = base_dir / record["pre"]
-    post_paths = tuple(base_dir / p for p in posts)
-    mask_path = base_dir / mask if mask is not None else None
-
-    for volume in (pre, *post_paths) + ((mask_path,) if mask_path else ()):
-        for file in volume_files(volume):
-            if not file.exists():
-                raise MissingInputError(f"subject {subject_id}: referenced file missing", path=file)
-
-    return SubjectEntry(
+    entry = SubjectEntry(
         subject_id=subject_id,
-        pre=pre,
-        posts=post_paths,
+        pre=base_dir / record["pre"],
+        posts=tuple(base_dir / p for p in posts),
         te_ms=float(record["te_ms"]),
         tr_ms=float(record["tr_ms"]),
         field_t=float(record["field_t"]),
-        mask=mask_path,
+        mask=base_dir / mask if mask is not None else None,
         label=label,
     )
+    for file in entry_files(entry):
+        if not file.exists():
+            raise MissingInputError(f"subject {subject_id}: referenced file missing", path=file)
+    return entry
 
 
 def load_manifest(path: Path | str) -> tuple[SubjectEntry, ...]:
@@ -175,3 +184,76 @@ def load_subject(entry: SubjectEntry) -> tuple[StudySeries, TissueMask]:
         )
     series = load_series(entry)
     return series, load_external_mask(entry.mask, series)
+
+
+def _record(entry: SubjectEntry, base_dir: Path) -> dict:
+    """``entry`` as a manifest record, paths relative to ``base_dir``; values are written as the entry holds them."""
+    posts = [os.path.relpath(p, base_dir) for p in entry.posts]
+    record = {"subject_id": entry.subject_id, "pre": os.path.relpath(entry.pre, base_dir), "posts": posts}
+    if entry.mask is not None:
+        record["mask"] = os.path.relpath(entry.mask, base_dir)
+    record.update(te_ms=entry.te_ms, tr_ms=entry.tr_ms, field_t=entry.field_t)
+    if entry.label is not None:
+        record["label"] = entry.label
+    return record
+
+
+def save_manifest(out_dir: Path | str, entries) -> Path:
+    """Write ``entries`` as ``out_dir``'s manifest.json, which ``load_manifest`` reads back; returns its path."""
+    path = Path(out_dir) / "manifest.json"
+    atomic_write_json(path, [_record(entry, path.parent) for entry in entries])
+    return path
+
+
+def subject_file(subject_id: str, out_dir: Path | str, index: int | None) -> Path:
+    """The sidecar ``save_subject`` writes in ``out_dir``: pre at index 0, post ``k`` at ``k``, the mask at None."""
+    name = "mask" if index is None else f"post{index}" if index else "pre"
+    return Path(out_dir) / f"{subject_id}_{name}.json"
+
+
+def save_subject(entry: SubjectEntry, out_dir: Path | str, volumes=(), mask: TissueMask | None = None) -> SubjectEntry:
+    """Write ``volumes`` (pre, then each post) and ``mask``, those given, in ``out_dir``; return ``entry`` naming them.
+
+    ``volumes`` may be a generator: each volume is written before the next is drawn.
+    """
+    files = [save_volume(volume, subject_file(entry.subject_id, out_dir, k)) for k, volume in enumerate(volumes)]
+    if files:
+        entry = replace(entry, pre=files[0], posts=tuple(files[1:]))
+    if mask is not None:
+        entry = replace(entry, mask=save_mask(mask, subject_file(entry.subject_id, out_dir, None)))
+    return entry
+
+
+def save_labels(out_dir: Path | str, entries) -> None:
+    """Write ``out_dir``'s labels.csv, which ``read_labels_csv`` reads: each entry's subject id and label."""
+    text = "subject_id,label\n" + "".join(f"{e.subject_id},{e.label}\n" for e in entries)
+    atomic_write_text(Path(out_dir) / "labels.csv", text)
+
+
+def read_labels_csv(path: Path | str) -> dict[str, int]:
+    labels: dict[str, int] = {}
+    for sid, record in read_csv_records(path, ("subject_id", "label"), "labels CSV"):
+        if sid in labels:
+            raise ValidationError(f"duplicate subject {sid} in labels", path=path)
+        labels[sid] = binary_cell(record, "label", sid, path)
+    return labels
+
+
+def check_outputs_spare_inputs(manifest: Path | str, entries, out_dir: Path | str, volumes) -> None:
+    """Reject writing the sidecars ``volumes`` and then a manifest in ``out_dir`` over a file the run reads.
+
+    The inputs are the ``manifest`` file and every file one of ``entries``
+    names. Paths are compared resolved, so relative paths and links cannot
+    hide a clash. The error names the first output that is an input.
+    """
+    # Every input exists (load_manifest checked), so only an output that already exists can be one.
+    if not Path(out_dir).is_dir():
+        return
+    outputs = [file for volume in volumes for file in volume_files(volume)] + [Path(out_dir) / "manifest.json"]
+    existing = [file for file in outputs if file.exists()]
+    if not existing:
+        return
+    inputs = {Path(manifest).resolve(), *(file.resolve() for entry in entries for file in entry_files(entry))}
+    for file in existing:
+        if file.resolve() in inputs:
+            raise ValidationError("--out-dir would overwrite an input file", path=file)

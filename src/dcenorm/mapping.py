@@ -63,10 +63,6 @@ class MappingFunction:
             raise NonMonotoneModelError(f"slopes must be >= 0, got {self.lower_slope}, {self.upper_slope}")
 
     @property
-    def control_points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.knots_v, self.knots_m))
-
-    @property
     def effective_floor(self) -> float:
         return min(self.clamp_floor, self.knots_m[0])
 

@@ -34,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .manifest import SubjectEntry, load_manifest
-from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, save_mask, save_volume
-from .util import atomic_write_json, atomic_write_text, is_number, json_object, read_json, run_parallel
+from .manifest import SubjectEntry, load_manifest, save_labels, save_manifest, save_subject
+from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume
+from .util import is_number, json_object, read_json, run_parallel
 
 # Anatomy layout, as fractions of the volume dims so any grid works.
 # Each entry is (center_frac, semi_axis_frac) in (x, y, z) order; y = 0
@@ -255,21 +255,16 @@ def _base_fields(cfg: PhantomConfig, mask: TissueMask, anatomy: int, grad_amp: f
     return fields
 
 
-def _sequence_names(n_posts: int) -> list[str]:
-    return ["pre"] + [f"post{p + 1}" for p in range(n_posts)]
-
-
 # Extreme configured values overflow float32 silently; Volume then rejects the non-finite data as one error.
 @np.errstate(over="ignore", invalid="ignore")
-def _generate_anatomy(job: tuple[PhantomConfig, str, int]) -> list[dict]:
-    """Emit every subject at one anatomy index; returns manifest entries.
+def _generate_anatomy(job: tuple[PhantomConfig, str, int]) -> list[SubjectEntry]:
+    """Emit every subject at one anatomy index; returns their entries.
 
     All randomness for the index is drawn once here, in a fixed order,
     then reused for each group member, so matched subjects differ only
     by their group's affine and noise amplitude.
     """
     cfg, out_dir, anatomy = job
-    out = Path(out_dir)
     rng = _anatomy_rng(cfg.seed, anatomy)
     # Stratified draw: anatomy k jitters inside the middle half of the
     # k-th subinterval of gradient_range. Adjacent anatomies then keep a
@@ -281,31 +276,20 @@ def _generate_anatomy(job: tuple[PhantomConfig, str, int]) -> list[dict]:
     mask = phantom_mask(cfg.dims, cfg.spacing_mm)
     fields = _base_fields(cfg, mask, anatomy, grad_amp)
     unit_noise = [rng.standard_normal(size=fields[0].shape) for _ in fields]
-    names = _sequence_names(cfg.n_posts)
 
     entries = []
     for group in cfg.groups:
         if anatomy >= group.n_subjects:
             continue
         sid = f"{group.name}{anatomy:03d}"
-        files = []
-        for seq_name, clean, noise in zip(names, fields, unit_noise):
-            data = (clean + group.noise_sigma * noise) * group.scale + group.offset
-            vol = Volume(data.astype(np.float32), cfg.spacing_mm, f"dce-{seq_name}")
-            files.append(save_volume(vol, out / f"{sid}_{seq_name}").name)
-        mask_file = save_mask(mask, out / f"{sid}_mask").name
-        entries.append(
-            {
-                "subject_id": sid,
-                "pre": files[0],
-                "posts": files[1:],
-                "mask": mask_file,
-                "te_ms": group.te_ms,
-                "tr_ms": group.tr_ms,
-                "field_t": group.field_t,
-                "label": anatomy % 2,
-            }
+        volumes = (  # drawn one at a time as the writer takes them, so one volume is held at once
+            Volume(((clean + group.noise_sigma * noise) * group.scale + group.offset).astype(np.float32),
+                   cfg.spacing_mm, f"dce-post{k}" if k else "dce-pre")
+            for k, (clean, noise) in enumerate(zip(fields, unit_noise))
         )
+        # The writer fills in the paths; the group's values are kept as configured, ints included.
+        entry = SubjectEntry(sid, Path(), (), group.te_ms, group.tr_ms, group.field_t, label=anatomy % 2)
+        entries.append(save_subject(entry, out_dir, volumes, mask))
     return entries
 
 
@@ -323,8 +307,5 @@ def generate_phantom(cfg: PhantomConfig, out_dir: Path | str, jobs: int = 1) -> 
     max_n = max(g.n_subjects for g in cfg.groups)
     per_anatomy = run_parallel(_generate_anatomy, [(cfg, str(out), k) for k in range(max_n)], jobs)
     entries = [entry for group_entries in per_anatomy for entry in group_entries]
-    atomic_write_json(out / "manifest.json", entries)
-    label_lines = ["subject_id,label"]
-    label_lines += [f"{e['subject_id']},{e['label']}" for e in entries]
-    atomic_write_text(out / "labels.csv", "\n".join(label_lines) + "\n")
-    return load_manifest(out / "manifest.json")
+    save_labels(out, entries)
+    return load_manifest(save_manifest(out, entries))

@@ -29,8 +29,6 @@ from .errors import (
     MaskError,
     MissingInputError,
     NonFiniteDataError,
-    PayloadSizeError,
-    UnsupportedDtypeError,
     ValidationError,
     VolumeFormatError,
 )
@@ -99,10 +97,6 @@ class Volume:
         """Voxel counts per axis as (nx, ny, nz)."""
         nz, ny, nx = self.data.shape
         return (nx, ny, nz)
-
-    @property
-    def n_voxels(self) -> int:
-        return self.data.size
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims, spacing_mm, modality_tag: str = "") -> "Volume":
@@ -205,7 +199,7 @@ def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sideca
         )
     dtype = sidecar.get("dtype")
     if dtype != expected_dtype:
-        raise UnsupportedDtypeError(
+        raise VolumeFormatError(
             f"unsupported dtype {dtype!r}, expected {expected_dtype!r}", path=sidecar_path
         )
     order = sidecar.get("order", VOXEL_ORDER)
@@ -216,7 +210,7 @@ def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sideca
     expected_bytes = nx * ny * nz * _ITEMSIZE[dtype]
     size = payload_path.stat().st_size
     if size != expected_bytes:
-        raise PayloadSizeError(f"payload is {size} bytes, dims {dims} require {expected_bytes}", path=payload_path)
+        raise VolumeFormatError(f"payload is {size} bytes, dims {dims} require {expected_bytes}", path=payload_path)
     return Sidecar(
         (nx, ny, nz), tuple(float(s) for s in spacing), str(sidecar.get("modality_tag", "")), payload_path
     )

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -19,10 +20,13 @@ from hypothesis import strategies as st
 
 import dcenorm
 from dcenorm import (
-    TissueMask, Volume, extract_anchors, load_manifest, load_model, read_features_csv, save_mask, save_volume,
+    GroupSpec, PhantomConfig, TissueMask, Volume, extract_anchors, generate_phantom, load_manifest, load_model,
+    read_features_csv, save_mask, save_volume,
 )
+from dcenorm import cli
 from dcenorm.cli import load_cli_config, main
 from dcenorm.manifest import load_subject
+from dcenorm.segmentation import SegmentationConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -587,6 +591,59 @@ class TestOtherFlags:
         assert rc == 0
         rows = read_features_csv(out)
         assert all(r.denoised for r in rows)
+
+
+def test_segment_and_normalize_jobs_return_entries(pipeline, tmp_path):
+    entry = load_manifest(pipeline / "data" / "manifest_nomask.json")[0]
+    masked, reason = cli._segment_job(entry, str(tmp_path / "seg"), SegmentationConfig())
+    assert reason is None
+    assert masked == dataclasses.replace(entry, mask=tmp_path / "seg" / "A000_mask.json")
+    assert (tmp_path / "seg" / "A000_mask.raw").read_bytes() == (pipeline / "seg" / "A000_mask.raw").read_bytes()
+
+    model = load_model(pipeline / "model.json")
+    normalized = cli._normalize_job(masked, model, str(tmp_path / "norm"), "p90", 0.0, None)
+    posts = tuple(tmp_path / "norm" / f"A000_post{k}.json" for k in (1, 2, 3))
+    assert normalized == dataclasses.replace(masked, pre=tmp_path / "norm" / "A000_pre.json", posts=posts)
+    for name in ("A000_pre.raw", "A000_post3.raw"):
+        assert (tmp_path / "norm" / name).read_bytes() == (pipeline / "norm" / name).read_bytes()
+
+
+def _tree_bytes(directory: Path) -> dict:
+    return {p.relative_to(directory): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("spelling", ["data", "data/../data", "alias"])
+@pytest.mark.parametrize("command", ["segment", "normalize"])
+def test_out_dir_may_not_overwrite_an_input(pipeline, tmp_path, command, spelling):
+    """An --out-dir that would write over the manifest or a volume the run reads fails before writing anything."""
+    data = tmp_path / "data"
+    generate_phantom(PhantomConfig(groups=(GroupSpec(name="A", n_subjects=1),)), data)
+    (tmp_path / "alias").symlink_to(data, target_is_directory=True)
+    if command == "segment":  # the mask is dropped, so segment would write the manifest over its input
+        records = json.loads((data / "manifest.json").read_text())
+        del records[0]["mask"]
+        (data / "manifest.json").write_text(json.dumps(records))
+        argv = ["segment"]
+        first = "manifest.json"
+    else:
+        argv = ["normalize", "--model", str(pipeline / "model.json"), "--emit-mapping", str(tmp_path / "curves")]
+        first = "A000_pre.json"
+    before = _tree_bytes(tmp_path)
+    rc, err = _run([*argv, "--manifest", str(data / "manifest.json"), "--out-dir", str(tmp_path / spelling),
+                    "--jobs", "1"])
+    assert _tree_bytes(tmp_path) == before
+    assert rc == 1
+    assert err == f"error[validation]: --out-dir would overwrite an input file [{tmp_path / spelling / first}]\n"
+
+
+def test_out_dir_may_hold_earlier_outputs(pipeline, tmp_path):
+    """Outputs of an earlier run that are not inputs of this one are written over."""
+    argv = ["normalize", "--manifest", str(pipeline / "seg" / "manifest.json"), "--model", str(pipeline / "model.json"),
+            "--out-dir", str(tmp_path), "--jobs", "1"]
+    assert main(argv) == 0
+    first = _tree_bytes(tmp_path)
+    assert main(argv) == 0
+    assert _tree_bytes(tmp_path) == first
 
 
 def test_walkthrough_with_relative_paths(tmp_path, monkeypatch):

@@ -899,4 +899,4 @@ def test_denoising_filters_only_the_read_boxes(tmp_path, monkeypatch):
         widened_box_voxels(kinetic, 1),  # last post; the middle one is never read
     ]
     assert sorted(filtered) == sorted(expected)
-    assert sum(filtered) < 0.3 * sum(v.n_voxels for v in series.volumes)
+    assert sum(filtered) < 0.3 * sum(v.data.size for v in series.volumes)

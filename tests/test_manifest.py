@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,18 +11,21 @@ from dcenorm import (
     ManifestError,
     MissingInputError,
     NonFiniteDataError,
-    PayloadSizeError,
     StudySeries,
+    SubjectEntry,
     TissueMask,
     ValidationError,
+    VolumeFormatError,
     load_manifest,
     load_series,
     save_mask,
     save_volume,
 )
-from dcenorm.manifest import check_subject_grids
+from dcenorm.manifest import (
+    check_subject_grids, read_labels_csv, save_labels, save_manifest, save_subject, subject_file,
+)
 
-from helpers import vol
+from helpers import mask_of, series_of, vol
 
 
 def write_volumes(directory, names, shape=(1, 2, 2)):
@@ -197,7 +202,7 @@ class TestCheckSubjectGrids:
 
     def test_payload_size_checked(self, dataset):
         (dataset / "post2.raw").write_bytes(bytes(12))
-        with pytest.raises(PayloadSizeError, match="12 bytes"):
+        with pytest.raises(VolumeFormatError, match="12 bytes"):
             check_subject_grids(self.entry(dataset))
 
     def test_series_grids_must_agree(self, dataset):
@@ -236,3 +241,74 @@ def test_entry_errors_name_the_manifest(dataset):
     with pytest.raises(ManifestError, match="label") as info:
         load_manifest(path)
     assert str(info.value).endswith(f"[{path}]")
+
+
+def resolved(entry):
+    """``entry`` with every path resolved, so ``data/x`` and ``out/../data/x`` compare equal."""
+    mask = entry.mask.resolve() if entry.mask is not None else None
+    return dataclasses.replace(
+        entry, pre=entry.pre.resolve(), posts=tuple(p.resolve() for p in entry.posts), mask=mask
+    )
+
+
+class TestSaveDataset:
+    def subjects(self, data):
+        """Two subjects written by ``save_subject``: A.1 with a mask and a label, B with neither."""
+        a = save_subject(
+            SubjectEntry("A.1", Path(), (), 1.8, 4.0, 1.5, label=1),
+            data,
+            series_of(np.zeros((1, 2, 2)), [np.ones((1, 2, 2)), np.full((1, 2, 2), 2.0)], "A.1").volumes,
+            mask_of(np.full((1, 2, 2), 2)),
+        )
+        b_series = series_of(np.zeros((1, 2, 2)), [np.ones((1, 2, 2))], "B")
+        b = save_subject(SubjectEntry("B", Path(), (), 2.6, 5.2, 3.0), data, b_series.volumes)
+        return a, b
+
+    def test_save_subject_names_the_files_it_writes(self, tmp_path):
+        a, b = self.subjects(tmp_path)
+        assert (a.pre, *a.posts, a.mask) == tuple(subject_file("A.1", tmp_path, k) for k in (0, 1, 2, None))
+        assert [p.name for p in (a.pre, *a.posts, a.mask)] == [
+            "A.1_pre.json", "A.1_post1.json", "A.1_post2.json", "A.1_mask.json"
+        ]
+        assert b.mask is None and not (tmp_path / "B_mask.json").exists()
+        assert load_series(b).posts[0].data.max() == 1.0
+
+    def test_save_subject_writes_only_what_it_is_given(self, tmp_path):
+        a, _ = self.subjects(tmp_path / "data")
+        masked = save_subject(a, tmp_path / "masks", mask=mask_of(np.full((1, 2, 2), 3)))
+        assert masked == dataclasses.replace(a, mask=tmp_path / "masks" / "A.1_mask.json")
+        assert sorted(p.name for p in (tmp_path / "masks").iterdir()) == ["A.1_mask.json", "A.1_mask.raw"]
+
+    def test_manifest_round_trip_from_another_directory(self, tmp_path):
+        entries = self.subjects(tmp_path / "data")
+        path = save_manifest(tmp_path / "out", entries)
+        assert path == tmp_path / "out" / "manifest.json"
+        records = json.loads(path.read_text())
+        assert [list(r) for r in records] == [
+            ["subject_id", "pre", "posts", "mask", "te_ms", "tr_ms", "field_t", "label"],
+            ["subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"],
+        ]
+        assert records[0]["pre"] == "../data/A.1_pre.json"
+        assert records[0]["posts"] == ["../data/A.1_post1.json", "../data/A.1_post2.json"]
+        assert records[0]["mask"] == "../data/A.1_mask.json"
+        assert [resolved(e) for e in load_manifest(path)] == [resolved(e) for e in entries]
+
+    def test_manifest_round_trip_in_its_own_directory(self, tmp_path):
+        entries = self.subjects(tmp_path)
+        path = save_manifest(tmp_path, entries)
+        assert json.loads(path.read_text())[1]["posts"] == ["B_post1.json"]
+        assert load_manifest(path) == entries
+
+    def test_values_are_written_as_the_entry_holds_them(self, tmp_path):
+        write_volumes(tmp_path, ["pre", "post1"])
+        entry = SubjectEntry("s1", tmp_path / "pre", (tmp_path / "post1",), 2, 5, 3.0, label=0)
+        text = save_manifest(tmp_path, [entry]).read_text()
+        assert '"te_ms": 2,' in text and '"tr_ms": 5,' in text and '"field_t": 3.0,' in text
+        assert '"pre": "pre",' in text
+
+    def test_labels_round_trip(self, tmp_path):
+        entries = [SubjectEntry(sid, Path(), (), 1.0, 1.0, 1.0, label=label) for sid, label in (("A.1", 1), ("B", 0))]
+        save_labels(tmp_path, entries)
+        path = tmp_path / "labels.csv"
+        assert path.read_text() == "subject_id,label\nA.1,1\nB,0\n"
+        assert read_labels_csv(path) == {"A.1": 1, "B": 0}

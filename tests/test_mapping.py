@@ -191,10 +191,6 @@ class TestMappingFunction:
         with pytest.raises(ValidationError, match="exactly 4"):
             MappingFunction(knots_v, knots_m, 1.0, 1.0)
 
-    def test_control_points_property(self):
-        f = MappingFunction((0, 1, 2, 3), (0, 2, 4, 6), 2.0, 2.0)
-        assert f.control_points == ((0, 0), (1, 2), (2, 4), (3, 6))
-
 
 class TestEvaluate:
     def test_knots_reproduce_targets_exactly(self, rng):

@@ -113,6 +113,13 @@ class TestGeneration:
             assert entry.label == anatomy % 2
             assert parsed[entry.subject_id] == str(entry.label)
 
+    def test_integer_config_values_keep_their_spelling(self, tmp_path):
+        """The manifest writes the group's values as configured: an integer stays an integer."""
+        cfg = small_config(groups=(GroupSpec(name="A", n_subjects=1, te_ms=2, tr_ms=5, field_t=3),))
+        generate_phantom(cfg, tmp_path / "d", jobs=1)
+        text = (tmp_path / "d" / "manifest.json").read_text()
+        assert '"te_ms": 2,' in text and '"tr_ms": 5,' in text and '"field_t": 3,' in text
+
     def test_every_subject_has_mask_and_posts(self, tmp_path):
         manifest = generate_phantom(small_config(), tmp_path / "d", jobs=1)
         assert len(manifest) == 4

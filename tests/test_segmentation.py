@@ -498,7 +498,7 @@ class TestClassicalPipeline:
         series, _ = phantom_subject
         mask = classical_mask(series, SegmentationConfig())
         # phantom noise makes intensity ties vanishingly unlikely
-        assert mask.counts()["air"] == math.ceil(0.05 * series.pre.n_voxels)
+        assert mask.counts()["air"] == math.ceil(0.05 * series.pre.data.size)
 
     def test_deterministic(self, phantom_subject):
         series, _ = phantom_subject
