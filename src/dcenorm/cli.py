@@ -8,17 +8,21 @@ inputs, unwritable outputs); failures print exactly one line to stderr
 of the form ``error[validation]: ...`` or ``error[io]: ...``.
 
 An optional JSON config file (``--config``) tunes the pipeline via the
-sections ``segmentation`` (read by ``segment``), ``anchors`` (``train``
-and ``normalize``), ``features`` (``features``) and ``evaluation``
-(``evaluate``); command-line flags override config values. Unknown
-sections or keys are rejected by name. ``phantom --config`` takes a
-phantom description instead, and ``auc`` takes no config.
+sections ``segmentation`` (read by ``segment``), ``anchors`` (its
+``clamp_floor``, read by ``normalize``) and ``evaluation`` (its
+``threshold``, read by ``evaluate``). Unknown sections or keys are
+rejected by name. Each setting has one way in: the median-filter
+radius, the grouping key and the phantom seed come only from the flags
+``--denoise-median``, ``--group-by`` and ``--seed``. ``phantom
+--config`` takes a phantom description instead, and ``auc`` takes no
+config. No output a run writes may replace a file it reads.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import logging
 import sys
 from dataclasses import dataclass
@@ -30,8 +34,8 @@ from . import evaluation as eval_mod
 from .errors import ConfigError, DcenormError, MissingInputError, SegmentationError, ValidationError
 from .features import extract_features, read_features_csv, write_features_csv
 from .manifest import (
-    SubjectEntry, check_outputs_spare_inputs, check_subject_grids, load_manifest, load_series,
-    load_subject as _load_subject, read_labels_csv, save_manifest, save_subject, subject_file,
+    SubjectEntry, check_outputs_spare_inputs, check_subject_grids, dataset_files, load_manifest, load_series,
+    load_subject as _load_subject, manifest_files, read_labels_csv, save_manifest, save_subject, subject_file,
 )
 from .mapping import apply_mapping, build_mapping, export_mapping_curve, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
@@ -45,31 +49,22 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class CliConfig:
     segmentation: SegmentationConfig
-    heart_rule: str = "p90"
     clamp_floor: float = 0.0
-    denoise_radius: int | None = None
-    group_by: str | None = None
     group_threshold: float | None = None
 
 
 _SECTION_KEYS = {
     "segmentation": {f.name for f in dataclasses.fields(SegmentationConfig)},
-    "anchors": {"heart_rule", "clamp_floor"},
-    "features": {"denoise_radius"},
-    "evaluation": {"group_by", "threshold"},
+    "anchors": {"clamp_floor"},
+    "evaluation": {"threshold"},
 }
-
-
-def _check_denoise_radius(radius, name: str, path: Path | str | None = None) -> None:
-    if radius is not None and not (is_number(radius, int) and radius >= 1):
-        raise ConfigError(f"{name} must be an integer >= 1, got {radius!r}", path=path)
 
 
 def load_cli_config(path: Path | str | None) -> CliConfig:
     if path is None:
         return CliConfig(segmentation=SegmentationConfig())
     raw = json_object(read_json(path), _SECTION_KEYS, "config", ConfigError, path)
-    seg_sec, anchors_sec, features_sec, eval_sec = (
+    seg_sec, anchors_sec, eval_sec = (
         json_object(raw.get(section, {}), keys, f"config section {section!r}", ConfigError, path)
         for section, keys in _SECTION_KEYS.items()
     )
@@ -77,31 +72,18 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
     clamp_floor = anchors_sec.get("clamp_floor", 0.0)
     if not is_number(clamp_floor):
         raise ConfigError(f"anchors.clamp_floor must be a finite number, got {clamp_floor!r}", path=path)
-    cfg = CliConfig(
-        segmentation=seg,
-        heart_rule=anchors_sec.get("heart_rule", "p90"),
-        clamp_floor=float(clamp_floor),
-        denoise_radius=features_sec.get("denoise_radius"),
-        group_by=eval_sec.get("group_by"),
-        group_threshold=eval_sec.get("threshold"),
-    )
-    if cfg.heart_rule not in anchors_mod.HEART_RULES:
-        raise ConfigError(f"unknown heart_rule {cfg.heart_rule!r}", path=path)
-    _check_denoise_radius(cfg.denoise_radius, "features.denoise_radius", path=path)
-    if cfg.group_threshold is not None and not is_number(cfg.group_threshold):
-        raise ConfigError(f"evaluation.threshold must be a finite number, got {cfg.group_threshold!r}", path=path)
-    if cfg.group_by is not None and cfg.group_by not in eval_mod.GROUP_KEYS:
-        raise ConfigError(f"evaluation.group_by must be one of {eval_mod.GROUP_KEYS}", path=path)
-    return cfg
+    threshold = eval_sec.get("threshold")
+    if threshold is not None and not is_number(threshold):
+        raise ConfigError(f"evaluation.threshold must be a finite number, got {threshold!r}", path=path)
+    return CliConfig(segmentation=seg, clamp_floor=float(clamp_floor), group_threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
 # per-subject workers (top level so process pools can pickle them)
 
 
-def _anchor_job(entry: SubjectEntry, heart_rule: str):
-    series, mask = _load_subject(entry)
-    return anchors_mod.extract_anchors(series, mask, heart_rule=heart_rule)
+def _anchor_job(entry: SubjectEntry):
+    return anchors_mod.extract_anchors(*_load_subject(entry))
 
 
 def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConfig):
@@ -122,18 +104,19 @@ def _normalize_job(
     entry: SubjectEntry,
     model: NormalizationModel,
     out_dir: str,
-    heart_rule: str,
     clamp_floor: float,
     mapping_dir: str | None,
 ):
     series, mask = _load_subject(entry)
-    anchor_set = anchors_mod.extract_anchors(series, mask, heart_rule=heart_rule)
-    mapping = build_mapping(anchor_set, model, clamp_floor=clamp_floor)
+    mapping = build_mapping(anchors_mod.extract_anchors(series, mask), model, clamp_floor=clamp_floor)
     written = save_subject(entry, out_dir, apply_mapping(mapping, series).volumes)
     if mapping_dir is not None:
-        curve = export_mapping_curve(mapping)
-        write_mapping_curve(Path(mapping_dir) / f"{entry.subject_id}_mapping.csv", curve)
+        write_mapping_curve(_mapping_file(mapping_dir, entry.subject_id), export_mapping_curve(mapping))
     return written
+
+
+def _mapping_file(mapping_dir: Path | str, subject_id: str) -> Path:
+    return Path(mapping_dir) / f"{subject_id}_mapping.csv"
 
 
 def _features_job(entry: SubjectEntry, denoise_radius: int | None, normalized: bool):
@@ -147,9 +130,7 @@ def _features_job(entry: SubjectEntry, denoise_radius: int | None, normalized: b
 
 def _cmd_phantom(args) -> int:
     cfg = phantom_config_from_json(args.config) if args.config else PhantomConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    manifest = generate_phantom(cfg, args.out, jobs=args.jobs)
+    manifest = generate_phantom(dataclasses.replace(cfg, seed=args.seed), args.out, jobs=args.jobs)
     log.info("phantom: wrote %d subjects to %s", len(manifest), args.out)
     return 0
 
@@ -159,7 +140,7 @@ def _cmd_segment(args) -> int:
     entries = load_manifest(args.manifest)
     unmasked = [entry for entry in entries if entry.mask is None]
     masks = [subject_file(entry.subject_id, args.out_dir, None) for entry in unmasked]
-    check_outputs_spare_inputs(args.manifest, entries, args.out_dir, masks)
+    check_outputs_spare_inputs(manifest_files(args.manifest, entries), {"--out-dir": dataset_files(args.out_dir, masks)})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Every subject's grids are checked here, from the sidecars; a mask the
@@ -187,10 +168,11 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cli_cfg = load_cli_config(args.config)
+    load_cli_config(args.config)  # train reads no setting, but checks the file as every stage does
     manifest = load_manifest(args.manifest)
-    job = partial(_anchor_job, heart_rule=cli_cfg.heart_rule)
-    anchor_sets = run_parallel(job, manifest, args.jobs)
+    outputs = {"--out": [args.out], "--emit-anchors": [args.emit_anchors] if args.emit_anchors else []}
+    check_outputs_spare_inputs(manifest_files(args.manifest, manifest), outputs)
+    anchor_sets = run_parallel(_anchor_job, manifest, args.jobs)
     model = train_archetype(anchor_sets)
     save_model(model, args.out)
     if args.emit_anchors:
@@ -204,7 +186,11 @@ def _cmd_normalize(args) -> int:
     manifest = load_manifest(args.manifest)
     model = load_model(args.model)  # fail fast before any per-subject work
     volumes = [subject_file(e.subject_id, args.out_dir, k) for e in manifest for k in range(len(e.posts) + 1)]
-    check_outputs_spare_inputs(args.manifest, manifest, args.out_dir, volumes)
+    curves = [_mapping_file(args.emit_mapping, e.subject_id) for e in manifest] if args.emit_mapping else []
+    check_outputs_spare_inputs(
+        itertools.chain([args.model], manifest_files(args.manifest, manifest)),
+        {"--out-dir": dataset_files(args.out_dir, volumes), "--emit-mapping": curves},
+    )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.emit_mapping:
@@ -213,7 +199,6 @@ def _cmd_normalize(args) -> int:
         _normalize_job,
         model=model,
         out_dir=str(out),
-        heart_rule=cli_cfg.heart_rule,
         clamp_floor=cli_cfg.clamp_floor,
         mapping_dir=args.emit_mapping,
     )
@@ -224,11 +209,12 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    cli_cfg = load_cli_config(args.config)
-    _check_denoise_radius(args.denoise_median, "--denoise-median")
+    load_cli_config(args.config)  # features reads no setting, but checks the file as every stage does
+    if args.denoise_median is not None and args.denoise_median < 1:
+        raise ConfigError(f"--denoise-median must be an integer >= 1, got {args.denoise_median}")
     manifest = load_manifest(args.manifest)
-    radius = args.denoise_median if args.denoise_median is not None else cli_cfg.denoise_radius
-    job = partial(_features_job, denoise_radius=radius, normalized=args.normalized)
+    check_outputs_spare_inputs(manifest_files(args.manifest, manifest), {"--out": [args.out]})
+    job = partial(_features_job, denoise_radius=args.denoise_median, normalized=args.normalized)
     rows = run_parallel(job, manifest, args.jobs)
     write_features_csv(args.out, rows)
     log.info("features: %d subjects -> %s", len(rows), args.out)
@@ -238,23 +224,30 @@ def _cmd_features(args) -> int:
 def _cmd_evaluate(args) -> int:
     cli_cfg = load_cli_config(args.config)
     manifest = load_manifest(args.manifest)
+    manifest_after = load_manifest(args.manifest_after) if args.manifest_after else None
+    csv_out = Path(args.out).with_suffix(".csv")
+    check_outputs_spare_inputs(
+        itertools.chain(
+            [args.before, args.after],
+            manifest_files(args.manifest, manifest),
+            manifest_files(args.manifest_after, manifest_after) if args.manifest_after else [],
+        ),
+        {"--out": [args.out, csv_out]},
+    )
     before = read_features_csv(args.before)
     after = read_features_csv(args.after)
-    key = args.group_by or cli_cfg.group_by
-    if key is None:
-        raise ConfigError("evaluate needs --group-by or an evaluation.group_by config entry")
-    spec = eval_mod.GroupingSpec(key=key, threshold=cli_cfg.group_threshold)
-    manifest_after = load_manifest(args.manifest_after) if args.manifest_after else None
+    spec = eval_mod.GroupingSpec(key=args.group_by, threshold=cli_cfg.group_threshold)
     report = eval_mod.build_report(
         manifest, before, after, spec, manifest_after=manifest_after
     )
     atomic_write_json(args.out, report)
-    eval_mod.write_report_csv(Path(args.out).with_suffix(".csv"), report)
+    eval_mod.write_report_csv(csv_out, report)
     log.info("evaluate: report written to %s", args.out)
     return 0
 
 
 def _cmd_auc(args) -> int:
+    check_outputs_spare_inputs([args.features, args.labels], {"--out": [args.out]})
     rows = read_features_csv(args.features)
     labels = read_labels_csv(args.labels)
     missing = [r.subject_id for r in rows if r.subject_id not in labels]
@@ -295,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("phantom", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_phantom)
 
@@ -332,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--before", required=True)
     p.add_argument("--after", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--group-by", choices=list(eval_mod.GROUP_KEYS), default=None)
+    p.add_argument("--group-by", choices=list(eval_mod.GROUP_KEYS), required=True)
     p.add_argument("--manifest-after", default=None, help="normalized-dataset manifest")
     p.add_argument("--out", required=True)
     _add_common(p, jobs=False)

@@ -239,21 +239,31 @@ def read_labels_csv(path: Path | str) -> dict[str, int]:
     return labels
 
 
-def check_outputs_spare_inputs(manifest: Path | str, entries, out_dir: Path | str, volumes) -> None:
-    """Reject writing the sidecars ``volumes`` and then a manifest in ``out_dir`` over a file the run reads.
+def manifest_files(manifest: Path | str, entries):
+    """The ``manifest`` file, then every file one of its ``entries`` names: what a run on it reads."""
+    yield Path(manifest)
+    for entry in entries:
+        yield from entry_files(entry)
 
-    The inputs are the ``manifest`` file and every file one of ``entries``
-    names. Paths are compared resolved, so relative paths and links cannot
-    hide a clash. The error names the first output that is an input.
+
+def dataset_files(out_dir: Path | str, sidecars) -> list[Path]:
+    """What a run writes in ``out_dir``: each volume of ``sidecars``, sidecar and payload, then the manifest."""
+    return [file for sidecar in sidecars for file in volume_files(sidecar)] + [Path(out_dir) / "manifest.json"]
+
+
+def check_outputs_spare_inputs(inputs, outputs: dict) -> None:
+    """Reject a run that would write one of its ``outputs`` over a file among its ``inputs``.
+
+    ``outputs`` maps each flag to the files written under it. Paths are
+    compared resolved, so relative paths and links cannot hide a clash.
+    The error names the flag and the first output that is an input.
     """
-    # Every input exists (load_manifest checked), so only an output that already exists can be one.
-    if not Path(out_dir).is_dir():
-        return
-    outputs = [file for volume in volumes for file in volume_files(volume)] + [Path(out_dir) / "manifest.json"]
-    existing = [file for file in outputs if file.exists()]
+    # An output that does not exist yet is no file the run reads, so ``inputs``,
+    # which may be a generator, is drawn only when some output exists.
+    existing = [(flag, Path(file)) for flag, files in outputs.items() for file in files if Path(file).exists()]
     if not existing:
         return
-    inputs = {Path(manifest).resolve(), *(file.resolve() for entry in entries for file in entry_files(entry))}
-    for file in existing:
-        if file.resolve() in inputs:
-            raise ValidationError("--out-dir would overwrite an input file", path=file)
+    resolved = {Path(file).resolve() for file in inputs}
+    for flag, file in existing:
+        if file.resolve() in resolved:
+            raise ValidationError(f"{flag} would overwrite an input file", path=file)

@@ -158,7 +158,8 @@ class PhantomConfig:
             raise ConfigError(f"gradient_range must satisfy 0 <= lo <= hi, got {self.gradient_range}")
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(PhantomConfig)}
+# The seed comes only from ``dcenorm phantom --seed``, so a description file cannot set it.
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(PhantomConfig)} - {"seed"}
 _GROUP_KEYS = {f.name for f in dataclasses.fields(GroupSpec)}
 _GROUP_REQUIRED = {"name", "n_subjects"}
 # Sections given as objects whose entries override the defaults one by one.

@@ -60,28 +60,6 @@ class TestExtractAnchors:
             assert anchors.v_dense == nearest_rank(pre[mask.tissue(3)], 50)
             assert anchors.v_heart == nearest_rank(post[mask.tissue(4)], 90)
 
-    def test_top10_mean_rule(self):
-        labels = np.full((1, 1, 13), 4, dtype=np.uint8)
-        labels[0, 0, :3] = [1, 2, 3]
-        pre = np.zeros((1, 1, 13), dtype=np.float32)
-        post = np.concatenate([[0, 0, 0], np.arange(1, 11)]).astype(np.float32)
-        series = series_of(pre, [post.reshape(1, 1, 13)])
-        anchors = extract_anchors(series, mask_of(labels), heart_rule="top10_mean")
-        # ceil(10 * 0.1) = 1 voxel: just the maximum
-        assert anchors.v_heart == 10.0
-
-    def test_top10_mean_averages_top_voxels(self, rng):
-        n = 37
-        labels = np.full((1, 1, n + 3), 4, dtype=np.uint8)
-        labels[0, 0, :3] = [1, 2, 3]
-        pre = np.zeros((1, 1, n + 3), dtype=np.float32)
-        heart_vals = rng.uniform(0, 50, size=n).astype(np.float32)
-        post = np.concatenate([[0, 0, 0], heart_vals]).astype(np.float32)
-        series = series_of(pre, [post.reshape(1, 1, n + 3)])
-        anchors = extract_anchors(series, mask_of(labels), heart_rule="top10_mean")
-        top = sorted(heart_vals)[-math.ceil(n * 0.1):]
-        assert anchors.v_heart == pytest.approx(np.mean(np.float64(top)), rel=1e-12)
-
     def test_scale_equivariance(self, rng):
         # powers of two keep float32 scaling exact
         for scale in (2.0, 0.25):
@@ -130,12 +108,6 @@ class TestExtractAnchors:
         pre = np.ones(labels.shape, dtype=np.float32)
         with pytest.raises(MaskError, match="mask and series are on different grids"):
             extract_anchors(series_of(pre, [pre]), mask_of(labels, (1.0, 1.0, 2.0)))
-
-    def test_unknown_heart_rule(self):
-        labels = labeled_scene(tumor=False)
-        pre = np.ones(labels.shape, dtype=np.float32)
-        with pytest.raises(ValidationError, match="p95"):
-            extract_anchors(series_of(pre, [pre]), mask_of(labels), heart_rule="p95")
 
     def test_source_counts_recorded(self):
         labels = labeled_scene(shape=(2, 2, 8), tumor=False)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import dcenorm
 from dcenorm import (
     GroupSpec, PhantomConfig, TissueMask, Volume, extract_anchors, generate_phantom, load_manifest, load_model,
-    read_features_csv, save_mask, save_volume,
+    load_series, read_features_csv, save_mask, save_volume,
 )
 from dcenorm import cli
 from dcenorm.cli import load_cli_config, main
@@ -206,36 +206,36 @@ class TestErrorPaths:
         assert rc == 1
         assert "typo_section" in capsys.readouterr().err
 
-    def test_unknown_config_key_named(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"segmentation": {"polarity_x": 1}}')
-        rc = main(["segment", "--manifest", "x.json", "--out-dir", str(tmp_path), "--config", str(cfg)])
-        assert rc == 1
-        assert "polarity_x" in capsys.readouterr().err
-
-    def test_bad_heart_rule_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"anchors": {"heart_rule": "p95"}}')
-        rc = main(["train", "--manifest", "x.json", "--out", "m.json", "--config", str(cfg)])
-        assert rc == 1
-        assert "p95" in capsys.readouterr().err
-
-    def test_denoise_radius_validated(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"features": {"denoise_radius": 0}}')
-        rc = main(["features", "--manifest", "x.json", "--out", "f.csv", "--config", str(cfg)])
-        assert rc == 1
-        assert "denoise_radius" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("radius", ['"2"', "1.5", "true"])
-    def test_denoise_radius_must_be_integer(self, tmp_path, capsys, radius):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"features": {"denoise_radius": %s}}' % radius)
-        rc = main(["features", "--manifest", "x.json", "--out", "f.csv", "--config", str(cfg)])
+    @pytest.mark.parametrize("argv, config, key", [
+        (["segment", "--manifest", "x.json", "--out-dir", "o"], {"segmentation": {"polarity_x": 1}}, "polarity_x"),
+        (["train", "--manifest", "x.json", "--out", "m.json"], {"anchors": {"heart_rule": "p90"}}, "heart_rule"),
+        (["normalize", "--manifest", "x.json", "--model", "m.json", "--out-dir", "o"],
+         {"anchors": {"heart_rule": "top10_mean"}}, "heart_rule"),
+        (["features", "--manifest", "x.json", "--out", "f.csv"], {"features": {"denoise_radius": 1}}, "features"),
+        (["evaluate", "--before", "b.csv", "--after", "a.csv", "--manifest", "x.json", "--group-by", "te",
+          "--out", "r.json"], {"evaluation": {"group_by": "te"}}, "group_by"),
+        (["phantom", "--out", "d"], {"seed": 3}, "seed"),
+    ], ids=["segmentation-key", "heart-rule-train", "heart-rule-normalize", "features-section",
+            "evaluation-group-by", "phantom-seed"])
+    def test_unknown_config_key_named(self, tmp_path, monkeypatch, capsys, argv, config, key):
+        """A removed key, or one whose only way in is a flag, fails as an unknown key."""
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(config))
+        rc = main([*argv, "--config", "cfg.json"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error[validation]:") and "denoise_radius" in err
+        assert err.startswith("error[validation]:") and "unknown keys" in err and key in err
         assert len(err.splitlines()) == 1
+
+    def test_evaluate_needs_group_by(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = main(["evaluate", "--before", str(pipeline / "before.csv"), "--after", str(pipeline / "after.csv"),
+                   "--manifest", str(pipeline / "seg" / "manifest.json"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "--group-by" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_denoise_flag_checked_before_subjects_load(self, pipeline, tmp_path, capsys, monkeypatch):
         def no_loading(*args, **kwargs):
@@ -347,7 +347,8 @@ class TestErrorPaths:
         ["train", "--manifest", "m.json", "--out", "model.json"],
         ["normalize", "--manifest", "m.json", "--model", "model.json", "--out-dir", "d"],
         ["features", "--manifest", "m.json", "--out", "f.csv"],
-        ["evaluate", "--before", "b.csv", "--after", "a.csv", "--manifest", "m.json", "--out", "r.json"],
+        ["evaluate", "--before", "b.csv", "--after", "a.csv", "--manifest", "m.json", "--group-by", "te",
+         "--out", "r.json"],
         ["auc", "--features", "f.csv", "--labels", "l.csv", "--out", "auc.csv"],
     ], ids=lambda argv: argv[0])
     def test_masks_flag_rejected(self, tmp_path, capsys, argv):
@@ -530,7 +531,7 @@ class TestErrorPaths:
         ({"groups": [{"name": "A", "n_subjects": "2"}]}, "n_subjects"),
         ({"n_posts": 1.5}, "n_posts"),
         ({"enhancement": {"fat": 5}}, "enhancement"),
-        ({"seed": "x"}, "seed"),
+        ({"spacing_mm": [2.0, "x", 4.0]}, "spacing_mm"),
     ])
     def test_phantom_config_types_checked(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "phantom.json"
@@ -601,7 +602,7 @@ def test_segment_and_normalize_jobs_return_entries(pipeline, tmp_path):
     assert (tmp_path / "seg" / "A000_mask.raw").read_bytes() == (pipeline / "seg" / "A000_mask.raw").read_bytes()
 
     model = load_model(pipeline / "model.json")
-    normalized = cli._normalize_job(masked, model, str(tmp_path / "norm"), "p90", 0.0, None)
+    normalized = cli._normalize_job(masked, model, str(tmp_path / "norm"), 0.0, None)
     posts = tuple(tmp_path / "norm" / f"A000_post{k}.json" for k in (1, 2, 3))
     assert normalized == dataclasses.replace(masked, pre=tmp_path / "norm" / "A000_pre.json", posts=posts)
     for name in ("A000_pre.raw", "A000_post3.raw"):
@@ -636,6 +637,67 @@ def test_out_dir_may_not_overwrite_an_input(pipeline, tmp_path, command, spellin
     assert err == f"error[validation]: --out-dir would overwrite an input file [{tmp_path / spelling / first}]\n"
 
 
+# Each case: the argv ({data} and {tmp} filled in at run time), the flag, and the input that flag would replace.
+_SINGLE_FILE_OUTPUTS = {
+    "features-out": (["features", "--manifest", "{data}/manifest.json", "--out", "{data}/manifest.json"],
+                     "--out", "{data}/manifest.json"),
+    "train-out": (["train", "--manifest", "{data}/manifest.json", "--out", "{data}/A000_pre.raw"],
+                  "--out", "{data}/A000_pre.raw"),
+    "train-emit-anchors": (["train", "--manifest", "{data}/manifest.json", "--out", "{tmp}/model.json",
+                            "--emit-anchors", "{data}/A000_mask.json"], "--emit-anchors", "{data}/A000_mask.json"),
+    "normalize-emit-mapping": (["normalize", "--manifest", "{data}/manifest.json", "--model", "{tmp}/A000_mapping.csv",
+                                "--out-dir", "{tmp}/norm", "--emit-mapping", "{tmp}"],
+                               "--emit-mapping", "{tmp}/A000_mapping.csv"),
+    "evaluate-out": (["evaluate", "--before", "{tmp}/f.csv", "--after", "{tmp}/f.csv", "--manifest",
+                      "{data}/manifest.json", "--group-by", "te", "--out", "{data}/manifest.json"],
+                     "--out", "{data}/manifest.json"),
+    "evaluate-csv-sibling": (["evaluate", "--before", "{tmp}/f.csv", "--after", "{tmp}/f.csv", "--manifest",
+                              "{data}/manifest.json", "--group-by", "te", "--out", "{tmp}/f.json"],
+                             "--out", "{tmp}/f.csv"),
+    "auc-out": (["auc", "--features", "{tmp}/f.csv", "--labels", "{data}/labels.csv", "--out", "{data}/labels.csv"],
+                "--out", "{data}/labels.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SINGLE_FILE_OUTPUTS))
+def test_single_file_output_may_not_overwrite_an_input(tmp_path, monkeypatch, case):
+    """A single-file output that names a file the run reads fails before any subject loads, writing nothing."""
+    data = tmp_path / "data"
+    generate_phantom(PhantomConfig(dims=(16, 16, 8), groups=(GroupSpec(name="A", n_subjects=1),)), data)
+    assert main(["train", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "A000_mapping.csv"),
+                 "--jobs", "1"]) == 0
+    assert main(["features", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "f.csv"),
+                 "--jobs", "1"]) == 0
+
+    def no_loading(*args, **kwargs):
+        raise AssertionError("subject loaded before the outputs were checked")
+
+    monkeypatch.setattr("dcenorm.cli._load_subject", no_loading)
+    monkeypatch.setattr("dcenorm.evaluation.load_subject", no_loading)
+    argv, flag, victim = _SINGLE_FILE_OUTPUTS[case]
+    before = _tree_bytes(tmp_path)
+    rc, err = _run([a.format(data=data, tmp=tmp_path) for a in argv])
+    assert _tree_bytes(tmp_path) == before
+    assert rc == 1
+    assert err == f"error[validation]: {flag} would overwrite an input file [{victim.format(data=data, tmp=tmp_path)}]\n"
+
+
+def test_archetype_is_a_fixed_point_of_its_model(pipeline):
+    """train then normalize leaves the archetype's series unchanged at and above the clamp.
+
+    The model's targets are the archetype's own anchors, measured by the same rule in both
+    steps, so its map is the identity down to min(clamp_floor, m_air), bit for bit.
+    """
+    model = load_model(pipeline / "model.json")
+    raw = {e.subject_id: e for e in load_manifest(pipeline / "seg" / "manifest.json")}[model.archetype_subject_id]
+    mapped = {e.subject_id: e for e in load_manifest(pipeline / "norm" / "manifest.json")}[model.archetype_subject_id]
+    floor = min(0.0, model.m_air)  # the pipeline runs with the default anchors.clamp_floor of 0
+    for before, after in zip(load_series(raw).volumes, load_series(mapped).volumes):
+        kept = before.data >= floor
+        assert kept.any()
+        assert np.array_equal(after.data[kept].view(np.uint32), before.data[kept].view(np.uint32))
+
+
 def test_out_dir_may_hold_earlier_outputs(pipeline, tmp_path):
     """Outputs of an earlier run that are not inputs of this one are written over."""
     argv = ["normalize", "--manifest", str(pipeline / "seg" / "manifest.json"), "--model", str(pipeline / "model.json"),
@@ -668,9 +730,9 @@ def test_readme_config_example_loads(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(block)
     cfg = load_cli_config(cfg_path)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["segmentation", "clamp_floor", "group_threshold"]
     assert cfg.segmentation.morphology_radius == 2
-    assert cfg.denoise_radius == 1
-    assert (cfg.group_by, cfg.group_threshold) == ("te", 2.0)
+    assert (cfg.clamp_floor, cfg.group_threshold) == (0.0, 2.0)
 
 
 def _unsegmentable_record(directory: Path) -> dict:
@@ -809,7 +871,6 @@ def test_truncated_payload_fails_at_segment(pipeline, tmp_path, volume, with_mas
 TINY_PHANTOM = {
     "dims": [8, 8, 8],
     "spacing_mm": [2.0, 2.0, 4.0],
-    "seed": 0,
     "n_posts": 3,
     "intensities": {"air": 0.0, "fat": 400.0, "dense": 200.0, "heart": 300.0, "tumor": 240.0},
     "enhancement": {"fat": [1.05, 1.1, 1.15], "dense": [1.3, 1.45, 1.6], "heart": [3.0, 2.8, 2.6],
@@ -822,9 +883,8 @@ TINY_PHANTOM = {
 CLI_CONFIG = {
     "segmentation": {"air_fraction": 0.05, "heart_enhancement_percentile": 99.0,
                      "dense_polarity": "dark", "min_component_voxels": 500, "morphology_radius": 1},
-    "anchors": {"heart_rule": "p90", "clamp_floor": 0.0},
-    "features": {"denoise_radius": 1},
-    "evaluation": {"group_by": "te", "threshold": 2.0},
+    "anchors": {"clamp_floor": 0.0},
+    "evaluation": {"threshold": 2.0},
 }
 
 OTHER_TYPE = st.one_of(

@@ -188,10 +188,12 @@ class TestGeneration:
 
 
 class TestPhantomConfig:
-    def test_unknown_key_named(self, tmp_path):
+    @pytest.mark.parametrize("key", ["frobnicate", "seed"])
+    def test_unknown_key_named(self, tmp_path, key):
+        """``seed`` is unknown too: ``dcenorm phantom --seed`` is its only way in."""
         path = tmp_path / "cfg.json"
-        path.write_text('{"frobnicate": 1}')
-        with pytest.raises(ConfigError, match="frobnicate"):
+        path.write_text(json.dumps({key: 1}))
+        with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
             phantom_config_from_json(path)
 
     def test_unknown_enhancement_key_named(self, tmp_path):
