@@ -22,19 +22,17 @@ dense tissue, the dense label minus any tumor voxels.
 The signal enhancement ratio at a voxel is (S1 - S0) / (Slast - S0) and
 washin is (S1 - S0) / max(S0, eps), where S0 is pre-contrast, S1 the
 first post and Slast the last post, and eps is 1e-6 of the whole
-series' dynamic range. Extraction evaluates both only at tissue and
-tumor voxels, the only ones F1-F7 read. Standard deviations everywhere
-are population standard deviations (divide by n).
+series' dynamic range, taken before any filtering. Extraction evaluates
+both only at tissue and tumor voxels, the only ones F1-F7 read.
+Standard deviations everywhere are population standard deviations
+(divide by n).
 
-With a median filter (``denoise_radius``) the features equal those of
-the whole filtered series, but only the voxels they read are filtered:
-the box of each volume's read set, widened by the radius, and only the
-box is kept. The pre-contrast volume is read at tissue and tumor and on
-the tumor's gradient box, the first post there and at fat and dense,
-the last post at tissue and tumor; middle posts are never read. eps is
-bounded instead of computed, and the whole grids are filtered only when
-the bounds leave a map value open (``extract_features`` gives the
-rule).
+With a median filter (``denoise_radius``) the features read the filtered
+series, but only the voxels they read are filtered: the box of each
+volume's read set, widened by the radius, and only the box is kept.
+The pre-contrast volume is read at tissue and tumor and on the tumor's
+gradient box, the first post there and at fat and dense, the last post
+at tissue and tumor; middle posts are never read.
 
 A feature whose source label is missing is reported as missing, never
 silently zero; in CSV output missing features are empty fields.
@@ -314,30 +312,6 @@ def _filtered(volume: Volume, box: _Box | None, radius: int) -> _Reads | None:
     return _Reads(_Reads(filtered, outer).crop(box), box)
 
 
-def _eps_settled(
-    pre: _Reads | None, last: _Reads | None, kinetic: np.ndarray, eps_lo: float, eps_hi: float
-) -> bool:
-    """Whether every eps in [eps_lo, eps_hi] gives the maps the same values at ``kinetic``.
-
-    washin divides by max(S0, eps), which is S0 for every such eps when
-    eps_lo > 0 and S0 >= eps_hi; SER zeroes a voxel where |Slast - S0|
-    <= eps, which every such eps decides alike unless |Slast - S0| lies
-    in (eps_lo, eps_hi]. ``pre`` is None when no voxel is kinetic, and
-    ``last`` when the series has no SER.
-    """
-    if not eps_lo > 0:
-        return False
-    if pre is None:
-        return True
-    s0 = pre.at(kinetic).astype(np.float64)
-    if (s0 < eps_hi).any():
-        return False
-    if last is None:
-        return True
-    gap = np.abs(last.at(kinetic).astype(np.float64) - s0)
-    return not ((eps_lo < gap) & (gap <= eps_hi)).any()
-
-
 def extract_features(
     series: StudySeries,
     mask: TissueMask,
@@ -349,25 +323,16 @@ def extract_features(
     Features whose source labels are absent come back as None. F9 is
     mask-only.
 
-    With ``denoise_radius`` set, the features are those of the series
-    with every volume median filtered, bit for bit, but each volume is
+    With ``denoise_radius`` set, the features read the series with
+    every volume median filtered, bit for bit, but each volume is
     filtered only on the box of the voxels read from it, through
     ``_filtered``: pre-contrast on tissue, tumor and the tumor's gradient
     box; the first post on fat, dense, tumor and that gradient box; the
     last post on tissue and tumor; middle posts not at all. A box's
     values equal the whole-grid filter's there, because each window of a
     box voxel lies in the box widened by the radius, or is clipped by the
-    grid face that the widened box shares.
-
-    eps needs the filtered series' range, which the boxes do not give.
-    Every median is a value of its window, so 1e-6 of the raw series'
-    range, eps_hi, bounds eps from above, and 1e-6 of the range of the
-    filtered boxes, eps_lo, bounds it from below (float subtraction and
-    scaling are monotone). When eps_lo > 0, every S0 read is >= eps_hi,
-    and no |Slast - S0| read lies in (eps_lo, eps_hi], every eps in the
-    bounds gives the same maps at the read voxels, and eps_hi is used.
-    Otherwise every volume is filtered on the whole grid and eps is
-    computed exactly, as without the boxes.
+    grid face that the widened box shares. eps is that of the unfiltered
+    series, as without the filter.
     """
     check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", MaskError)
     sid = series.subject_id
@@ -386,9 +351,9 @@ def extract_features(
     have_ser = len(series.posts) >= 2
 
     read = (series.pre, series.posts[0], series.posts[-1])
-    whole = tuple(slice(0, n) for n in tumor.shape)
     eps = _epsilon(series.volumes)
     if denoise_radius is None:
+        whole = tuple(slice(0, n) for n in tumor.shape)
         pre, post1, last = (_Reads(volume, whole) for volume in read)
     else:
         # The boxes that pre, the first post and the last post are read on.
@@ -400,12 +365,6 @@ def extract_features(
             kinetic_box if have_ser else None,
         )
         pre, post1, last = (_filtered(volume, box, denoise_radius) for volume, box in zip(read, boxes))
-        eps_lo = _epsilon(r.volume for r in (pre, post1, last) if r is not None)
-        if not _eps_settled(pre, last, kinetic, eps_lo, eps):
-            log.debug("subject %s: eps bounds leave a map value open, filtering whole grids", sid)
-            filtered = [_filtered(volume, whole, denoise_radius) for volume in series.volumes]
-            eps = _epsilon(r.volume for r in filtered)
-            pre, post1, last = filtered[0], filtered[1], filtered[-1]
 
     values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
 

@@ -252,12 +252,27 @@ def dataset_files(out_dir: Path | str, sidecars) -> list[Path]:
 
 
 def check_outputs_spare_inputs(inputs, outputs: dict) -> None:
-    """Reject a run that would write one of its ``outputs`` over a file among its ``inputs``.
+    """Reject a run that would write two of its ``outputs`` to one file, or one over a file among its ``inputs``.
 
     ``outputs`` maps each flag to the files written under it. Paths are
     compared resolved, so relative paths and links cannot hide a clash.
-    The error names the flag and the first output that is an input.
+    A write replaces the directory entry, so two outputs are compared by
+    their resolved directory and their name, and each directory is
+    resolved once. The error names the flags of the first two outputs
+    that share a file, else the flag and the first output that is an
+    input.
     """
+    directories, written = {}, {}
+    for flag, files in outputs.items():
+        for file in map(Path, files):
+            if file.parent not in directories:
+                directories[file.parent] = file.parent.resolve()
+            where = (directories[file.parent], file.name)
+            if where in written:
+                first = written[where]
+                both = f"{first} and {flag} would write" if first != flag else f"{flag} would write two outputs to"
+                raise ValidationError(f"{both} the same file", path=file)
+            written[where] = flag
     # An output that does not exist yet is no file the run reads, so ``inputs``,
     # which may be a generator, is drawn only when some output exists.
     existing = [(flag, Path(file)) for flag, files in outputs.items() for file in files if Path(file).exists()]

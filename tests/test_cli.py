@@ -682,6 +682,31 @@ def test_single_file_output_may_not_overwrite_an_input(tmp_path, monkeypatch, ca
     assert err == f"error[validation]: {flag} would overwrite an input file [{victim.format(data=data, tmp=tmp_path)}]\n"
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_outputs_may_not_share_a_file(tmp_path, command):
+    """Two outputs of one run that name one file fail before anything is written, though neither exists yet."""
+    data = tmp_path / "data"
+    groups = (GroupSpec(name="A", n_subjects=2), GroupSpec(name="B", n_subjects=2, te_ms=2.6))
+    generate_phantom(PhantomConfig(dims=(16, 16, 8), groups=groups), data)
+    manifest = str(data / "manifest.json")
+    if command == "train":
+        out = tmp_path / "data" / ".." / "model.json"  # another spelling of the --out file
+        argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "model.json"), "--emit-anchors", str(out)]
+        clash = "--out and --emit-anchors would write the same file"
+    else:
+        features = tmp_path / "f.csv"
+        assert main(["features", "--manifest", manifest, "--out", str(features), "--jobs", "1"]) == 0
+        out = tmp_path / "r.csv"  # the JSON report, and the CSV rendering named by its .csv suffix
+        argv = ["evaluate", "--before", str(features), "--after", str(features), "--manifest", manifest,
+                "--group-by", "te", "--out", str(out)]
+        clash = "--out would write two outputs to the same file"
+    rc, err = _run(argv)
+    assert rc == 1
+    assert err == f"error[validation]: {clash} [{out}]\n"
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_archetype_is_a_fixed_point_of_its_model(pipeline):
     """train then normalize leaves the archetype's series unchanged at and above the clamp.
 

@@ -546,6 +546,8 @@ def whole_grid_extract_features(series, mask, denoise_radius=None, normalized=Fa
         v = values.astype(np.float64)
         return float(v.mean()), float(v.std())
 
+    pool = np.concatenate([v.data.ravel() for v in series.volumes])
+    eps = 1e-6 * (float(pool.max()) - float(pool.min()))  # of the series as given, before any filter
     work = series
     if denoise_radius is not None:
         work = replace(
@@ -558,8 +560,8 @@ def whole_grid_extract_features(series, mask, denoise_radius=None, normalized=Fa
     tumor = mask.tissue(TUMOR)
     tissue = dense & ~tumor
     values = {name: None for name in FEATURE_NAMES}
-    ser = ser_map(work).data if len(work.posts) >= 2 else None
-    washin = washin_map(work).data
+    ser = ser_map(work, eps=eps).data if len(work.posts) >= 2 else None
+    washin = washin_map(work, eps=eps).data
     post1 = work.posts[0].data
     if tissue.any():
         if ser is not None:
@@ -794,11 +796,8 @@ class TestBoxFilter:
             reads.crop(box_of((1, 1, 0), (3, 4, 5)))
 
 
-WHOLE_GRID_LOG = "filtering whole grids"
-
-
 def forced_scene(rng, shape, n_posts, labels):
-    """A series on which some read S0 filters to 0, below eps_hi: eps falls back to whole grids."""
+    """A series on which some read S0 filters to 0, so washin divides by eps there."""
     pre = rng.uniform(20, 100, size=shape)
     pre[:, :, : shape[2] // 2 + 1] = 0.0
     posts = [rng.uniform(50, 400, size=shape) for _ in range(n_posts)]
@@ -808,12 +807,12 @@ def forced_scene(rng, shape, n_posts, labels):
 
 
 def undecided_gap_scene(rng):
-    """Every read S0 is far above eps_hi, but |Slast - S0| at the tissue is in (eps_lo, eps_hi].
+    """|Slast - S0| at the tissue voxel is 1, at most eps of the series but not of its filtered form.
 
     A spike in the middle post, away from every read voxel, makes the raw
-    range, and so eps_hi, about 10; the filter removes it, and the
-    filtered eps is about 3e-4. The tissue sits where pre is 150 and the
-    last post 151, so eps_hi would zero its SER and the true eps does not.
+    range, and so eps, about 10; the filter would remove it, leaving a
+    range whose eps is about 3e-4. The tissue sits where pre is 150 and
+    the last post 151, also after the filter.
     """
     shape = (5, 9, 10)
     pre = rng.uniform(100, 200, size=shape)
@@ -828,7 +827,7 @@ def undecided_gap_scene(rng):
     return series_of(pre, posts), mask_of(labels)
 
 
-def exact_eps_scene(case):
+def denoise_scene(case):
     rng = np.random.default_rng(11)
     shape = (4, 7, 8)
     mixed = rng.integers(0, 6, size=shape)
@@ -849,27 +848,6 @@ def exact_eps_scene(case):
     return forced_scene(rng, shape, 3, labels)
 
 
-class TestExactEpsilon:
-    """Where the eps bounds leave a map value open, extraction filters whole grids and equals the reference."""
-
-    @pytest.mark.parametrize("case", [
-        "low s0", "undecided SER gap", "constant series", "one post", "no tumor", "labels on faces",
-    ])
-    def test_falls_back_to_whole_grids(self, case, caplog):
-        series, mask = exact_eps_scene(case)
-        with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
-            got = extract_features(series, mask, denoise_radius=1)
-        assert WHOLE_GRID_LOG in caplog.text
-        assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=1))
-
-    def test_bounded_eps_filters_boxes_only(self, rng, caplog):
-        series, mask = random_scene(rng)
-        with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
-            got = extract_features(series, mask, denoise_radius=1)
-        assert WHOLE_GRID_LOG not in caplog.text
-        assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=1))
-
-
 def widened_box_voxels(where, radius):
     idx = np.argwhere(where)
     lo = np.maximum(idx.min(axis=0) - radius, 0)
@@ -877,26 +855,57 @@ def widened_box_voxels(where, radius):
     return int(np.prod(hi - lo))
 
 
-def test_denoising_filters_only_the_read_boxes(tmp_path, monkeypatch):
-    cfg = PhantomConfig(dims=(48, 48, 16), groups=(GroupSpec(name="A", n_subjects=1, noise_sigma=10.0),))
-    series, mask = load_subject(generate_phantom(cfg, str(tmp_path), jobs=1)[0])
+def read_box_sizes(mask, n_posts, radius):
+    """Voxels of each read box widened by ``radius``: pre, the first post, and the last post when SER is read."""
+    dense, fat, tumor = mask.tissue(DENSE), mask.tissue(FAT), mask.tissue(TUMOR)
+    kinetic = dense | tumor
+    gradient = np.zeros_like(tumor)
+    if tumor.any():
+        zs, ys, xs = np.nonzero(tumor)
+        gradient[zs.min() : zs.max() + 1, max(ys.min() - 1, 0) : ys.max() + 2, max(xs.min() - 1, 0) : xs.max() + 2] = True
+    reads = [kinetic | gradient, fat | kinetic | gradient]  # pre, first post
+    if n_posts >= 2:
+        reads.append(kinetic)  # last post; a middle one is never read
+    return sorted(widened_box_voxels(where, radius) for where in reads if where.any())
+
+
+def count_filtered_voxels(monkeypatch):
+    """Record the voxel count of every volume that extraction median filters."""
     filtered = []
     real = features_module.median_filter
     monkeypatch.setattr(
         features_module, "median_filter", lambda volume, radius: filtered.append(volume.data.size) or real(volume, radius)
     )
+    return filtered
+
+
+class TestDenoisedScenes:
+    """Denoised extraction equals the whole-grid reference and filters the read boxes alone."""
+
+    @pytest.mark.parametrize("case", [
+        "low s0", "undecided SER gap", "constant series", "one post", "no tumor", "labels on faces", "random",
+    ])
+    def test_matches_reference_filtering_read_boxes_only(self, case, rng, monkeypatch):
+        series, mask = random_scene(rng) if case == "random" else denoise_scene(case)
+        filtered = count_filtered_voxels(monkeypatch)
+        got = extract_features(series, mask, denoise_radius=1)
+        assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=1))
+        assert sorted(filtered) == read_box_sizes(mask, len(series.posts), 1)
+
+    def test_eps_is_that_of_the_unfiltered_series(self):
+        """The tissue voxel's |Slast - S0| of 1 is at most eps of the raw series, so its SER is 0."""
+        series, mask = undecided_gap_scene(np.random.default_rng(11))
+        assert features_module._epsilon(series.volumes) > 9.0
+        for radius in (None, 1):
+            got = extract_features(series, mask, denoise_radius=radius)
+            assert (got.values["F1"], got.values["F6"]) == (0.0, 0.0), radius
+
+
+def test_denoising_filters_only_the_read_boxes(tmp_path, monkeypatch):
+    cfg = PhantomConfig(dims=(48, 48, 16), groups=(GroupSpec(name="A", n_subjects=1, noise_sigma=10.0),))
+    series, mask = load_subject(generate_phantom(cfg, str(tmp_path), jobs=1)[0])
+    filtered = count_filtered_voxels(monkeypatch)
     got = extract_features(series, mask, denoise_radius=1)
     assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=1))
-
-    dense, fat, tumor = mask.tissue(DENSE), mask.tissue(FAT), mask.tissue(TUMOR)
-    kinetic = dense | tumor
-    gradient = np.zeros_like(tumor)
-    zs, ys, xs = np.nonzero(tumor)
-    gradient[zs.min() : zs.max() + 1, max(ys.min() - 1, 0) : ys.max() + 2, max(xs.min() - 1, 0) : xs.max() + 2] = True
-    expected = [
-        widened_box_voxels(kinetic | gradient, 1),  # pre
-        widened_box_voxels(fat | dense | tumor | gradient, 1),  # first post
-        widened_box_voxels(kinetic, 1),  # last post; the middle one is never read
-    ]
-    assert sorted(filtered) == sorted(expected)
+    assert sorted(filtered) == read_box_sizes(mask, len(series.posts), 1)
     assert sum(filtered) < 0.3 * sum(v.data.size for v in series.volumes)

@@ -321,6 +321,31 @@ class TestApplyMapping:
                 assert got.data.shape == w.shape
                 assert np.array_equal(got.data.view(np.uint32), w.view(np.uint32))
 
+    @given(built_mappings(), st.integers(0, 2**32 - 1))
+    # a map flat at 0.0 below the top knot and at -0.0 above it: the max ties 0.0 with -0.0
+    @example(mapping_of((-1.0, 0.0, 1.0, 2.0), (0.0, 0.0, 0.0, -0.0)), 0)
+    def test_range_is_the_map_of_the_raw_range(self, f, seed):
+        """evaluate and the float32 store are weakly monotone, so a mapped volume's max and min are the
+        map of the raw max and min, bit for bit: eps of a mapped series needs no mapped voxel.
+
+        Only the sign of a zero is left open, since a max or min may return either of 0.0 and -0.0
+        when both occur; eps reads max - min, and a zero's sign changes neither it nor the guards.
+        """
+        rng = np.random.default_rng(seed)
+        v = np.array(f.knots_v)
+        span = v[3] - v[0]
+        # Below the first knot, where the floor clamps, through beyond the top knot.
+        pre = rng.uniform(v[0] - 4 * span - 1e3, v[3] + span, size=(3, 4, 5)).astype(np.float32)
+        series = series_of(pre, [rng.permutation(pre.ravel()).reshape(pre.shape) + np.float32(span)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [evaluate(f, vol.data).astype(np.float32) for vol in series.volumes]
+        if not all(np.isfinite(w).all() for w in want):  # a steep tail can pass float32's range
+            return
+        for raw, got in zip(series.volumes, apply_mapping(f, series).volumes):
+            for reduce in (np.max, np.min):
+                want = np.float32(evaluate(f, float(reduce(raw.data))))
+                assert (reduce(got.data) + np.float32(0)).tobytes() == (want + np.float32(0)).tobytes()
+
 
 class TestCurveExport:
     def test_identity_samples(self):
