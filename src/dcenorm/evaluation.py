@@ -187,11 +187,17 @@ def build_report(
 ) -> dict:
     """Assemble the evaluation report structure.
 
-    Both feature lists must cover exactly the manifest's subjects. KS
-    for a feature is computed over subjects where it is present; a
-    feature missing everywhere is reported with null statistics.
+    Both feature lists, and ``manifest_after`` when given, must cover
+    exactly the manifest's subjects; that is checked before any volume
+    is loaded. KS for a feature is computed over subjects where it is
+    present; a feature missing everywhere is reported with null
+    statistics.
     """
     ids = {entry.subject_id for entry in manifest}
+    if manifest_after is not None:
+        differ = ids ^ {entry.subject_id for entry in manifest_after}
+        if differ:
+            raise ValidationError(f"after manifest and manifest differ in subjects {sorted(differ)}")
     before = _feature_table(features_before)
     after = _feature_table(features_after)
     for label_, table in (("before", before), ("after", after)):

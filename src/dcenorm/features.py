@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import MaskError, ValidationError
 from .manifest import StudySeries
-from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, median_filter
+from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, median_filter, widen
 from .util import atomic_write_text, binary_cell, read_csv_records
 
 log = logging.getLogger(__name__)
@@ -95,26 +95,17 @@ def _epsilon(volumes: Iterable[Volume]) -> float:
     return 1e-6 * _dynamic_range(volumes)
 
 
-def _values(volume: Volume, voxels: np.ndarray | None) -> np.ndarray:
-    """Float64 copy of the grid, or of its values at flat C-order ``voxels``."""
-    data = volume.data if voxels is None else volume.data.reshape(-1)[voxels]
-    return data.astype(np.float64)
-
-
-def ser_map(
-    series: StudySeries, voxels: np.ndarray | None = None, eps: float | None = None
-) -> Volume | np.ndarray:
-    """Voxelwise signal enhancement ratio (S1 - S0) / (Slast - S0).
+def ser_map(series: StudySeries, eps: float | None = None) -> Volume:
+    """Voxelwise signal enhancement ratio (S1 - S0) / (Slast - S0), as a Volume on the series' grid.
 
     Voxels whose denominator magnitude does not exceed eps are set to
     0; their count is logged at debug level. The inclusive comparison
     keeps an all-constant series (eps of 0) at ratio 0 instead of 0/0.
 
-    By default the whole grid is mapped into a Volume. With ``voxels``,
-    flat C-order indices into the grid, the ratio is evaluated only at
-    those voxels and returned as a float32 array in their order, and
-    the guarded count covers only them. ``eps`` defaults to 1e-6 of the
-    whole series' dynamic range; pass it to skip that scan.
+    ``eps`` defaults to 1e-6 of the series' dynamic range. Pass it to
+    skip that scan, or when ``series`` holds only some voxels of the
+    series whose eps applies: the map is pointwise, so a series gathered
+    at some voxels maps to the values there, in the same order.
     """
     if len(series.posts) < 2:
         raise ValidationError(
@@ -122,9 +113,7 @@ def ser_map(
         )
     if eps is None:
         eps = _epsilon(series.volumes)
-    s0 = _values(series.pre, voxels)
-    s1 = _values(series.posts[0], voxels)
-    slast = _values(series.posts[-1], voxels)
+    s0, s1, slast = (v.data.astype(np.float64) for v in (series.pre, series.posts[0], series.posts[-1]))
     denom = slast - s0
     guarded = np.abs(denom) <= eps
     n_guarded = int(np.count_nonzero(guarded))
@@ -132,27 +121,24 @@ def ser_map(
         log.debug("subject %s: %d voxels guarded in enhancement ratio", series.subject_id, n_guarded)
     safe = np.where(guarded, 1.0, denom)
     out = np.where(guarded, 0.0, (s1 - s0) / safe).astype(np.float32)
-    return out if voxels is not None else Volume(out, series.spacing_mm, "ser")
+    return Volume(out, series.spacing_mm, "ser")
 
 
-def washin_map(
-    series: StudySeries, voxels: np.ndarray | None = None, eps: float | None = None
-) -> Volume | np.ndarray:
-    """Voxelwise washin (S1 - S0) / max(S0, eps).
+def washin_map(series: StudySeries, eps: float | None = None) -> Volume:
+    """Voxelwise washin (S1 - S0) / max(S0, eps), as a Volume on the series' grid.
 
-    ``voxels`` and ``eps`` work as in ``ser_map``: with ``voxels`` the
-    result is a float32 array of washin at those voxels only.
+    ``eps`` works as in ``ser_map``.
     """
     if eps is None:
         eps = _epsilon(series.volumes)
-    s0 = _values(series.pre, voxels)
+    s0 = series.pre.data.astype(np.float64)
     if eps <= 0:
         # Constant series: every denominator is 0, define the map as 0.
         out = np.zeros_like(s0, dtype=np.float32)
     else:
-        s1 = _values(series.posts[0], voxels)
+        s1 = series.posts[0].data.astype(np.float64)
         out = ((s1 - s0) / np.maximum(s0, eps)).astype(np.float32)
-    return out if voxels is not None else Volume(out, series.spacing_mm, "washin")
+    return Volume(out, series.spacing_mm, "washin")
 
 
 def _entropy_bits(weights: np.ndarray) -> float:
@@ -191,13 +177,7 @@ def _gradient_box(tumor: np.ndarray) -> _Box:
     reads and keeps the grid's own faces, so each gradient there is the
     grid's.
     """
-    _, ny, nx = tumor.shape
-    bz, by, bx = bounding_box(tumor)
-    return (
-        bz,
-        slice(max(by.start - 1, 0), min(by.stop + 1, ny)),
-        slice(max(bx.start - 1, 0), min(bx.stop + 1, nx)),
-    )
+    return widen(bounding_box(tumor), (0, 1, 1), tumor.shape)
 
 
 def dhog(series: StudySeries, tumor: np.ndarray) -> float:
@@ -307,7 +287,7 @@ def _filtered(volume: Volume, box: _Box | None, radius: int) -> _Reads | None:
     """
     if box is None:
         return None
-    outer = tuple(slice(max(b.start - radius, 0), min(b.stop + radius, n)) for b, n in zip(box, volume.data.shape))
+    outer = widen(box, (radius,) * 3, volume.data.shape)
     filtered = median_filter(Volume(volume.data[outer], volume.spacing_mm), radius)
     return _Reads(_Reads(filtered, outer).crop(box), box)
 
@@ -369,20 +349,23 @@ def extract_features(
     values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
 
     # F1-F7 read SER and washin only at tissue and tumor voxels, so the
-    # maps are evaluated there alone, in C order: the same values in the
-    # same order as indexing whole-grid maps. The maps, and dhog below,
-    # run on the box that every volume they read holds, which is the
-    # whole grid unless the volumes were filtered on boxes.
+    # maps run on those voxels alone, gathered in C order into 1x1xn
+    # volumes: the maps are pointwise, so that gives the same values in
+    # the same order as indexing whole-grid maps. The voxels are gathered
+    # on the box that every volume the maps read holds, which is the
+    # whole grid unless the volumes were filtered on boxes; dhog below
+    # runs on such a box too.
     if have_tissue or have_tumor:
         reads = (pre, post1, last) if have_ser else (pre, post1)
         box = _intersection(*(r.box for r in reads))
-        on_box = StudySeries(sid, pre.crop(box), tuple(r.crop(box) for r in reads[1:]))
         inside = kinetic[box]
         voxels = np.flatnonzero(inside)
+        gathered = [Volume(r.crop(box).data.reshape(-1)[voxels].reshape(1, 1, -1), series.spacing_mm) for r in reads]
+        at_voxels = StudySeries(sid, gathered[0], tuple(gathered[1:]))
         in_tumor = tumor[box][inside]
         in_tissue = ~in_tumor
-        ser = ser_map(on_box, voxels, eps) if have_ser else None
-        washin = washin_map(on_box, voxels, eps)
+        ser = ser_map(at_voxels, eps).data.reshape(-1) if have_ser else None
+        washin = washin_map(at_voxels, eps).data.reshape(-1)
 
     if have_tissue:
         if ser is not None:
@@ -444,7 +427,11 @@ def write_features_csv(path: Path | str, rows: list[FeatureVector]) -> None:
 def read_features_csv(path: Path | str) -> list[FeatureVector]:
     columns = ("subject_id", *FEATURE_NAMES, "denoised", "normalized")
     rows = []
+    seen = set()
     for subject, record in read_csv_records(path, columns, "features CSV"):
+        if subject in seen:
+            raise ValidationError(f"duplicate subject {subject} in features", path=path)
+        seen.add(subject)
         values = {}
         for name in FEATURE_NAMES:
             cell = record[name]

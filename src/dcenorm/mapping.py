@@ -192,33 +192,21 @@ def apply_mapping(mapping: MappingFunction, series: StudySeries) -> StudySeries:
     return replace(series, pre=_map(series.pre), posts=tuple(_map(p) for p in series.posts))
 
 
-def export_mapping_curve(
-    mapping: MappingFunction,
-    n_samples: int = 256,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> np.ndarray:
+def export_mapping_curve(mapping: MappingFunction) -> np.ndarray:
     """Sample the mapping for plotting.
 
-    Returns an array of rows (x, f(x), is_anchor) sorted by x. The four
-    control points are always present with is_anchor = 1. The default
-    range starts slightly below the first control point and extends a
-    quarter span beyond the last one so the extrapolation tails are
-    visible.
+    Returns an array of rows (x, f(x), is_anchor) sorted by x: 256
+    evenly spaced samples over [v0 - 0.05 * span, v3 + 0.25 * span],
+    where v0 and v3 are the first and last control points and span is
+    v3 - v0, plus the four control points with is_anchor = 1. The range
+    reaches past both ends so that the extrapolation tails are visible;
+    it is never empty, since the control points strictly increase.
     """
-    if n_samples < 2:
-        raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
     v = np.asarray(mapping.knots_v, dtype=np.float64)
     span = float(v[3] - v[0])
-    if lo is None:
-        lo = float(v[0]) - 0.05 * span
-    if hi is None:
-        hi = float(v[3]) + 0.25 * span
-    if not hi > lo:
-        raise ValidationError(f"curve range is empty: [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, n_samples)
+    xs = np.linspace(float(v[0]) - 0.05 * span, float(v[3]) + 0.25 * span, 256)
     all_x = np.concatenate([xs, v])
-    flags = np.concatenate([np.zeros(n_samples), np.ones(4)])
+    flags = np.concatenate([np.zeros(xs.size), np.ones(4)])
     order = np.argsort(all_x, kind="stable")
     all_x = all_x[order]
     flags = flags[order]

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import SegmentationError, ValidationError
 from .manifest import StudySeries
 from .util import is_number
-from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, percentile
+from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, percentile, widen
 
 log = logging.getLogger(__name__)
 
@@ -77,14 +77,15 @@ class SegmentationConfig:
             raise ValidationError(f"morphology_radius must be an integer >= 0, got {radius!r}")
 
 
-def otsu_upper_class(values: np.ndarray, bins: int = OTSU_BINS) -> np.ndarray | None:
+def otsu_upper_class(values: np.ndarray) -> np.ndarray | None:
     """Split values at the Otsu threshold of a fixed-bin histogram.
 
     Returns a boolean array marking the upper-intensity class, or None
     when the histogram is degenerate (constant input, or no split with
     two non-empty classes). Values are binned over [min, max] into
-    ``bins`` equal bins and both the histogram and the class assignment
-    use the same bin indices, so the split is exactly reproducible.
+    ``OTSU_BINS`` equal bins and both the histogram and the class
+    assignment use the same bin indices, so the split is exactly
+    reproducible.
     """
     values = np.asarray(values)
     if values.size == 0:
@@ -93,14 +94,14 @@ def otsu_upper_class(values: np.ndarray, bins: int = OTSU_BINS) -> np.ndarray | 
     hi = float(values.max())
     if hi == lo:
         return None
-    idx = np.floor((values.astype(np.float64) - lo) * (bins / (hi - lo))).astype(np.int64)
-    np.clip(idx, 0, bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=bins).astype(np.float64)
+    idx = np.floor((values.astype(np.float64) - lo) * (OTSU_BINS / (hi - lo))).astype(np.int64)
+    np.clip(idx, 0, OTSU_BINS - 1, out=idx)
+    counts = np.bincount(idx, minlength=OTSU_BINS).astype(np.float64)
 
     # Between-class variance for every split "bin <= t vs bin > t",
     # with bin indices standing in for intensities (the argmax is
     # invariant under that affine substitution).
-    centers = np.arange(bins, dtype=np.float64)
+    centers = np.arange(OTSU_BINS, dtype=np.float64)
     w0 = np.cumsum(counts)[:-1]
     w1 = counts.sum() - w0
     m0 = np.cumsum(counts * centers)[:-1]
@@ -108,7 +109,7 @@ def otsu_upper_class(values: np.ndarray, bins: int = OTSU_BINS) -> np.ndarray | 
     valid = (w0 > 0) & (w1 > 0)
     if not valid.any():
         return None
-    variance = np.zeros(bins - 1)
+    variance = np.zeros(OTSU_BINS - 1)
     variance[valid] = w0[valid] * w1[valid] * (m0[valid] / w0[valid] - m1[valid] / w1[valid]) ** 2
     t = int(np.argmax(variance))
     if variance[t] <= 0:
@@ -313,7 +314,7 @@ def segment_breast(
     candidate = body & anterior
     if config.morphology_radius > 0:
         # Never None: each slice's chest-wall row holds body voxels.
-        box = bounding_box(candidate, config.morphology_radius)
+        box = widen(bounding_box(candidate), (config.morphology_radius,) * 3, candidate.shape)
         closed = np.zeros(candidate.shape, dtype=bool)
         closed[box] = _closing(candidate[box], config.morphology_radius)
         candidate = closed

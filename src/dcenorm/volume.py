@@ -312,10 +312,10 @@ def percentile(volume: Volume | np.ndarray, q: float, mask: np.ndarray | None = 
     return float(np.partition(values, k)[k])
 
 
-def bounding_box(mask: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice] | None:
-    """Slices of the smallest box holding every voxel of a 3D mask, widened by ``margin`` and clipped to the grid.
+def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """Slices of the smallest box holding every voxel of a 3D mask; None for an empty mask.
 
-    Returns None for an empty mask. y and x are scanned over the z-slab only.
+    y and x are scanned over the z-slab only. ``widen`` grows the box.
     """
     zs = np.flatnonzero(mask.any(axis=(1, 2)))
     if zs.size == 0:
@@ -323,10 +323,12 @@ def bounding_box(mask: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice
     slab = mask[zs[0] : zs[-1] + 1]
     ys = np.flatnonzero(slab.any(axis=(0, 2)))
     xs = np.flatnonzero(slab.any(axis=(0, 1)))
-    return tuple(
-        slice(max(int(a[0]) - margin, 0), min(int(a[-1]) + 1 + margin, n))
-        for a, n in zip((zs, ys, xs), mask.shape)
-    )
+    return tuple(slice(int(a[0]), int(a[-1]) + 1) for a in (zs, ys, xs))
+
+
+def widen(box: tuple[slice, slice, slice], margins, shape) -> tuple[slice, slice, slice]:
+    """``box`` widened by ``margins[i]`` voxels on both sides of axis i, and clipped to a grid of ``shape``."""
+    return tuple(slice(max(b.start - m, 0), min(b.stop + m, n)) for b, m, n in zip(box, margins, shape))
 
 
 def median_filter(volume: Volume, radius: int) -> Volume:

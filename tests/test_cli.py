@@ -131,13 +131,20 @@ class TestPipeline:
         assert not list((pipeline / "norm").glob("*_mask.*"))
 
     def test_mapping_curves_monotone(self, pipeline):
+        """Each curve is 256 samples over [v0 - 0.05 span, v3 + 0.25 span] of the subject's anchors, plus its knots."""
+        anchors = {a["subject_id"]: a for a in json.loads((pipeline / "anchors.json").read_text())}
         for sid in SUBJECTS:
             with open(pipeline / "curves" / f"{sid}_mapping.csv", newline="") as handle:
                 rows = list(csv.reader(handle))
             assert rows[0] == ["x", "fx", "is_anchor"]
+            assert len(rows) - 1 == 260
             fx = [float(r[1]) for r in rows[1:]]
             assert all(b >= a for a, b in zip(fx, fx[1:]))
             assert sum(r[2] == "1" for r in rows[1:]) == 4
+            v = sorted(anchors[sid][f"v_{t}"] for t in ("air", "fat", "dense", "heart"))
+            span = v[3] - v[0]
+            assert float(rows[1][0]) == v[0] - 0.05 * span
+            assert float(rows[-1][0]) == v[3] + 0.25 * span
 
     def test_feature_csv_flags(self, pipeline):
         before = read_features_csv(pipeline / "before.csv")
@@ -480,6 +487,44 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error[validation]: entry 0 is missing required keys") and len(err.splitlines()) == 1
         assert err.rstrip().endswith(f"[{bad}]")
+
+    @pytest.mark.parametrize("command", ["auc", "evaluate"])
+    def test_repeated_feature_row_named(self, pipeline, tmp_path, capsys, command):
+        """A features CSV gives each subject once: auc would otherwise count a repeated row twice."""
+        lines = (pipeline / "before.csv").read_text().splitlines()
+        bad = tmp_path / "before.csv"
+        bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+        out = tmp_path / ("auc.csv" if command == "auc" else "report.json")
+        argv = {
+            "auc": ["auc", "--features", str(bad), "--labels", str(pipeline / "data" / "labels.csv")],
+            "evaluate": ["evaluate", "--before", str(bad), "--after", str(pipeline / "after.csv"),
+                         "--manifest", str(pipeline / "seg" / "manifest.json"), "--group-by", "te"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and len(err.splitlines()) == 1
+        assert f"duplicate subject {SUBJECTS[0]}" in err and str(bad) in err
+        assert not out.exists()
+
+    def test_manifest_after_must_name_the_manifest_subjects(self, pipeline, tmp_path, capsys, monkeypatch):
+        """A report must not give its before and after tissue intensities over different subjects."""
+        norm = pipeline / "norm"
+        records = json.loads((norm / "manifest.json").read_text())
+        sliced = tmp_path / "after.json"
+        sliced.write_text(json.dumps([_absolute_paths(r, norm) for r in records[:4]]))
+
+        def load_subject(entry):
+            raise AssertionError("a volume was loaded before the subjects were checked")
+
+        monkeypatch.setattr("dcenorm.evaluation.load_subject", load_subject)
+        rc = main(["evaluate", "--before", str(pipeline / "before.csv"), "--after", str(pipeline / "after.csv"),
+                   "--manifest", str(pipeline / "seg" / "manifest.json"), "--manifest-after", str(sliced),
+                   "--group-by", "te", "--out", str(tmp_path / "report.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and len(err.splitlines()) == 1
+        assert SUBJECTS[4] in err and not any(sid in err for sid in SUBJECTS[:4])
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("volume, keys, payload, message", [
         ("mask", {"dims": [8, 8, 8]}, lambda payload: bytes(8 * 8 * 8), "mask and series are on different grids"),

@@ -28,11 +28,11 @@ from dcenorm.features import (
     write_features_csv,
 )
 from dcenorm import features as features_module
-from dcenorm.manifest import load_subject
+from dcenorm.manifest import StudySeries, load_subject
 from dcenorm.mapping import apply_mapping
 from dcenorm.model import NormalizationModel
 from dcenorm.phantom import GroupSpec, PhantomConfig
-from dcenorm.volume import DENSE, FAT, TUMOR
+from dcenorm.volume import DENSE, FAT, TUMOR, Volume
 
 from helpers import anchor_set, labeled_scene, mask_of, series_of, vol
 
@@ -690,15 +690,18 @@ class TestGatheredExtraction:
         assert "3 voxels guarded" in caplog.text
 
     def test_maps_at_voxels_equal_whole_grid_maps(self, rng):
+        # extract_features maps a 1x1xn series gathered at the voxels it
+        # reads, with the whole series' eps; the maps are pointwise.
         series, _ = random_scene(rng)
-        pool = np.concatenate([v.data.ravel() for v in series.volumes])
-        eps = 1e-6 * (float(pool.max()) - float(pool.min()))
-        voxels = np.array([0, 5, 17, pool.size // len(series.volumes) - 1])
+        eps = features_module._epsilon(series.volumes)
+        voxels = np.array([0, 5, 17, series.pre.data.size - 1])
+        gathered = [Volume(v.data.reshape(-1)[voxels].reshape(1, 1, -1), v.spacing_mm) for v in series.volumes]
+        at_voxels = StudySeries(series.subject_id, gathered[0], tuple(gathered[1:]))
         for build in (ser_map, washin_map):
             whole = build(series).data.reshape(-1)[voxels]
-            for gathered in (build(series, voxels), build(series, voxels, eps)):
-                assert gathered.dtype == np.float32
-                assert np.array_equal(gathered.view(np.uint32), whole.view(np.uint32))
+            got = build(at_voxels, eps)
+            assert isinstance(got, Volume) and got.data.shape == (1, 1, voxels.size)
+            assert np.array_equal(got.data.reshape(-1).view(np.uint32), whole.view(np.uint32))
 
 
 class TestDynamicRange:

@@ -350,11 +350,15 @@ class TestApplyMapping:
 class TestCurveExport:
     def test_identity_samples(self):
         f = mapping_of((0, 0.5, 1.5, 2), (0, 0.5, 1.5, 2))
-        curve = export_mapping_curve(f, n_samples=3, lo=0.0, hi=2.0)
+        curve = export_mapping_curve(f)
         xs = curve[:, 0]
         assert np.all(np.diff(xs) >= 0)
         samples = curve[curve[:, 2] == 0]
-        assert [tuple(r[:2]) for r in samples] == [(0, 0), (1, 1), (2, 2)]
+        assert len(samples) == 256
+        # The identity below 0 clamps at the floor of 0.
+        assert np.all(samples[samples[:, 0] < 0, 1] == 0)
+        above = samples[samples[:, 0] >= 0]
+        assert np.allclose(above[:, 1], above[:, 0], rtol=0, atol=1e-12)
         anchors = curve[curve[:, 2] == 1]
         assert list(anchors[:, 0]) == [0, 0.5, 1.5, 2]
         assert np.array_equal(anchors[:, 0], anchors[:, 1])
@@ -369,24 +373,15 @@ class TestCurveExport:
     def test_random_curves_monotone(self, rng):
         for _ in range(25):
             f = random_mapping(rng)
-            curve = export_mapping_curve(f, n_samples=64)
+            curve = export_mapping_curve(f)
+            assert curve.shape == (260, 3)
             assert np.all(np.diff(curve[:, 0]) >= 0)
             assert np.all(np.diff(curve[:, 1]) >= -1e-12)
             assert np.count_nonzero(curve[:, 2]) == 4
 
-    def test_too_few_samples_rejected(self):
-        f = mapping_of((0, 1, 2, 3), (0, 1, 2, 3))
-        with pytest.raises(ValidationError):
-            export_mapping_curve(f, n_samples=1)
-
-    def test_empty_range_rejected(self):
-        f = mapping_of((0, 1, 2, 3), (0, 1, 2, 3))
-        with pytest.raises(ValidationError):
-            export_mapping_curve(f, lo=5.0, hi=5.0)
-
     def test_csv_round_trip_exact(self, tmp_path, rng):
         f = random_mapping(rng)
-        curve = export_mapping_curve(f, n_samples=16)
+        curve = export_mapping_curve(f)
         path = tmp_path / "curve.csv"
         write_mapping_curve(path, curve)
         lines = path.read_text().strip().splitlines()

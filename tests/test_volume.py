@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from dcenorm import (
     MaskError,
@@ -23,7 +24,7 @@ from dcenorm import (
     save_mask,
     save_volume,
 )
-from dcenorm.volume import MASK_DTYPE, base_path, nearest_rank_index, read_sidecar
+from dcenorm.volume import MASK_DTYPE, base_path, bounding_box, nearest_rank_index, read_sidecar, widen
 
 from helpers import flat_vol, mask_of, vol
 
@@ -332,6 +333,26 @@ def median_filter_oracle(data, radius):
                 ordered = np.sort(window.ravel())
                 out[z, y, x] = ordered[(ordered.size + 1) // 2 - 1]
     return out
+
+
+def extent(mask):
+    hits = np.argwhere(mask)
+    return tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(hits.min(0), hits.max(0)))
+
+
+class TestBoxes:
+    @given(st.integers(0, 2**32 - 1), st.tuples(*[st.integers(0, 3)] * 3))
+    def test_widened_box_is_the_clipped_extent(self, seed, margins):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((4, 5, 6)) < 0.05
+        box = bounding_box(mask)
+        if not mask.any():
+            assert box is None
+            return
+        assert box == extent(mask)
+        # Widening is the extent of the mask dilated by a cuboid of half-sides ``margins``.
+        dilated = ndimage.binary_dilation(mask, structure=np.ones([2 * m + 1 for m in margins], dtype=bool))
+        assert widen(box, margins, mask.shape) == extent(dilated)
 
 
 class TestMedianFilter:
