@@ -93,17 +93,18 @@ produce_anchors() {
 }
 
 # The walkthrough's stages on the seed-0 phantom with its masks dropped,
-# each given one --config file: no other step passes a CLI --config. The
-# file holds only keys that both trees accept, each set off its default.
+# with one --config file given to segment and evaluate, the two stages
+# that read a setting: no other step passes a CLI --config. The file
+# holds only keys that both trees accept, each set off its default.
 produce_configured() {
   local config="$root/configured.json"
-  echo '{"segmentation": {"air_fraction": 0.08, "morphology_radius": 2}, "anchors": {"clamp_floor": -5.0}, "evaluation": {"threshold": 2.2}}' > "$config"
+  echo '{"segmentation": {"air_fraction": 0.08, "morphology_radius": 2}, "evaluation": {"threshold": 2.2}}' > "$config"
   run phantom --out "$1/data" --seed 0 && drop_masks "$1/data/manifest.json" "$1/data/nomask.json" &&
     run segment --manifest "$1/data/nomask.json" --out-dir "$1/masks" --config "$config" &&
-    run train --manifest "$1/masks/manifest.json" --out "$1/model.json" --config "$config" &&
-    run normalize --manifest "$1/masks/manifest.json" --model "$1/model.json" --out-dir "$1/norm" --config "$config" &&
-    run features --manifest "$1/masks/manifest.json" --out "$1/before.csv" --config "$config" &&
-    run features --manifest "$1/norm/manifest.json" --out "$1/after.csv" --normalized --config "$config" &&
+    run train --manifest "$1/masks/manifest.json" --out "$1/model.json" &&
+    run normalize --manifest "$1/masks/manifest.json" --model "$1/model.json" --out-dir "$1/norm" &&
+    run features --manifest "$1/masks/manifest.json" --out "$1/before.csv" &&
+    run features --manifest "$1/norm/manifest.json" --out "$1/after.csv" --normalized &&
     run evaluate --before "$1/before.csv" --after "$1/after.csv" --manifest "$1/masks/manifest.json" \
       --manifest-after "$1/norm/manifest.json" --group-by te --out "$1/report.json" --config "$config"
 }

@@ -7,15 +7,16 @@ success, 1 on a validation failure, and 2 on an I/O failure (missing
 inputs, unwritable outputs); failures print exactly one line to stderr
 of the form ``error[validation]: ...`` or ``error[io]: ...``.
 
-An optional JSON config file (``--config``) tunes the pipeline via the
-sections ``segmentation`` (read by ``segment``), ``anchors`` (its
-``clamp_floor``, read by ``normalize``) and ``evaluation`` (its
-``threshold``, read by ``evaluate``). Unknown sections or keys are
-rejected by name. Each setting has one way in: the median-filter
-radius, the grouping key and the phantom seed come only from the flags
-``--denoise-median``, ``--group-by`` and ``--seed``. ``phantom
---config`` takes a phantom description instead, and ``auc`` takes no
-config. No output a run writes may replace a file it reads.
+An optional JSON config file (``--config``) tunes the two stages that
+read a setting: ``segment`` reads the section ``segmentation`` and
+``evaluate`` the section ``evaluation`` (its ``threshold``). Unknown
+sections or keys are rejected by name. Each setting has one way in:
+the median-filter radius, the grouping key and the phantom seed come
+only from the flags ``--denoise-median``, ``--group-by`` and
+``--seed``. ``phantom --config`` takes a phantom description instead;
+``train``, ``normalize``, ``features`` and ``auc`` take no config. No
+output a run writes may replace a file it reads, and an ``--out-dir``
+may hold none of them.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from . import evaluation as eval_mod
 from .errors import ConfigError, DcenormError, MissingInputError, SegmentationError, ValidationError
 from .features import extract_features, read_features_csv, write_features_csv
 from .manifest import (
-    SubjectEntry, check_outputs_spare_inputs, check_subject_grids, dataset_files, load_manifest, load_series,
-    load_subject as _load_subject, manifest_files, read_labels_csv, save_manifest, save_subject, subject_file,
+    SubjectEntry, check_out_dir_holds_no_input, check_outputs_spare_inputs, check_subject_grids, load_manifest,
+    load_series, load_subject as _load_subject, manifest_files, read_labels_csv, save_manifest, save_subject,
 )
 from .mapping import apply_mapping, build_mapping, export_mapping_curve, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
@@ -49,13 +50,11 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class CliConfig:
     segmentation: SegmentationConfig
-    clamp_floor: float = 0.0
     group_threshold: float | None = None
 
 
 _SECTION_KEYS = {
     "segmentation": {f.name for f in dataclasses.fields(SegmentationConfig)},
-    "anchors": {"clamp_floor"},
     "evaluation": {"threshold"},
 }
 
@@ -64,18 +63,15 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
     if path is None:
         return CliConfig(segmentation=SegmentationConfig())
     raw = json_object(read_json(path), _SECTION_KEYS, "config", ConfigError, path)
-    seg_sec, anchors_sec, eval_sec = (
+    seg_sec, eval_sec = (
         json_object(raw.get(section, {}), keys, f"config section {section!r}", ConfigError, path)
         for section, keys in _SECTION_KEYS.items()
     )
     seg = SegmentationConfig(**seg_sec)
-    clamp_floor = anchors_sec.get("clamp_floor", 0.0)
-    if not is_number(clamp_floor):
-        raise ConfigError(f"anchors.clamp_floor must be a finite number, got {clamp_floor!r}", path=path)
     threshold = eval_sec.get("threshold")
     if threshold is not None and not is_number(threshold):
         raise ConfigError(f"evaluation.threshold must be a finite number, got {threshold!r}", path=path)
-    return CliConfig(segmentation=seg, clamp_floor=float(clamp_floor), group_threshold=threshold)
+    return CliConfig(segmentation=seg, group_threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +79,8 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
 
 
 def _anchor_job(entry: SubjectEntry):
-    return anchors_mod.extract_anchors(*_load_subject(entry))
+    """A subject's anchors; only pre and the first post are loaded, since they are all the anchors read."""
+    return anchors_mod.extract_anchors(*_load_subject(dataclasses.replace(entry, posts=entry.posts[:1])))
 
 
 def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConfig):
@@ -100,15 +97,9 @@ def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConf
     return save_subject(entry, out_dir, mask=mask), None
 
 
-def _normalize_job(
-    entry: SubjectEntry,
-    model: NormalizationModel,
-    out_dir: str,
-    clamp_floor: float,
-    mapping_dir: str | None,
-):
+def _normalize_job(entry: SubjectEntry, model: NormalizationModel, out_dir: str, mapping_dir: str | None):
     series, mask = _load_subject(entry)
-    mapping = build_mapping(anchors_mod.extract_anchors(series, mask), model, clamp_floor=clamp_floor)
+    mapping = build_mapping(anchors_mod.extract_anchors(series, mask), model)
     written = save_subject(entry, out_dir, apply_mapping(mapping, series).volumes)
     if mapping_dir is not None:
         write_mapping_curve(_mapping_file(mapping_dir, entry.subject_id), export_mapping_curve(mapping))
@@ -139,8 +130,7 @@ def _cmd_segment(args) -> int:
     cli_cfg = load_cli_config(args.config)
     entries = load_manifest(args.manifest)
     unmasked = [entry for entry in entries if entry.mask is None]
-    masks = [subject_file(entry.subject_id, args.out_dir, None) for entry in unmasked]
-    check_outputs_spare_inputs(manifest_files(args.manifest, entries), {"--out-dir": dataset_files(args.out_dir, masks)})
+    check_out_dir_holds_no_input(args.out_dir, manifest_files(args.manifest, entries))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Every subject's grids are checked here, from the sidecars; a mask the
@@ -168,7 +158,6 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    load_cli_config(args.config)  # train reads no setting, but checks the file as every stage does
     manifest = load_manifest(args.manifest)
     outputs = {"--out": [args.out], "--emit-anchors": [args.emit_anchors] if args.emit_anchors else []}
     check_outputs_spare_inputs(manifest_files(args.manifest, manifest), outputs)
@@ -182,26 +171,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    cli_cfg = load_cli_config(args.config)
     manifest = load_manifest(args.manifest)
     model = load_model(args.model)  # fail fast before any per-subject work
-    volumes = [subject_file(e.subject_id, args.out_dir, k) for e in manifest for k in range(len(e.posts) + 1)]
+    inputs = [Path(args.model), *manifest_files(args.manifest, manifest)]
+    check_out_dir_holds_no_input(args.out_dir, inputs)
     curves = [_mapping_file(args.emit_mapping, e.subject_id) for e in manifest] if args.emit_mapping else []
-    check_outputs_spare_inputs(
-        itertools.chain([args.model], manifest_files(args.manifest, manifest)),
-        {"--out-dir": dataset_files(args.out_dir, volumes), "--emit-mapping": curves},
-    )
+    check_outputs_spare_inputs(inputs, {"--emit-mapping": curves})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.emit_mapping:
         Path(args.emit_mapping).mkdir(parents=True, exist_ok=True)
-    job = partial(
-        _normalize_job,
-        model=model,
-        out_dir=str(out),
-        clamp_floor=cli_cfg.clamp_floor,
-        mapping_dir=args.emit_mapping,
-    )
+    job = partial(_normalize_job, model=model, out_dir=str(out), mapping_dir=args.emit_mapping)
     written = run_parallel(job, manifest, args.jobs)
     save_manifest(out, written)
     log.info("normalize: %d subjects written to %s", len(written), out)
@@ -209,7 +189,6 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    load_cli_config(args.config)  # features reads no setting, but checks the file as every stage does
     if args.denoise_median is not None and args.denoise_median < 1:
         raise ConfigError(f"--denoise-median must be an integer >= 1, got {args.denoise_median}")
     manifest = load_manifest(args.manifest)
@@ -274,7 +253,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub, jobs: bool = True, config: bool = True):
+def _add_common(sub, jobs: bool = True, config: bool = False):
     if config:
         sub.add_argument("--config", default=None, help="JSON config file")
     sub.add_argument("-v", "--verbose", action="count", default=0)
@@ -289,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("phantom", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=_cmd_phantom)
 
     p = commands.add_parser("segment", help="produce tissue masks per subject")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=_cmd_segment)
 
     p = commands.add_parser("train", help="select the archetype subject and save the model")
@@ -328,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-by", choices=list(eval_mod.GROUP_KEYS), required=True)
     p.add_argument("--manifest-after", default=None, help="normalized-dataset manifest")
     p.add_argument("--out", required=True)
-    _add_common(p, jobs=False)
+    _add_common(p, jobs=False, config=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = commands.add_parser("auc", help="single-feature ROC AUC against binary labels")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, jobs=False, config=False)
+    _add_common(p, jobs=False)
     p.set_defaults(func=_cmd_auc)
 
     return parser

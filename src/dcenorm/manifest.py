@@ -246,9 +246,22 @@ def manifest_files(manifest: Path | str, entries):
         yield from entry_files(entry)
 
 
-def dataset_files(out_dir: Path | str, sidecars) -> list[Path]:
-    """What a run writes in ``out_dir``: each volume of ``sidecars``, sidecar and payload, then the manifest."""
-    return [file for sidecar in sidecars for file in volume_files(sidecar)] + [Path(out_dir) / "manifest.json"]
+def check_out_dir_holds_no_input(out_dir: Path | str, inputs) -> None:
+    """Reject an ``out_dir`` that holds one of ``inputs``: a run may replace there only files it wrote.
+
+    An input is found there by its directory and, if it is a link, by its target's directory, both
+    resolved, so neither another spelling of ``out_dir`` nor a link into it hides the input. Each
+    directory is resolved once. The error names the input.
+    """
+    target = Path(out_dir).resolve()
+    if not target.is_dir():  # a directory not made yet holds no file
+        return
+    directories = {}
+    for file in map(Path, inputs):
+        if file.parent not in directories:
+            directories[file.parent] = file.parent.resolve()
+        if target == directories[file.parent] or (file.is_symlink() and file.resolve().parent == target):
+            raise ValidationError("--out-dir holds a file the run reads", path=file)
 
 
 def check_outputs_spare_inputs(inputs, outputs: dict) -> None:

@@ -4,8 +4,9 @@ A mapping is anchored at four control points pairing the subject's own
 tissue anchors with the model's target intensities. Between control
 points the mapping interpolates linearly. Above the top control point
 it extends the trend from the dense anchor to the heart anchor; below
-the bottom control point it extends the air-to-fat trend and clamps at
-a floor so mapped intensities cannot dive arbitrarily negative.
+the bottom control point it extends the air-to-fat trend and floors at
+the lower of 0 and the bottom target, so mapped intensities cannot
+dive arbitrarily negative.
 
 One mapping is built per subject and applied unchanged to the
 pre-contrast volume and every post-contrast volume, which preserves
@@ -38,17 +39,15 @@ class MappingFunction:
     ``knots_v`` is strictly increasing and ``knots_m`` non-decreasing;
     both are sorted by v. ``upper_slope`` is the dense-to-heart secant
     used above the last control point, ``lower_slope`` the air-to-fat
-    secant used below the first one. ``clamp_floor`` bounds the lower
-    extrapolation; it never rises above the first control point's
-    target value, so the map stays monotone even when the air target
-    is below the floor.
+    secant used below the first one. The lower extrapolation floors at
+    min(0, knots_m[0]): never above the first control point's target,
+    so the map stays monotone even when that target is negative.
     """
 
     knots_v: tuple[float, float, float, float]
     knots_m: tuple[float, float, float, float]
     upper_slope: float
     lower_slope: float
-    clamp_floor: float = 0.0
 
     def __post_init__(self):
         v, m = self.knots_v, self.knots_m
@@ -62,10 +61,6 @@ class MappingFunction:
         if not (self.lower_slope >= 0 and self.upper_slope >= 0):  # NaN fails too
             raise NonMonotoneModelError(f"slopes must be >= 0, got {self.lower_slope}, {self.upper_slope}")
 
-    @property
-    def effective_floor(self) -> float:
-        return min(self.clamp_floor, self.knots_m[0])
-
     @functools.cached_property
     def _pieces(self) -> tuple[list[float], np.ndarray]:
         """The knots as floats and ``evaluate``'s piece table, transposed.
@@ -76,7 +71,7 @@ class MappingFunction:
         v = [float(a) for a in self.knots_v]
         m = [float(a) for a in self.knots_m]
         table = np.array([
-            (v[0], 1.0, m[0], self.lower_slope, self.effective_floor, np.inf),
+            (v[0], 1.0, m[0], self.lower_slope, min(0.0, m[0]), np.inf),
             *((v[i], v[i + 1] - v[i], m[i], m[i + 1] - m[i], -np.inf, m[i + 1]) for i in range(3)),
             (v[3], 1.0, m[3], self.upper_slope, -np.inf, np.inf),
         ]).T
@@ -84,9 +79,7 @@ class MappingFunction:
         return v, table
 
 
-def build_mapping(
-    anchors: AnchorSet, model: NormalizationModel, clamp_floor: float = 0.0
-) -> MappingFunction:
+def build_mapping(anchors: AnchorSet, model: NormalizationModel) -> MappingFunction:
     """Pair subject anchors with model targets into a mapping.
 
     Control points are sorted by the subject's anchor values. Equal
@@ -121,7 +114,6 @@ def build_mapping(
         knots_m=tuple(ms),
         upper_slope=upper,
         lower_slope=lower,
-        clamp_floor=clamp_floor,
     )
 
 

@@ -215,15 +215,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv, config, key", [
         (["segment", "--manifest", "x.json", "--out-dir", "o"], {"segmentation": {"polarity_x": 1}}, "polarity_x"),
-        (["train", "--manifest", "x.json", "--out", "m.json"], {"anchors": {"heart_rule": "p90"}}, "heart_rule"),
-        (["normalize", "--manifest", "x.json", "--model", "m.json", "--out-dir", "o"],
-         {"anchors": {"heart_rule": "top10_mean"}}, "heart_rule"),
-        (["features", "--manifest", "x.json", "--out", "f.csv"], {"features": {"denoise_radius": 1}}, "features"),
         (["evaluate", "--before", "b.csv", "--after", "a.csv", "--manifest", "x.json", "--group-by", "te",
           "--out", "r.json"], {"evaluation": {"group_by": "te"}}, "group_by"),
         (["phantom", "--out", "d"], {"seed": 3}, "seed"),
-    ], ids=["segmentation-key", "heart-rule-train", "heart-rule-normalize", "features-section",
-            "evaluation-group-by", "phantom-seed"])
+    ], ids=["segmentation-key", "evaluation-group-by", "phantom-seed"])
     def test_unknown_config_key_named(self, tmp_path, monkeypatch, capsys, argv, config, key):
         """A removed key, or one whose only way in is a flag, fails as an unknown key."""
         monkeypatch.chdir(tmp_path)
@@ -233,6 +228,36 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error[validation]:") and "unknown keys" in err and key in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["segment", "--manifest", "x.json", "--out-dir", "o"],
+        ["evaluate", "--before", "b.csv", "--after", "a.csv", "--manifest", "x.json", "--group-by", "te",
+         "--out", "r.json"],
+    ], ids=["segment", "evaluate"])
+    def test_anchors_section_is_unknown(self, tmp_path, monkeypatch, capsys, argv):
+        """The lower-tail floor is fixed, so no config section sets it."""
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text('{"anchors": {"clamp_floor": 0.0}}')
+        rc = main([*argv, "--config", "cfg.json"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "unknown keys" in err and "anchors" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["train", "normalize", "features"])
+    def test_stages_that_read_no_setting_take_no_config(self, pipeline, tmp_path, capsys, command):
+        (tmp_path / "cfg.json").write_text("{}")
+        argv = {
+            "train": ["train", "--out", str(tmp_path / "model.json")],
+            "normalize": ["normalize", "--model", str(pipeline / "model.json"), "--out-dir", str(tmp_path / "norm")],
+            "features": ["features", "--out", str(tmp_path / "f.csv")],
+        }[command]
+        rc = main([*argv, "--manifest", str(pipeline / "seg" / "manifest.json"), "--config", str(tmp_path / "cfg.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and "--config" in err
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_evaluate_needs_group_by(self, pipeline, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -406,10 +431,7 @@ class TestErrorPaths:
         ('{"segmentation": {"heart_enhancement_percentile": null}}', "heart_enhancement_percentile"),
         ('{"segmentation": {"min_component_voxels": 2.5}}', "min_component_voxels"),
         ('{"segmentation": {"morphology_radius": true}}', "morphology_radius"),
-        ('{"anchors": {"clamp_floor": "abc"}}', "clamp_floor"),
-        ('{"anchors": {"clamp_floor": false}}', "clamp_floor"),
         ('{"evaluation": {"threshold": "2.0"}}', "threshold"),
-        ('{"anchors": {"clamp_floor": NaN}}', "clamp_floor"),
         ('{"evaluation": {"threshold": NaN}}', "threshold"),
     ])
     def test_config_value_types_checked(self, tmp_path, capsys, config, key):
@@ -647,7 +669,7 @@ def test_segment_and_normalize_jobs_return_entries(pipeline, tmp_path):
     assert (tmp_path / "seg" / "A000_mask.raw").read_bytes() == (pipeline / "seg" / "A000_mask.raw").read_bytes()
 
     model = load_model(pipeline / "model.json")
-    normalized = cli._normalize_job(masked, model, str(tmp_path / "norm"), 0.0, None)
+    normalized = cli._normalize_job(masked, model, str(tmp_path / "norm"), None)
     posts = tuple(tmp_path / "norm" / f"A000_post{k}.json" for k in (1, 2, 3))
     assert normalized == dataclasses.replace(masked, pre=tmp_path / "norm" / "A000_pre.json", posts=posts)
     for name in ("A000_pre.raw", "A000_post3.raw"):
@@ -670,16 +692,74 @@ def test_out_dir_may_not_overwrite_an_input(pipeline, tmp_path, command, spellin
         del records[0]["mask"]
         (data / "manifest.json").write_text(json.dumps(records))
         argv = ["segment"]
-        first = "manifest.json"
     else:
         argv = ["normalize", "--model", str(pipeline / "model.json"), "--emit-mapping", str(tmp_path / "curves")]
-        first = "A000_pre.json"
     before = _tree_bytes(tmp_path)
     rc, err = _run([*argv, "--manifest", str(data / "manifest.json"), "--out-dir", str(tmp_path / spelling),
                     "--jobs", "1"])
     assert _tree_bytes(tmp_path) == before
     assert rc == 1
-    assert err == f"error[validation]: --out-dir would overwrite an input file [{tmp_path / spelling / first}]\n"
+    assert err == f"error[validation]: --out-dir holds a file the run reads [{data / 'manifest.json'}]\n"
+
+
+def test_segment_may_not_write_into_the_directory_of_its_manifest(tmp_path):
+    """A mask-less copy of a manifest, segmented into its own directory, would replace that
+    dataset's ground-truth masks and manifest: the run fails, naming the copy, and writes nothing."""
+    data = tmp_path / "data"
+    generate_phantom(PhantomConfig(groups=(GroupSpec(name="A", n_subjects=1),)), data)
+    records = json.loads((data / "manifest.json").read_text())
+    del records[0]["mask"]
+    (data / "nomask.json").write_text(json.dumps(records))
+    before = _tree_bytes(data)
+    rc, err = _launch(["segment", "--manifest", str(data / "nomask.json"), "--out-dir", str(data), "--jobs", "1"])
+    assert _tree_bytes(data) == before
+    assert (rc, err) == (1, f"error[validation]: --out-dir holds a file the run reads [{data / 'nomask.json'}]\n")
+
+
+@pytest.mark.parametrize("out_dir", ["data", "links"], ids=["link-target-there", "link-there"])
+@pytest.mark.parametrize("command", ["segment", "normalize"])
+def test_out_dir_may_not_hold_a_linked_input(pipeline, tmp_path, command, out_dir):
+    """An input that is a link is found in --out-dir both where it is and where it points: a run would
+    replace the link, or the file it points to."""
+    data, links = tmp_path / "data", tmp_path / "links"
+    generate_phantom(PhantomConfig(dims=(16, 16, 8), groups=(GroupSpec(name="A", n_subjects=1),)), data)
+    links.mkdir()
+    for name in ("A000_pre.json", "A000_pre.raw"):
+        (links / name).symlink_to(data / name)
+    record = _absolute_paths(json.loads((data / "manifest.json").read_text())[0], data)
+    (tmp_path / "manifest.json").write_text(json.dumps([dict(record, pre=str(links / "A000_pre.json"))]))
+    argv = ["normalize", "--model", str(pipeline / "model.json")] if command == "normalize" else ["segment"]
+    before = _tree_bytes(tmp_path)
+    rc, err = _run([*argv, "--manifest", str(tmp_path / "manifest.json"), "--out-dir", str(tmp_path / out_dir),
+                    "--jobs", "1"])
+    assert _tree_bytes(tmp_path) == before
+    assert (rc, err) == (1, f"error[validation]: --out-dir holds a file the run reads [{links / 'A000_pre.json'}]\n")
+
+
+def test_normalize_out_dir_may_not_hold_the_model(pipeline, tmp_path):
+    """The model is an input too: an --out-dir that holds it is refused, whatever the model's name."""
+    norm = tmp_path / "norm"
+    norm.mkdir()
+    shutil.copy(pipeline / "model.json", norm / "manifest.json")
+    rc, err = _run(["normalize", "--manifest", str(pipeline / "seg" / "manifest.json"), "--model",
+                    str(norm / "manifest.json"), "--out-dir", str(norm), "--jobs", "1"])
+    assert (rc, err) == (1, f"error[validation]: --out-dir holds a file the run reads [{norm / 'manifest.json'}]\n")
+    assert (norm / "manifest.json").read_bytes() == (pipeline / "model.json").read_bytes()
+    assert [p.name for p in norm.iterdir()] == ["manifest.json"]
+
+
+def test_train_loads_only_pre_and_the_first_post(pipeline, tmp_path, monkeypatch):
+    """The anchors read pre and the first post, so train loads those two volumes per subject, and
+    leaves a NaN in a later post to the stages that read it."""
+    loaded = []
+    load_volume = dcenorm.manifest.load_volume
+    monkeypatch.setattr("dcenorm.manifest.load_volume", lambda path: loaded.append(Path(path)) or load_volume(path))
+    manifest = pipeline / "seg" / "manifest.json"
+    assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "model.json"), "--jobs", "1"]) == 0
+    assert loaded == [path for entry in load_manifest(manifest) for path in (entry.pre, entry.posts[0])]
+
+    manifest = _damaged_subject(pipeline, tmp_path, "post2", _nan_first_voxel)
+    assert _run(["train", "--manifest", str(manifest), "--out", str(tmp_path / "model.json"), "--jobs", "1"]) == (0, "")
 
 
 # Each case: the argv ({data} and {tmp} filled in at run time), the flag, and the input that flag would replace.
@@ -753,15 +833,15 @@ def test_outputs_may_not_share_a_file(tmp_path, command):
 
 
 def test_archetype_is_a_fixed_point_of_its_model(pipeline):
-    """train then normalize leaves the archetype's series unchanged at and above the clamp.
+    """train then normalize leaves the archetype's series unchanged at and above the floor.
 
     The model's targets are the archetype's own anchors, measured by the same rule in both
-    steps, so its map is the identity down to min(clamp_floor, m_air), bit for bit.
+    steps, so its map is the identity down to the lower tail's floor, min(0, m_air), bit for bit.
     """
     model = load_model(pipeline / "model.json")
     raw = {e.subject_id: e for e in load_manifest(pipeline / "seg" / "manifest.json")}[model.archetype_subject_id]
     mapped = {e.subject_id: e for e in load_manifest(pipeline / "norm" / "manifest.json")}[model.archetype_subject_id]
-    floor = min(0.0, model.m_air)  # the pipeline runs with the default anchors.clamp_floor of 0
+    floor = min(0.0, model.m_air)
     for before, after in zip(load_series(raw).volumes, load_series(mapped).volumes):
         kept = before.data >= floor
         assert kept.any()
@@ -800,9 +880,9 @@ def test_readme_config_example_loads(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(block)
     cfg = load_cli_config(cfg_path)
-    assert [f.name for f in dataclasses.fields(cfg)] == ["segmentation", "clamp_floor", "group_threshold"]
+    assert [f.name for f in dataclasses.fields(cfg)] == ["segmentation", "group_threshold"]
     assert cfg.segmentation.morphology_radius == 2
-    assert (cfg.clamp_floor, cfg.group_threshold) == (0.0, 2.0)
+    assert cfg.group_threshold == 2.0
 
 
 def _unsegmentable_record(directory: Path) -> dict:
@@ -898,12 +978,11 @@ def test_segment_leaves_a_nan_voxel_in_post2_to_the_stages_that_read_it(pipeline
     assert [e.subject_id for e in load_manifest(tmp_path / "seg" / "manifest.json")] == ["A000"]
 
 
-@pytest.mark.parametrize("stage", ["train", "normalize", "features"])
+@pytest.mark.parametrize("stage", ["normalize", "features"])
 def test_nan_voxel_in_post2_fails_after_segment(pipeline, tmp_path, stage):
     manifest = _damaged_subject(pipeline, tmp_path, "post2", _nan_first_voxel)
     assert main(["segment", "--manifest", str(manifest), "--out-dir", str(tmp_path / "seg"), "--jobs", "1"]) == 0
     argv = {
-        "train": ["train", "--out", str(tmp_path / "model.json")],
         "normalize": ["normalize", "--model", str(pipeline / "model.json"), "--out-dir", str(tmp_path / "norm")],
         "features": ["features", "--out", str(tmp_path / "f.csv")],
     }[stage]
@@ -953,7 +1032,6 @@ TINY_PHANTOM = {
 CLI_CONFIG = {
     "segmentation": {"air_fraction": 0.05, "heart_enhancement_percentile": 99.0,
                      "dense_polarity": "dark", "min_component_voxels": 500, "morphology_radius": 1},
-    "anchors": {"clamp_floor": 0.0},
     "evaluation": {"threshold": 2.0},
 }
 
@@ -989,13 +1067,10 @@ def _replace(doc, position, value):
 
 @pytest.fixture(scope="module")
 def tiny(tmp_path_factory):
-    """A one-subject 8x8x8 phantom, its model, and the valid documents the fuzz mutates."""
+    """A one-subject 8x8x8 phantom, whose files the fuzz mutates."""
     root = tmp_path_factory.mktemp("cli-fuzz")
     (root / "phantom.json").write_text(json.dumps(TINY_PHANTOM))
-    data = root / "data"
-    assert main(["phantom", "--config", str(root / "phantom.json"), "--out", str(data), "--jobs", "1"]) == 0
-    assert main(["train", "--manifest", str(data / "manifest.json"), "--out", str(root / "model.json"),
-                 "--jobs", "1"]) == 0
+    assert main(["phantom", "--config", str(root / "phantom.json"), "--out", str(root / "data"), "--jobs", "1"]) == 0
     return root
 
 
@@ -1020,8 +1095,7 @@ def _fuzz_phantom(tiny, doc, work, launch=_run):
 
 def _fuzz_cli_config(tiny, doc, work, launch=_run):
     (work / "config.json").write_text(json.dumps(doc))
-    return launch(["normalize", "--manifest", str(tiny / "data" / "manifest.json"),
-                   "--model", str(tiny / "model.json"), "--out-dir", str(work / "norm"),
+    return launch(["segment", "--manifest", str(tiny / "data" / "manifest.json"), "--out-dir", str(work / "seg"),
                    "--config", str(work / "config.json"), "--jobs", "1"])
 
 
@@ -1077,7 +1151,7 @@ PROCESS_CASES = [
     ("phantom-config", ("groups", 0), {}),
     ("phantom-config", ("intensities", "fat"), 1e308),
     ("cli-config", ("segmentation",), []),
-    ("cli-config", ("anchors", "clamp_floor"), math.nan),
+    ("cli-config", ("evaluation", "threshold"), math.nan),
     ("manifest-record", ("label",), True),
     ("manifest-record", (), [1]),
     ("volume-sidecar", ("spacing_mm", 0), 10 ** 400),

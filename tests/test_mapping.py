@@ -32,19 +32,18 @@ def model_of(air, fat, dense, heart):
     return NormalizationModel(air, fat, dense, heart, "arch", 1, "now")
 
 
-def mapping_of(v, m, clamp=0.0):
-    anchors = anchor_set("s", *v)
-    return build_mapping(anchors, model_of(*m), clamp_floor=clamp)
+def mapping_of(v, m):
+    return build_mapping(anchor_set("s", *v), model_of(*m))
 
 
-def scalar_oracle(knots_v, knots_m, upper, lower, floor, x):
+def scalar_oracle(knots_v, knots_m, upper, lower, x):
     """Naive per-point evaluation with plain slope interpolation."""
     v0, v1, v2, v3 = knots_v
     m0, m1, m2, m3 = knots_m
     if x >= v3:
         return m3 + upper * (x - v3)
     if x < v0:
-        return max(min(floor, m0), m0 + lower * (x - v0))
+        return max(min(0.0, m0), m0 + lower * (x - v0))
     for a, b, ma, mb in ((v0, v1, m0, m1), (v1, v2, m1, m2), (v2, v3, m2, m3)):
         if a <= x < b:
             return ma + (x - a) * (mb - ma) / (b - a)
@@ -85,7 +84,7 @@ def three_branch_evaluate(mapping, x):
         out[above] = m[3] + mapping.upper_slope * (xs[above] - v[3])
     if below.any():
         lowered = m[0] + mapping.lower_slope * (xs[below] - v[0])
-        out[below] = np.maximum(mapping.effective_floor, lowered)
+        out[below] = np.maximum(min(0.0, m[0]), lowered)
 
     if scalar:
         return float(out[0])
@@ -97,7 +96,7 @@ finite = st.floats(-1e6, 1e6)
 
 @st.composite
 def built_mappings(draw):
-    """Maps from build_mapping with flat target runs and any floor."""
+    """Maps from build_mapping with flat target runs, and targets of either sign."""
     v = draw(st.lists(finite, min_size=4, max_size=4, unique=True))
     m = sorted(draw(st.lists(finite, min_size=4, max_size=4)))
     for j, flat in enumerate(draw(st.lists(st.booleans(), min_size=3, max_size=3))):
@@ -107,7 +106,7 @@ def built_mappings(draw):
     targets = [0.0] * 4
     for rank, tissue in enumerate(order):
         targets[tissue] = m[rank]
-    return mapping_of(tuple(v), tuple(targets), clamp=draw(finite))
+    return mapping_of(tuple(v), tuple(targets))
 
 
 class TestBuildMapping:
@@ -200,12 +199,12 @@ class TestEvaluate:
             assert np.array_equal(got, np.array(f.knots_m))
 
     def test_matches_scalar_oracle(self, rng):
-        f = mapping_of((3, 41, 97, 250), (10, 30, 120, 260), clamp=5.0)
+        f = mapping_of((3, 41, 97, 250), (10, 30, 120, 260))
         xs = rng.uniform(-100, 400, size=10_000)
         got = evaluate(f, xs)
         for x, y in zip(xs, got):
             expected = scalar_oracle(
-                f.knots_v, f.knots_m, f.upper_slope, f.lower_slope, f.clamp_floor, x
+                f.knots_v, f.knots_m, f.upper_slope, f.lower_slope, x
             )
             assert abs(y - expected) <= 1e-9 * max(1.0, abs(expected))
 
@@ -232,15 +231,17 @@ class TestEvaluate:
             assert evaluate(f, 100.0 + delta) == 120.0 + f.upper_slope * delta
 
     def test_lower_extrapolation_clamped(self):
-        f = mapping_of((100, 110, 150, 200), (10, 30, 60, 90), clamp=0.0)
+        f = mapping_of((100, 110, 150, 200), (10, 30, 60, 90))
         # lower slope 2: drops below the floor quickly
         assert evaluate(f, 99.0) == 8.0
         assert evaluate(f, 0.0) == 0.0
 
     def test_floor_never_rises_above_first_target(self):
-        f = mapping_of((100, 110, 150, 200), (10, 30, 60, 90), clamp=50.0)
-        assert f.effective_floor == 10.0
-        assert evaluate(f, 0.0) == 10.0
+        """A negative air target floors the lower tail at that target, not at 0."""
+        f = mapping_of((100, 110, 150, 200), (-10, 30, 60, 90))
+        assert evaluate(f, 100.5) == -8.0
+        assert evaluate(f, 99.0) == -10.0
+        assert evaluate(f, 0.0) == -10.0
         xs = np.linspace(-50, 250, 301)
         assert np.all(np.diff(evaluate(f, xs)) >= 0)
 
@@ -254,7 +255,7 @@ class TestEvaluate:
     @given(built_mappings(), st.lists(st.floats(0.0, 1.0), max_size=8), finite)
     # signed zeros: a global floor or a finite cap on a tail would flip these
     @example(mapping_of((0.0, 1.0, 2.0, 3.0), (0.0, 0.0, 0.0, -0.0)), [0.5], 0.0)
-    @example(mapping_of((1.0, 0.0, 2.0, 3.0), (-0.0, -0.0, 1.0, 2.0), clamp=-5.0), [0.5], 0.0)
+    @example(mapping_of((1.0, 0.0, 2.0, 3.0), (-0.0, -0.0, 1.0, 2.0)), [0.5], 0.0)
     def test_piece_table_matches_three_branch_evaluate(self, f, fractions, far):
         v = np.array(f.knots_v)
         span = v[3] - v[0]
