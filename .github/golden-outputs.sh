@@ -5,8 +5,8 @@
 #   .github/golden-outputs.sh BASE HEAD [STEP]
 #     BASE and HEAD are source trees, or git revisions, which are
 #     extracted with git archive. STEP is one of walkthrough,
-#     classical-masks, denoised, anchors and configured; without it
-#     every step runs. Exits 1 when a run fails or an output differs.
+#     classical-masks, denoised, anchors, configured and errors; without
+#     it every step runs. Exits 1 when a run fails or an output differs.
 #   .github/golden-outputs.sh commands README
 #     Prints the README's walkthrough commands, one per line.
 #
@@ -109,8 +109,87 @@ produce_configured() {
       --manifest-after "$1/norm/manifest.json" --group-by te --out "$1/report.json" --config "$config"
 }
 
+# Runs that must fail, from the step's directory with relative paths: each
+# case's stderr and exit code go to cases/<name>.txt, so the error line and
+# the exit code of every case are compared. The cases reach each kind of
+# failure the command line reports: a bad config, flag, manifest, mask,
+# volume or model file, a subject that cannot be segmented or mapped, a
+# missing file and a NaN voxel. A case that exits 0 fails the step.
+damage() {  # writes the damaged inputs of the errors step into the current directory
+  python - <<'PY'
+import json, pathlib
+import numpy as np
+
+here = pathlib.Path(".")
+record = json.loads((here / "data" / "manifest.json").read_text())[0]
+record = dict(record, pre=f"data/{record['pre']}", posts=[f"data/{p}" for p in record["posts"]],
+              mask=f"data/{record['mask']}")
+
+def volume(name, source, payload):  # a copy of the volume ``source`` with a new payload
+    (here / f"{name}.json").write_text((here / source).read_text())
+    (here / f"{name}.raw").write_bytes(payload)
+
+def payload(source, dtype):
+    return np.fromfile(here / source.replace(".json", ".raw"), dtype)
+
+def manifest(name, **fields):
+    entry = {key: value for key, value in dict(record, **fields).items() if value is not None}
+    (here / name).write_text(json.dumps([entry]))
+
+pre, mask = payload(record["pre"], "<f4"), payload(record["mask"], "u1")
+first = np.arange(pre.size) == 0
+volume("nan_pre", record["pre"], np.where(first, np.nan, pre).astype("<f4").tobytes())
+manifest("nan.json", pre="nan_pre.json")
+volume("flat_pre", record["pre"], np.full_like(pre, 7.0).tobytes())
+volume("flat_post1", record["posts"][0], np.full_like(pre, 14.0).tobytes())
+manifest("flat.json", pre="flat_pre.json")
+manifest("unsegmentable.json", pre="flat_pre.json", posts=["flat_post1.json"], mask=None)
+volume("label_mask", record["mask"], np.where(first, 9, mask).astype("u1").tobytes())
+manifest("label.json", mask="label_mask.json")
+volume("nofat_mask", record["mask"], np.where(mask == 2, 0, mask).astype("u1").tobytes())
+manifest("nofat.json", mask="nofat_mask.json")
+volume("short_post1", record["posts"][0], (here / record["posts"][0].replace(".json", ".raw")).read_bytes()[:-1])
+manifest("short.json", posts=["short_post1.json", *record["posts"][1:]])
+model = json.loads((here / "model.json").read_text())
+(here / "version-model.json").write_text(json.dumps(dict(model, format_version=999)))
+(here / "falling-model.json").write_text(json.dumps(dict(model, m_heart=-1000.0)))
+(here / "unknown-key.json").write_text('{"segmentation": {"colour": 1}}')
+(here / "small-phantom.json").write_text('{"dims": [4, 4, 4]}')
+(here / "entry.json").write_text('[{"subject_id": "s0"}]')
+(here / "parse.json").write_text('[\n{"subject_id": }\n]')
+PY
+}
+fail() {  # case name, then the arguments of a dcenorm run that must fail
+  local name=$1 rc
+  shift
+  run "$@" --jobs 1 > /dev/null 2> "cases/$name.txt"
+  rc=$?
+  echo "exit $rc" >> "cases/$name.txt"
+  [ "$rc" -ne 0 ] || { echo "golden-outputs: errors case $name exited 0" >&2; return 1; }
+}
+produce_errors() {
+  (cd "$1" && mkdir cases &&
+    echo '{"dims": [32, 32, 16], "groups": [{"name": "A", "n_subjects": 2}]}' > phantom.json &&
+    run phantom --out data --config phantom.json --jobs 1 &&
+    run train --manifest data/manifest.json --out model.json --jobs 1 && damage &&
+    fail config-key segment --manifest data/manifest.json --out-dir seg --config unknown-key.json &&
+    fail config-flag train --manifest data/manifest.json --out m.json --bogus &&
+    fail phantom-config phantom --config small-phantom.json --out small &&
+    fail manifest-entry train --manifest entry.json --out m.json &&
+    fail manifest-parse train --manifest parse.json --out m.json &&
+    fail mask-label train --manifest label.json --out m.json &&
+    fail volume-payload segment --manifest short.json --out-dir seg &&
+    fail model-version normalize --manifest data/manifest.json --model version-model.json --out-dir norm &&
+    fail segmentation segment --manifest unsegmentable.json --out-dir seg &&
+    fail empty-tissue train --manifest nofat.json --out m.json &&
+    fail degenerate-anchors normalize --manifest flat.json --model model.json --out-dir norm &&
+    fail falling-targets normalize --manifest data/manifest.json --model falling-model.json --out-dir norm &&
+    fail missing-file train --manifest missing.json --out m.json &&
+    fail nan-voxel train --manifest nan.json --out m.json)
+}
+
 status=0
-for step in ${3:-walkthrough classical-masks denoised anchors configured}; do
+for step in ${3:-walkthrough classical-masks denoised anchors configured errors}; do
   for side in base head; do
     tree=${!side}
     rm -rf "${root:?}/$step-$side" && mkdir "$root/$step-$side" || exit 1

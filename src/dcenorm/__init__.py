@@ -10,21 +10,7 @@ radiomics features.
 """
 
 from .anchors import AnchorSet, extract_anchors
-from .errors import (
-    AnchorError,
-    ConfigError,
-    DcenormError,
-    DegenerateAnchorError,
-    ManifestError,
-    MaskError,
-    MissingInputError,
-    ModelFormatError,
-    NonFiniteDataError,
-    NonMonotoneModelError,
-    SegmentationError,
-    ValidationError,
-    VolumeFormatError,
-)
+from .errors import DcenormError, MissingInputError, NonFiniteDataError, SubjectError, ValidationError
 from .evaluation import GroupingSpec, build_report, group_subjects, ks_statistic, roc_auc
 from .features import (
     FeatureVector,
@@ -56,30 +42,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnchorSet",
-    "AnchorError",
-    "ConfigError",
     "DcenormError",
-    "DegenerateAnchorError",
     "FeatureVector",
     "GroupSpec",
     "GroupingSpec",
-    "ManifestError",
     "MappingFunction",
-    "MaskError",
     "MissingInputError",
-    "ModelFormatError",
     "NonFiniteDataError",
-    "NonMonotoneModelError",
     "NormalizationModel",
     "PhantomConfig",
     "SegmentationConfig",
-    "SegmentationError",
     "StudySeries",
     "SubjectEntry",
+    "SubjectError",
     "TissueMask",
     "ValidationError",
     "Volume",
-    "VolumeFormatError",
     "apply_mapping",
     "build_mapping",
     "build_report",

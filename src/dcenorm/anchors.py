@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import AnchorError, MaskError, ValidationError
+from .errors import SubjectError, ValidationError
 from .manifest import StudySeries
 from .volume import AIR, DENSE, FAT, HEART, TissueMask, check_same_grid, percentile
 
@@ -47,10 +47,10 @@ class AnchorSet:
 def extract_anchors(series: StudySeries, mask: TissueMask) -> AnchorSet:
     """Compute the four anchor intensities for one subject.
 
-    Raises AnchorError naming the tissue when a label is empty; callers
+    Raises SubjectError naming the tissue when a label is empty; callers
     decide whether that skips the subject or aborts.
     """
-    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", MaskError)
+    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series")
 
     pre, post1 = series.pre, series.posts[0]
     counts: dict[str, int] = {}
@@ -61,7 +61,7 @@ def extract_anchors(series: StudySeries, mask: TissueMask) -> AnchorSet:
         selected = mask.tissue(code)
         n = int(np.count_nonzero(selected))
         if n == 0:
-            raise AnchorError(f"subject {series.subject_id}: tissue {tissue!r} is empty")
+            raise SubjectError(f"subject {series.subject_id}: tissue {tissue!r} is empty")
         counts[tissue] = n
         values[tissue] = percentile(volume, q, mask=selected)
 

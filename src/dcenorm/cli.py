@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import anchors as anchors_mod
 from . import evaluation as eval_mod
-from .errors import ConfigError, DcenormError, MissingInputError, SegmentationError, ValidationError
+from .errors import DcenormError, MissingInputError, SubjectError, ValidationError
 from .features import extract_features, read_features_csv, write_features_csv
 from .manifest import (
     SubjectEntry, check_out_dir_holds_no_input, check_outputs_spare_inputs, check_subject_grids, load_manifest,
@@ -62,15 +62,15 @@ _SECTION_KEYS = {
 def load_cli_config(path: Path | str | None) -> CliConfig:
     if path is None:
         return CliConfig(segmentation=SegmentationConfig())
-    raw = json_object(read_json(path), _SECTION_KEYS, "config", ConfigError, path)
+    raw = json_object(read_json(path), _SECTION_KEYS, "config", path)
     seg_sec, eval_sec = (
-        json_object(raw.get(section, {}), keys, f"config section {section!r}", ConfigError, path)
+        json_object(raw.get(section, {}), keys, f"config section {section!r}", path)
         for section, keys in _SECTION_KEYS.items()
     )
     seg = SegmentationConfig(**seg_sec)
     threshold = eval_sec.get("threshold")
     if threshold is not None and not is_number(threshold):
-        raise ConfigError(f"evaluation.threshold must be a finite number, got {threshold!r}", path=path)
+        raise ValidationError(f"evaluation.threshold must be a finite number, got {threshold!r}", path=path)
     return CliConfig(segmentation=seg, group_threshold=threshold)
 
 
@@ -92,7 +92,7 @@ def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConf
     series = load_series(dataclasses.replace(entry, posts=entry.posts[:1]))
     try:
         mask = classical_mask(series, seg_config)
-    except SegmentationError as exc:
+    except SubjectError as exc:
         return None, str(exc)
     return save_subject(entry, out_dir, mask=mask), None
 
@@ -190,7 +190,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_features(args) -> int:
     if args.denoise_median is not None and args.denoise_median < 1:
-        raise ConfigError(f"--denoise-median must be an integer >= 1, got {args.denoise_median}")
+        raise ValidationError(f"--denoise-median must be an integer >= 1, got {args.denoise_median}")
     manifest = load_manifest(args.manifest)
     check_outputs_spare_inputs(manifest_files(args.manifest, manifest), {"--out": [args.out]})
     job = partial(_features_job, denoise_radius=args.denoise_median, normalized=args.normalized)
@@ -250,7 +250,7 @@ class _Parser(argparse.ArgumentParser):
     """Argument errors surface as validation failures, not SystemExit."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValidationError(message)
 
 
 def _add_common(sub, jobs: bool = True, config: bool = False):

@@ -1,9 +1,20 @@
 """Exception hierarchy shared across the package.
 
-Two broad families matter to callers: validation failures (malformed or
-inconsistent content) and missing-input failures (a referenced file does
-not exist). The command line maps the former to exit code 1 and the
-latter, together with OS-level errors, to exit code 2.
+Only classes that some code tells apart exist:
+
+- ``cli.main`` maps ``MissingInputError`` (a referenced file does not
+  exist) to exit code 2, together with OS-level errors, and any other
+  ``DcenormError`` to exit code 1.
+- ``ValidationError`` covers every content failure: malformed or
+  inconsistent files, configs, manifests, masks, models and flags.
+  ``load_mask`` catches it to add the payload file, and
+  ``evaluation.feature_aucs`` to report a feature whose AUC is undefined.
+- ``load_volume`` and ``apply_mapping`` catch ``NonFiniteDataError`` to
+  add the file or the subject to its message.
+- ``SubjectError`` is one subject's failure: a segmentation stage that
+  finds no tissue, an empty anchor tissue, or anchors that tie or would
+  make the map decrease. ``segment`` catches it and skips the subject;
+  every other stage lets it end the run.
 """
 
 from __future__ import annotations
@@ -27,41 +38,9 @@ class MissingInputError(DcenormError):
     """A required input file does not exist."""
 
 
-class VolumeFormatError(ValidationError):
-    """Volume sidecar or payload violates the file format contract."""
-
-
-class NonFiniteDataError(VolumeFormatError):
+class NonFiniteDataError(ValidationError):
     """Payload contains NaN or infinite values."""
 
 
-class MaskError(ValidationError):
-    """Tissue mask contains illegal labels or mismatched geometry."""
-
-
-class ManifestError(ValidationError):
-    """Dataset manifest is malformed."""
-
-
-class SegmentationError(ValidationError):
-    """A classical segmentation stage failed for a subject."""
-
-
-class AnchorError(ValidationError):
-    """Anchor extraction failed, typically due to an empty tissue."""
-
-
-class DegenerateAnchorError(ValidationError):
-    """Two anchor tissues share the same intensity value."""
-
-
-class NonMonotoneModelError(ValidationError):
-    """Anchor/model pairing would produce a decreasing mapping."""
-
-
-class ModelFormatError(ValidationError):
-    """Model file is unreadable or has an unknown format version."""
-
-
-class ConfigError(ValidationError):
-    """Configuration file contains unknown or invalid entries."""
+class SubjectError(ValidationError):
+    """One subject cannot be segmented or mapped: an empty tissue or degenerate anchors."""

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .features import FEATURE_NAMES, FeatureVector
 from .manifest import SubjectEntry, load_subject
+from .model import midranks
 from .volume import HEART, DENSE, FAT, TUMOR
 from .util import atomic_write_text
 
@@ -108,11 +109,7 @@ def roc_auc(scores, labels) -> float:
         raise ValidationError("AUC needs at least one subject in each class")
     if n_pos + n_neg != scores.size:
         raise ValidationError("AUC labels must all be 0 or 1")
-    order = np.sort(scores)
-    lo = np.searchsorted(order, scores, side="left")
-    hi = np.searchsorted(order, scores, side="right")
-    midranks = (lo + hi + 1) / 2.0
-    rank_sum_pos = float(midranks[pos].sum())
+    rank_sum_pos = float(midranks(scores)[pos].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MaskError, ValidationError
+from .errors import ValidationError
 from .manifest import StudySeries
 from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, median_filter, widen
 from .util import atomic_write_text, binary_cell, read_csv_records
@@ -314,7 +314,7 @@ def extract_features(
     grid face that the widened box shares. eps is that of the unfiltered
     series, as without the filter.
     """
-    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", MaskError)
+    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series")
     sid = series.subject_id
 
     dense = mask.tissue(DENSE)
@@ -427,11 +427,7 @@ def write_features_csv(path: Path | str, rows: list[FeatureVector]) -> None:
 def read_features_csv(path: Path | str) -> list[FeatureVector]:
     columns = ("subject_id", *FEATURE_NAMES, "denoised", "normalized")
     rows = []
-    seen = set()
     for subject, record in read_csv_records(path, columns, "features CSV"):
-        if subject in seen:
-            raise ValidationError(f"duplicate subject {subject} in features", path=path)
-        seen.add(subject)
         values = {}
         for name in FEATURE_NAMES:
             cell = record[name]

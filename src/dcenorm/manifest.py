@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from numbers import Integral
 from pathlib import Path
 
-from .errors import ManifestError, MaskError, MissingInputError, ValidationError
+from .errors import MissingInputError, ValidationError
 from .util import (
     atomic_write_json, atomic_write_text, binary_cell, is_number, json_object, read_csv_records, read_json,
 )
@@ -58,33 +58,33 @@ def entry_files(entry: SubjectEntry) -> list[Path]:
 def _parse_entry(record: object, index: int, path: Path) -> SubjectEntry:
     """One manifest record as an entry; errors name the manifest ``path``."""
     keys = _REQUIRED_KEYS | _OPTIONAL_KEYS
-    record = json_object(record, keys, f"entry {index}", ManifestError, path, required=_REQUIRED_KEYS)
+    record = json_object(record, keys, f"entry {index}", path, required=_REQUIRED_KEYS)
 
     subject_id = record["subject_id"]
     if not isinstance(subject_id, str) or not subject_id:
-        raise ManifestError(f"entry {index}: subject_id must be a non-empty string", path=path)
+        raise ValidationError(f"entry {index}: subject_id must be a non-empty string", path=path)
     if _UNSAFE_ID_CHARS.search(subject_id):
-        raise ManifestError(
+        raise ValidationError(
             f"entry {index}: subject_id {subject_id!r} may not contain '/', '\\', ',', '\"' or a control character",
             path=path,
         )
 
     posts = record["posts"]
     if not isinstance(posts, list) or len(posts) < 1:
-        raise ManifestError(f"subject {subject_id}: posts must list at least one volume", path=path)
+        raise ValidationError(f"subject {subject_id}: posts must list at least one volume", path=path)
 
     for key in ("te_ms", "tr_ms", "field_t"):
         value = record[key]
         if not (is_number(value) and value > 0):
-            raise ManifestError(f"subject {subject_id}: {key} must be a finite positive number", path=path)
+            raise ValidationError(f"subject {subject_id}: {key} must be a finite positive number", path=path)
 
     label = record.get("label")
     if label is not None and not (is_number(label, Integral) and label in (0, 1)):
-        raise ManifestError(f"subject {subject_id}: label must be the integer 0 or 1, got {label!r}", path=path)
+        raise ValidationError(f"subject {subject_id}: label must be the integer 0 or 1, got {label!r}", path=path)
 
     mask = record.get("mask")
     if not all(isinstance(p, str) for p in (record["pre"], *posts, *([] if mask is None else [mask]))):
-        raise ManifestError(f"subject {subject_id}: pre, posts and mask must be path strings", path=path)
+        raise ValidationError(f"subject {subject_id}: pre, posts and mask must be path strings", path=path)
 
     base_dir = path.parent
     entry = SubjectEntry(
@@ -108,13 +108,15 @@ def load_manifest(path: Path | str) -> tuple[SubjectEntry, ...]:
     path = Path(path)
     data = read_json(path)
     if not isinstance(data, list):
-        raise ManifestError("manifest must be a JSON array of subject records", path=path)
+        raise ValidationError("manifest must be a JSON array of subject records", path=path)
+    if not data:
+        raise ValidationError("manifest lists no subjects", path=path)
     entries = []
     seen: set[str] = set()
     for index, record in enumerate(data):
         entry = _parse_entry(record, index, path)
         if entry.subject_id in seen:
-            raise ManifestError(f"duplicate subject_id {entry.subject_id!r}", path=path)
+            raise ValidationError(f"duplicate subject_id {entry.subject_id!r}", path=path)
         seen.add(entry.subject_id)
         entries.append(entry)
     return tuple(entries)
@@ -136,7 +138,7 @@ class StudySeries:
         if len(self.posts) < 1:
             raise ValidationError(f"subject {self.subject_id}: series needs at least one post volume")
         for i, post in enumerate(self.posts):
-            check_same_grid(post, self.pre, f"subject {self.subject_id}: post{i + 1} and pre", ValidationError)
+            check_same_grid(post, self.pre, f"subject {self.subject_id}: post{i + 1} and pre")
 
     @property
     def volumes(self) -> tuple[Volume, ...]:
@@ -162,10 +164,10 @@ def check_subject_grids(entry: SubjectEntry) -> None:
     pre = read_sidecar(entry.pre)
     posts = [read_sidecar(post) for post in entry.posts]
     for i, (post, path) in enumerate(zip(posts, entry.posts)):
-        check_same_grid(post, pre, f"subject {sid}: post{i + 1} and pre", ValidationError, path)
+        check_same_grid(post, pre, f"subject {sid}: post{i + 1} and pre", path)
     if entry.mask is not None:
         mask = read_sidecar(entry.mask, MASK_DTYPE)
-        check_same_grid(mask, pre, f"subject {sid}: mask and series", MaskError, entry.mask)
+        check_same_grid(mask, pre, f"subject {sid}: mask and series", entry.mask)
 
 
 def load_series(entry: SubjectEntry) -> StudySeries:
@@ -233,8 +235,6 @@ def save_labels(out_dir: Path | str, entries) -> None:
 def read_labels_csv(path: Path | str) -> dict[str, int]:
     labels: dict[str, int] = {}
     for sid, record in read_csv_records(path, ("subject_id", "label"), "labels CSV"):
-        if sid in labels:
-            raise ValidationError(f"duplicate subject {sid} in labels", path=path)
         labels[sid] = binary_cell(record, "label", sid, path)
     return labels
 

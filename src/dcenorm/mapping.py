@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anchors import TISSUES, AnchorSet
-from .errors import DegenerateAnchorError, NonFiniteDataError, NonMonotoneModelError, ValidationError
+from .errors import NonFiniteDataError, SubjectError, ValidationError
 from .manifest import StudySeries
 from .model import NormalizationModel
 from .volume import Volume
@@ -55,11 +55,11 @@ class MappingFunction:
             raise ValidationError("a mapping needs exactly 4 control points")
         # Plain comparisons on four floats cost far less than numpy here; NaN fails each.
         if not (v[0] < v[1] and v[1] < v[2] and v[2] < v[3]):
-            raise DegenerateAnchorError(f"control point values must strictly increase, got {self.knots_v}")
+            raise SubjectError(f"control point values must strictly increase, got {self.knots_v}")
         if not (m[0] <= m[1] and m[1] <= m[2] and m[2] <= m[3]):
-            raise NonMonotoneModelError(f"target values must be non-decreasing, got {self.knots_m}")
+            raise SubjectError(f"target values must be non-decreasing, got {self.knots_m}")
         if not (self.lower_slope >= 0 and self.upper_slope >= 0):  # NaN fails too
-            raise NonMonotoneModelError(f"slopes must be >= 0, got {self.lower_slope}, {self.upper_slope}")
+            raise SubjectError(f"slopes must be >= 0, got {self.lower_slope}, {self.upper_slope}")
 
     @functools.cached_property
     def _pieces(self) -> tuple[list[float], np.ndarray]:
@@ -93,13 +93,13 @@ def build_mapping(anchors: AnchorSet, model: NormalizationModel) -> MappingFunct
     )
     for (v0, _, t0), (v1, _, t1) in zip(triples, triples[1:]):
         if v0 == v1:
-            raise DegenerateAnchorError(
+            raise SubjectError(
                 f"subject {anchors.subject_id}: tissues {t0!r} and {t1!r} share anchor value {v0}"
             )
     ms = [m for _, m, _ in triples]
     for (_, m0, t0), (_, m1, t1) in zip(triples, triples[1:]):
         if m1 < m0:
-            raise NonMonotoneModelError(
+            raise SubjectError(
                 f"subject {anchors.subject_id}: target for {t1!r} ({m1}) falls below "
                 f"target for {t0!r} ({m0}) in anchor order"
             )

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .anchors import TISSUES, AnchorSet
-from .errors import ModelFormatError, ValidationError
+from .errors import ValidationError
 from .util import atomic_write_json, is_number, read_json
 
 MODEL_FORMAT_VERSION = 1
@@ -39,22 +39,26 @@ class NormalizationModel:
         return {t: getattr(self, f"m_{t}") for t in TISSUES}
 
 
-def rank_subjects(anchors: Sequence[AnchorSet], tissue: str) -> np.ndarray:
-    """Fractional ranks of one tissue's anchor values across subjects.
+def midranks(values: np.ndarray) -> np.ndarray:
+    """Fractional ranks of ``values``, a 1-d array.
 
     A value's rank is 1 plus the number of strictly smaller values; tied
-    values share the average of the positions they occupy. With n
-    subjects the ranks sum to n * (n + 1) / 2.
+    values share the average of the positions they occupy. With n values
+    the ranks sum to n * (n + 1) / 2.
     """
-    if tissue not in TISSUES:
-        raise ValidationError(f"unknown tissue {tissue!r}")
-    if not anchors:
-        raise ValidationError("rank_subjects needs at least one subject")
-    values = np.array([getattr(a, f"v_{tissue}") for a in anchors], dtype=np.float64)
     ordered = np.sort(values)
     lo = np.searchsorted(ordered, values, side="left")
     hi = np.searchsorted(ordered, values, side="right")
     return (lo + hi + 1) / 2.0
+
+
+def rank_subjects(anchors: Sequence[AnchorSet], tissue: str) -> np.ndarray:
+    """``midranks`` of one tissue's anchor values across subjects."""
+    if tissue not in TISSUES:
+        raise ValidationError(f"unknown tissue {tissue!r}")
+    if not anchors:
+        raise ValidationError("rank_subjects needs at least one subject")
+    return midranks(np.array([getattr(a, f"v_{tissue}") for a in anchors], dtype=np.float64))
 
 
 def _created_at() -> str:
@@ -122,16 +126,16 @@ def save_model(model: NormalizationModel, path) -> None:
 def load_model(path) -> NormalizationModel:
     data = read_json(path)
     if not isinstance(data, dict):
-        raise ModelFormatError("model file must contain a JSON object", path=path)
+        raise ValidationError("model file must contain a JSON object", path=path)
     version = data.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
+        raise ValidationError(
             f"unknown model format_version {version!r}, expected {MODEL_FORMAT_VERSION}",
             path=path,
         )
     for key in ("m_air", "m_fat", "m_dense", "m_heart", "n_training"):
         if key in data and not is_number(data[key], Integral if key == "n_training" else Real):
-            raise ModelFormatError(f"model key {key!r} has a malformed value {data[key]!r}", path=path)
+            raise ValidationError(f"model key {key!r} has a malformed value {data[key]!r}", path=path)
     try:
         return NormalizationModel(
             m_air=float(data["m_air"]),
@@ -144,4 +148,4 @@ def load_model(path) -> NormalizationModel:
             format_version=int(version),
         )
     except KeyError as exc:
-        raise ModelFormatError(f"model file is missing key {exc.args[0]!r}", path=path) from exc
+        raise ValidationError(f"model file is missing key {exc.args[0]!r}", path=path) from exc

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ValidationError
 from .manifest import SubjectEntry, load_manifest, save_labels, save_manifest, save_subject
 from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume
 from .util import is_number, json_object, read_json, run_parallel
@@ -48,7 +48,7 @@ _HEART = ((0.5, 0.71875, 0.5), (0.09375, 0.09375, 0.25))
 
 
 def _numbers(value, key: str, n: int | None = None, kind: type = Real) -> tuple:
-    """``value`` as a tuple of ``kind`` numbers (``n`` of them if given), or a ConfigError naming ``key``."""
+    """``value`` as a tuple of ``kind`` numbers (``n`` of them if given), or a ValidationError naming ``key``."""
     if (
         not isinstance(value, (list, tuple))
         or (n is not None and len(value) != n)
@@ -56,7 +56,7 @@ def _numbers(value, key: str, n: int | None = None, kind: type = Real) -> tuple:
     ):
         count = "" if n is None else f"{n} "
         noun = "integers" if kind is Integral else "numbers"
-        raise ConfigError(f"{key} must be a list of {count}{noun}, got {value!r}")
+        raise ValidationError(f"{key} must be a list of {count}{noun}, got {value!r}")
     return tuple(value)
 
 
@@ -75,16 +75,16 @@ class GroupSpec:
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name.isalnum():
-            raise ConfigError(f"group name must be non-empty alphanumeric, got {self.name!r}")
+            raise ValidationError(f"group name must be non-empty alphanumeric, got {self.name!r}")
         if not (is_number(self.n_subjects, Integral) and self.n_subjects >= 1):
-            raise ConfigError(f"group {self.name}: n_subjects must be an integer >= 1, got {self.n_subjects!r}")
+            raise ValidationError(f"group {self.name}: n_subjects must be an integer >= 1, got {self.n_subjects!r}")
         for key in ("scale", "offset", "te_ms", "tr_ms", "field_t", "noise_sigma"):
             if not is_number(getattr(self, key)):
-                raise ConfigError(f"group {self.name}: {key} must be a number, got {getattr(self, key)!r}")
+                raise ValidationError(f"group {self.name}: {key} must be a number, got {getattr(self, key)!r}")
         if self.scale <= 0:
-            raise ConfigError(f"group {self.name}: scale must be positive")
+            raise ValidationError(f"group {self.name}: scale must be positive")
         if self.noise_sigma < 0:
-            raise ConfigError(f"group {self.name}: noise_sigma must be >= 0")
+            raise ValidationError(f"group {self.name}: noise_sigma must be >= 0")
 
 
 def _default_groups() -> tuple[GroupSpec, ...]:
@@ -127,35 +127,35 @@ class PhantomConfig:
     def __post_init__(self):
         dims = _numbers(self.dims, "dims", 3, Integral)
         if any(d < 8 for d in dims):
-            raise ConfigError(f"dims must be 3 entries >= 8, got {self.dims}")
+            raise ValidationError(f"dims must be 3 entries >= 8, got {self.dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing_mm", _numbers(self.spacing_mm, "spacing_mm", 3))
         if not (is_number(self.seed, Integral) and 0 <= self.seed < 2 ** 64):
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+            raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (is_number(self.n_posts, Integral) and self.n_posts >= 1):
-            raise ConfigError(f"n_posts must be an integer >= 1, got {self.n_posts!r}")
+            raise ValidationError(f"n_posts must be an integer >= 1, got {self.n_posts!r}")
         missing = set(_default_intensities()) - set(self.intensities)
         if missing:
-            raise ConfigError(f"intensities missing tissues: {sorted(missing)}")
+            raise ValidationError(f"intensities missing tissues: {sorted(missing)}")
         for tissue, value in self.intensities.items():
             if not is_number(value):
-                raise ConfigError(f"intensities[{tissue!r}] must be a number, got {value!r}")
+                raise ValidationError(f"intensities[{tissue!r}] must be a number, got {value!r}")
         enhancement = {k: _numbers(v, f"enhancement[{k!r}]") for k, v in self.enhancement.items()}
         object.__setattr__(self, "enhancement", enhancement)
         for tissue, factors in enhancement.items():
             if len(factors) < self.n_posts:
-                raise ConfigError(
+                raise ValidationError(
                     f"enhancement[{tissue!r}] has {len(factors)} factors, need {self.n_posts}"
                 )
         if not self.groups:
-            raise ConfigError("at least one group is required")
+            raise ValidationError("at least one group is required")
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
-            raise ConfigError(f"group names must be unique, got {names}")
+            raise ValidationError(f"group names must be unique, got {names}")
         lo, hi = _numbers(self.gradient_range, "gradient_range", 2)
         object.__setattr__(self, "gradient_range", (lo, hi))
         if not (0.0 <= lo <= hi):
-            raise ConfigError(f"gradient_range must satisfy 0 <= lo <= hi, got {self.gradient_range}")
+            raise ValidationError(f"gradient_range must satisfy 0 <= lo <= hi, got {self.gradient_range}")
 
 
 # The seed comes only from ``dcenorm phantom --seed``, so a description file cannot set it.
@@ -168,17 +168,17 @@ _MERGED_SECTIONS = {"enhancement": _default_enhancement, "intensities": _default
 
 def phantom_config_from_json(path: Path | str) -> PhantomConfig:
     """Load a phantom config file, rejecting unknown keys by name."""
-    kwargs = dict(json_object(read_json(path), _CONFIG_KEYS, "phantom config", ConfigError, path))
+    kwargs = dict(json_object(read_json(path), _CONFIG_KEYS, "phantom config", path))
     for key, defaults in _MERGED_SECTIONS.items():
         if key in kwargs:
             merged = defaults()
-            merged.update(json_object(kwargs[key], merged, key, ConfigError, path))
+            merged.update(json_object(kwargs[key], merged, key, path))
             kwargs[key] = merged
     if "groups" in kwargs:
         if not isinstance(kwargs["groups"], list):
-            raise ConfigError("groups must be a list of objects", path=path)
+            raise ValidationError("groups must be a list of objects", path=path)
         kwargs["groups"] = tuple(
-            GroupSpec(**json_object(g, _GROUP_KEYS, f"groups[{i}]", ConfigError, path, _GROUP_REQUIRED))
+            GroupSpec(**json_object(g, _GROUP_KEYS, f"groups[{i}]", path, _GROUP_REQUIRED))
             for i, g in enumerate(kwargs["groups"])
         )
     return PhantomConfig(**kwargs)

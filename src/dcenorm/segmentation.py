@@ -26,7 +26,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import SegmentationError, ValidationError
+from .errors import SubjectError, ValidationError
 from .manifest import StudySeries
 from .util import is_number
 from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, percentile, widen
@@ -286,7 +286,7 @@ def segment_breast(
     ``body`` is the subject's ``body_mask(pre)`` and ``planes`` its
     ``chest_wall_planes(body)``. Applies morphological
     closing with a cubic structuring element and removes 26-connected
-    components below ``min_component_voxels``. Raises SegmentationError
+    components below ``min_component_voxels``. Raises SubjectError
     when nothing survives.
 
     The closing (``_closing``) is a dilation then an erosion, each
@@ -308,7 +308,7 @@ def segment_breast(
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
     if not body.any():
-        raise SegmentationError("no body voxels above the air threshold")
+        raise SubjectError("no body voxels above the air threshold")
     yy = np.arange(body.shape[1])[None, :, None]
     anterior = yy <= planes[:, None, None]
     candidate = body & anterior
@@ -320,7 +320,7 @@ def segment_breast(
         candidate = closed
     candidate = _drop_small_components(candidate, config.min_component_voxels)
     if not candidate.any():
-        raise SegmentationError("breast segmentation produced an empty mask")
+        raise SubjectError("breast segmentation produced an empty mask")
     return candidate
 
 
@@ -367,25 +367,25 @@ def segment_heart(
     crosses the box, and labels keep their scan order inside it, so ties
     resolve as on the full grid.
     """
-    check_same_grid(post1, pre, "post1 and pre", ValidationError)
+    check_same_grid(post1, pre, "post1 and pre")
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
     sub = post1.data.astype(np.float64) - pre.data.astype(np.float64)
     if not (sub > 0).any():
-        raise SegmentationError("subtraction image shows no enhancement")
+        raise SubjectError("subtraction image shows no enhancement")
     threshold = percentile(sub, config.heart_enhancement_percentile)
     yy = np.arange(body.shape[1])[None, :, None]
     posterior = yy > planes[:, None, None]
     candidate = body & posterior & (sub >= threshold)
     box = bounding_box(candidate)
     if box is None:
-        raise SegmentationError("no heart candidates behind the chest wall")
+        raise SubjectError("no heart candidates behind the chest wall")
     labeled, _ = _label(candidate[box])
     sizes = np.bincount(labeled.ravel())
     sizes[0] = 0
     best = int(np.argmax(sizes))
     if sizes[best] < config.min_component_voxels:
-        raise SegmentationError(
+        raise SubjectError(
             f"largest enhancing component has {int(sizes[best])} voxels, "
             f"below the floor of {config.min_component_voxels}"
         )

@@ -12,7 +12,7 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from .errors import ManifestError, MissingInputError, ValidationError
+from .errors import MissingInputError, ValidationError
 
 
 def atomic_write_bytes(path: Path | str, data: bytes) -> None:
@@ -46,34 +46,34 @@ def read_json(path: Path | str) -> Any:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except json.JSONDecodeError as exc:
-        raise ManifestError(
+        raise ValidationError(
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             path=path,
         ) from exc
 
 
-def json_object(value: Any, keys, what: str, error: type, path: Path | str | None, required=()) -> dict:
+def json_object(value: Any, keys, what: str, path: Path | str | None, required=()) -> dict:
     """``value`` if it is a dict whose keys lie in ``keys`` and include ``required``.
 
-    Otherwise raises ``error`` (the caller's class), naming the missing or unknown keys.
+    Otherwise raises a ValidationError naming the missing or unknown keys.
     """
     if not isinstance(value, dict):
-        raise error(f"{what} must be a JSON object", path=path)
+        raise ValidationError(f"{what} must be a JSON object", path=path)
     missing = set(required) - set(value)
     if missing:
-        raise error(f"{what} is missing required keys: {sorted(missing)}", path=path)
+        raise ValidationError(f"{what} is missing required keys: {sorted(missing)}", path=path)
     unknown = set(value) - set(keys)
     if unknown:
-        raise error(f"{what} has unknown keys: {sorted(unknown)}", path=path)
+        raise ValidationError(f"{what} has unknown keys: {sorted(unknown)}", path=path)
     return value
 
 
 def read_csv_records(path: Path | str, columns: Sequence[str], what: str) -> Iterator[tuple[str, dict]]:
     """Yield ``(subject, record)`` for each row of a CSV whose header names each of ``columns`` once.
 
-    ``columns[0]`` holds the subject. A row whose field count differs from the
-    header's is an error: ``csv.DictReader`` would file extra fields under the key
-    None and fill missing ones with None.
+    ``columns[0]`` holds the subject, and each subject has one row. A row whose
+    field count differs from the header's is an error: ``csv.DictReader`` would
+    file extra fields under the key None and fill missing ones with None.
     """
     path = Path(path)
     if not path.exists():
@@ -84,10 +84,14 @@ def read_csv_records(path: Path | str, columns: Sequence[str], what: str) -> Ite
         header = reader.fieldnames or []
         if sorted(header) != sorted(columns):
             raise ValidationError(f"{what} header must name each of {','.join(columns)} once, got {header}", path=path)
+        seen = set()
         for record in reader:
             subject = record[columns[0]]
             if None in record or None in record.values():
                 raise ValidationError(f"subject {subject!r}: row and header differ in field count", path=path)
+            if subject in seen:
+                raise ValidationError(f"duplicate subject {subject} in {what}", path=path)
+            seen.add(subject)
             yield subject, record
 
 

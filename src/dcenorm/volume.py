@@ -25,13 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    MaskError,
-    MissingInputError,
-    NonFiniteDataError,
-    ValidationError,
-    VolumeFormatError,
-)
+from .errors import MissingInputError, NonFiniteDataError, ValidationError
 from .util import atomic_write_bytes, atomic_write_json, is_number
 
 if TYPE_CHECKING:
@@ -85,7 +79,7 @@ class Volume:
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
         if arr.ndim != 3 or min(arr.shape) < 1:
-            raise VolumeFormatError(f"volume data must be 3D and non-empty, got shape {arr.shape}")
+            raise ValidationError(f"volume data must be 3D and non-empty, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise NonFiniteDataError("volume contains NaN or infinite values")
         arr.flags.writeable = False
@@ -115,10 +109,10 @@ class TissueMask:
     def __post_init__(self):
         arr = np.ascontiguousarray(self.labels, dtype=np.uint8)
         if arr.ndim != 3 or min(arr.shape) < 1:
-            raise MaskError(f"mask labels must be 3D and non-empty, got shape {arr.shape}")
+            raise ValidationError(f"mask labels must be 3D and non-empty, got shape {arr.shape}")
         bad = arr > MAX_LABEL
         if bad.any():
-            raise MaskError(f"illegal label value {int(arr[bad][0])} (max allowed {MAX_LABEL})")
+            raise ValidationError(f"illegal label value {int(arr[bad][0])} (max allowed {MAX_LABEL})")
         arr.flags.writeable = False
         object.__setattr__(self, "labels", arr)
         object.__setattr__(self, "spacing_mm", _check_spacing(self.spacing_mm))
@@ -181,9 +175,9 @@ def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sideca
         with open(sidecar_path, "r", encoding="utf-8") as handle:
             sidecar = json.load(handle)
     except json.JSONDecodeError as exc:
-        raise VolumeFormatError(f"sidecar is not valid JSON: {exc}", path=sidecar_path) from exc
+        raise ValidationError(f"sidecar is not valid JSON: {exc}", path=sidecar_path) from exc
     if not isinstance(sidecar, dict):
-        raise VolumeFormatError("sidecar must be a JSON object", path=sidecar_path)
+        raise ValidationError("sidecar must be a JSON object", path=sidecar_path)
 
     dims = sidecar.get("dims")
     if (
@@ -191,26 +185,26 @@ def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sideca
         or len(dims) != 3
         or any(not is_number(d, int) or d < 1 for d in dims)
     ):
-        raise VolumeFormatError(f"sidecar dims must be 3 positive integers, got {dims!r}", path=sidecar_path)
+        raise ValidationError(f"sidecar dims must be 3 positive integers, got {dims!r}", path=sidecar_path)
     spacing = sidecar.get("spacing_mm")
     if not isinstance(spacing, list) or len(spacing) != 3 or not all(is_number(s) and s > 0 for s in spacing):
-        raise VolumeFormatError(
+        raise ValidationError(
             f"sidecar spacing_mm must be 3 positive finite numbers, got {spacing!r}", path=sidecar_path
         )
     dtype = sidecar.get("dtype")
     if dtype != expected_dtype:
-        raise VolumeFormatError(
+        raise ValidationError(
             f"unsupported dtype {dtype!r}, expected {expected_dtype!r}", path=sidecar_path
         )
     order = sidecar.get("order", VOXEL_ORDER)
     if order != VOXEL_ORDER:
-        raise VolumeFormatError(f"unsupported voxel order {order!r}", path=sidecar_path)
+        raise ValidationError(f"unsupported voxel order {order!r}", path=sidecar_path)
 
     nx, ny, nz = dims
     expected_bytes = nx * ny * nz * _ITEMSIZE[dtype]
     size = payload_path.stat().st_size
     if size != expected_bytes:
-        raise VolumeFormatError(f"payload is {size} bytes, dims {dims} require {expected_bytes}", path=payload_path)
+        raise ValidationError(f"payload is {size} bytes, dims {dims} require {expected_bytes}", path=payload_path)
     return Sidecar(
         (nx, ny, nz), tuple(float(s) for s in spacing), str(sidecar.get("modality_tag", "")), payload_path
     )
@@ -252,18 +246,18 @@ def load_mask(path: Path | str) -> TissueMask:
     labels = np.frombuffer(sidecar.payload_path.read_bytes(), dtype=np.uint8).reshape(nz, ny, nx)
     try:
         return TissueMask(labels, sidecar.spacing_mm)
-    except MaskError as exc:
-        raise MaskError(str(exc), path=sidecar.payload_path) from exc
+    except ValidationError as exc:
+        raise ValidationError(str(exc), path=sidecar.payload_path) from exc
 
 
-def check_same_grid(a, b, what: str, error: type, path: Path | str | None = None) -> None:
-    """Raise ``error`` (the caller's class) unless ``a`` and ``b`` have the same dims and spacing.
+def check_same_grid(a, b, what: str, path: Path | str | None = None) -> None:
+    """Raise a ValidationError unless ``a`` and ``b`` have the same dims and spacing.
 
     Either may be anything with ``dims`` and ``spacing_mm``: a loaded grid or a
     ``Sidecar``. ``what`` names the pair, as in ``"subject A000: mask and series"``.
     """
     if a.dims != b.dims or a.spacing_mm != b.spacing_mm:
-        raise error(
+        raise ValidationError(
             f"{what} are on different grids: dims {a.dims} and {b.dims}, spacing {a.spacing_mm} and {b.spacing_mm}",
             path=path,
         )
@@ -272,7 +266,7 @@ def check_same_grid(a, b, what: str, error: type, path: Path | str | None = None
 def load_external_mask(path: Path | str, series: StudySeries) -> TissueMask:
     """Load a mask file and check it matches the series geometry."""
     mask = load_mask(path)
-    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", MaskError, path)
+    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", path)
     return mask
 
 

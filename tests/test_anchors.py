@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcenorm import AnchorError, AnchorSet, MaskError, ValidationError, extract_anchors
+from dcenorm import AnchorSet, SubjectError, ValidationError, extract_anchors
 
 from helpers import anchor_set, labeled_scene, mask_of, series_of, vol
 
@@ -86,14 +86,14 @@ class TestExtractAnchors:
         labels = labeled_scene(tumor=False)
         labels[labels == 3] = 2  # wipe out dense
         pre = np.ones(labels.shape, dtype=np.float32)
-        with pytest.raises(AnchorError, match="dense"):
+        with pytest.raises(SubjectError, match="dense"):
             extract_anchors(series_of(pre, [pre]), mask_of(labels))
 
     def test_empty_heart_named(self):
         labels = labeled_scene(tumor=False)
         labels[labels == 4] = 0
         pre = np.ones(labels.shape, dtype=np.float32)
-        with pytest.raises(AnchorError, match="heart"):
+        with pytest.raises(SubjectError, match="heart"):
             extract_anchors(series_of(pre, [pre]), mask_of(labels))
 
     def test_mask_dims_mismatch(self):
@@ -106,7 +106,7 @@ class TestExtractAnchors:
     def test_mask_spacing_mismatch(self):
         labels = labeled_scene(tumor=False)
         pre = np.ones(labels.shape, dtype=np.float32)
-        with pytest.raises(MaskError, match="mask and series are on different grids"):
+        with pytest.raises(ValidationError, match="mask and series are on different grids"):
             extract_anchors(series_of(pre, [pre]), mask_of(labels, (1.0, 1.0, 2.0)))
 
     def test_source_counts_recorded(self):

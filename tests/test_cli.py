@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 
 import dcenorm
 from dcenorm import (
-    GroupSpec, PhantomConfig, TissueMask, Volume, extract_anchors, generate_phantom, load_manifest, load_model,
-    load_series, read_features_csv, save_mask, save_volume,
+    GroupSpec, PhantomConfig, TissueMask, Volume, extract_anchors, generate_phantom, load_manifest, load_mask,
+    load_model, load_series, read_features_csv, save_mask, save_volume,
 )
 from dcenorm import cli
 from dcenorm.cli import load_cli_config, main
 from dcenorm.manifest import load_subject
 from dcenorm.segmentation import SegmentationConfig
+from dcenorm.volume import FAT
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -510,15 +511,18 @@ class TestErrorPaths:
         assert err.startswith("error[validation]: entry 0 is missing required keys") and len(err.splitlines()) == 1
         assert err.rstrip().endswith(f"[{bad}]")
 
-    @pytest.mark.parametrize("command", ["auc", "evaluate"])
-    def test_repeated_feature_row_named(self, pipeline, tmp_path, capsys, command):
-        """A features CSV gives each subject once: auc would otherwise count a repeated row twice."""
-        lines = (pipeline / "before.csv").read_text().splitlines()
-        bad = tmp_path / "before.csv"
+    @pytest.mark.parametrize("command, source", [("auc", "before.csv"), ("evaluate", "before.csv"),
+                                                 ("auc", "data/labels.csv")], ids=["auc", "evaluate", "auc-labels"])
+    def test_repeated_feature_row_named(self, pipeline, tmp_path, capsys, command, source):
+        """A features or labels CSV gives each subject once: auc would otherwise count a repeated row twice."""
+        lines = (pipeline / source).read_text().splitlines()
+        bad = tmp_path / Path(source).name
         bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+        features = bad if source == "before.csv" else pipeline / "before.csv"
+        labels = bad if source == "data/labels.csv" else pipeline / "data" / "labels.csv"
         out = tmp_path / ("auc.csv" if command == "auc" else "report.json")
         argv = {
-            "auc": ["auc", "--features", str(bad), "--labels", str(pipeline / "data" / "labels.csv")],
+            "auc": ["auc", "--features", str(features), "--labels", str(labels)],
             "evaluate": ["evaluate", "--before", str(bad), "--after", str(pipeline / "after.csv"),
                          "--manifest", str(pipeline / "seg" / "manifest.json"), "--group-by", "te"],
         }[command]
@@ -1012,6 +1016,48 @@ def test_truncated_payload_fails_at_segment(pipeline, tmp_path, volume, with_mas
     assert len(err.splitlines()) == 1, err
     assert err.startswith("error[validation]: payload is ") and f"A000_{volume}.raw" in err
     assert not (tmp_path / "seg" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "train", "normalize", "features", "evaluate"])
+def test_empty_manifest_rejected_by_every_stage(pipeline, tmp_path, command):
+    """No stage runs on a manifest that lists no subjects: none reports a false failure or writes an empty output."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[]")
+    argv = {
+        "segment": ["segment", "--out-dir", str(tmp_path / "seg")],
+        "train": ["train", "--out", str(tmp_path / "model.json")],
+        "normalize": ["normalize", "--model", str(pipeline / "model.json"), "--out-dir", str(tmp_path / "norm")],
+        "features": ["features", "--out", str(tmp_path / "f.csv")],
+        "evaluate": ["evaluate", "--before", str(pipeline / "before.csv"), "--after", str(pipeline / "after.csv"),
+                     "--group-by", "te", "--out", str(tmp_path / "report.json")],
+    }[command]
+    rc, err = _launch([*argv, "--manifest", str(manifest)])
+    assert (rc, err) == (1, f"error[validation]: manifest lists no subjects [{manifest}]\n")
+    assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["train", "normalize"])
+def test_a_failing_subject_stops_train_and_normalize(pipeline, tmp_path, command, jobs):
+    """train and normalize stop at a subject they cannot map: one line naming it, and no model or manifest.
+
+    normalize may have written other subjects' volumes by then, which ones depending on --jobs."""
+    seg = pipeline / "seg"
+    records = [_absolute_paths(record, seg) for record in json.loads((seg / "manifest.json").read_text())]
+    bad = records[2]
+    assert bad["subject_id"] == "A001"
+    mask = load_mask(bad["mask"])
+    labels = np.where(mask.labels == FAT, 0, mask.labels)
+    bad["mask"] = str(save_mask(TissueMask(labels, mask.spacing_mm), tmp_path / "A001_mask"))
+    (tmp_path / "manifest.json").write_text(json.dumps(records))
+    argv = {
+        "train": ["train", "--out", str(tmp_path / "model.json")],
+        "normalize": ["normalize", "--model", str(pipeline / "model.json"), "--out-dir", str(tmp_path / "norm")],
+    }[command]
+    rc, err = _launch([*argv, "--manifest", str(tmp_path / "manifest.json"), "--jobs", jobs])
+    assert (rc, err) == (1, "error[validation]: subject A001: tissue 'fat' is empty\n")
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "norm" / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dcenorm import (
-    MaskError,
     MissingInputError,
     ValidationError,
     build_mapping,
@@ -404,7 +403,7 @@ class TestExtractFeatures:
     def test_mask_spacing_mismatch_rejected(self, rng):
         series, mask = random_scene(rng)
         other = mask_of(mask.labels, tuple(2.0 * s for s in series.spacing_mm))
-        with pytest.raises(MaskError, match="mask and series are on different grids"):
+        with pytest.raises(ValidationError, match="mask and series are on different grids"):
             extract_features(series, other)
 
     def test_denoise_equals_prefiltered_series(self, rng):

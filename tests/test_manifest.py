@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from dcenorm import (
-    MaskError,
-    ManifestError,
     MissingInputError,
     NonFiniteDataError,
     StudySeries,
     SubjectEntry,
     TissueMask,
     ValidationError,
-    VolumeFormatError,
     load_manifest,
     load_series,
     save_mask,
@@ -75,26 +72,26 @@ class TestLoadManifest:
 
     def test_duplicate_subject_id_named(self, dataset):
         path = write_manifest(dataset, [record("twin"), record("twin")])
-        with pytest.raises(ManifestError, match="twin"):
+        with pytest.raises(ValidationError, match="twin"):
             load_manifest(path)
 
     def test_missing_required_key(self, dataset):
         rec = record("s1")
         del rec["te_ms"]
-        with pytest.raises(ManifestError, match="te_ms"):
+        with pytest.raises(ValidationError, match="te_ms"):
             load_manifest(write_manifest(dataset, [rec]))
 
     def test_unknown_key_named(self, dataset):
         path = write_manifest(dataset, [record("s1", flavor="vanilla")])
-        with pytest.raises(ManifestError, match="flavor"):
+        with pytest.raises(ValidationError, match="flavor"):
             load_manifest(path)
 
     def test_empty_subject_id(self, dataset):
-        with pytest.raises(ManifestError, match="subject_id"):
+        with pytest.raises(ValidationError, match="subject_id"):
             load_manifest(write_manifest(dataset, [record("")]))
 
     def test_posts_must_be_non_empty(self, dataset):
-        with pytest.raises(ManifestError, match="posts"):
+        with pytest.raises(ValidationError, match="posts"):
             load_manifest(write_manifest(dataset, [record("s1", posts=[])]))
 
     @pytest.mark.parametrize("key", ["te_ms", "tr_ms", "field_t"])
@@ -103,12 +100,12 @@ class TestLoadManifest:
     def test_acquisition_params_must_be_positive_numbers(self, dataset, key, bad):
         rec = record("s1")
         rec[key] = bad
-        with pytest.raises(ManifestError, match=key):
+        with pytest.raises(ValidationError, match=key):
             load_manifest(write_manifest(dataset, [rec]))
 
     @pytest.mark.parametrize("label", [2, True, 1.0])
     def test_label_must_be_binary(self, dataset, label):
-        with pytest.raises(ManifestError, match="label"):
+        with pytest.raises(ValidationError, match="label"):
             load_manifest(write_manifest(dataset, [record("s1", label=label)]))
 
     def test_missing_referenced_file(self, dataset):
@@ -119,19 +116,19 @@ class TestLoadManifest:
     def test_parse_error_reports_line(self, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text('[\n  {"subject_id": "s1",}\n]')
-        with pytest.raises(ManifestError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             load_manifest(bad)
 
     def test_top_level_must_be_array(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('{"subjects": []}')
-        with pytest.raises(ManifestError, match="array"):
+        with pytest.raises(ValidationError, match="array"):
             load_manifest(path)
 
     def test_entry_must_be_object(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("[42]")
-        with pytest.raises(ManifestError, match="entry 0"):
+        with pytest.raises(ValidationError, match="entry 0"):
             load_manifest(path)
 
     def test_paths_resolve_relative_to_manifest_dir(self, tmp_path):
@@ -202,7 +199,7 @@ class TestCheckSubjectGrids:
 
     def test_payload_size_checked(self, dataset):
         (dataset / "post2.raw").write_bytes(bytes(12))
-        with pytest.raises(VolumeFormatError, match="12 bytes"):
+        with pytest.raises(ValidationError, match="12 bytes"):
             check_subject_grids(self.entry(dataset))
 
     def test_series_grids_must_agree(self, dataset):
@@ -216,7 +213,7 @@ class TestCheckSubjectGrids:
     ])
     def test_mask_grid_must_match(self, dataset, shape, spacing, message):
         save_mask(TissueMask(np.zeros(shape, np.uint8), spacing), dataset / "mask")
-        with pytest.raises(MaskError, match=message) as info:
+        with pytest.raises(ValidationError, match=message) as info:
             check_subject_grids(self.entry(dataset, mask="mask"))
         assert str(dataset / "mask") in str(info.value)
 
@@ -226,7 +223,7 @@ class TestCheckSubjectGrids:
 ])
 def test_unsafe_subject_id_rejected(dataset, subject_id):
     path = write_manifest(dataset, [record("s1"), record(subject_id)])
-    with pytest.raises(ManifestError, match=r"^entry 1: subject_id .* may not contain") as info:
+    with pytest.raises(ValidationError, match=r"^entry 1: subject_id .* may not contain") as info:
         load_manifest(path)
     assert str(info.value).endswith(f"[{path}]")
 
@@ -238,7 +235,7 @@ def test_safe_subject_id_accepted(dataset, subject_id):
 
 def test_entry_errors_name_the_manifest(dataset):
     path = write_manifest(dataset, [record("s1", label=2)])
-    with pytest.raises(ManifestError, match="label") as info:
+    with pytest.raises(ValidationError, match="label") as info:
         load_manifest(path)
     assert str(info.value).endswith(f"[{path}]")
 

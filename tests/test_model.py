@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dcenorm import (
-    ModelFormatError,
     ValidationError,
     load_model,
     rank_subjects,
@@ -168,7 +167,7 @@ class TestModelIO:
         payload = json.loads((tmp_path / "model.json").read_text())
         payload["format_version"] = 999
         (tmp_path / "model.json").write_text(json.dumps(payload))
-        with pytest.raises(ModelFormatError, match="999"):
+        with pytest.raises(ValidationError, match="999"):
             load_model(tmp_path / "model.json")
 
     def test_missing_key_named(self, tmp_path):
@@ -177,10 +176,10 @@ class TestModelIO:
         payload = json.loads((tmp_path / "model.json").read_text())
         del payload["m_fat"]
         (tmp_path / "model.json").write_text(json.dumps(payload))
-        with pytest.raises(ModelFormatError, match="m_fat"):
+        with pytest.raises(ValidationError, match="m_fat"):
             load_model(tmp_path / "model.json")
 
     def test_non_object_payload(self, tmp_path):
         (tmp_path / "model.json").write_text("[1, 2]")
-        with pytest.raises(ModelFormatError, match="object"):
+        with pytest.raises(ValidationError, match="object"):
             load_model(tmp_path / "model.json")

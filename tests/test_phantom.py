@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dcenorm import ConfigError, GroupSpec, PhantomConfig, generate_phantom, load_mask, load_series
+from dcenorm import GroupSpec, PhantomConfig, ValidationError, generate_phantom, load_mask, load_series
 from dcenorm.phantom import phantom_config_from_json, phantom_mask
 
 
@@ -193,13 +193,13 @@ class TestPhantomConfig:
         """``seed`` is unknown too: ``dcenorm phantom --seed`` is its only way in."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: 1}))
-        with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
+        with pytest.raises(ValidationError, match=f"unknown keys.*{key}"):
             phantom_config_from_json(path)
 
     def test_unknown_enhancement_key_named(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"enhancement": {"bone": [1, 1, 1]}}')
-        with pytest.raises(ConfigError, match="bone"):
+        with pytest.raises(ValidationError, match="bone"):
             phantom_config_from_json(path)
 
     def test_partial_enhancement_merges_defaults(self, tmp_path):
@@ -212,31 +212,31 @@ class TestPhantomConfig:
     def test_unknown_group_key_named(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"groups": [{"name": "A", "n_subjects": 1, "vendor": "x"}]}')
-        with pytest.raises(ConfigError, match="vendor"):
+        with pytest.raises(ValidationError, match="vendor"):
             phantom_config_from_json(path)
 
     def test_small_dims_rejected(self):
-        with pytest.raises(ConfigError, match="dims"):
+        with pytest.raises(ValidationError, match="dims"):
             small_config(dims=(4, 16, 8))
 
     def test_enhancement_must_cover_posts(self):
-        with pytest.raises(ConfigError, match="need 4"):
+        with pytest.raises(ValidationError, match="need 4"):
             small_config(n_posts=4)
 
     def test_duplicate_group_names_rejected(self):
-        with pytest.raises(ConfigError, match="unique"):
+        with pytest.raises(ValidationError, match="unique"):
             small_config(groups=(GroupSpec("A", 1), GroupSpec("A", 1)))
 
     def test_group_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="group name must be non-empty"):
             GroupSpec(name="", n_subjects=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="n_subjects must be an integer >= 1"):
             GroupSpec(name="A", n_subjects=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="scale must be positive"):
             GroupSpec(name="A", n_subjects=1, scale=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="noise_sigma must be >= 0"):
             GroupSpec(name="A", n_subjects=1, noise_sigma=-1.0)
 
     def test_gradient_range_ordering_enforced(self):
-        with pytest.raises(ConfigError, match="gradient_range"):
+        with pytest.raises(ValidationError, match="gradient_range"):
             small_config(gradient_range=(0.5, 0.1))

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from dcenorm import (
-    MaskError,
     SegmentationConfig,
-    SegmentationError,
+    SubjectError,
     ValidationError,
     classical_mask,
     load_external_mask,
@@ -67,7 +66,7 @@ def full_volume_segment_breast(pre, body, config):
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
     if not body.any():
-        raise SegmentationError("no body voxels above the air threshold")
+        raise SubjectError("no body voxels above the air threshold")
     planes = chest_wall_planes(body)
     yy = np.arange(body.shape[1])[None, :, None]
     anterior = yy <= planes[:, None, None]
@@ -78,7 +77,7 @@ def full_volume_segment_breast(pre, body, config):
         candidate = ndimage.binary_closing(candidate, structure=structure)
     candidate = full_volume_drop_small_components(candidate, config.min_component_voxels)
     if not candidate.any():
-        raise SegmentationError("breast segmentation produced an empty mask")
+        raise SubjectError("breast segmentation produced an empty mask")
     return candidate
 
 
@@ -89,7 +88,7 @@ def full_volume_segment_heart(pre, post1, body, config):
         raise ValidationError("body mask shape does not match volume")
     sub = post1.data.astype(np.float64) - pre.data.astype(np.float64)
     if not (sub > 0).any():
-        raise SegmentationError("subtraction image shows no enhancement")
+        raise SubjectError("subtraction image shows no enhancement")
     threshold = percentile(sub, config.heart_enhancement_percentile)
     planes = chest_wall_planes(body)
     yy = np.arange(body.shape[1])[None, :, None]
@@ -97,12 +96,12 @@ def full_volume_segment_heart(pre, post1, body, config):
     candidate = body & posterior & (sub >= threshold)
     labeled, n = ndimage.label(candidate, structure=CONN26)
     if n == 0:
-        raise SegmentationError("no heart candidates behind the chest wall")
+        raise SubjectError("no heart candidates behind the chest wall")
     sizes = np.bincount(labeled.ravel())
     sizes[0] = 0
     best = int(np.argmax(sizes))
     if sizes[best] < config.min_component_voxels:
-        raise SegmentationError(
+        raise SubjectError(
             f"largest enhancing component has {int(sizes[best])} voxels, "
             f"below the floor of {config.min_component_voxels}"
         )
@@ -137,10 +136,10 @@ def masks(draw):
 
 
 def outcome(fn, *args):
-    """What ``fn`` returns, or the message of the SegmentationError it raises."""
+    """What ``fn`` returns, or the message of the SubjectError it raises."""
     try:
         return fn(*args)
-    except SegmentationError as exc:
+    except SubjectError as exc:
         return str(exc)
 
 
@@ -248,7 +247,7 @@ class TestSegmentBreast:
         assert dice(breast, truth_breast) >= 0.9
 
     def test_constant_volume_rejected(self):
-        with pytest.raises(SegmentationError, match="no body voxels"):
+        with pytest.raises(SubjectError, match="no body voxels"):
             pre = vol(np.zeros((4, 8, 8)))
             segment_breast(pre, *body_and_planes(pre), SegmentationConfig())
 
@@ -337,13 +336,13 @@ class TestSegmentHeart:
 
     def test_zero_subtraction_rejected(self):
         pre, _, _, _ = self._two_blob_scene()
-        with pytest.raises(SegmentationError, match="no enhancement"):
+        with pytest.raises(SubjectError, match="no enhancement"):
             segment_heart(pre, pre, *body_and_planes(pre), SegmentationConfig())
 
     def test_component_below_size_floor_rejected(self):
         pre, post, _, _ = self._two_blob_scene()
         cfg = SegmentationConfig(min_component_voxels=1000)
-        with pytest.raises(SegmentationError, match="below the floor"):
+        with pytest.raises(SubjectError, match="below the floor"):
             segment_heart(pre, post, *body_and_planes(pre), cfg)
 
     def test_dims_mismatch_rejected(self):
@@ -536,13 +535,13 @@ class TestExternalMask:
     def test_dims_mismatch_rejected(self, tmp_path):
         series = self._series()
         save_mask(TissueMask(np.zeros((2, 3, 5), np.uint8), (1, 1, 1)), tmp_path / "m")
-        with pytest.raises(MaskError, match="dims"):
+        with pytest.raises(ValidationError, match="dims"):
             load_external_mask(tmp_path / "m", series)
 
     def test_spacing_mismatch_rejected(self, tmp_path):
         series = self._series()
         save_mask(TissueMask(np.zeros((2, 3, 4), np.uint8), (2, 2, 2)), tmp_path / "m")
-        with pytest.raises(MaskError, match="spacing"):
+        with pytest.raises(ValidationError, match="spacing"):
             load_external_mask(tmp_path / "m", series)
 
     def test_illegal_label_rejected(self, tmp_path):
@@ -551,7 +550,7 @@ class TestExternalMask:
         raw = bytearray((tmp_path / "m.raw").read_bytes())
         raw[0] = 7
         (tmp_path / "m.raw").write_bytes(bytes(raw))
-        with pytest.raises(MaskError, match="7"):
+        with pytest.raises(ValidationError, match="7"):
             load_external_mask(tmp_path / "m", series)
 
 

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from dcenorm import (
-    MaskError,
     MissingInputError,
     NonFiniteDataError,
     TissueMask,
     ValidationError,
     Volume,
-    VolumeFormatError,
     load_mask,
     load_volume,
     median_filter,
@@ -70,7 +68,7 @@ class TestVolumeIO:
 
     def test_short_payload_rejected(self, tmp_path):
         path = write_pair(tmp_path, "v", [2, 2, 1], f32_bytes([1, 2, 3]))
-        with pytest.raises(VolumeFormatError, match="12 bytes"):
+        with pytest.raises(ValidationError, match="12 bytes"):
             load_volume(path)
 
     def test_missing_payload_file(self, tmp_path):
@@ -81,12 +79,12 @@ class TestVolumeIO:
 
     def test_unsupported_dtype(self, tmp_path):
         path = write_pair(tmp_path, "v", [1, 1, 1], b"\x00" * 8, dtype="f64le")
-        with pytest.raises(VolumeFormatError, match="f64le"):
+        with pytest.raises(ValidationError, match="f64le"):
             load_volume(path)
 
     def test_unsupported_voxel_order(self, tmp_path):
         path = write_pair(tmp_path, "v", [1, 1, 1], f32_bytes([0]), order="z-fastest")
-        with pytest.raises(VolumeFormatError, match="order"):
+        with pytest.raises(ValidationError, match="order"):
             load_volume(path)
 
     def test_non_finite_payload(self, tmp_path):
@@ -96,20 +94,20 @@ class TestVolumeIO:
 
     def test_bad_dims_in_sidecar(self, tmp_path):
         path = write_pair(tmp_path, "v", [2, 0, 1], b"", dtype="f32le")
-        with pytest.raises(VolumeFormatError, match="dims"):
+        with pytest.raises(ValidationError, match="dims"):
             load_volume(path)
 
     @pytest.mark.parametrize("spacing", [["x", 1, 1], [True, 1, 1], [1, None, 1], [1, 1]])
     def test_bad_spacing_in_sidecar(self, tmp_path, spacing):
         path = write_pair(tmp_path, "v", [1, 1, 1], f32_bytes([0]), spacing=spacing)
-        with pytest.raises(VolumeFormatError, match="spacing_mm") as info:
+        with pytest.raises(ValidationError, match="spacing_mm") as info:
             load_volume(path)
         assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("spacing", [[10 ** 400, 1, 1], [1, math.inf, 1], [1, 1, math.nan]])
     def test_non_finite_spacing_in_sidecar(self, tmp_path, spacing):
         path = write_pair(tmp_path, "v", [1, 1, 1], f32_bytes([0]), spacing=spacing)
-        with pytest.raises(VolumeFormatError, match="spacing_mm") as info:
+        with pytest.raises(ValidationError, match="spacing_mm") as info:
             load_volume(path)
         assert str(path) in str(info.value)
 
@@ -124,22 +122,22 @@ class TestVolumeIO:
         assert (sidecar.dims, sidecar.spacing_mm, sidecar.modality_tag) == ((2, 2, 1), (1.0, 2.0, 3.0), "pre")
         assert sidecar.payload_path == tmp_path / "v.raw"
         (tmp_path / "v.raw").write_bytes(f32_bytes([1, 2, 3]))
-        with pytest.raises(VolumeFormatError, match="12 bytes"):
+        with pytest.raises(ValidationError, match="12 bytes"):
             read_sidecar(path)
-        with pytest.raises(VolumeFormatError, match="u8"):
+        with pytest.raises(ValidationError, match="u8"):
             read_sidecar(path, MASK_DTYPE)
 
     @pytest.mark.parametrize("spacing", [[0, 1, 1], [1, -2.5, 1]])
     def test_non_positive_spacing_in_sidecar(self, tmp_path, spacing):
         path = write_pair(tmp_path, "v", [1, 1, 1], f32_bytes([0]), spacing=spacing)
-        with pytest.raises(VolumeFormatError, match="spacing_mm") as info:
+        with pytest.raises(ValidationError, match="spacing_mm") as info:
             read_sidecar(path)
         assert str(path) in str(info.value)
 
     def test_sidecar_not_json(self, tmp_path):
         (tmp_path / "v.json").write_text("{not json")
         (tmp_path / "v.raw").write_bytes(f32_bytes([0]))
-        with pytest.raises(VolumeFormatError):
+        with pytest.raises(ValidationError, match="sidecar is not valid JSON"):
             load_volume(tmp_path / "v")
 
     def test_single_voxel_payload_is_four_bytes(self, tmp_path):
@@ -198,7 +196,7 @@ class TestVolumeContainer:
             v.data[0, 0, 0] = 1.0
 
     def test_rejects_non_3d(self):
-        with pytest.raises(VolumeFormatError):
+        with pytest.raises(ValidationError, match="must be 3D and non-empty"):
             Volume(np.zeros((2, 2), dtype=np.float32), (1, 1, 1))
 
     def test_rejects_nan(self):
@@ -228,7 +226,7 @@ class TestTissueMask:
         assert m.tissue(5).sum() == 0
 
     def test_rejects_illegal_label(self):
-        with pytest.raises(MaskError, match="7"):
+        with pytest.raises(ValidationError, match="7"):
             mask_of(np.array([[[0, 7]]]))
 
     def test_round_trip(self, tmp_path, rng):
@@ -244,7 +242,7 @@ class TestTissueMask:
         raw = bytearray((tmp_path / "m.raw").read_bytes())
         raw[2] = 7
         (tmp_path / "m.raw").write_bytes(bytes(raw))
-        with pytest.raises(MaskError, match="7"):
+        with pytest.raises(ValidationError, match="7"):
             load_mask(tmp_path / "m")
 
 
