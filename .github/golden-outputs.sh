@@ -52,17 +52,21 @@ produce_walkthrough() {
 # benchmark's clinical-pair workload, each with its masks dropped, so that
 # segment runs the classical chain on every subject. Features on those
 # masks, plain and median filtered, take the path of masks without a tumor
-# label and with classical fat and dense regions.
+# label and with classical fat and dense regions. train and normalize run
+# on those masks too: the clinical pair's normalized volumes are the only
+# compared volumes that span many mapping blocks.
 classical() {  # out, extra phantom flags
   run phantom --out "$1/data" --seed 0 "${@:2}" && drop_masks "$1/data/manifest.json" "$1/data/nomask.json" &&
     run segment --manifest "$1/data/nomask.json" --out-dir "$1/masks" &&
+    run train --manifest "$1/masks/manifest.json" --out "$1/model.json" &&
+    run normalize --manifest "$1/masks/manifest.json" --model "$1/model.json" --out-dir "$1/norm" &&
     run features --manifest "$1/masks/manifest.json" --out "$1/features.csv" &&
     run features --manifest "$1/masks/manifest.json" --out "$1/denoised.csv" --denoise-median 1
 }
 produce_classical_masks() {
   echo '{"dims": [256, 256, 60], "groups": [{"name": "A", "n_subjects": 1}, {"name": "B", "n_subjects": 1, "scale": 1.5, "offset": 50.0, "te_ms": 2.6, "tr_ms": 5.2, "field_t": 3.0}]}' > "$root/clinical.json"
   classical "$1/default" && classical "$1/clinical" --config "$root/clinical.json" &&
-    ls "$1"/*/masks/*_mask.raw > /dev/null
+    ls "$1"/*/masks/*_mask.raw "$1"/*/norm/*_post3.raw > /dev/null
 }
 
 # The default cohort with group B at noise_sigma 10, median filtered before

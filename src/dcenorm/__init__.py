@@ -22,7 +22,7 @@ from .features import (
     write_features_csv,
 )
 from .manifest import StudySeries, SubjectEntry, load_manifest, load_series
-from .mapping import MappingFunction, apply_mapping, build_mapping, evaluate, export_mapping_curve
+from .mapping import MappingFunction, apply_mapping, build_mapping, evaluate, export_mapping_curve, map_volume
 from .model import NormalizationModel, load_model, rank_subjects, save_model, train_archetype
 from .phantom import GroupSpec, PhantomConfig, generate_phantom
 from .segmentation import SegmentationConfig, classical_mask
@@ -78,6 +78,7 @@ __all__ = [
     "load_series",
     "load_volume",
     "major_axis_length",
+    "map_volume",
     "median_filter",
     "percentile",
     "rank_subjects",

@@ -38,11 +38,12 @@ from .manifest import (
     SubjectEntry, check_out_dir_holds_no_input, check_outputs_spare_inputs, check_subject_grids, load_manifest,
     load_series, load_subject as _load_subject, manifest_files, read_labels_csv, save_manifest, save_subject,
 )
-from .mapping import apply_mapping, build_mapping, export_mapping_curve, write_mapping_curve
+from .mapping import build_mapping, export_mapping_curve, map_volume, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask
 from .util import atomic_write_json, atomic_write_text, default_jobs, is_number, json_object, read_json, run_parallel
+from .volume import load_volume
 
 log = logging.getLogger(__name__)
 
@@ -98,11 +99,25 @@ def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConf
 
 
 def _normalize_job(entry: SubjectEntry, model: NormalizationModel, out_dir: str, mapping_dir: str | None):
-    series, mask = _load_subject(entry)
+    """Map a subject's volumes and write them one at a time.
+
+    The grids are checked from the sidecars first, so a subject on two
+    grids is refused before any of its volumes is written. Only pre,
+    the first post and the mask are loaded for the anchors; each later
+    post is loaded when it is mapped. So the job holds those three,
+    plus one volume and its map.
+    """
+    check_subject_grids(entry)
+    series, mask = _load_subject(dataclasses.replace(entry, posts=entry.posts[:1]))
     mapping = build_mapping(anchors_mod.extract_anchors(series, mask), model)
-    written = save_subject(entry, out_dir, apply_mapping(mapping, series).volumes)
+    sid = entry.subject_id
+    mapped = itertools.chain(
+        (map_volume(mapping, volume, sid) for volume in series.volumes),
+        (map_volume(mapping, load_volume(path), sid) for path in entry.posts[1:]),
+    )
+    written = save_subject(entry, out_dir, mapped)
     if mapping_dir is not None:
-        write_mapping_curve(_mapping_file(mapping_dir, entry.subject_id), export_mapping_curve(mapping))
+        write_mapping_curve(_mapping_file(mapping_dir, sid), export_mapping_curve(mapping))
     return written
 
 

@@ -9,8 +9,8 @@ Only classes that some code tells apart exist:
   inconsistent files, configs, manifests, masks, models and flags.
   ``load_mask`` catches it to add the payload file, and
   ``evaluation.feature_aucs`` to report a feature whose AUC is undefined.
-- ``load_volume`` and ``apply_mapping`` catch ``NonFiniteDataError`` to
-  add the file or the subject to its message.
+- ``load_volume`` and ``mapping.map_volume`` catch ``NonFiniteDataError``
+  to add the file or the subject to its message.
 - ``SubjectError`` is one subject's failure: a segmentation stage that
   finds no tissue, an empty anchor tissue, or anchors that tie or would
   make the map decrease. ``segment`` catches it and skips the subject;

@@ -216,9 +216,12 @@ def subject_file(subject_id: str, out_dir: Path | str, index: int | None) -> Pat
 def save_subject(entry: SubjectEntry, out_dir: Path | str, volumes=(), mask: TissueMask | None = None) -> SubjectEntry:
     """Write ``volumes`` (pre, then each post) and ``mask``, those given, in ``out_dir``; return ``entry`` naming them.
 
-    ``volumes`` may be a generator: each volume is written before the next is drawn.
+    ``volumes`` may be a generator: each volume is written and let go before the next is drawn.
     """
-    files = [save_volume(volume, subject_file(entry.subject_id, out_dir, k)) for k, volume in enumerate(volumes)]
+    files = []
+    for volume in volumes:
+        files.append(save_volume(volume, subject_file(entry.subject_id, out_dir, len(files))))
+        del volume  # not held while the generator makes the next one
     if files:
         entry = replace(entry, pre=files[0], posts=tuple(files[1:]))
     if mask is not None:

@@ -11,6 +11,8 @@ dive arbitrarily negative.
 One mapping is built per subject and applied unchanged to the
 pre-contrast volume and every post-contrast volume, which preserves
 within-subject intensity order and keeps enhancement ratios meaningful.
+``map_volume`` maps one volume, so a caller may load, map and write a
+subject's volumes one at a time; ``apply_mapping`` maps a loaded series.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .model import NormalizationModel
 from .volume import Volume
 from .util import atomic_write_text
 
-# Voxels per evaluate call in apply_mapping: each float64 temporary is
+# Voxels per evaluate call in map_volume: each float64 temporary is
 # 256 KiB, so a block's working set stays in L2.
 _BLOCK_VOXELS = 2**15
 
@@ -65,7 +67,7 @@ class MappingFunction:
     def _pieces(self) -> tuple[list[float], np.ndarray]:
         """The knots as floats and ``evaluate``'s piece table, transposed.
 
-        Built on first use and kept, since ``apply_mapping`` calls
+        Built on first use and kept, since ``map_volume`` calls
         ``evaluate`` once per block with the same mapping.
         """
         v = [float(a) for a in self.knots_v]
@@ -154,34 +156,36 @@ def evaluate(mapping: MappingFunction, x) -> np.ndarray | float:
     return out
 
 
-def apply_mapping(mapping: MappingFunction, series: StudySeries) -> StudySeries:
-    """Map every volume of a series with the same function.
+def map_volume(mapping: MappingFunction, volume: Volume, subject_id: str) -> Volume:
+    """Map one volume of subject ``subject_id``.
 
-    Arithmetic runs in float64 and results are stored as float32,
-    matching the on-disk volume format. Each volume is evaluated in
+    Arithmetic runs in float64 and the result is stored as float32,
+    matching the on-disk volume format. The volume is evaluated in
     blocks of ``_BLOCK_VOXELS`` voxels written into one float32 output,
     so each float64 temporary is one block long, whatever the volume
     size, and stays in cache. Blocks join bit for bit: the map is
-    pointwise.
+    pointwise. Working memory is the output and the block temporaries.
 
     A result beyond float32's range stores as infinity, which ``Volume``
     rejects; the error names the subject.
     """
+    src = volume.data.reshape(-1)
+    mapped = np.empty(src.shape, dtype=np.float32)
+    # A non-finite result is reported once, by Volume's check below, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, src.size, _BLOCK_VOXELS):
+            block = slice(start, start + _BLOCK_VOXELS)
+            mapped[block] = evaluate(mapping, src[block])
+    try:
+        return Volume(mapped.reshape(volume.data.shape), volume.spacing_mm, volume.modality_tag)
+    except NonFiniteDataError as exc:
+        raise NonFiniteDataError(f"subject {subject_id}: mapped {exc}") from None
 
-    def _map(vol: Volume) -> Volume:
-        src = vol.data.reshape(-1)
-        mapped = np.empty(src.shape, dtype=np.float32)
-        # A non-finite result is reported once, by Volume's check below, not as a numpy warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, src.size, _BLOCK_VOXELS):
-                block = slice(start, start + _BLOCK_VOXELS)
-                mapped[block] = evaluate(mapping, src[block])
-        try:
-            return Volume(mapped.reshape(vol.data.shape), vol.spacing_mm, vol.modality_tag)
-        except NonFiniteDataError as exc:
-            raise NonFiniteDataError(f"subject {series.subject_id}: mapped {exc}") from None
 
-    return replace(series, pre=_map(series.pre), posts=tuple(_map(p) for p in series.posts))
+def apply_mapping(mapping: MappingFunction, series: StudySeries) -> StudySeries:
+    """Map every volume of a loaded series with ``map_volume``, the same function for each."""
+    pre, *posts = (map_volume(mapping, volume, series.subject_id) for volume in series.volumes)
+    return replace(series, pre=pre, posts=tuple(posts))
 
 
 def export_mapping_curve(mapping: MappingFunction) -> np.ndarray:

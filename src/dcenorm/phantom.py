@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .manifest import SubjectEntry, load_manifest, save_labels, save_manifest, save_subject
-from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume
+from .manifest import SubjectEntry, load_manifest, save_labels, save_manifest, subject_file
+from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, save_mask, save_volume
 from .util import is_number, json_object, read_json, run_parallel
 
 # Anatomy layout, as fractions of the volume dims so any grid works.
@@ -223,37 +223,31 @@ def _anatomy_rng(seed: int, anatomy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | anatomy))
 
 
-def _base_fields(cfg: PhantomConfig, mask: TissueMask, anatomy: int, grad_amp: float) -> list[np.ndarray]:
-    """Undistorted per-sequence intensity fields for one anatomy index on ``mask``'s labels.
-
-    Returns n_posts + 1 float64 arrays: pre first, then each post.
-    """
+def _base_field(cfg: PhantomConfig, mask: TissueMask, anatomy: int, grad_amp: float, k: int) -> np.ndarray:
+    """Undistorted float64 intensity field of volume ``k`` (0 for pre, ``p`` for post ``p``) of one anatomy index,
+    on ``mask``'s labels."""
     fat = mask.labels == FAT
     dense = mask.labels == DENSE
     tumor = mask.labels == TUMOR
     heart = mask.labels == HEART
 
     base = cfg.intensities
+    field = np.full(mask.labels.shape, base["air"], dtype=np.float64)
+    if k == 0:
+        field[fat] = base["fat"]
+        field[dense] = base["dense"]
+        field[tumor] = base["tumor"]
+        field[heart] = base["heart"]
+        return field
+    p = k - 1
     enh = cfg.enhancement
     tumor_key = "tumor_label1" if anatomy % 2 else "tumor_label0"
-
     ramp = np.broadcast_to(_gradient_profile(cfg.dims), mask.labels.shape)
-
-    fields = []
-    pre = np.full(mask.labels.shape, base["air"], dtype=np.float64)
-    pre[fat] = base["fat"]
-    pre[dense] = base["dense"]
-    pre[tumor] = base["tumor"]
-    pre[heart] = base["heart"]
-    fields.append(pre)
-    for p in range(cfg.n_posts):
-        post = np.full(mask.labels.shape, base["air"], dtype=np.float64)
-        post[fat] = base["fat"] * enh["fat"][p]
-        post[dense] = base["dense"] * (enh["dense"][p] + grad_amp * ramp[dense])
-        post[tumor] = base["tumor"] * enh[tumor_key][p]
-        post[heart] = base["heart"] * enh["heart"][p]
-        fields.append(post)
-    return fields
+    field[fat] = base["fat"] * enh["fat"][p]
+    field[dense] = base["dense"] * (enh["dense"][p] + grad_amp * ramp[dense])
+    field[tumor] = base["tumor"] * enh[tumor_key][p]
+    field[heart] = base["heart"] * enh["heart"][p]
+    return field
 
 
 # Extreme configured values overflow float32 silently; Volume then rejects the non-finite data as one error.
@@ -261,9 +255,12 @@ def _base_fields(cfg: PhantomConfig, mask: TissueMask, anatomy: int, grad_amp: f
 def _generate_anatomy(job: tuple[PhantomConfig, str, int]) -> list[SubjectEntry]:
     """Emit every subject at one anatomy index; returns their entries.
 
-    All randomness for the index is drawn once here, in a fixed order,
-    then reused for each group member, so matched subjects differ only
-    by their group's affine and noise amplitude.
+    All randomness for the index is drawn here, in a fixed order (the
+    gradient amplitude, then each volume's unit noise, pre first), and
+    each draw is reused for every group member, so matched subjects
+    differ only by their group's affine and noise amplitude. Volume k
+    is written for every member before volume k + 1 is built, so one
+    clean field and one noise field are held at a time.
     """
     cfg, out_dir, anatomy = job
     rng = _anatomy_rng(cfg.seed, anatomy)
@@ -275,23 +272,24 @@ def _generate_anatomy(job: tuple[PhantomConfig, str, int]) -> list[SubjectEntry]
     stratum = (anatomy % n_anat + 0.3 + 0.4 * float(rng.random())) / n_anat
     grad_amp = lo + (hi - lo) * stratum
     mask = phantom_mask(cfg.dims, cfg.spacing_mm)
-    fields = _base_fields(cfg, mask, anatomy, grad_amp)
-    unit_noise = [rng.standard_normal(size=fields[0].shape) for _ in fields]
+    members = [(group, f"{group.name}{anatomy:03d}") for group in cfg.groups if anatomy < group.n_subjects]
+    for k in range(cfg.n_posts + 1):
+        clean = _base_field(cfg, mask, anatomy, grad_amp, k)
+        noise = rng.standard_normal(size=clean.shape)
+        tag = f"dce-post{k}" if k else "dce-pre"
+        for group, sid in members:
+            distorted = ((clean + group.noise_sigma * noise) * group.scale + group.offset).astype(np.float32)
+            save_volume(Volume(distorted, cfg.spacing_mm, tag), subject_file(sid, out_dir, k))
+        del clean, noise
 
-    entries = []
-    for group in cfg.groups:
-        if anatomy >= group.n_subjects:
-            continue
-        sid = f"{group.name}{anatomy:03d}"
-        volumes = (  # drawn one at a time as the writer takes them, so one volume is held at once
-            Volume(((clean + group.noise_sigma * noise) * group.scale + group.offset).astype(np.float32),
-                   cfg.spacing_mm, f"dce-post{k}" if k else "dce-pre")
-            for k, (clean, noise) in enumerate(zip(fields, unit_noise))
-        )
-        # The writer fills in the paths; the group's values are kept as configured, ints included.
-        entry = SubjectEntry(sid, Path(), (), group.te_ms, group.tr_ms, group.field_t, label=anatomy % 2)
-        entries.append(save_subject(entry, out_dir, volumes, mask))
-    return entries
+    # The group's values are kept as configured, ints included.
+    posts = range(1, cfg.n_posts + 1)
+    return [
+        SubjectEntry(sid, subject_file(sid, out_dir, 0), tuple(subject_file(sid, out_dir, k) for k in posts),
+                     group.te_ms, group.tr_ms, group.field_t, save_mask(mask, subject_file(sid, out_dir, None)),
+                     label=anatomy % 2)
+        for group, sid in members
+    ]
 
 
 def generate_phantom(cfg: PhantomConfig, out_dir: Path | str, jobs: int = 1) -> tuple[SubjectEntry, ...]:

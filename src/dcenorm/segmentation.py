@@ -29,11 +29,16 @@ import numpy as np
 from .errors import SubjectError, ValidationError
 from .manifest import StudySeries
 from .util import is_number
-from .volume import AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, percentile, widen
+from .volume import (
+    AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, nearest_rank_index, percentile,
+    widen,
+)
 
 log = logging.getLogger(__name__)
 
 OTSU_BINS = 256
+# Values binned per step in otsu_upper_class: each float64 temporary is 512 KiB.
+_OTSU_BLOCK = 2**16
 
 
 @dataclass
@@ -86,6 +91,10 @@ def otsu_upper_class(values: np.ndarray) -> np.ndarray | None:
     ``OTSU_BINS`` equal bins and both the histogram and the class
     assignment use the same bin indices, so the split is exactly
     reproducible.
+
+    The bin indices are computed in float64 blocks of ``_OTSU_BLOCK``
+    values into one uint8 array, and the histogram adds up each block's
+    counts, so working memory is that array plus the block temporaries.
     """
     values = np.asarray(values)
     if values.size == 0:
@@ -94,9 +103,17 @@ def otsu_upper_class(values: np.ndarray) -> np.ndarray | None:
     hi = float(values.max())
     if hi == lo:
         return None
-    idx = np.floor((values.astype(np.float64) - lo) * (OTSU_BINS / (hi - lo))).astype(np.int64)
-    np.clip(idx, 0, OTSU_BINS - 1, out=idx)
-    counts = np.bincount(idx, minlength=OTSU_BINS).astype(np.float64)
+    flat = values.reshape(-1)
+    idx = np.empty(flat.shape, dtype=np.uint8)
+    counts = np.zeros(OTSU_BINS, dtype=np.int64)
+    scale = OTSU_BINS / (hi - lo)
+    for start in range(0, flat.size, _OTSU_BLOCK):
+        block = slice(start, start + _OTSU_BLOCK)
+        bins = np.floor((flat[block].astype(np.float64) - lo) * scale)
+        np.minimum(bins, OTSU_BINS - 1, out=bins)  # the maximum lands in the last bin
+        idx[block] = bins
+        counts += np.bincount(idx[block], minlength=OTSU_BINS)
+    counts = counts.astype(np.float64)
 
     # Between-class variance for every split "bin <= t vs bin > t",
     # with bin indices standing in for intensities (the argmax is
@@ -114,7 +131,7 @@ def otsu_upper_class(values: np.ndarray) -> np.ndarray | None:
     t = int(np.argmax(variance))
     if variance[t] <= 0:
         return None
-    return idx.reshape(values.shape) > t
+    return (idx > t).reshape(values.shape)
 
 
 def segment_air(pre: Volume, config: SegmentationConfig) -> np.ndarray:
@@ -346,6 +363,20 @@ def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -
     return dense
 
 
+def _enhancement_threshold(pre: Volume, post1: Volume, q: float) -> float:
+    """The nearest-rank ``q``-th percentile of the subtraction image post1 - pre, as ``volume.percentile`` takes it.
+
+    The image is formed once, in float64, and partitioned in place, so
+    no copy of it is made. Raises SubjectError when no voxel enhances.
+    """
+    sub = np.subtract(post1.data, pre.data, dtype=np.float64).reshape(-1)
+    if not sub.max() > 0:
+        raise SubjectError("subtraction image shows no enhancement")
+    k = nearest_rank_index(sub.size, q)
+    sub.partition(k)
+    return float(sub[k])
+
+
 def segment_heart(
     pre: Volume, post1: Volume, body: np.ndarray, planes: np.ndarray, config: SegmentationConfig
 ) -> np.ndarray:
@@ -360,6 +391,11 @@ def segment_heart(
     (no enhancement anywhere, or a component below the size floor) is
     an error so callers can skip the subject explicitly.
 
+    The threshold is taken by ``_enhancement_threshold``, whose float64
+    subtraction image is the only whole-grid float64 array. The
+    candidates are then found on the bounding box of the body behind
+    the chest wall, where the subtraction is formed again.
+
     Components are labelled by ``_label``, which numbers them in the
     scan order of their first voxels, so a tie for the largest goes to
     the component that comes first in scan order. They are labelled on
@@ -370,17 +406,17 @@ def segment_heart(
     check_same_grid(post1, pre, "post1 and pre")
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
-    sub = post1.data.astype(np.float64) - pre.data.astype(np.float64)
-    if not (sub > 0).any():
-        raise SubjectError("subtraction image shows no enhancement")
-    threshold = percentile(sub, config.heart_enhancement_percentile)
+    threshold = _enhancement_threshold(pre, post1, config.heart_enhancement_percentile)
     yy = np.arange(body.shape[1])[None, :, None]
-    posterior = yy > planes[:, None, None]
-    candidate = body & posterior & (sub >= threshold)
-    box = bounding_box(candidate)
+    behind = body & (yy > planes[:, None, None])
+    outer = bounding_box(behind)
+    box = None
+    if outer is not None:
+        near = behind[outer] & (np.subtract(post1.data[outer], pre.data[outer], dtype=np.float64) >= threshold)
+        box = bounding_box(near)
     if box is None:
         raise SubjectError("no heart candidates behind the chest wall")
-    labeled, _ = _label(candidate[box])
+    labeled, _ = _label(near[box])
     sizes = np.bincount(labeled.ravel())
     sizes[0] = 0
     best = int(np.argmax(sizes))
@@ -389,8 +425,8 @@ def segment_heart(
             f"largest enhancing component has {int(sizes[best])} voxels, "
             f"below the floor of {config.min_component_voxels}"
         )
-    heart = np.zeros(candidate.shape, dtype=bool)
-    heart[box] = labeled == best
+    heart = np.zeros(body.shape, dtype=bool)
+    heart[outer][box] = labeled == best
     return heart
 
 

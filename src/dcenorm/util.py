@@ -15,8 +15,8 @@ from typing import Any, Callable, Iterator, Sequence
 from .errors import MissingInputError, ValidationError
 
 
-def atomic_write_bytes(path: Path | str, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temp file and atomic rename."""
+def atomic_write_bytes(path: Path | str, data: bytes | memoryview) -> None:
+    """Write ``data``, any C-contiguous buffer, to ``path`` via a temp file and atomic rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")

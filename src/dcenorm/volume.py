@@ -210,8 +210,11 @@ def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sideca
     )
 
 
-def _save_pair(path: Path | str, grid: Volume | TissueMask, dtype: str, payload: bytes, **extra) -> Path:
-    """Write payload, then sidecar, both atomically; return the sidecar path."""
+def _save_pair(path: Path | str, grid: Volume | TissueMask, dtype: str, payload: np.ndarray, **extra) -> Path:
+    """Write the array ``payload``'s buffer, then the sidecar, both atomically; return the sidecar path.
+
+    The buffer is written as it is, with no bytes copy of the grid.
+    """
     sidecar_path, payload_path = volume_files(path)
     sidecar = {
         "dims": list(grid.dims),
@@ -220,7 +223,7 @@ def _save_pair(path: Path | str, grid: Volume | TissueMask, dtype: str, payload:
         "order": VOXEL_ORDER,
         **extra,
     }
-    atomic_write_bytes(payload_path, payload)
+    atomic_write_bytes(payload_path, memoryview(payload))
     atomic_write_json(sidecar_path, sidecar)
     return sidecar_path
 
@@ -237,7 +240,7 @@ def load_volume(path: Path | str) -> Volume:
 
 def save_volume(volume: Volume, path: Path | str) -> Path:
     """Write sidecar and payload; both writes are atomic. Returns the sidecar path."""
-    return _save_pair(path, volume, VOLUME_DTYPE, volume.data.tobytes(), modality_tag=volume.modality_tag)
+    return _save_pair(path, volume, VOLUME_DTYPE, volume.data, modality_tag=volume.modality_tag)
 
 
 def load_mask(path: Path | str) -> TissueMask:
@@ -272,7 +275,7 @@ def load_external_mask(path: Path | str, series: StudySeries) -> TissueMask:
 
 def save_mask(mask: TissueMask, path: Path | str) -> Path:
     """Write a mask's sidecar and payload like save_volume. Returns the sidecar path."""
-    return _save_pair(path, mask, MASK_DTYPE, mask.labels.tobytes())
+    return _save_pair(path, mask, MASK_DTYPE, mask.labels)
 
 
 def nearest_rank_index(n: int, q: float) -> int:

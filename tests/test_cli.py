@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,14 @@ from hypothesis import strategies as st
 
 import dcenorm
 from dcenorm import (
-    GroupSpec, PhantomConfig, TissueMask, Volume, extract_anchors, generate_phantom, load_manifest, load_mask,
-    load_model, load_series, read_features_csv, save_mask, save_volume,
+    GroupSpec, PhantomConfig, TissueMask, Volume, apply_mapping, build_mapping, extract_anchors, generate_phantom,
+    load_manifest, load_mask, load_model, load_series, load_volume, read_features_csv, save_mask, save_volume,
+    train_archetype,
 )
 from dcenorm import cli
+from dcenorm import mapping as mapping_mod
 from dcenorm.cli import load_cli_config, main
-from dcenorm.manifest import load_subject
+from dcenorm.manifest import load_subject, subject_file
 from dcenorm.segmentation import SegmentationConfig
 from dcenorm.volume import FAT
 
@@ -946,19 +949,20 @@ def test_segment_runs_without_scipy(pipeline, tmp_path):
 
 
 def _damaged_subject(pipeline, directory: Path, volume: str, payload, sidecar=None, with_mask=True) -> Path:
-    """A one-subject manifest in ``directory`` for the cohort's A000, whose ``volume`` ("post2" or
+    """A one-subject manifest in ``directory`` for the cohort's A000, whose ``volume`` ("post<k>" or
     "mask") is a copy there with its payload bytes passed through ``payload`` and its sidecar file,
     if given, through ``sidecar``. Returns the manifest's path."""
     data = pipeline / "data"
     record = _absolute_paths(json.loads((data / "manifest.json").read_text())[0], data)
-    source = Path(record["posts"][1] if volume == "post2" else record["mask"])
+    post = int(volume[4:]) - 1 if volume.startswith("post") else None
+    source = Path(record["posts"][post] if post is not None else record["mask"])
     copy = directory / f"A000_{volume}"
     (directory / f"{copy.name}.json").write_bytes(source.read_bytes())
     (directory / f"{copy.name}.raw").write_bytes(payload(source.with_suffix(".raw").read_bytes()))
     if sidecar is not None:
         sidecar(directory / f"{copy.name}.json")
-    if volume == "post2":
-        record["posts"][1] = f"{copy}.json"
+    if post is not None:
+        record["posts"][post] = f"{copy}.json"
     else:
         record["mask"] = f"{copy}.json"
     if not with_mask:
@@ -971,6 +975,68 @@ def _nan_first_voxel(payload: bytes) -> bytes:
     values = np.frombuffer(payload, "<f4").copy()
     values[0] = np.nan
     return values.tobytes()
+
+
+def test_nan_voxel_in_the_last_post_fails_normalize(pipeline, tmp_path):
+    """normalize loads each post after the first only when it maps it: a NaN in the last is still one error line
+    naming that payload, and no manifest is written."""
+    manifest = _damaged_subject(pipeline, tmp_path, "post3", _nan_first_voxel)
+    rc, err = _launch(["normalize", "--manifest", str(manifest), "--model", str(pipeline / "model.json"),
+                       "--out-dir", str(tmp_path / "norm"), "--jobs", "1"])
+    assert rc == 1
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error[validation]: volume contains NaN or infinite values") and "A000_post3.raw" in err
+    assert not (tmp_path / "norm" / "manifest.json").exists()
+
+
+def test_normalize_refuses_a_post_on_another_grid_before_writing_a_volume(pipeline, tmp_path):
+    """The grids are checked from the sidecars first, so a last post on another grid stops the subject before
+    its pre is mapped."""
+    def other_spacing(sidecar: Path):
+        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), spacing_mm=[1.0, 1.0, 1.0])))
+
+    manifest = _damaged_subject(pipeline, tmp_path, "post3", lambda payload: payload, sidecar=other_spacing)
+    rc, err = _launch(["normalize", "--manifest", str(manifest), "--model", str(pipeline / "model.json"),
+                       "--out-dir", str(tmp_path / "norm"), "--jobs", "1"])
+    assert rc == 1
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error[validation]: subject A000: post3 and pre are on different grids"), err
+    assert os.listdir(tmp_path / "norm") == []
+
+
+def test_streamed_normalize_matches_whole_series_apply_mapping(pipeline):
+    """normalize maps and writes one volume at a time; each file equals the whole series mapped at once."""
+    model = load_model(pipeline / "model.json")
+    norm = pipeline / "norm"
+    for entry in load_manifest(pipeline / "seg" / "manifest.json"):
+        series, mask = load_subject(entry)
+        want = apply_mapping(build_mapping(extract_anchors(series, mask), model), series)
+        for k, volume in enumerate(want.volumes):
+            written = subject_file(entry.subject_id, norm, k)
+            assert written.with_suffix(".raw").read_bytes() == volume.data.tobytes(), written
+            loaded = load_volume(written)
+            assert (loaded.spacing_mm, loaded.modality_tag) == (volume.spacing_mm, volume.modality_tag)
+
+
+def test_normalize_job_holds_one_volume_and_its_map_besides_the_anchor_inputs(tmp_path):
+    """A job on a 3-post subject peaks at pre, post1 and the mask, plus one volume, its map, the map's
+    finiteness check and the block temporaries, whatever the number of posts."""
+    dims = (128, 128, 32)
+    (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path / "data")
+    assert len(entry.posts) == 3
+    model = train_archetype([extract_anchors(*load_subject(entry))])
+    cli._normalize_job(entry, model, str(tmp_path / "first"), None)  # first-call allocations outside the trace
+    voxels = math.prod(dims)
+    volume, mask, check = 4 * voxels, voxels, voxels
+    blocks = 6 * 8 * mapping_mod._BLOCK_VOXELS  # evaluate's float64 and intp temporaries on one block
+    bound = 2 * volume + mask + 2 * volume + check + blocks
+    tracemalloc.start()
+    try:
+        cli._normalize_job(entry, model, str(tmp_path / "norm"), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("with_mask", [True, False], ids=["mask-given", "mask-less"])

@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +10,24 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from dcenorm import (
+    GroupSpec,
+    PhantomConfig,
     SegmentationConfig,
     SubjectError,
     ValidationError,
     classical_mask,
+    generate_phantom,
     load_external_mask,
     load_mask,
     load_series,
     save_mask,
 )
+from dcenorm import segmentation
 from dcenorm.segmentation import (
+    OTSU_BINS,
     _closing,
     _drop_small_components,
+    _enhancement_threshold,
     _label,
     assemble_mask,
     body_mask,
@@ -106,6 +114,32 @@ def full_volume_segment_heart(pre, post1, body, config):
             f"below the floor of {config.min_component_voxels}"
         )
     return labeled == best
+
+
+def whole_array_otsu_upper_class(values):
+    """``otsu_upper_class``'s split as one whole-array pass: the result its blocked binning must equal."""
+    values = np.asarray(values)
+    lo = float(values.min())
+    hi = float(values.max())
+    if hi == lo:
+        return None
+    idx = np.floor((values.astype(np.float64) - lo) * (OTSU_BINS / (hi - lo))).astype(np.int64)
+    np.clip(idx, 0, OTSU_BINS - 1, out=idx)
+    counts = np.bincount(idx.ravel(), minlength=OTSU_BINS).astype(np.float64)
+    centers = np.arange(OTSU_BINS, dtype=np.float64)
+    w0 = np.cumsum(counts)[:-1]
+    w1 = counts.sum() - w0
+    m0 = np.cumsum(counts * centers)[:-1]
+    m1 = (counts * centers).sum() - m0
+    valid = (w0 > 0) & (w1 > 0)
+    if not valid.any():
+        return None
+    variance = np.zeros(OTSU_BINS - 1)
+    variance[valid] = w0[valid] * w1[valid] * (m0[valid] / w0[valid] - m1[valid] / w1[valid]) ** 2
+    t = int(np.argmax(variance))
+    if variance[t] <= 0:
+        return None
+    return idx > t
 
 
 @st.composite
@@ -207,6 +241,27 @@ class TestOtsu:
         with pytest.raises(ValidationError):
             otsu_upper_class(np.array([]))
 
+    @pytest.mark.parametrize("block", [7, 1000, segmentation._OTSU_BLOCK])
+    @pytest.mark.parametrize("kind", ["normal", "integers"])
+    def test_blocks_match_the_whole_array_formula(self, monkeypatch, rng, block, kind):
+        """Several blocks, the minimum and the maximum each in more than one of them, and for integers every
+        value on a bin edge (the bins are one unit wide): the blocked split equals the whole-array one."""
+        monkeypatch.setattr(segmentation, "_OTSU_BLOCK", block)
+        n = max(3 * block + 5, 5000)
+        if kind == "normal":
+            values = rng.normal(100.0, 30.0, n).astype(np.float32)
+            lo, hi = np.float32(-50.0), np.float32(300.0)
+        else:
+            values = rng.integers(0, OTSU_BINS + 1, n).astype(np.float32)
+            lo, hi = np.float32(0), np.float32(OTSU_BINS)
+        values[[0, block + 1, n - 2]] = lo
+        values[[1, 2 * block + 3, n - 1]] = hi
+        want = whole_array_otsu_upper_class(values)
+        assert want is not None
+        assert np.array_equal(otsu_upper_class(values), want)
+        cube = values[: 4 * (n // 4)].reshape(2, 2, -1)
+        assert np.array_equal(otsu_upper_class(cube), whole_array_otsu_upper_class(cube))
+
 
 class TestBodyAndChestWall:
     def test_body_mask_selects_bright_block(self):
@@ -304,6 +359,21 @@ class TestSegmentDense:
         fat_or_dense = mask.tissue(FAT) | mask.tissue(DENSE)
         # heart has precedence but never overlaps the breast territory
         assert np.array_equal(fat_or_dense, breast)
+
+
+class TestEnhancementThreshold:
+    @given(st.integers(0, 2**32 - 1), st.floats(0.5, 100.0), st.booleans())
+    def test_equals_the_percentile_of_the_subtraction_image(self, seed, q, ties):
+        """The threshold partitions the float64 subtraction image in place; it is that image's percentile."""
+        rng = np.random.default_rng(seed)
+        shape = (3, 5, 7)
+        pre = rng.integers(0, 4, shape) if ties else rng.normal(100.0, 20.0, shape)
+        post = pre + (rng.integers(-1, 3, shape) if ties else rng.normal(5.0, 20.0, shape))
+        pre, post = vol(pre), vol(post)
+        if not (post.data.astype(np.float64) > pre.data).any():
+            return
+        sub = post.data.astype(np.float64) - pre.data.astype(np.float64)
+        assert _enhancement_threshold(pre, post, q) == percentile(sub, q)
 
 
 class TestSegmentHeart:
@@ -505,9 +575,24 @@ class TestClassicalPipeline:
         b = classical_mask(series, SegmentationConfig())
         assert np.array_equal(a.labels, b.labels)
 
-    def test_chest_wall_planes_computed_once(self, phantom_subject, monkeypatch):
-        import dcenorm.segmentation as segmentation
+    def test_peak_allocation_within_its_inputs_masks_and_one_float64_grid(self, tmp_path):
+        """Loading pre and post1 and segmenting them peaks at those two volumes, the seven boolean grids
+        classical_mask holds (air, body, breast, dense, fat, heart, tumor) and one float64 grid."""
+        dims = (128, 128, 32)
+        (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path)
+        entry = dataclasses.replace(entry, posts=entry.posts[:1])
+        classical_mask(load_series(entry), SegmentationConfig())  # first-call allocations outside the trace
+        voxels = math.prod(dims)
+        bound = 2 * 4 * voxels + 7 * voxels + 8 * voxels
+        tracemalloc.start()
+        try:
+            classical_mask(load_series(entry), SegmentationConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
+    def test_chest_wall_planes_computed_once(self, phantom_subject, monkeypatch):
         calls = []
 
         def counted(body):
