@@ -117,8 +117,9 @@ produce_configured() {
 # case's stderr and exit code go to cases/<name>.txt, so the error line and
 # the exit code of every case are compared. The cases reach each kind of
 # failure the command line reports: a bad config, flag, manifest, mask,
-# volume or model file, a subject that cannot be segmented or mapped, a
-# missing file and a NaN voxel. A case that exits 0 fails the step.
+# mask grid, volume or model file, a subject that cannot be segmented or
+# mapped, a missing file and a NaN voxel. A case that exits 0 fails the
+# step.
 damage() {  # writes the damaged inputs of the errors step into the current directory
   python - <<'PY'
 import json, pathlib
@@ -152,6 +153,10 @@ volume("label_mask", record["mask"], np.where(first, 9, mask).astype("u1").tobyt
 manifest("label.json", mask="label_mask.json")
 volume("nofat_mask", record["mask"], np.where(mask == 2, 0, mask).astype("u1").tobytes())
 manifest("nofat.json", mask="nofat_mask.json")
+sidecar = json.loads((here / record["mask"]).read_text())
+(here / "grid_mask.json").write_text(json.dumps(dict(sidecar, spacing_mm=[2 * s for s in sidecar["spacing_mm"]])))
+(here / "grid_mask.raw").write_bytes(mask.tobytes())
+manifest("grid.json", mask="grid_mask.json")
 volume("short_post1", record["posts"][0], (here / record["posts"][0].replace(".json", ".raw")).read_bytes()[:-1])
 manifest("short.json", posts=["short_post1.json", *record["posts"][1:]])
 model = json.loads((here / "model.json").read_text())
@@ -182,6 +187,7 @@ produce_errors() {
     fail manifest-entry train --manifest entry.json --out m.json &&
     fail manifest-parse train --manifest parse.json --out m.json &&
     fail mask-label train --manifest label.json --out m.json &&
+    fail mask-grid train --manifest grid.json --out m.json &&
     fail volume-payload segment --manifest short.json --out-dir seg &&
     fail model-version normalize --manifest data/manifest.json --model version-model.json --out-dir norm &&
     fail segmentation segment --manifest unsegmentable.json --out-dir seg &&

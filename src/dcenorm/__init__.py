@@ -29,7 +29,6 @@ from .segmentation import SegmentationConfig, classical_mask
 from .volume import (
     TissueMask,
     Volume,
-    load_external_mask,
     load_mask,
     load_volume,
     median_filter,
@@ -71,7 +70,6 @@ __all__ = [
     "generate_phantom",
     "group_subjects",
     "ks_statistic",
-    "load_external_mask",
     "load_manifest",
     "load_mask",
     "load_model",

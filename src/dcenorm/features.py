@@ -29,8 +29,10 @@ Standard deviations everywhere are population standard deviations
 
 With a median filter (``denoise_radius``) the features read the filtered
 series, but only the voxels they read are filtered: the box of each
-volume's read set, widened by the radius, and only the box is kept.
-The pre-contrast volume is read at tissue and tumor and on the tumor's
+volume's read set, widened by the radius. The filtered volume is kept
+on the grid, holding the filtered values on its read box and 0 outside
+it, so every read indexes the grid as an unfiltered read does. The
+pre-contrast volume is read at tissue and tumor and on the tumor's
 gradient box, the first post there and at fat and dense, the last post
 at tissue and tumor; middle posts are never read.
 
@@ -239,57 +241,24 @@ def _union(*boxes: _Box | None) -> _Box | None:
     return tuple(slice(min(b[axis].start for b in boxes), max(b[axis].stop for b in boxes)) for axis in range(3))
 
 
-def _intersection(*boxes: _Box) -> _Box:
-    """The box of the voxels that every given box holds."""
-    return tuple(slice(max(b[axis].start for b in boxes), min(b[axis].stop for b in boxes)) for axis in range(3))
-
-
-def _relative(box: _Box, outer: _Box) -> _Box:
-    """``box`` in the coordinates of ``outer``, which must hold it."""
-    if not all(o.start <= b.start and b.stop <= o.stop for b, o in zip(box, outer)):
-        raise ValueError(f"box {box} is not inside box {outer}")
-    return tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))
-
-
-@dataclass(frozen=True)
-class _Reads:
-    """A volume's values on ``box`` of its grid, held as a Volume of the box's shape.
-
-    Reads name grid voxels and raise unless those lie in the box, so no
-    read can reach a voxel that was not filtered.
-    """
-
-    volume: Volume
-    box: _Box
-
-    def crop(self, box: _Box) -> Volume:
-        """The values on ``box``, which must lie in this box."""
-        if box == self.box:
-            return self.volume
-        return Volume(self.volume.data[_relative(box, self.box)], self.volume.spacing_mm)
-
-    def at(self, where: np.ndarray) -> np.ndarray:
-        """The values at the voxels of the grid-shaped mask ``where``, in C order."""
-        values = self.volume.data[where[self.box]]
-        if values.size != np.count_nonzero(where):
-            raise ValueError(f"voxels read outside box {self.box}")
-        return values
-
-
-def _filtered(volume: Volume, box: _Box | None, radius: int) -> _Reads | None:
-    """``median_filter(volume, radius)`` on ``box`` alone; None for no box.
+def _filtered(volume: Volume, box: _Box | None, radius: int) -> Volume | None:
+    """``median_filter(volume, radius)`` on ``box``, and 0 on the rest of the grid; None for no box.
 
     Filters the box widened by ``radius`` and clipped to the grid, and
     keeps the box. The window of a box voxel lies in the widened box, or
     is clipped by a grid face that the widened box shares, so it holds
     the same values in the same places as in the whole-grid filter, and
-    so does its median.
+    so does its median. A read outside the box would get 0 in place of
+    a filtered value; ``extract_features`` names the tests that rule
+    that out.
     """
     if box is None:
         return None
     outer = widen(box, (radius,) * 3, volume.data.shape)
     filtered = median_filter(Volume(volume.data[outer], volume.spacing_mm), radius)
-    return _Reads(_Reads(filtered, outer).crop(box), box)
+    data = np.zeros_like(volume.data)
+    data[box] = filtered.data[tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))]
+    return Volume(data, volume.spacing_mm)
 
 
 def extract_features(
@@ -308,11 +277,12 @@ def extract_features(
     filtered only on the box of the voxels read from it, through
     ``_filtered``: pre-contrast on tissue, tumor and the tumor's gradient
     box; the first post on fat, dense, tumor and that gradient box; the
-    last post on tissue and tumor; middle posts not at all. A box's
-    values equal the whole-grid filter's there, because each window of a
-    box voxel lies in the box widened by the radius, or is clipped by the
-    grid face that the widened box shares. eps is that of the unfiltered
-    series, as without the filter.
+    last post on tissue and tumor; middle posts not at all. Each
+    filtered volume is on the grid, 0 outside its box, and is read as an
+    unfiltered one is. ``TestGatheredExtraction``, ``TestDenoisedScenes``
+    and ``test_denoising_filters_only_the_read_boxes`` compare with
+    whole-grid filtering, so a read outside a box fails them. eps is
+    that of the unfiltered series, as without the filter.
     """
     check_same_grid(mask, series, f"subject {series.subject_id}: mask and series")
     sid = series.subject_id
@@ -330,12 +300,9 @@ def extract_features(
     have_dense = bool(dense.any())
     have_ser = len(series.posts) >= 2
 
-    read = (series.pre, series.posts[0], series.posts[-1])
+    pre, post1, last = series.pre, series.posts[0], series.posts[-1]
     eps = _epsilon(series.volumes)
-    if denoise_radius is None:
-        whole = tuple(slice(0, n) for n in tumor.shape)
-        pre, post1, last = (_Reads(volume, whole) for volume in read)
-    else:
+    if denoise_radius is not None:
         # The boxes that pre, the first post and the last post are read on.
         kinetic_box = bounding_box(kinetic)
         gradient_box = _gradient_box(tumor) if have_tumor else None
@@ -344,25 +311,20 @@ def extract_features(
             _union(bounding_box(fat | kinetic), gradient_box),
             kinetic_box if have_ser else None,
         )
-        pre, post1, last = (_filtered(volume, box, denoise_radius) for volume, box in zip(read, boxes))
+        pre, post1, last = (_filtered(volume, box, denoise_radius) for volume, box in zip((pre, post1, last), boxes))
 
     values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
 
     # F1-F7 read SER and washin only at tissue and tumor voxels, so the
     # maps run on those voxels alone, gathered in C order into 1x1xn
     # volumes: the maps are pointwise, so that gives the same values in
-    # the same order as indexing whole-grid maps. The voxels are gathered
-    # on the box that every volume the maps read holds, which is the
-    # whole grid unless the volumes were filtered on boxes; dhog below
-    # runs on such a box too.
+    # the same order as indexing whole-grid maps.
     if have_tissue or have_tumor:
         reads = (pre, post1, last) if have_ser else (pre, post1)
-        box = _intersection(*(r.box for r in reads))
-        inside = kinetic[box]
-        voxels = np.flatnonzero(inside)
-        gathered = [Volume(r.crop(box).data.reshape(-1)[voxels].reshape(1, 1, -1), series.spacing_mm) for r in reads]
+        voxels = np.flatnonzero(kinetic)
+        gathered = [Volume(r.data.reshape(-1)[voxels].reshape(1, 1, -1), series.spacing_mm) for r in reads]
         at_voxels = StudySeries(sid, gathered[0], tuple(gathered[1:]))
-        in_tumor = tumor[box][inside]
+        in_tumor = tumor[kinetic]
         in_tissue = ~in_tumor
         ser = ser_map(at_voxels, eps).data.reshape(-1) if have_ser else None
         washin = washin_map(at_voxels, eps).data.reshape(-1)
@@ -381,23 +343,22 @@ def extract_features(
         if ser is not None:
             values["F2"] = _stats(ser[in_tumor])[0]
         values["F4"], values["F5"] = _stats(washin[in_tumor])
-        box = _intersection(pre.box, post1.box)
-        values["F8"] = dhog(StudySeries(sid, pre.crop(box), (post1.crop(box),)), tumor[box])
+        values["F8"] = dhog(StudySeries(sid, pre, (post1,)), tumor)
         if int(np.count_nonzero(tumor)) >= 2:
             values["F9"] = major_axis_length(tumor, series.spacing_mm)
         else:
             log.warning("subject %s: single-voxel tumor, major axis missing", sid)
-        values["F14"], values["F15"] = _stats(post1.at(tumor))
+        values["F14"], values["F15"] = _stats(post1.data[tumor])
     else:
         log.warning("subject %s: no tumor label, tumor features missing", sid)
 
     if have_fat:
-        values["F10"], values["F11"] = _stats(post1.at(fat))
+        values["F10"], values["F11"] = _stats(post1.data[fat])
     else:
         log.warning("subject %s: no fat label, fat features missing", sid)
 
     if have_dense:
-        values["F12"], values["F13"] = _stats(post1.at(dense))
+        values["F12"], values["F13"] = _stats(post1.data[dense])
     else:
         log.warning("subject %s: no dense label, dense features missing", sid)
 

@@ -27,8 +27,8 @@ from .util import (
     atomic_write_json, atomic_write_text, binary_cell, is_number, json_object, read_csv_records, read_json,
 )
 from .volume import (
-    MASK_DTYPE, TissueMask, Volume, check_same_grid, load_external_mask, load_volume, read_sidecar, save_mask,
-    save_volume, volume_files,
+    MASK_DTYPE, TissueMask, Volume, check_same_grid, load_mask, load_volume, read_sidecar, save_mask, save_volume,
+    volume_files,
 )
 
 _REQUIRED_KEYS = {"subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"}
@@ -185,7 +185,9 @@ def load_subject(entry: SubjectEntry) -> tuple[StudySeries, TissueMask]:
             f"subject {entry.subject_id}: the manifest gives no mask; run `dcenorm segment` on it first"
         )
     series = load_series(entry)
-    return series, load_external_mask(entry.mask, series)
+    mask = load_mask(entry.mask)
+    check_same_grid(mask, series, f"subject {entry.subject_id}: mask and series", entry.mask)
+    return series, mask
 
 
 def _record(entry: SubjectEntry, base_dir: Path) -> dict:

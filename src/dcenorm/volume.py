@@ -21,15 +21,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import MissingInputError, NonFiniteDataError, ValidationError
 from .util import atomic_write_bytes, atomic_write_json, is_number
-
-if TYPE_CHECKING:
-    from .manifest import StudySeries
 
 VOLUME_DTYPE = "f32le"
 MASK_DTYPE = "u8"
@@ -264,13 +260,6 @@ def check_same_grid(a, b, what: str, path: Path | str | None = None) -> None:
             f"{what} are on different grids: dims {a.dims} and {b.dims}, spacing {a.spacing_mm} and {b.spacing_mm}",
             path=path,
         )
-
-
-def load_external_mask(path: Path | str, series: StudySeries) -> TissueMask:
-    """Load a mask file and check it matches the series geometry."""
-    mask = load_mask(path)
-    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series", path)
-    return mask
 
 
 def save_mask(mask: TissueMask, path: Path | str) -> Path:

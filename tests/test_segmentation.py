@@ -17,10 +17,8 @@ from dcenorm import (
     ValidationError,
     classical_mask,
     generate_phantom,
-    load_external_mask,
     load_mask,
     load_series,
-    save_mask,
 )
 from dcenorm import segmentation
 from dcenorm.segmentation import (
@@ -38,9 +36,9 @@ from dcenorm.segmentation import (
     segment_dense,
     segment_heart,
 )
-from dcenorm.volume import DENSE, FAT, HEART, TUMOR, TissueMask, percentile
+from dcenorm.volume import DENSE, FAT, HEART, TUMOR, percentile
 
-from helpers import flat_vol, series_of, vol
+from helpers import flat_vol, vol
 
 
 def dice(a, b):
@@ -602,41 +600,6 @@ class TestClassicalPipeline:
         monkeypatch.setattr(segmentation, "chest_wall_planes", counted)
         classical_mask(phantom_subject[0], SegmentationConfig())
         assert len(calls) == 1
-
-
-class TestExternalMask:
-    def _series(self):
-        pre = np.zeros((2, 3, 4), dtype=np.float32)
-        return series_of(pre, [pre + 1])
-
-    def test_matching_mask_loads(self, tmp_path):
-        series = self._series()
-        labels = np.zeros((2, 3, 4), dtype=np.uint8)
-        labels[0, 0, 0] = FAT
-        save_mask(TissueMask(labels, (1, 1, 1)), tmp_path / "m")
-        mask = load_external_mask(tmp_path / "m", series)
-        assert np.array_equal(mask.labels, labels)
-
-    def test_dims_mismatch_rejected(self, tmp_path):
-        series = self._series()
-        save_mask(TissueMask(np.zeros((2, 3, 5), np.uint8), (1, 1, 1)), tmp_path / "m")
-        with pytest.raises(ValidationError, match="dims"):
-            load_external_mask(tmp_path / "m", series)
-
-    def test_spacing_mismatch_rejected(self, tmp_path):
-        series = self._series()
-        save_mask(TissueMask(np.zeros((2, 3, 4), np.uint8), (2, 2, 2)), tmp_path / "m")
-        with pytest.raises(ValidationError, match="spacing"):
-            load_external_mask(tmp_path / "m", series)
-
-    def test_illegal_label_rejected(self, tmp_path):
-        series = self._series()
-        save_mask(TissueMask(np.zeros((2, 3, 4), np.uint8), (1, 1, 1)), tmp_path / "m")
-        raw = bytearray((tmp_path / "m.raw").read_bytes())
-        raw[0] = 7
-        (tmp_path / "m.raw").write_bytes(bytes(raw))
-        with pytest.raises(ValidationError, match="7"):
-            load_external_mask(tmp_path / "m", series)
 
 
 class TestSegmentationConfig:
