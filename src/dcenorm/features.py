@@ -97,50 +97,34 @@ def _epsilon(volumes: Iterable[Volume]) -> float:
     return 1e-6 * _dynamic_range(volumes)
 
 
-def ser_map(series: StudySeries, eps: float | None = None) -> Volume:
-    """Voxelwise signal enhancement ratio (S1 - S0) / (Slast - S0), as a Volume on the series' grid.
+def ser_map(s0: np.ndarray, s1: np.ndarray, slast: np.ndarray, eps: float) -> tuple[np.ndarray, int]:
+    """Signal enhancement ratio (S1 - S0) / (Slast - S0) per element, and the number of guarded elements.
 
-    Voxels whose denominator magnitude does not exceed eps are set to
-    0; their count is logged at debug level. The inclusive comparison
-    keeps an all-constant series (eps of 0) at ratio 0 instead of 0/0.
-
-    ``eps`` defaults to 1e-6 of the series' dynamic range. Pass it to
-    skip that scan, or when ``series`` holds only some voxels of the
-    series whose eps applies: the map is pointwise, so a series gathered
-    at some voxels maps to the values there, in the same order.
+    The three arrays share one shape, which the float32 result takes;
+    the arithmetic is float64. Elements whose denominator magnitude does
+    not exceed eps are 0 and are counted. The inclusive comparison keeps
+    an all-constant series (eps of 0) at ratio 0 instead of 0/0. The map
+    is pointwise, so values gathered at some voxels map to the whole
+    grid's values there, in the same order.
     """
-    if len(series.posts) < 2:
-        raise ValidationError(
-            f"subject {series.subject_id}: enhancement ratio needs at least 2 post volumes"
-        )
-    if eps is None:
-        eps = _epsilon(series.volumes)
-    s0, s1, slast = (v.data.astype(np.float64) for v in (series.pre, series.posts[0], series.posts[-1]))
-    denom = slast - s0
+    s0 = s0.astype(np.float64)
+    denom = slast.astype(np.float64) - s0
     guarded = np.abs(denom) <= eps
-    n_guarded = int(np.count_nonzero(guarded))
-    if n_guarded:
-        log.debug("subject %s: %d voxels guarded in enhancement ratio", series.subject_id, n_guarded)
     safe = np.where(guarded, 1.0, denom)
-    out = np.where(guarded, 0.0, (s1 - s0) / safe).astype(np.float32)
-    return Volume(out, series.spacing_mm, "ser")
+    out = np.where(guarded, 0.0, (s1.astype(np.float64) - s0) / safe).astype(np.float32)
+    return out, int(np.count_nonzero(guarded))
 
 
-def washin_map(series: StudySeries, eps: float | None = None) -> Volume:
-    """Voxelwise washin (S1 - S0) / max(S0, eps), as a Volume on the series' grid.
+def washin_map(s0: np.ndarray, s1: np.ndarray, eps: float) -> np.ndarray:
+    """Washin (S1 - S0) / max(S0, eps) per element, as float32 of the arrays' shape.
 
-    ``eps`` works as in ``ser_map``.
+    Pointwise and float64 inside, as ``ser_map``. An eps of 0 (a constant
+    series) gives 0 everywhere.
     """
-    if eps is None:
-        eps = _epsilon(series.volumes)
-    s0 = series.pre.data.astype(np.float64)
     if eps <= 0:
-        # Constant series: every denominator is 0, define the map as 0.
-        out = np.zeros_like(s0, dtype=np.float32)
-    else:
-        s1 = series.posts[0].data.astype(np.float64)
-        out = ((s1 - s0) / np.maximum(s0, eps)).astype(np.float32)
-    return Volume(out, series.spacing_mm, "washin")
+        return np.zeros(s0.shape, dtype=np.float32)
+    s0 = s0.astype(np.float64)
+    return ((s1.astype(np.float64) - s0) / np.maximum(s0, eps)).astype(np.float32)
 
 
 def _entropy_bits(weights: np.ndarray) -> float:
@@ -270,7 +254,10 @@ def extract_features(
     """Compute the full feature vector for one subject.
 
     Features whose source labels are absent come back as None. F9 is
-    mask-only.
+    mask-only. F1-F7 come from ``ser_map`` and ``washin_map`` run on the
+    tissue and tumor voxels of pre, the first post and the last post,
+    gathered once each; the count of guarded SER voxels among them is
+    logged at debug level, naming the subject.
 
     With ``denoise_radius`` set, the features read the series with
     every volume median filtered, bit for bit, but each volume is
@@ -316,18 +303,20 @@ def extract_features(
     values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
 
     # F1-F7 read SER and washin only at tissue and tumor voxels, so the
-    # maps run on those voxels alone, gathered in C order into 1x1xn
-    # volumes: the maps are pointwise, so that gives the same values in
-    # the same order as indexing whole-grid maps.
+    # kernels run on those voxels alone, gathered in C order by one flat
+    # index: they are pointwise, so that gives the values whole-grid maps
+    # hold there, in the same order.
     if have_tissue or have_tumor:
-        reads = (pre, post1, last) if have_ser else (pre, post1)
         voxels = np.flatnonzero(kinetic)
-        gathered = [Volume(r.data.reshape(-1)[voxels].reshape(1, 1, -1), series.spacing_mm) for r in reads]
-        at_voxels = StudySeries(sid, gathered[0], tuple(gathered[1:]))
+        s0, s1 = (v.data.reshape(-1)[voxels] for v in (pre, post1))
         in_tumor = tumor[kinetic]
         in_tissue = ~in_tumor
-        ser = ser_map(at_voxels, eps).data.reshape(-1) if have_ser else None
-        washin = washin_map(at_voxels, eps).data.reshape(-1)
+        ser = None
+        if have_ser:
+            ser, n_guarded = ser_map(s0, s1, last.data.reshape(-1)[voxels], eps)
+            if n_guarded:
+                log.debug("subject %s: %d voxels guarded in enhancement ratio", sid, n_guarded)
+        washin = washin_map(s0, s1, eps)
 
     if have_tissue:
         if ser is not None:

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from dcenorm import (
@@ -27,11 +28,11 @@ from dcenorm.features import (
     write_features_csv,
 )
 from dcenorm import features as features_module
-from dcenorm.manifest import StudySeries, load_subject
+from dcenorm.manifest import load_subject
 from dcenorm.mapping import apply_mapping
 from dcenorm.model import NormalizationModel
 from dcenorm.phantom import GroupSpec, PhantomConfig
-from dcenorm.volume import DENSE, FAT, TUMOR, Volume
+from dcenorm.volume import DENSE, FAT, TUMOR
 
 from helpers import anchor_set, labeled_scene, mask_of, series_of, vol
 
@@ -40,48 +41,55 @@ def const(shape, value):
     return np.full(shape, float(value), dtype=np.float32)
 
 
+def eps_of(*arrays):
+    """1e-6 of the range of the values of ``arrays``, the eps extraction takes for them as a series."""
+    return 1e-6 * (max(float(a.max()) for a in arrays) - min(float(a.min()) for a in arrays))
+
+
+def ser_of(s0, s1, slast):
+    return ser_map(s0, s1, slast, eps_of(s0, s1, slast))[0]
+
+
+def washin_of(s0, *posts):
+    return washin_map(s0, posts[0], eps_of(s0, *posts))
+
+
 class TestSerMap:
     def test_worked_example(self):
         shape = (1, 1, 2)
-        series = series_of(const(shape, 10), [const(shape, 30), const(shape, 50)])
-        assert ser_map(series).data[0, 0, 0] == 0.5
+        assert ser_of(const(shape, 10), const(shape, 30), const(shape, 50))[0, 0, 0] == 0.5
 
     def test_equal_first_and_last_post(self):
         shape = (1, 1, 2)
-        series = series_of(const(shape, 10), [const(shape, 30), const(shape, 30)])
-        assert np.all(ser_map(series).data == 1.0)
+        assert np.all(ser_of(const(shape, 10), const(shape, 30), const(shape, 30)) == 1.0)
 
     def test_guarded_denominator_gives_zero(self):
         shape = (1, 1, 3)
         pre = const(shape, 10)
         last = pre.copy()
         last[0, 0, 0] = 50  # only this voxel has a usable denominator
-        series = series_of(pre, [const(shape, 30), last])
-        out = ser_map(series).data
+        post = const(shape, 30)
+        out, n_guarded = ser_map(pre, post, last, eps_of(pre, post, last))
         assert out[0, 0, 0] == 0.5
         assert out[0, 0, 1] == 0.0
         assert out[0, 0, 2] == 0.0
+        assert n_guarded == 2
 
     def test_constant_series_is_all_zero(self):
         shape = (2, 2, 2)
-        series = series_of(const(shape, 7), [const(shape, 7), const(shape, 7)])
-        assert np.all(ser_map(series).data == 0.0)
-
-    def test_needs_two_posts(self):
-        shape = (1, 1, 2)
-        series = series_of(const(shape, 1), [const(shape, 2)])
-        with pytest.raises(ValidationError, match="post"):
-            ser_map(series)
+        out, n_guarded = ser_map(const(shape, 7), const(shape, 7), const(shape, 7), 0.0)
+        assert out.dtype == np.float32 and out.shape == shape
+        assert np.all(out == 0.0)
+        assert n_guarded == 8
 
     def test_matches_scalar_oracle(self, rng):
         shape = (3, 4, 5)
         pre = rng.uniform(0, 100, size=shape).astype(np.float32)
         p1 = rng.uniform(0, 300, size=shape).astype(np.float32)
         p2 = rng.uniform(0, 300, size=shape).astype(np.float32)
-        series = series_of(pre, [p1, p2])
         values = np.concatenate([pre.ravel(), p1.ravel(), p2.ravel()])
         eps = 1e-6 * (values.max() - values.min())
-        got = ser_map(series).data
+        got = ser_of(pre, p1, p2)
         for z, y, x in ((0, 0, 0), (1, 2, 3), (2, 3, 4)):
             denom = float(p2[z, y, x]) - float(pre[z, y, x])
             expected = 0.0 if abs(denom) <= eps else (float(p1[z, y, x]) - float(pre[z, y, x])) / denom
@@ -91,34 +99,31 @@ class TestSerMap:
 class TestWashinMap:
     def test_worked_example(self):
         shape = (1, 1, 1)
-        series = series_of(const(shape, 10), [const(shape, 30)])
-        assert washin_map(series).data[0, 0, 0] == 2.0
+        assert washin_of(const(shape, 10), const(shape, 30))[0, 0, 0] == 2.0
 
     def test_no_enhancement_gives_zero(self):
         shape = (1, 1, 1)
-        series = series_of(const(shape, 10), [const(shape, 10), const(shape, 99)])
-        assert washin_map(series).data[0, 0, 0] == 0.0
+        assert washin_of(const(shape, 10), const(shape, 10), const(shape, 99))[0, 0, 0] == 0.0
 
     def test_zero_baseline_uses_epsilon(self):
         shape = (1, 1, 2)
         pre = np.array([[[0.0, 10.0]]], dtype=np.float32)
-        series = series_of(pre, [const(shape, 30)])
-        out = washin_map(series).data
+        out = washin_of(pre, const(shape, 30))
         assert np.isfinite(out).all()
         assert out[0, 0, 0] > out[0, 0, 1]
 
     def test_constant_series_is_all_zero(self):
         shape = (2, 2, 2)
-        series = series_of(const(shape, 5), [const(shape, 5)])
-        assert np.all(washin_map(series).data == 0.0)
+        out = washin_map(const(shape, 5), const(shape, 5), 0.0)
+        assert out.dtype == np.float32 and out.shape == shape
+        assert np.all(out == 0.0)
 
 
 class TestPeEntropy:
     def test_uniform_enhancement_has_zero_entropy(self):
         shape = (1, 1, 8)
-        series = series_of(const(shape, 100), [const(shape, 200)])
         tissue = np.ones(shape, dtype=bool)
-        assert pe_entropy(washin_map(series).data, tissue) == 0.0
+        assert pe_entropy(washin_of(const(shape, 100), const(shape, 200)), tissue) == 0.0
 
     def test_one_value_per_bin_is_six_bits(self):
         # washin of voxel i lands exactly mid-bin i of the 64-bin
@@ -127,24 +132,21 @@ class TestPeEntropy:
         shape = (1, 1, n)
         pre = const(shape, 100)
         post = (100.0 * (np.arange(n) + 1.5)).astype(np.float32).reshape(shape)
-        series = series_of(pre, [post])
-        assert pe_entropy(washin_map(series).data, np.ones(shape, dtype=bool)) == 6.0
+        assert pe_entropy(washin_of(pre, post), np.ones(shape, dtype=bool)) == 6.0
 
     def test_empty_tissue_rejected(self):
         shape = (1, 1, 4)
-        series = series_of(const(shape, 1), [const(shape, 2)])
         with pytest.raises(ValidationError):
-            pe_entropy(washin_map(series).data, np.zeros(shape, dtype=bool))
+            pe_entropy(washin_of(const(shape, 1), const(shape, 2)), np.zeros(shape, dtype=bool))
 
     def test_matches_histogram_oracle(self, rng):
         shape = (2, 4, 8)
         pre = rng.uniform(50, 150, size=shape).astype(np.float32)
         post = rng.uniform(100, 400, size=shape).astype(np.float32)
-        series = series_of(pre, [post])
         tissue = rng.random(shape) < 0.7
-        got = pe_entropy(washin_map(series).data, tissue)
+        got = pe_entropy(washin_of(pre, post), tissue)
 
-        washin = washin_map(series).data[tissue].astype(np.float64)
+        washin = washin_of(pre, post)[tissue].astype(np.float64)
         pe = [100.0 * w for w in washin]
         lo, hi = min(pe), max(pe)
         counts = [0] * 64
@@ -559,8 +561,9 @@ def whole_grid_extract_features(series, mask, denoise_radius=None, normalized=Fa
     tumor = mask.tissue(TUMOR)
     tissue = dense & ~tumor
     values = {name: None for name in FEATURE_NAMES}
-    ser = ser_map(work, eps=eps).data if len(work.posts) >= 2 else None
-    washin = washin_map(work, eps=eps).data
+    s0, s1, slast = work.pre.data, work.posts[0].data, work.posts[-1].data
+    ser = ser_map(s0, s1, slast, eps)[0] if len(work.posts) >= 2 else None
+    washin = washin_map(s0, s1, eps)
     post1 = work.posts[0].data
     if tissue.any():
         if ser is not None:
@@ -652,6 +655,33 @@ def tumors(draw):
     return series, tumor
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+F32_EXTREMES = (
+    0.0, -0.0, 1.0, -1.0, F32_MAX, -F32_MAX,
+    float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).smallest_subnormal),
+)
+
+
+@st.composite
+def kinetic_arrays(draw):
+    """Finite float32 s0, s1 and slast of one drawn shape of 1-3 axes; see SERIES_KINDS.
+
+    Values are any finite float32, with extremes, zeros and negatives
+    drawn often. "guarded" zeroes s0 at some elements and then makes
+    slast equal s0 at others, a zero SER denominator.
+    """
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6))
+    values = st.one_of(st.sampled_from(F32_EXTREMES), st.floats(width=32, allow_nan=False, allow_infinity=False))
+    s0, s1, slast = (draw(hnp.arrays(np.float32, shape, elements=values)) for _ in range(3))
+    kind = draw(st.sampled_from(SERIES_KINDS))
+    if kind == "guarded":
+        s0 = np.where(draw(hnp.arrays(bool, shape)), np.float32(0), s0)
+        slast = np.where(draw(hnp.arrays(bool, shape)), s0, slast)
+    elif kind == "constant":
+        s0 = s1 = slast = np.full(shape, s0.flat[0])
+    return s0, s1, slast
+
+
 class TestGatheredExtraction:
     """Extraction equals the whole-grid reference bit for bit."""
 
@@ -677,30 +707,49 @@ class TestGatheredExtraction:
     def test_guarded_count_covers_only_read_voxels(self, caplog):
         shape = (1, 1, 4)
         pre = const(shape, 10)
+        post = const(shape, 30)
         last = np.array([[[10.0, 10.0, 10.0, 50.0]]], dtype=np.float32)
-        series = series_of(pre, [const(shape, 30), last])
+        series = series_of(pre, [post, last])
         mask = mask_of(np.array([[[DENSE, 0, 0, DENSE]]]))
         with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
             extract_features(series, mask)
-        assert "1 voxels guarded" in caplog.text
+        assert "subject s0: 1 voxels guarded in enhancement ratio" in caplog.messages
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
-            ser_map(series)
-        assert "3 voxels guarded" in caplog.text
+            _, n_guarded = ser_map(pre, post, last, eps_of(pre, post, last))
+        assert n_guarded == 3
+        assert caplog.records == []
 
-    def test_maps_at_voxels_equal_whole_grid_maps(self, rng):
-        # extract_features maps a 1x1xn series gathered at the voxels it
-        # reads, with the whole series' eps; the maps are pointwise.
-        series, _ = random_scene(rng)
-        eps = features_module._epsilon(series.volumes)
-        voxels = np.array([0, 5, 17, series.pre.data.size - 1])
-        gathered = [Volume(v.data.reshape(-1)[voxels].reshape(1, 1, -1), v.spacing_mm) for v in series.volumes]
-        at_voxels = StudySeries(series.subject_id, gathered[0], tuple(gathered[1:]))
-        for build in (ser_map, washin_map):
-            whole = build(series).data.reshape(-1)[voxels]
-            got = build(at_voxels, eps)
-            assert isinstance(got, Volume) and got.data.shape == (1, 1, voxels.size)
-            assert np.array_equal(got.data.reshape(-1).view(np.uint32), whole.view(np.uint32))
+    @given(kinetic_arrays(), st.data())
+    def test_kernels_are_pointwise(self, arrays, data):
+        # extract_features runs the kernels on the values gathered at the
+        # voxels it reads, with the whole series' eps.
+        s0, s1, slast = arrays
+        eps = eps_of(*arrays)
+        at = np.array(data.draw(st.lists(st.integers(0, s0.size - 1), unique=True)), dtype=np.intp)
+        gathered = [a.reshape(-1)[at] for a in arrays]
+        ser, n_guarded = ser_map(*gathered, eps)
+        washin = washin_map(*gathered[:2], eps)
+        whole_ser = ser_map(s0, s1, slast, eps)[0].reshape(-1)[at]
+        whole_washin = washin_map(s0, s1, eps).reshape(-1)[at]
+        assert np.array_equal(ser.view(np.uint32), whole_ser.view(np.uint32))
+        assert np.array_equal(washin.view(np.uint32), whole_washin.view(np.uint32))
+        assert n_guarded == sum(abs(float(slast.flat[i]) - float(s0.flat[i])) <= eps for i in at)
+
+
+@given(kinetic_arrays())
+@example((np.float32([-F32_MAX]), np.float32([F32_MAX]), np.float32([0.0])))
+@example((np.float32([0.0, -1.0, 2.0]), np.float32([1e-45, 3.0, -2.0]), np.float32([-0.0, -1.0, 7.0])))
+def test_maps_are_finite_and_bounded(arrays):
+    # |S1 - S0| is at most the range, and each denominator exceeds
+    # eps = 1e-6 of the range or is eps, so no value passes 1e6: the
+    # kernels need no finiteness scan of their inputs or outputs.
+    s0, s1, slast = arrays
+    eps = eps_of(*arrays)
+    for out in (ser_map(s0, s1, slast, eps)[0], washin_map(s0, s1, eps)):
+        assert out.dtype == np.float32 and out.shape == s0.shape
+        assert np.isfinite(out).all()
+        assert np.abs(out).max() <= 1.000001e6
 
 
 class TestDynamicRange:
