@@ -100,6 +100,8 @@ produce_anchors() {
 # with one --config file given to segment and evaluate, the two stages
 # that read a setting: no other step passes a CLI --config. The file
 # holds only keys that both trees accept, each set off its default.
+# auc runs on the classical masks' features, where the tumor features
+# have no values, so auc.csv holds empty cells.
 produce_configured() {
   local config="$root/configured.json"
   echo '{"segmentation": {"air_fraction": 0.08, "morphology_radius": 2}, "evaluation": {"threshold": 2.2}}' > "$config"
@@ -110,7 +112,8 @@ produce_configured() {
     run features --manifest "$1/masks/manifest.json" --out "$1/before.csv" &&
     run features --manifest "$1/norm/manifest.json" --out "$1/after.csv" --normalized &&
     run evaluate --before "$1/before.csv" --after "$1/after.csv" --manifest "$1/masks/manifest.json" \
-      --manifest-after "$1/norm/manifest.json" --group-by te --out "$1/report.json" --config "$config"
+      --manifest-after "$1/norm/manifest.json" --group-by te --out "$1/report.json" --config "$config" &&
+    run auc --features "$1/before.csv" --labels "$1/data/labels.csv" --out "$1/auc.csv"
 }
 
 # Runs that must fail, from the step's directory with relative paths: each

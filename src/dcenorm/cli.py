@@ -42,7 +42,7 @@ from .mapping import build_mapping, export_mapping_curve, map_volume, write_mapp
 from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask
-from .util import atomic_write_json, atomic_write_text, default_jobs, is_number, json_object, read_json, run_parallel
+from .util import atomic_write_json, default_jobs, is_number, json_object, read_json, run_parallel, write_csv
 from .volume import load_volume
 
 log = logging.getLogger(__name__)
@@ -247,12 +247,12 @@ def _cmd_auc(args) -> int:
     missing = [r.subject_id for r in rows if r.subject_id not in labels]
     if missing:
         raise ValidationError(f"subjects missing from labels file: {missing}")
-    lines = ["feature,auc,n"]
+    table = []
     for name, (auc, n, exc) in eval_mod.feature_aucs(rows, labels).items():
         if exc is not None:
             log.warning("feature %s: AUC unavailable (%s)", name, exc)
-        lines.append(f"{name},{'' if auc is None else repr(auc)},{n}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+        table.append((name, auc, n))
+    write_csv(args.out, ["feature", "auc", "n"], table)
     log.info("auc: written to %s", args.out)
     return 0
 

@@ -21,7 +21,7 @@ from .features import FEATURE_NAMES, FeatureVector
 from .manifest import SubjectEntry, load_subject
 from .model import midranks
 from .volume import HEART, DENSE, FAT, TUMOR
-from .util import atomic_write_text
+from .util import write_csv
 
 log = logging.getLogger(__name__)
 
@@ -260,49 +260,37 @@ def build_report(
     }
 
 
-def write_report_csv(path: Path | str, report: dict) -> None:
-    """Flatten the report to long-format CSV rows.
-
-    Columns: section,name,group,phase,metric,value. Absent values are
-    empty fields.
-    """
-    lines = ["section,name,group,phase,metric,value"]
-
-    def fmt(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return repr(float(value))
-
+def _report_rows(report: dict):
+    """The report's long-format rows: (section, name, group, phase, metric, value)."""
     grouping = report["grouping"]
-    lines.append(f"grouping,{grouping['key']},,,threshold,{fmt(grouping['threshold'])}")
+    yield "grouping", grouping["key"], None, None, "threshold", grouping["threshold"]
     for side in ("low", "high"):
-        lines.append(f"grouping,{grouping['key']},{side},,n,{len(grouping[side])}")
+        yield "grouping", grouping["key"], side, None, "n", len(grouping[side])
 
     for row in report["features"]:
         name = row["feature"]
         for phase in ("before", "after"):
             stats = row[phase]
             for side in ("low", "high"):
-                lines.append(f"features,{name},{side},{phase},mean,{fmt(stats[f'{side}_mean'])}")
-                lines.append(f"features,{name},{side},{phase},std,{fmt(stats[f'{side}_std'])}")
-                lines.append(f"features,{name},{side},{phase},n,{fmt(stats[f'{side}_n'])}")
-            lines.append(f"features,{name},,{phase},ks,{fmt(stats['ks'])}")
-        lines.append(f"features,{name},,,ks_delta,{fmt(row['ks_delta'])}")
+                for metric in ("mean", "std", "n"):
+                    yield "features", name, side, phase, metric, stats[f"{side}_{metric}"]
+            yield "features", name, None, phase, "ks", stats["ks"]
+        yield "features", name, None, None, "ks_delta", row["ks_delta"]
 
-    if report["auc"] is not None:
-        for row in report["auc"]:
-            for phase in ("before", "after"):
-                lines.append(f"auc,{row['feature']},,{phase},auc,{fmt(row[phase])}")
+    for row in report["auc"] or ():
+        for phase in ("before", "after"):
+            yield "auc", row["feature"], None, phase, "auc", row[phase]
 
     for phase, summary in report["tissue_intensity"].items():
-        if summary is None:
-            continue
-        for tissue, stats in summary.items():
+        for tissue, stats in (summary or {}).items():
             for metric in ("mean", "std", "n"):
-                lines.append(f"tissue_intensity,{tissue},,{phase},{metric},{fmt(stats[metric])}")
+                yield "tissue_intensity", tissue, None, phase, metric, stats[metric]
 
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+def write_report_csv(path: Path | str, report: dict) -> None:
+    """Flatten the report to long-format CSV rows.
+
+    Columns: section,name,group,phase,metric,value. Absent values are
+    empty fields.
+    """
+    write_csv(path, ["section", "name", "group", "phase", "metric", "value"], _report_rows(report))

@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ValidationError
 from .manifest import StudySeries
 from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, median_filter, widen
-from .util import atomic_write_text, binary_cell, read_csv_records
+from .util import binary_cell, read_csv_records, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -361,17 +361,8 @@ def extract_features(
 
 def write_features_csv(path: Path | str, rows: list[FeatureVector]) -> None:
     """Write feature vectors to CSV; missing features become empty fields."""
-    header = ["subject_id", *FEATURE_NAMES, "denoised", "normalized"]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [row.subject_id]
-        for name in FEATURE_NAMES:
-            value = row.values[name]
-            cells.append("" if value is None else repr(float(value)))
-        cells.append("1" if row.denoised else "0")
-        cells.append("1" if row.normalized else "0")
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cells = ([row.subject_id, *(row.values[n] for n in FEATURE_NAMES), row.denoised, row.normalized] for row in rows)
+    write_csv(path, ["subject_id", *FEATURE_NAMES, "denoised", "normalized"], cells)
 
 
 def read_features_csv(path: Path | str) -> list[FeatureVector]:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import MissingInputError, ValidationError
 from .util import (
-    atomic_write_json, atomic_write_text, binary_cell, is_number, json_object, read_csv_records, read_json,
+    atomic_write_json, binary_cell, is_number, json_object, read_csv_records, read_json, write_csv,
 )
 from .volume import (
     MASK_DTYPE, TissueMask, Volume, check_same_grid, load_mask, load_volume, read_sidecar, save_mask, save_volume,
@@ -233,8 +233,7 @@ def save_subject(entry: SubjectEntry, out_dir: Path | str, volumes=(), mask: Tis
 
 def save_labels(out_dir: Path | str, entries) -> None:
     """Write ``out_dir``'s labels.csv, which ``read_labels_csv`` reads: each entry's subject id and label."""
-    text = "subject_id,label\n" + "".join(f"{e.subject_id},{e.label}\n" for e in entries)
-    atomic_write_text(Path(out_dir) / "labels.csv", text)
+    write_csv(Path(out_dir) / "labels.csv", ["subject_id", "label"], ((e.subject_id, e.label) for e in entries))
 
 
 def read_labels_csv(path: Path | str) -> dict[str, int]:

@@ -27,7 +27,7 @@ from .errors import NonFiniteDataError, SubjectError, ValidationError
 from .manifest import StudySeries
 from .model import NormalizationModel
 from .volume import Volume
-from .util import atomic_write_text
+from .util import write_csv
 
 # Voxels per evaluate call in map_volume: each float64 temporary is
 # 256 KiB, so a block's working set stays in L2.
@@ -211,7 +211,4 @@ def export_mapping_curve(mapping: MappingFunction) -> np.ndarray:
 
 
 def write_mapping_curve(path, curve: np.ndarray) -> None:
-    lines = ["x,fx,is_anchor"]
-    for x, fx, flag in curve:
-        lines.append(f"{float(x)!r},{float(fx)!r},{int(flag)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ["x", "fx", "is_anchor"], ((x, fx, int(flag)) for x, fx, flag in curve))

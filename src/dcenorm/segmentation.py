@@ -345,8 +345,8 @@ def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -
     """Split breast voxels into dense and fat classes by Otsu threshold.
 
     Returns the dense subset; fat is the remainder of the breast. With a
-    degenerate histogram the dense set is empty and a warning is logged,
-    leaving the whole breast classified as fat.
+    degenerate histogram the dense set is empty, leaving the whole breast
+    classified as fat; ``classical_mask`` logs that with the subject's id.
     """
     if breast.shape != pre.data.shape:
         raise ValidationError("breast mask shape does not match volume")
@@ -356,7 +356,6 @@ def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -
     upper = otsu_upper_class(values)
     dense = np.zeros(pre.data.shape, dtype=bool)
     if upper is None:
-        log.warning("degenerate intensity histogram inside breast; dense set left empty")
         return dense
     selected = ~upper if config.dense_polarity == "dark" else upper
     dense[breast] = selected
@@ -468,6 +467,8 @@ def classical_mask(series: StudySeries, config: SegmentationConfig) -> TissueMas
     planes = chest_wall_planes(body)
     breast = segment_breast(pre, body, planes, config)
     dense = segment_dense(pre, breast, config)
+    if not dense.any():
+        log.warning("subject %s: degenerate intensity histogram inside breast; dense set left empty", series.subject_id)
     fat = breast & ~dense
     heart = segment_heart(pre, series.posts[0], body, planes, config)
     tumor = np.zeros(pre.data.shape, dtype=bool)

@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic writes, JSON and CSV input checks, parallel maps."""
+"""Small shared helpers: atomic writes, JSON and CSV input checks, the CSV writer, parallel maps."""
 
 from __future__ import annotations
 
@@ -36,6 +36,29 @@ def atomic_write_text(path: Path | str, text: str) -> None:
 
 def atomic_write_json(path: Path | str, obj: Any) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+
+
+def _csv_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):  # before Integral, which it is
+        return "1" if value else "0"
+    if isinstance(value, Integral):
+        return str(int(value))
+    return repr(float(value))  # the shortest decimal that reads back to the same float64
+
+
+def write_csv(path: Path | str, header: Sequence[str], rows) -> None:
+    """Write ``header``, then each row of cells, as comma-joined lines with no quoting.
+
+    None is an empty cell, a str is written as it is, a bool is 1 or 0, any other integer
+    its digits, and any other number ``repr(float(value))``. No cell may hold a comma or a
+    quote: manifest loading rejects a subject id that does; other cells are names or numbers.
+    """
+    lines = [",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_json(path: Path | str) -> Any:

@@ -343,7 +343,7 @@ class TestSegmentDense:
         with caplog.at_level(logging.WARNING):
             dense = segment_dense(pre, breast, SegmentationConfig())
         assert not dense.any()
-        assert "degenerate" in caplog.text
+        assert not caplog.records  # classical_mask logs it, naming the subject
 
     def test_empty_breast_rejected(self):
         pre = vol(np.zeros((2, 2, 2)))
@@ -566,6 +566,19 @@ class TestClassicalPipeline:
         mask = classical_mask(series, SegmentationConfig())
         # phantom noise makes intensity ties vanishingly unlikely
         assert mask.counts()["air"] == math.ceil(0.05 * series.pre.data.size)
+
+    def test_degenerate_dense_split_names_the_subject_once(self, tmp_path, caplog):
+        # Fat, dense and tumor share one pre-contrast intensity and there is
+        # no noise, so the breast's histogram holds a single value.
+        intensities = {"air": 0.0, "fat": 400.0, "dense": 400.0, "heart": 300.0, "tumor": 400.0}
+        cfg = PhantomConfig(intensities=intensities, groups=(GroupSpec("A", 1, noise_sigma=0.0),))
+        (entry,) = generate_phantom(cfg, tmp_path, jobs=1)
+        with caplog.at_level(logging.WARNING):
+            mask = classical_mask(load_series(entry), SegmentationConfig())
+        assert mask.counts()["dense"] == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"subject {entry.subject_id}: degenerate intensity histogram inside breast; dense set left empty"
+        ]
 
     def test_deterministic(self, phantom_subject):
         series, _ = phantom_subject
