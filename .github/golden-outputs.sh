@@ -121,8 +121,9 @@ produce_configured() {
 # the exit code of every case are compared. The cases reach each kind of
 # failure the command line reports: a bad config, flag, manifest, mask,
 # mask grid, volume or model file, a subject that cannot be segmented or
-# mapped, a missing file and a NaN voxel. A case that exits 0 fails the
-# step.
+# mapped, a breast whose intensity histogram is one value (fat, dense and
+# tumor alike, no noise), a missing file and a NaN voxel. A case that
+# exits 0 fails the step.
 damage() {  # writes the damaged inputs of the errors step into the current directory
   python - <<'PY'
 import json, pathlib
@@ -184,6 +185,8 @@ produce_errors() {
     echo '{"dims": [32, 32, 16], "groups": [{"name": "A", "n_subjects": 2}]}' > phantom.json &&
     run phantom --out data --config phantom.json --jobs 1 &&
     run train --manifest data/manifest.json --out model.json --jobs 1 && damage &&
+    echo '{"dims": [48, 48, 12], "intensities": {"fat": 400.0, "dense": 400.0, "tumor": 400.0}, "groups": [{"name": "A", "n_subjects": 2, "noise_sigma": 0.0}]}' > flat-phantom.json &&
+    run phantom --out flat --config flat-phantom.json --jobs 1 && drop_masks flat/manifest.json flat/nomask.json &&
     fail config-key segment --manifest data/manifest.json --out-dir seg --config unknown-key.json &&
     fail config-flag train --manifest data/manifest.json --out m.json --bogus &&
     fail phantom-config phantom --config small-phantom.json --out small &&
@@ -194,6 +197,7 @@ produce_errors() {
     fail volume-payload segment --manifest short.json --out-dir seg &&
     fail model-version normalize --manifest data/manifest.json --model version-model.json --out-dir norm &&
     fail segmentation segment --manifest unsegmentable.json --out-dir seg &&
+    fail degenerate-breast segment --manifest flat/nomask.json --out-dir seg &&
     fail empty-tissue train --manifest nofat.json --out m.json &&
     fail degenerate-anchors normalize --manifest flat.json --model model.json --out-dir norm &&
     fail falling-targets normalize --manifest data/manifest.json --model falling-model.json --out-dir norm &&

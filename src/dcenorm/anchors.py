@@ -52,10 +52,10 @@ def extract_anchors(series: StudySeries, mask: TissueMask) -> AnchorSet:
     """
     check_same_grid(mask, series, f"subject {series.subject_id}: mask and series")
 
-    pre, post1 = series.pre, series.posts[0]
+    pre, post1 = series.pre.data, series.posts[0].data
     counts: dict[str, int] = {}
     values: dict[str, float] = {}
-    for tissue, code, volume, q in (
+    for tissue, code, data, q in (
         ("air", AIR, pre, 50.0), ("fat", FAT, pre, 50.0), ("dense", DENSE, pre, 50.0), ("heart", HEART, post1, 90.0),
     ):
         selected = mask.tissue(code)
@@ -63,6 +63,6 @@ def extract_anchors(series: StudySeries, mask: TissueMask) -> AnchorSet:
         if n == 0:
             raise SubjectError(f"subject {series.subject_id}: tissue {tissue!r} is empty")
         counts[tissue] = n
-        values[tissue] = percentile(volume, q, mask=selected)
+        values[tissue] = percentile(data, q, mask=selected)
 
     return AnchorSet(series.subject_id, *(values[t] for t in TISSUES), source_counts=counts)

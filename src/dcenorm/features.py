@@ -1,15 +1,14 @@
 """Per-subject kinetic and morphological features.
 
-Fifteen scalars are extracted per subject. "Tissue" below means healthy
-dense tissue, the dense label minus any tumor voxels.
+Fifteen scalars are extracted per subject.
 
-    F1   mean signal enhancement ratio over tissue
+    F1   mean signal enhancement ratio over dense
     F2   mean signal enhancement ratio over tumor
-    F3   mean washin over tissue
+    F3   mean washin over dense
     F4   mean washin over tumor
     F5   std of washin over tumor
-    F6   std of signal enhancement ratio over tissue
-    F7   entropy of percent enhancement over tissue
+    F6   std of signal enhancement ratio over dense
+    F7   entropy of percent enhancement over dense
     F8   entropy of the gradient-orientation histogram at tumor voxels
     F9   tumor major axis length in mm (mask only)
     F10  mean of the first post volume over fat
@@ -23,7 +22,7 @@ The signal enhancement ratio at a voxel is (S1 - S0) / (Slast - S0) and
 washin is (S1 - S0) / max(S0, eps), where S0 is pre-contrast, S1 the
 first post and Slast the last post, and eps is 1e-6 of the whole
 series' dynamic range, taken before any filtering. Extraction evaluates
-both only at tissue and tumor voxels, the only ones F1-F7 read.
+both only at dense and tumor voxels, the only ones F1-F7 read.
 Standard deviations everywhere are population standard deviations
 (divide by n).
 
@@ -32,9 +31,9 @@ series, but only the voxels they read are filtered: the box of each
 volume's read set, widened by the radius. The filtered volume is kept
 on the grid, holding the filtered values on its read box and 0 outside
 it, so every read indexes the grid as an unfiltered read does. The
-pre-contrast volume is read at tissue and tumor and on the tumor's
-gradient box, the first post there and at fat and dense, the last post
-at tissue and tumor; middle posts are never read.
+pre-contrast volume is read at dense and tumor and on the tumor's
+gradient box, the first post there and at fat, the last post at dense
+and tumor; middle posts are never read.
 
 A feature whose source label is missing is reported as missing, never
 silently zero; in CSV output missing features are empty fields.
@@ -81,20 +80,16 @@ class FeatureVector:
 _RANGE_BLOCK_VOXELS = 2**17
 
 
-def _dynamic_range(volumes: Iterable[Volume]) -> float:
-    """Max minus min over every voxel of ``volumes``; -inf when there are none."""
+def _dynamic_range(arrays: Iterable[np.ndarray]) -> float:
+    """Max minus min over every element of ``arrays``; -inf when there are none."""
     lo, hi = math.inf, -math.inf
-    for volume in volumes:
-        flat = volume.data.reshape(-1)
+    for array in arrays:
+        flat = array.reshape(-1)
         for start in range(0, flat.size, _RANGE_BLOCK_VOXELS):
             block = flat[start : start + _RANGE_BLOCK_VOXELS]
             lo = min(lo, float(block.min()))
             hi = max(hi, float(block.max()))
     return hi - lo
-
-
-def _epsilon(volumes: Iterable[Volume]) -> float:
-    return 1e-6 * _dynamic_range(volumes)
 
 
 def ser_map(s0: np.ndarray, s1: np.ndarray, slast: np.ndarray, eps: float) -> tuple[np.ndarray, int]:
@@ -166,27 +161,28 @@ def _gradient_box(tumor: np.ndarray) -> _Box:
     return widen(bounding_box(tumor), (0, 1, 1), tumor.shape)
 
 
-def dhog(series: StudySeries, tumor: np.ndarray) -> float:
+def dhog(pre: np.ndarray, post1: np.ndarray, tumor: np.ndarray, subject_id: str) -> float:
     """Entropy of the in-plane gradient direction histogram at the tumor.
 
-    Gradients of the subtraction image (first post minus pre) are taken
-    with central differences inside each axial slice (one-sided at the
+    ``pre``, ``post1`` and ``tumor`` are grids of one shape. Gradients
+    of the subtraction image (first post minus pre) are taken with
+    central differences inside each axial slice (one-sided at the
     volume faces). Orientations are folded to [0, 180) degrees and
     accumulated into 9 bins weighted by gradient magnitude; the result
     is the Shannon entropy in bits of that histogram. All-zero
-    gradients give 0 with a warning.
+    gradients give 0 with a warning naming ``subject_id``.
     """
     if not tumor.any():
         raise ValidationError("gradient histogram of an empty tumor set")
-    _, ny, nx = series.pre.data.shape
+    _, ny, nx = pre.shape
     box = _gradient_box(tumor)
-    sub = series.posts[0].data[box].astype(np.float64) - series.pre.data[box].astype(np.float64)
+    sub = post1[box].astype(np.float64) - pre[box].astype(np.float64)
     gx = np.gradient(sub, axis=2) if nx > 1 else np.zeros_like(sub)
     gy = np.gradient(sub, axis=1) if ny > 1 else np.zeros_like(sub)
     inside = tumor[box]
     mag = np.hypot(gx[inside], gy[inside])
     if not (mag > 0).any():
-        log.warning("subject %s: all tumor gradients are zero", series.subject_id)
+        log.warning("subject %s: all tumor gradients are zero", subject_id)
         return 0.0
     theta = np.mod(np.arctan2(gy[inside], gx[inside]), np.pi)
     bins = np.minimum((theta * (DHOG_BINS / np.pi)).astype(np.int64), DHOG_BINS - 1)
@@ -225,8 +221,8 @@ def _union(*boxes: _Box | None) -> _Box | None:
     return tuple(slice(min(b[axis].start for b in boxes), max(b[axis].stop for b in boxes)) for axis in range(3))
 
 
-def _filtered(volume: Volume, box: _Box | None, radius: int) -> Volume | None:
-    """``median_filter(volume, radius)`` on ``box``, and 0 on the rest of the grid; None for no box.
+def _filtered(volume: Volume, box: _Box | None, radius: int) -> np.ndarray | None:
+    """``median_filter(volume, radius).data`` on ``box``, and 0 on the rest of the grid; None for no box.
 
     Filters the box widened by ``radius`` and clipped to the grid, and
     keeps the box. The window of a box voxel lies in the widened box, or
@@ -234,15 +230,16 @@ def _filtered(volume: Volume, box: _Box | None, radius: int) -> Volume | None:
     the same values in the same places as in the whole-grid filter, and
     so does its median. A read outside the box would get 0 in place of
     a filtered value; ``extract_features`` names the tests that rule
-    that out.
+    that out. The result is a plain float32 array: its values are
+    medians of finite data, so it needs no finiteness scan.
     """
     if box is None:
         return None
     outer = widen(box, (radius,) * 3, volume.data.shape)
-    filtered = median_filter(Volume(volume.data[outer], volume.spacing_mm), radius)
+    filtered = median_filter(Volume(volume.data[outer], volume.spacing_mm), radius).data
     data = np.zeros_like(volume.data)
-    data[box] = filtered.data[tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))]
-    return Volume(data, volume.spacing_mm)
+    data[box] = filtered[tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))]
+    return data
 
 
 def extract_features(
@@ -255,16 +252,17 @@ def extract_features(
 
     Features whose source labels are absent come back as None. F9 is
     mask-only. F1-F7 come from ``ser_map`` and ``washin_map`` run on the
-    tissue and tumor voxels of pre, the first post and the last post,
+    dense and tumor voxels of pre, the first post and the last post,
     gathered once each; the count of guarded SER voxels among them is
-    logged at debug level, naming the subject.
+    logged at debug level, naming the subject. F12-F15 are the stats of
+    the first-post values gathered there.
 
     With ``denoise_radius`` set, the features read the series with
     every volume median filtered, bit for bit, but each volume is
     filtered only on the box of the voxels read from it, through
-    ``_filtered``: pre-contrast on tissue, tumor and the tumor's gradient
+    ``_filtered``: pre-contrast on dense, tumor and the tumor's gradient
     box; the first post on fat, dense, tumor and that gradient box; the
-    last post on tissue and tumor; middle posts not at all. Each
+    last post on dense and tumor; middle posts not at all. Each
     filtered volume is on the grid, 0 outside its box, and is read as an
     unfiltered one is. ``TestGatheredExtraction``, ``TestDenoisedScenes``
     and ``test_denoising_filters_only_the_read_boxes`` compare with
@@ -277,18 +275,16 @@ def extract_features(
     dense = mask.tissue(DENSE)
     fat = mask.tissue(FAT)
     tumor = mask.tissue(TUMOR)
-    # Tissue is dense minus tumor, so tissue and tumor together are
-    # dense | tumor, and tissue is the part of that which is not tumor.
     kinetic = dense | tumor
 
-    have_tissue = np.count_nonzero(kinetic) > np.count_nonzero(tumor)
+    have_dense = bool(dense.any())
     have_tumor = bool(tumor.any())
     have_fat = bool(fat.any())
-    have_dense = bool(dense.any())
     have_ser = len(series.posts) >= 2
 
-    pre, post1, last = series.pre, series.posts[0], series.posts[-1]
-    eps = _epsilon(series.volumes)
+    volumes = (series.pre, series.posts[0], series.posts[-1])
+    pre, post1, last = (volume.data for volume in volumes)
+    eps = 1e-6 * _dynamic_range(volume.data for volume in series.volumes)
     if denoise_radius is not None:
         # The boxes that pre, the first post and the last post are read on.
         kinetic_box = bounding_box(kinetic)
@@ -298,58 +294,53 @@ def extract_features(
             _union(bounding_box(fat | kinetic), gradient_box),
             kinetic_box if have_ser else None,
         )
-        pre, post1, last = (_filtered(volume, box, denoise_radius) for volume, box in zip((pre, post1, last), boxes))
+        pre, post1, last = (_filtered(volume, box, denoise_radius) for volume, box in zip(volumes, boxes))
 
     values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
 
-    # F1-F7 read SER and washin only at tissue and tumor voxels, so the
-    # kernels run on those voxels alone, gathered in C order by one flat
-    # index: they are pointwise, so that gives the values whole-grid maps
-    # hold there, in the same order.
-    if have_tissue or have_tumor:
+    # F1-F7, F12 and F13 read dense and tumor voxels alone, so the kernels
+    # run on those voxels, gathered in C order by one flat index: they
+    # are pointwise, so that gives the values whole-grid maps hold there,
+    # in the same order. A mask holds one label per voxel, so the voxels
+    # of dense | tumor that are not tumor are the dense ones.
+    if have_dense or have_tumor:
         voxels = np.flatnonzero(kinetic)
-        s0, s1 = (v.data.reshape(-1)[voxels] for v in (pre, post1))
+        s0, s1 = (data.reshape(-1)[voxels] for data in (pre, post1))
         in_tumor = tumor[kinetic]
-        in_tissue = ~in_tumor
+        in_dense = ~in_tumor
         ser = None
         if have_ser:
-            ser, n_guarded = ser_map(s0, s1, last.data.reshape(-1)[voxels], eps)
+            ser, n_guarded = ser_map(s0, s1, last.reshape(-1)[voxels], eps)
             if n_guarded:
                 log.debug("subject %s: %d voxels guarded in enhancement ratio", sid, n_guarded)
         washin = washin_map(s0, s1, eps)
 
-    if have_tissue:
+    if have_dense:
         if ser is not None:
-            mean_ser, std_ser = _stats(ser[in_tissue])
-            values["F1"] = mean_ser
-            values["F6"] = std_ser
-        values["F3"] = _stats(washin[in_tissue])[0]
-        values["F7"] = pe_entropy(washin, in_tissue)
+            values["F1"], values["F6"] = _stats(ser[in_dense])
+        values["F3"] = _stats(washin[in_dense])[0]
+        values["F7"] = pe_entropy(washin, in_dense)
+        values["F12"], values["F13"] = _stats(s1[in_dense])
     else:
-        log.warning("subject %s: no healthy dense tissue, tissue features missing", sid)
+        log.warning("subject %s: no dense label, dense features missing", sid)
 
     if have_tumor:
         if ser is not None:
             values["F2"] = _stats(ser[in_tumor])[0]
         values["F4"], values["F5"] = _stats(washin[in_tumor])
-        values["F8"] = dhog(StudySeries(sid, pre, (post1,)), tumor)
+        values["F8"] = dhog(pre, post1, tumor, sid)
         if int(np.count_nonzero(tumor)) >= 2:
             values["F9"] = major_axis_length(tumor, series.spacing_mm)
         else:
             log.warning("subject %s: single-voxel tumor, major axis missing", sid)
-        values["F14"], values["F15"] = _stats(post1.data[tumor])
+        values["F14"], values["F15"] = _stats(s1[in_tumor])
     else:
         log.warning("subject %s: no tumor label, tumor features missing", sid)
 
     if have_fat:
-        values["F10"], values["F11"] = _stats(post1.data[fat])
+        values["F10"], values["F11"] = _stats(post1[fat])
     else:
         log.warning("subject %s: no fat label, fat features missing", sid)
-
-    if have_dense:
-        values["F12"], values["F13"] = _stats(post1.data[dense])
-    else:
-        log.warning("subject %s: no dense label, dense features missing", sid)
 
     return FeatureVector(
         subject_id=sid,

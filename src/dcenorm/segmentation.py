@@ -20,7 +20,6 @@ both, element for element, with such a library.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -33,8 +32,6 @@ from .volume import (
     AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, nearest_rank_index, percentile,
     widen,
 )
-
-log = logging.getLogger(__name__)
 
 OTSU_BINS = 256
 # Values binned per step in otsu_upper_class: each float64 temporary is 512 KiB.
@@ -141,7 +138,7 @@ def segment_air(pre: Volume, config: SegmentationConfig) -> np.ndarray:
     slightly larger than the nominal fraction; a constant volume comes
     back fully selected.
     """
-    threshold = percentile(pre, config.air_fraction * 100.0)
+    threshold = percentile(pre.data, config.air_fraction * 100.0)
     return pre.data <= threshold
 
 
@@ -344,9 +341,9 @@ def segment_breast(
 def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -> np.ndarray:
     """Split breast voxels into dense and fat classes by Otsu threshold.
 
-    Returns the dense subset; fat is the remainder of the breast. With a
-    degenerate histogram the dense set is empty, leaving the whole breast
-    classified as fat; ``classical_mask`` logs that with the subject's id.
+    Returns the dense subset; fat is the remainder of the breast. A
+    degenerate histogram, which would leave the dense set empty, raises
+    SubjectError: every anchor needs its tissue.
     """
     if breast.shape != pre.data.shape:
         raise ValidationError("breast mask shape does not match volume")
@@ -354,9 +351,9 @@ def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -
         raise ValidationError("dense segmentation needs a non-empty breast mask")
     values = pre.data[breast]
     upper = otsu_upper_class(values)
-    dense = np.zeros(pre.data.shape, dtype=bool)
     if upper is None:
-        return dense
+        raise SubjectError("degenerate intensity histogram inside breast")
+    dense = np.zeros(pre.data.shape, dtype=bool)
     selected = ~upper if config.dense_polarity == "dark" else upper
     dense[breast] = selected
     return dense
@@ -467,8 +464,6 @@ def classical_mask(series: StudySeries, config: SegmentationConfig) -> TissueMas
     planes = chest_wall_planes(body)
     breast = segment_breast(pre, body, planes, config)
     dense = segment_dense(pre, breast, config)
-    if not dense.any():
-        log.warning("subject %s: degenerate intensity histogram inside breast; dense set left empty", series.subject_id)
     fat = breast & ~dense
     heart = segment_heart(pre, series.posts[0], body, planes, config)
     tumor = np.zeros(pre.data.shape, dtype=bool)

@@ -350,6 +350,24 @@ class TestErrorPaths:
         assert len(lines) == 1, done.stderr
         assert lines[0].startswith("error[validation]: segmentation failed for every subject: c0: ")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_segment_failing_on_degenerate_breasts_prints_only_its_error_line(self, tmp_path, jobs):
+        """Fat, dense and tumor share one intensity and there is no noise, so each breast's histogram is
+        degenerate; run as a real process, so a worker's log line would show before the error line."""
+        (tmp_path / "phantom.json").write_text(json.dumps({
+            "dims": [48, 48, 12], "intensities": {"fat": 400.0, "dense": 400.0, "tumor": 400.0},
+            "groups": [{"name": "A", "n_subjects": 2, "noise_sigma": 0.0}],
+        }))
+        data = tmp_path / "data"
+        assert main(["phantom", "--config", str(tmp_path / "phantom.json"), "--out", str(data), "--jobs", "1"]) == 0
+        records = json.loads((data / "manifest.json").read_text())
+        (data / "nomask.json").write_text(json.dumps([{k: v for k, v in r.items() if k != "mask"} for r in records]))
+        done = _run_process(["-m", "dcenorm", "segment", "--manifest", str(data / "nomask.json"),
+                             "--out-dir", str(tmp_path / "seg"), "--jobs", jobs])
+        assert done.returncode == 1
+        reason = "degenerate intensity histogram inside breast"
+        assert done.stderr == f"error[validation]: segmentation failed for every subject: A000: {reason}; A001: {reason}\n"
+
     def test_phantom_overflow_prints_only_its_error_line(self, tmp_path):
         """Run as a real process, so a numpy warning reaching stderr would show before the error line."""
         (tmp_path / "phantom.json").write_text(json.dumps({"dims": [8, 8, 8], "intensities": {"fat": 1e308}}))

@@ -21,6 +21,8 @@ from dcenorm import (
     load_series,
 )
 from dcenorm import segmentation
+from dcenorm.cli import main
+from dcenorm.manifest import load_manifest, save_manifest
 from dcenorm.segmentation import (
     OTSU_BINS,
     _closing,
@@ -336,14 +338,14 @@ class TestSegmentDense:
         dense = segment_dense(pre, breast, cfg)
         assert np.mean(dense[breast] == ~truth[breast]) >= 0.99
 
-    def test_constant_breast_leaves_dense_empty(self, caplog):
+    def test_constant_breast_is_a_subject_error(self, caplog):
         pre = vol(np.full((3, 4, 5), 80.0))
         breast = np.zeros((3, 4, 5), dtype=bool)
         breast[:, :2, :] = True
         with caplog.at_level(logging.WARNING):
-            dense = segment_dense(pre, breast, SegmentationConfig())
-        assert not dense.any()
-        assert not caplog.records  # classical_mask logs it, naming the subject
+            with pytest.raises(SubjectError, match="^degenerate intensity histogram inside breast$"):
+                segment_dense(pre, breast, SegmentationConfig())
+        assert not caplog.records  # segment names the subject when it skips it
 
     def test_empty_breast_rejected(self):
         pre = vol(np.zeros((2, 2, 2)))
@@ -567,17 +569,23 @@ class TestClassicalPipeline:
         # phantom noise makes intensity ties vanishingly unlikely
         assert mask.counts()["air"] == math.ceil(0.05 * series.pre.data.size)
 
-    def test_degenerate_dense_split_names_the_subject_once(self, tmp_path, caplog):
+    def test_degenerate_dense_split_skips_the_subject(self, tmp_path, caplog):
         # Fat, dense and tumor share one pre-contrast intensity and there is
-        # no noise, so the breast's histogram holds a single value.
+        # no noise, so D000's breast histogram holds a single value.
         intensities = {"air": 0.0, "fat": 400.0, "dense": 400.0, "heart": 300.0, "tumor": 400.0}
-        cfg = PhantomConfig(intensities=intensities, groups=(GroupSpec("A", 1, noise_sigma=0.0),))
-        (entry,) = generate_phantom(cfg, tmp_path, jobs=1)
+        cfg = PhantomConfig(intensities=intensities, groups=(GroupSpec("D", 1, noise_sigma=0.0),))
+        (flat,) = generate_phantom(cfg, tmp_path / "flat", jobs=1)
+        (good,) = generate_phantom(PhantomConfig(groups=(GroupSpec("A", 1),)), tmp_path / "good", jobs=1)
         with caplog.at_level(logging.WARNING):
-            mask = classical_mask(load_series(entry), SegmentationConfig())
-        assert mask.counts()["dense"] == 0
+            with pytest.raises(SubjectError, match="^degenerate intensity histogram inside breast$"):
+                classical_mask(load_series(flat), SegmentationConfig())
+        assert not caplog.records
+        save_manifest(tmp_path, [dataclasses.replace(entry, mask=None) for entry in (flat, good)])
+        assert main(["segment", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out-dir", str(tmp_path / "seg"), "--jobs", "1"]) == 0
+        assert [e.subject_id for e in load_manifest(tmp_path / "seg" / "manifest.json")] == ["A000"]
         assert [r.getMessage() for r in caplog.records] == [
-            f"subject {entry.subject_id}: degenerate intensity histogram inside breast; dense set left empty"
+            "subject D000 skipped: degenerate intensity histogram inside breast"
         ]
 
     def test_deterministic(self, phantom_subject):

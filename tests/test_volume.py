@@ -24,7 +24,7 @@ from dcenorm import (
 )
 from dcenorm.volume import MASK_DTYPE, base_path, bounding_box, nearest_rank_index, read_sidecar, widen
 
-from helpers import flat_vol, mask_of, vol
+from helpers import mask_of, vol
 
 
 def write_pair(directory, name, dims, payload_bytes, dtype="f32le", order="x-fastest",
@@ -254,7 +254,7 @@ def percentile_oracle(values, q):
 
 class TestPercentile:
     def test_ten_values_median_and_max(self):
-        v = flat_vol(range(1, 11))
+        v = np.asarray(range(1, 11), dtype=np.float32)
         assert percentile(v, 50) == 5.0
         assert percentile(v, 100) == 10.0
         assert percentile(v, 0) == 1.0
@@ -272,13 +272,13 @@ class TestPercentile:
             # integer draws create plenty of ties
             values = rng.integers(-20, 20, size=n).astype(np.float32)
             q = float(rng.choice([0.0, 100.0, rng.uniform(0, 100)]))
-            got = percentile(flat_vol(values), q)
+            got = percentile(values, q)
             assert got == percentile_oracle(values, q)
 
     def test_result_is_an_element(self, rng):
         values = rng.normal(size=37).astype(np.float32)
         for q in (0, 12.5, 50, 90, 100):
-            assert percentile(flat_vol(values), q) in values
+            assert percentile(values, q) in values
 
     @given(
         st.lists(st.integers(-1000, 1000), min_size=1, max_size=40),
@@ -287,26 +287,26 @@ class TestPercentile:
     )
     def test_monotone_in_q(self, values, q1, q2):
         lo, hi = sorted((q1, q2))
-        v = flat_vol(values)
+        v = np.asarray(values, dtype=np.float32)
         assert percentile(v, lo) <= percentile(v, hi)
 
     def test_masked_selection(self):
         data = np.array([[[10, 20, 30, 40]]], dtype=np.float32)
         mask = np.array([[[False, True, True, False]]])
-        assert percentile(vol(data), 100, mask=mask) == 30.0
-        assert percentile(vol(data), 0, mask=mask) == 20.0
+        assert percentile(data, 100, mask=mask) == 30.0
+        assert percentile(data, 0, mask=mask) == 20.0
 
     def test_empty_selection_rejected(self):
         data = np.zeros((1, 1, 3), dtype=np.float32)
         with pytest.raises(ValidationError, match="empty"):
-            percentile(vol(data), 50, mask=np.zeros((1, 1, 3), dtype=bool))
+            percentile(data, 50, mask=np.zeros((1, 1, 3), dtype=bool))
 
     def test_mask_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            percentile(vol(np.zeros((1, 1, 3))), 50, mask=np.zeros((1, 1, 4), dtype=bool))
+            percentile(np.zeros((1, 1, 3)), 50, mask=np.zeros((1, 1, 4), dtype=bool))
 
     def test_q_out_of_range_rejected(self):
-        v = flat_vol([1, 2, 3])
+        v = np.asarray([1, 2, 3], dtype=np.float32)
         with pytest.raises(ValidationError):
             percentile(v, -1)
         with pytest.raises(ValidationError):
