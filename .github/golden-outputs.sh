@@ -122,17 +122,21 @@ produce_configured() {
 # failure the command line reports: a bad config, flag, manifest, mask,
 # mask grid, volume or model file, a subject that cannot be segmented or
 # mapped, a breast whose intensity histogram is one value (fat, dense and
-# tumor alike, no noise), a missing file and a NaN voxel. A case that
-# exits 0 fails the step.
+# tumor alike, no noise), a missing file and a NaN voxel. features and
+# evaluate load a subject's volumes one at a time, so their cases reach
+# those loaders: a mask on another grid, an illegal mask label, no mask
+# and a NaN voxel in post2. A case that exits 0 fails the step.
 damage() {  # writes the damaged inputs of the errors step into the current directory
   python - <<'PY'
 import json, pathlib
 import numpy as np
 
 here = pathlib.Path(".")
-record = json.loads((here / "data" / "manifest.json").read_text())[0]
-record = dict(record, pre=f"data/{record['pre']}", posts=[f"data/{p}" for p in record["posts"]],
-              mask=f"data/{record['mask']}")
+records = [
+    dict(r, pre=f"data/{r['pre']}", posts=[f"data/{p}" for p in r["posts"]], mask=f"data/{r['mask']}")
+    for r in json.loads((here / "data" / "manifest.json").read_text())
+]
+record = records[0]
 
 def volume(name, source, payload):  # a copy of the volume ``source`` with a new payload
     (here / f"{name}.json").write_text((here / source).read_text())
@@ -149,6 +153,9 @@ pre, mask = payload(record["pre"], "<f4"), payload(record["mask"], "u1")
 first = np.arange(pre.size) == 0
 volume("nan_pre", record["pre"], np.where(first, np.nan, pre).astype("<f4").tobytes())
 manifest("nan.json", pre="nan_pre.json")
+post2 = payload(record["posts"][1], "<f4")
+volume("nan_post2", record["posts"][1], np.where(first, np.nan, post2).astype("<f4").tobytes())
+manifest("nan-post2.json", posts=[record["posts"][0], "nan_post2.json", *record["posts"][2:]])
 volume("flat_pre", record["pre"], np.full_like(pre, 7.0).tobytes())
 volume("flat_post1", record["posts"][0], np.full_like(pre, 14.0).tobytes())
 manifest("flat.json", pre="flat_pre.json")
@@ -161,6 +168,9 @@ sidecar = json.loads((here / record["mask"]).read_text())
 (here / "grid_mask.json").write_text(json.dumps(dict(sidecar, spacing_mm=[2 * s for s in sidecar["spacing_mm"]])))
 (here / "grid_mask.raw").write_bytes(mask.tobytes())
 manifest("grid.json", mask="grid_mask.json")
+# Both subjects, the first with the mask on another grid and the second in the high echo-time group,
+# so that evaluate reaches the tissue summary, which loads the masks.
+(here / "evaluate-grid.json").write_text(json.dumps([dict(record, mask="grid_mask.json"), dict(records[1], te_ms=2.6)]))
 volume("short_post1", record["posts"][0], (here / record["posts"][0].replace(".json", ".raw")).read_bytes()[:-1])
 manifest("short.json", posts=["short_post1.json", *record["posts"][1:]])
 model = json.loads((here / "model.json").read_text())
@@ -172,10 +182,11 @@ model = json.loads((here / "model.json").read_text())
 (here / "parse.json").write_text('[\n{"subject_id": }\n]')
 PY
 }
-fail() {  # case name, then the arguments of a dcenorm run that must fail
-  local name=$1 rc
+fail() {  # case name, then the arguments of a dcenorm run that must fail, with --jobs 1 where it takes one
+  local name=$1 rc jobs=(--jobs 1)
   shift
-  run "$@" --jobs 1 > /dev/null 2> "cases/$name.txt"
+  case $1 in evaluate | auc) jobs=() ;; esac
+  run "$@" ${jobs[@]+"${jobs[@]}"} > /dev/null 2> "cases/$name.txt"
   rc=$?
   echo "exit $rc" >> "cases/$name.txt"
   [ "$rc" -ne 0 ] || { echo "golden-outputs: errors case $name exited 0" >&2; return 1; }
@@ -184,7 +195,8 @@ produce_errors() {
   (cd "$1" && mkdir cases &&
     echo '{"dims": [32, 32, 16], "groups": [{"name": "A", "n_subjects": 2}]}' > phantom.json &&
     run phantom --out data --config phantom.json --jobs 1 &&
-    run train --manifest data/manifest.json --out model.json --jobs 1 && damage &&
+    run train --manifest data/manifest.json --out model.json --jobs 1 &&
+    run features --manifest data/manifest.json --out features.csv --jobs 1 && damage &&
     echo '{"dims": [48, 48, 12], "intensities": {"fat": 400.0, "dense": 400.0, "tumor": 400.0}, "groups": [{"name": "A", "n_subjects": 2, "noise_sigma": 0.0}]}' > flat-phantom.json &&
     run phantom --out flat --config flat-phantom.json --jobs 1 && drop_masks flat/manifest.json flat/nomask.json &&
     fail config-key segment --manifest data/manifest.json --out-dir seg --config unknown-key.json &&
@@ -202,7 +214,13 @@ produce_errors() {
     fail degenerate-anchors normalize --manifest flat.json --model model.json --out-dir norm &&
     fail falling-targets normalize --manifest data/manifest.json --model falling-model.json --out-dir norm &&
     fail missing-file train --manifest missing.json --out m.json &&
-    fail nan-voxel train --manifest nan.json --out m.json)
+    fail nan-voxel train --manifest nan.json --out m.json &&
+    fail features-mask-grid features --manifest grid.json --out f.csv &&
+    fail features-mask-label features --manifest label.json --out f.csv &&
+    fail features-no-mask features --manifest unsegmentable.json --out f.csv &&
+    fail features-nan-post2 features --manifest nan-post2.json --out f.csv &&
+    fail evaluate-mask-grid evaluate --before features.csv --after features.csv --manifest evaluate-grid.json \
+      --group-by te --out report.json)
 }
 
 status=0

@@ -33,17 +33,17 @@ from pathlib import Path
 from . import anchors as anchors_mod
 from . import evaluation as eval_mod
 from .errors import DcenormError, MissingInputError, SubjectError, ValidationError
-from .features import extract_features, read_features_csv, write_features_csv
+from .features import extract_from_volumes, read_features_csv, write_features_csv
 from .manifest import (
     SubjectEntry, check_out_dir_holds_no_input, check_outputs_spare_inputs, check_subject_grids, load_manifest,
-    load_series, load_subject as _load_subject, manifest_files, read_labels_csv, save_manifest, save_subject,
+    load_series, load_subject as _load_subject, load_subject_mask, load_volumes, manifest_files, read_labels_csv,
+    save_manifest, save_subject,
 )
 from .mapping import build_mapping, export_mapping_curve, map_volume, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask
 from .util import atomic_write_json, default_jobs, is_number, json_object, read_json, run_parallel, write_csv
-from .volume import load_volume
 
 log = logging.getLogger(__name__)
 
@@ -103,22 +103,30 @@ def _normalize_job(entry: SubjectEntry, model: NormalizationModel, out_dir: str,
 
     The grids are checked from the sidecars first, so a subject on two
     grids is refused before any of its volumes is written. Only pre,
-    the first post and the mask are loaded for the anchors; each later
-    post is loaded when it is mapped. So the job holds those three,
-    plus one volume and its map.
+    the first post and the mask are loaded for the anchors, and the
+    mask goes once they are taken. Each volume is let go once its map
+    is written, and each later post is loaded when it is mapped. So the
+    job holds pre and the first post while it maps pre, and after that
+    two volumes: one and its map, or the last one mapped and the next
+    post loading.
     """
     check_subject_grids(entry)
     series, mask = _load_subject(dataclasses.replace(entry, posts=entry.posts[:1]))
     mapping = build_mapping(anchors_mod.extract_anchors(series, mask), model)
+    held = list(series.volumes)
+    del series, mask
     sid = entry.subject_id
-    mapped = itertools.chain(
-        (map_volume(mapping, volume, sid) for volume in series.volumes),
-        (map_volume(mapping, load_volume(path), sid) for path in entry.posts[1:]),
-    )
-    written = save_subject(entry, out_dir, mapped)
+    volumes = itertools.chain(_drained(held), load_volumes(entry.posts[1:]))
+    written = save_subject(entry, out_dir, (map_volume(mapping, volume, sid) for volume in volumes))
     if mapping_dir is not None:
         write_mapping_curve(_mapping_file(mapping_dir, sid), export_mapping_curve(mapping))
     return written
+
+
+def _drained(items: list):
+    """Yield the items of ``items`` in turn, each removed from the list as it is yielded."""
+    while items:
+        yield items.pop(0)
 
 
 def _mapping_file(mapping_dir: Path | str, subject_id: str) -> Path:
@@ -126,8 +134,16 @@ def _mapping_file(mapping_dir: Path | str, subject_id: str) -> Path:
 
 
 def _features_job(entry: SubjectEntry, denoise_radius: int | None, normalized: bool):
-    series, mask = _load_subject(entry)
-    return extract_features(series, mask, denoise_radius=denoise_radius, normalized=normalized)
+    """A subject's features, with each volume loaded as extraction draws it and let go before the next.
+
+    The mask is loaded first, since it says what each volume gives, and
+    the grids are checked from the sidecars. So the job holds the mask
+    and one volume, and with a filter that volume's filtered grid too.
+    """
+    mask = load_subject_mask(entry)
+    check_subject_grids(entry)
+    volumes = load_volumes((entry.pre, *entry.posts))
+    return extract_from_volumes(entry.subject_id, mask, volumes, len(entry.posts), denoise_radius, normalized)
 
 
 # ---------------------------------------------------------------------------

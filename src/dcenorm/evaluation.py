@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .features import FEATURE_NAMES, FeatureVector
-from .manifest import SubjectEntry, load_subject
+from .manifest import SubjectEntry, check_subject_grids, load_subject_mask, load_volumes
 from .model import midranks
 from .volume import HEART, DENSE, FAT, TUMOR
 from .util import write_csv
@@ -151,19 +151,24 @@ def _tissue_intensity_summary(manifest: tuple[SubjectEntry, ...]) -> dict[str, d
     """Mean/std of per-subject mean intensity (pre and first post) by tissue.
 
     Needs every subject to carry a mask; returns None otherwise. Only pre
-    and the first post are loaded: they are all the summary reads.
+    and the first post are loaded: they are all the summary reads. Pre's
+    tissue means are taken before the first post loads, so a subject
+    holds its mask and one volume.
     """
     if any(entry.mask is None for entry in manifest):
         return None
     per_tissue: dict[str, list[float]] = {name: [] for name in _REPORT_TISSUES}
     for entry in manifest:
-        series, mask = load_subject(replace(entry, posts=entry.posts[:1]))
-        for name, label in _REPORT_TISSUES.items():
-            sel = mask.labels == label
-            if not sel.any():
-                continue
-            pre_mean = float(series.pre.data[sel].astype(np.float64).mean())
-            post_mean = float(series.posts[0].data[sel].astype(np.float64).mean())
+        mask = load_subject_mask(entry)
+        check_subject_grids(replace(entry, posts=entry.posts[:1]))
+        means: dict[str, list[float]] = {}
+        for volume in load_volumes((entry.pre, entry.posts[0])):
+            for name, label in _REPORT_TISSUES.items():
+                sel = mask.labels == label
+                if sel.any():
+                    means.setdefault(name, []).append(float(volume.data[sel].astype(np.float64).mean()))
+            del volume  # not held while the first post loads
+        for name, (pre_mean, post_mean) in means.items():
             per_tissue[name].append((pre_mean + post_mean) / 2.0)
     out = {}
     for name, vals in per_tissue.items():

@@ -26,14 +26,17 @@ both only at dense and tumor voxels, the only ones F1-F7 read.
 Standard deviations everywhere are population standard deviations
 (divide by n).
 
+Each volume is read once, as it loads, and let go before the next one
+loads: its range for eps, and the values the features read. The
+pre-contrast volume is read at dense and tumor and on the tumor's
+gradient box, the first post there and at fat, the last post at dense
+and tumor; a middle post gives only its range.
+
 With a median filter (``denoise_radius``) the features read the filtered
 series, but only the voxels they read are filtered: the box of each
 volume's read set, widened by the radius. The filtered volume is kept
 on the grid, holding the filtered values on its read box and 0 outside
-it, so every read indexes the grid as an unfiltered read does. The
-pre-contrast volume is read at dense and tumor and on the tumor's
-gradient box, the first post there and at fat, the last post at dense
-and tumor; middle posts are never read.
+it, so every read indexes the grid as an unfiltered read does.
 
 A feature whose source label is missing is reported as missing, never
 silently zero; in CSV output missing features are empty fields.
@@ -80,16 +83,15 @@ class FeatureVector:
 _RANGE_BLOCK_VOXELS = 2**17
 
 
-def _dynamic_range(arrays: Iterable[np.ndarray]) -> float:
-    """Max minus min over every element of ``arrays``; -inf when there are none."""
+def _value_range(array: np.ndarray) -> tuple[float, float]:
+    """The min and the max of a non-empty ``array``, in one blocked pass."""
     lo, hi = math.inf, -math.inf
-    for array in arrays:
-        flat = array.reshape(-1)
-        for start in range(0, flat.size, _RANGE_BLOCK_VOXELS):
-            block = flat[start : start + _RANGE_BLOCK_VOXELS]
-            lo = min(lo, float(block.min()))
-            hi = max(hi, float(block.max()))
-    return hi - lo
+    flat = array.reshape(-1)
+    for start in range(0, flat.size, _RANGE_BLOCK_VOXELS):
+        block = flat[start : start + _RANGE_BLOCK_VOXELS]
+        lo = min(lo, float(block.min()))
+        hi = max(hi, float(block.max()))
+    return lo, hi
 
 
 def ser_map(s0: np.ndarray, s1: np.ndarray, slast: np.ndarray, eps: float) -> tuple[np.ndarray, int]:
@@ -221,20 +223,18 @@ def _union(*boxes: _Box | None) -> _Box | None:
     return tuple(slice(min(b[axis].start for b in boxes), max(b[axis].stop for b in boxes)) for axis in range(3))
 
 
-def _filtered(volume: Volume, box: _Box | None, radius: int) -> np.ndarray | None:
-    """``median_filter(volume, radius).data`` on ``box``, and 0 on the rest of the grid; None for no box.
+def _filtered(volume: Volume, box: _Box, radius: int) -> np.ndarray:
+    """``median_filter(volume, radius).data`` on ``box``, and 0 on the rest of the grid.
 
     Filters the box widened by ``radius`` and clipped to the grid, and
     keeps the box. The window of a box voxel lies in the widened box, or
     is clipped by a grid face that the widened box shares, so it holds
     the same values in the same places as in the whole-grid filter, and
     so does its median. A read outside the box would get 0 in place of
-    a filtered value; ``extract_features`` names the tests that rule
+    a filtered value; ``extract_from_volumes`` names the tests that rule
     that out. The result is a plain float32 array: its values are
     medians of finite data, so it needs no finiteness scan.
     """
-    if box is None:
-        return None
     outer = widen(box, (radius,) * 3, volume.data.shape)
     filtered = median_filter(Volume(volume.data[outer], volume.spacing_mm), radius).data
     data = np.zeros_like(volume.data)
@@ -248,30 +248,46 @@ def extract_features(
     denoise_radius: int | None = None,
     normalized: bool = False,
 ) -> FeatureVector:
-    """Compute the full feature vector for one subject.
+    """Compute the full feature vector for one loaded subject: ``extract_from_volumes`` on its volumes."""
+    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series")
+    return extract_from_volumes(series.subject_id, mask, series.volumes, len(series.posts), denoise_radius, normalized)
+
+
+def extract_from_volumes(
+    subject_id: str,
+    mask: TissueMask,
+    volumes: Iterable[Volume],
+    n_posts: int,
+    denoise_radius: int | None = None,
+    normalized: bool = False,
+) -> FeatureVector:
+    """Compute the full feature vector of subject ``subject_id`` from ``volumes``: pre, then ``n_posts`` posts.
+
+    The volumes are on ``mask``'s grid, which the caller checks. Each is
+    read once, as it is drawn, and let go before the next is drawn, so
+    a caller that loads each volume as it is drawn holds one at a time.
+    A volume gives its range, for eps, and the values the features read
+    from it: pre-contrast its dense and tumor voxels and the tumor's
+    gradient box, the first post those and its fat voxels, the last post
+    its dense and tumor voxels. Middle posts give only their range.
 
     Features whose source labels are absent come back as None. F9 is
     mask-only. F1-F7 come from ``ser_map`` and ``washin_map`` run on the
-    dense and tumor voxels of pre, the first post and the last post,
-    gathered once each; the count of guarded SER voxels among them is
-    logged at debug level, naming the subject. F12-F15 are the stats of
-    the first-post values gathered there.
+    gathered dense and tumor voxels; the count of guarded SER voxels
+    among them is logged at debug level, naming the subject. F12-F15 are
+    the stats of the first-post values gathered there, and F8 is ``dhog``
+    on the gradient boxes of pre and the first post.
 
     With ``denoise_radius`` set, the features read the series with
-    every volume median filtered, bit for bit, but each volume is
+    every volume median filtered, bit for bit, but each read volume is
     filtered only on the box of the voxels read from it, through
-    ``_filtered``: pre-contrast on dense, tumor and the tumor's gradient
-    box; the first post on fat, dense, tumor and that gradient box; the
-    last post on dense and tumor; middle posts not at all. Each
-    filtered volume is on the grid, 0 outside its box, and is read as an
-    unfiltered one is. ``TestGatheredExtraction``, ``TestDenoisedScenes``
-    and ``test_denoising_filters_only_the_read_boxes`` compare with
+    ``_filtered``, and read as an unfiltered one is.
+    ``TestGatheredExtraction``, ``TestDenoisedScenes`` and
+    ``test_denoising_filters_only_the_read_boxes`` compare with
     whole-grid filtering, so a read outside a box fails them. eps is
     that of the unfiltered series, as without the filter.
     """
-    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series")
-    sid = series.subject_id
-
+    sid = subject_id
     dense = mask.tissue(DENSE)
     fat = mask.tissue(FAT)
     tumor = mask.tissue(TUMOR)
@@ -280,37 +296,58 @@ def extract_features(
     have_dense = bool(dense.any())
     have_tumor = bool(tumor.any())
     have_fat = bool(fat.any())
-    have_ser = len(series.posts) >= 2
+    have_ser = n_posts >= 2
+    del dense  # of the voxel sets, only fat and tumor are held while the volumes load
 
-    volumes = (series.pre, series.posts[0], series.posts[-1])
-    pre, post1, last = (volume.data for volume in volumes)
-    eps = 1e-6 * _dynamic_range(volume.data for volume in series.volumes)
+    # The volumes read, by their index in the series: pre, the first post
+    # and, for SER, the last post. With a filter each is filtered on the
+    # box it is read on, and one without a box gives no value, so it is
+    # not read.
+    reads = [0, 1, n_posts] if have_ser else [0, 1]
+    gradient_box = _gradient_box(tumor) if have_tumor else None
     if denoise_radius is not None:
-        # The boxes that pre, the first post and the last post are read on.
         kinetic_box = bounding_box(kinetic)
-        gradient_box = _gradient_box(tumor) if have_tumor else None
-        boxes = (
-            _union(kinetic_box, gradient_box),
-            _union(bounding_box(fat | kinetic), gradient_box),
-            kinetic_box if have_ser else None,
-        )
-        pre, post1, last = (_filtered(volume, box, denoise_radius) for volume, box in zip(volumes, boxes))
-
-    values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
+        pre_box, post1_box = _union(kinetic_box, gradient_box), _union(bounding_box(fat | kinetic), gradient_box)
+        boxes = dict(zip(reads, (pre_box, post1_box, kinetic_box)))
+        reads = [index for index in reads if boxes[index] is not None]
 
     # F1-F7, F12 and F13 read dense and tumor voxels alone, so the kernels
     # run on those voxels, gathered in C order by one flat index: they
     # are pointwise, so that gives the values whole-grid maps hold there,
     # in the same order. A mask holds one label per voxel, so the voxels
     # of dense | tumor that are not tumor are the dense ones.
+    voxels = np.flatnonzero(kinetic)
+    in_tumor = tumor[kinetic]
+    in_dense = ~in_tumor
+    del kinetic
+    gathered, crops = {}, {}
+    fat_values = None
+    lo, hi = math.inf, -math.inf
+    # Drawn by index, not through enumerate, whose reused result tuple
+    # would keep each volume until the next one has loaded.
+    volumes = iter(volumes)
+    for index in range(n_posts + 1):
+        volume = next(volumes)
+        v_lo, v_hi = _value_range(volume.data)
+        lo, hi = min(lo, v_lo), max(hi, v_hi)
+        if index in reads:
+            data = volume.data if denoise_radius is None else _filtered(volume, boxes[index], denoise_radius)
+            gathered[index] = data.reshape(-1)[voxels]
+            if index < 2 and have_tumor:
+                crops[index] = data[gradient_box].copy()
+            if index == 1 and have_fat:
+                fat_values = data[fat]
+            del data
+        del volume  # not held while the next volume loads
+    eps = 1e-6 * (hi - lo)
+
+    values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
+
     if have_dense or have_tumor:
-        voxels = np.flatnonzero(kinetic)
-        s0, s1 = (data.reshape(-1)[voxels] for data in (pre, post1))
-        in_tumor = tumor[kinetic]
-        in_dense = ~in_tumor
+        s0, s1 = gathered[0], gathered[1]
         ser = None
         if have_ser:
-            ser, n_guarded = ser_map(s0, s1, last.reshape(-1)[voxels], eps)
+            ser, n_guarded = ser_map(s0, s1, gathered[n_posts], eps)
             if n_guarded:
                 log.debug("subject %s: %d voxels guarded in enhancement ratio", sid, n_guarded)
         washin = washin_map(s0, s1, eps)
@@ -328,9 +365,9 @@ def extract_features(
         if ser is not None:
             values["F2"] = _stats(ser[in_tumor])[0]
         values["F4"], values["F5"] = _stats(washin[in_tumor])
-        values["F8"] = dhog(pre, post1, tumor, sid)
+        values["F8"] = dhog(crops[0], crops[1], tumor[gradient_box], sid)
         if int(np.count_nonzero(tumor)) >= 2:
-            values["F9"] = major_axis_length(tumor, series.spacing_mm)
+            values["F9"] = major_axis_length(tumor, mask.spacing_mm)
         else:
             log.warning("subject %s: single-voxel tumor, major axis missing", sid)
         values["F14"], values["F15"] = _stats(s1[in_tumor])
@@ -338,7 +375,7 @@ def extract_features(
         log.warning("subject %s: no tumor label, tumor features missing", sid)
 
     if have_fat:
-        values["F10"], values["F11"] = _stats(post1[fat])
+        values["F10"], values["F11"] = _stats(fat_values)
     else:
         log.warning("subject %s: no fat label, fat features missing", sid)
 

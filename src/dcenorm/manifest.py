@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from numbers import Integral
 from pathlib import Path
@@ -170,22 +171,33 @@ def check_subject_grids(entry: SubjectEntry) -> None:
         check_same_grid(mask, pre, f"subject {sid}: mask and series", entry.mask)
 
 
+def load_volumes(paths: Iterable[Path]) -> Iterator[Volume]:
+    """Load the volume each of ``paths`` names when it is drawn.
+
+    A caller that lets each volume go before it draws the next holds one at a time.
+    """
+    for path in paths:
+        yield load_volume(path)
+
+
 def load_series(entry: SubjectEntry) -> StudySeries:
-    return StudySeries(
-        subject_id=entry.subject_id,
-        pre=load_volume(entry.pre),
-        posts=tuple(load_volume(p) for p in entry.posts),
-    )
+    pre, *posts = load_volumes((entry.pre, *entry.posts))
+    return StudySeries(subject_id=entry.subject_id, pre=pre, posts=tuple(posts))
 
 
-def load_subject(entry: SubjectEntry) -> tuple[StudySeries, TissueMask]:
-    """Load a subject's series and the mask its entry names, checked against the series geometry."""
+def load_subject_mask(entry: SubjectEntry) -> TissueMask:
+    """Load the mask the entry names; an entry that names none is a ValidationError that points to ``dcenorm segment``."""
     if entry.mask is None:
         raise ValidationError(
             f"subject {entry.subject_id}: the manifest gives no mask; run `dcenorm segment` on it first"
         )
+    return load_mask(entry.mask)
+
+
+def load_subject(entry: SubjectEntry) -> tuple[StudySeries, TissueMask]:
+    """Load the mask the entry names, then its series, and check the mask against the series geometry."""
+    mask = load_subject_mask(entry)
     series = load_series(entry)
-    mask = load_mask(entry.mask)
     check_same_grid(mask, series, f"subject {entry.subject_id}: mask and series", entry.mask)
     return series, mask
 

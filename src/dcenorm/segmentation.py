@@ -36,6 +36,8 @@ from .volume import (
 OTSU_BINS = 256
 # Values binned per step in otsu_upper_class: each float64 temporary is 512 KiB.
 _OTSU_BLOCK = 2**16
+# Voxels per step of _enhancement_threshold's scan of pre and post1.
+_SCAN_BLOCK = 2**16
 
 
 @dataclass
@@ -238,11 +240,11 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     started = np.cumsum(first.ravel(), dtype=index)
     ended = np.concatenate((np.zeros(1, index), np.cumsum(last.ravel(), dtype=index)))
     n_runs = int(started[-1])
-    labels = np.zeros(mask.shape, dtype=np.int32)
     if n_runs == 0:
-        return labels, 0
+        return np.zeros(mask.shape, dtype=np.int32), 0
     start = np.flatnonzero(first).astype(index)
     stop = np.flatnonzero(last).astype(index) + 1
+    del padded, rows, first, last  # the runs and the prefix counts hold all that is read from here on
     # The run widened by a voxel on each side, within its row.
     left = start - (start % nx != 0)
     right = stop - (stop % nx == 0)
@@ -258,6 +260,7 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
         block_start = np.cumsum(count, dtype=index) - count
         pairs_b.append(np.repeat(lo - block_start, count) + np.arange(pairs_a[-1].size, dtype=index))
     a, b = np.concatenate(pairs_a), np.concatenate(pairs_b)
+    del started, ended
     parent = runs.copy()
     np.minimum.at(parent, b, a)
     while True:
@@ -273,6 +276,7 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
         a, b, root_a, root_b = a[differ], b[differ], root_a[differ], root_b[differ]
         np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
     rank = np.cumsum(parent == runs, dtype=np.int32)
+    labels = np.zeros(mask.shape, dtype=np.int32)
     labels[mask] = np.repeat(rank[parent], stop - start)
     return labels, int(rank[-1])
 
@@ -360,17 +364,40 @@ def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -
 
 
 def _enhancement_threshold(pre: Volume, post1: Volume, q: float) -> float:
-    """The nearest-rank ``q``-th percentile of the subtraction image post1 - pre, as ``volume.percentile`` takes it.
+    """The nearest-rank ``q``-th percentile of the float64 subtraction image post1 - pre, as ``volume.percentile`` takes it.
 
-    The image is formed once, in float64, and partitioned in place, so
-    no copy of it is made. Raises SubjectError when no voxel enhances.
+    No float64 grid is formed. A voxel's float32 and float64
+    differences are both its exact difference, rounded, and rounding is
+    monotone, so a voxel whose float32 difference is below another's
+    has a float64 difference at most the other's. So the float32 image
+    is partitioned in place at rank k, giving its k-th value t, and the
+    answer is the float64 difference of rank k - n among the voxels
+    whose float32 difference is t, where n voxels fall below t. Those
+    two come from one blocked scan of pre and post1. A float32
+    difference that overflows is an infinity, which orders the same
+    way. Raises SubjectError when no voxel enhances.
     """
-    sub = np.subtract(post1.data, pre.data, dtype=np.float64).reshape(-1)
-    if not sub.max() > 0:
-        raise SubjectError("subtraction image shows no enhancement")
-    k = nearest_rank_index(sub.size, q)
-    sub.partition(k)
-    return float(sub[k])
+    with np.errstate(over="ignore"):  # an overflow is an infinity, which the ranks take as it is
+        sub = np.subtract(post1.data, pre.data).reshape(-1)
+        if not sub.max() > 0:  # a positive difference never rounds to 0
+            raise SubjectError("subtraction image shows no enhancement")
+        k = nearest_rank_index(sub.size, q)
+        sub.partition(k)
+        t = sub[k]
+        del sub
+        below, tied = 0, []
+        pre_flat, post_flat = pre.data.reshape(-1), post1.data.reshape(-1)
+        for start in range(0, pre_flat.size, _SCAN_BLOCK):
+            block = slice(start, start + _SCAN_BLOCK)
+            s0, s1 = pre_flat[block], post_flat[block]
+            diff = s1 - s0
+            below += int(np.count_nonzero(diff < t))
+            at = diff == t
+            tied.append(np.subtract(s1[at], s0[at], dtype=np.float64))
+    tied = np.concatenate(tied)
+    rank = k - below
+    tied.partition(rank)
+    return float(tied[rank])
 
 
 def segment_heart(
@@ -387,10 +414,11 @@ def segment_heart(
     (no enhancement anywhere, or a component below the size floor) is
     an error so callers can skip the subject explicitly.
 
-    The threshold is taken by ``_enhancement_threshold``, whose float64
-    subtraction image is the only whole-grid float64 array. The
+    The threshold is taken by ``_enhancement_threshold``, whose float32
+    subtraction image is the only whole-grid array it forms; the
+    threshold is still the percentile of the float64 image. The
     candidates are then found on the bounding box of the body behind
-    the chest wall, where the subtraction is formed again.
+    the chest wall, where the subtraction is formed again in float64.
 
     Components are labelled by ``_label``, which numbers them in the
     scan order of their first voxels, so a tie for the largest goes to
@@ -455,16 +483,24 @@ def assemble_mask(
 def classical_mask(series: StudySeries, config: SegmentationConfig) -> TissueMask:
     """Run the full classical pipeline for one subject.
 
-    No tumor stage exists here; tumor labels only enter through an
-    externally supplied mask.
+    Each stage writes its labels as it finishes, in ``assemble_mask``'s
+    order of precedence (air, then fat and dense, then heart), so a
+    later label overrides an earlier one as there, and no stage's voxel
+    set is held past its stage but the body mask, which the heart stage
+    reads too. Dense tissue lies inside the breast, so labelling the
+    breast fat and then its dense voxels dense gives fat the breast
+    minus dense. No tumor stage exists here; tumor labels only enter
+    through an externally supplied mask.
     """
     pre = series.pre
-    air = segment_air(pre, config)
+    labels = np.zeros(pre.data.shape, dtype=np.uint8)
+    labels[segment_air(pre, config)] = AIR
     body = body_mask(pre)
     planes = chest_wall_planes(body)
     breast = segment_breast(pre, body, planes, config)
     dense = segment_dense(pre, breast, config)
-    fat = breast & ~dense
-    heart = segment_heart(pre, series.posts[0], body, planes, config)
-    tumor = np.zeros(pre.data.shape, dtype=bool)
-    return assemble_mask(air, fat, dense, heart, tumor, series.spacing_mm)
+    labels[breast] = FAT
+    labels[dense] = DENSE
+    del breast, dense
+    labels[segment_heart(pre, series.posts[0], body, planes, config)] = HEART
+    return TissueMask(labels, series.spacing_mm)

@@ -76,7 +76,8 @@ class Volume:
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"volume data must be 3D and non-empty, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        # min and max propagate NaN, so the two extremes decide finiteness with no grid-sized temporary.
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise NonFiniteDataError("volume contains NaN or infinite values")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -281,7 +282,8 @@ def percentile(data: np.ndarray, q: float, mask: np.ndarray | None = None) -> fl
 
     The result is always an element of the selected multiset: the value
     at 0-based index ceil(q/100 * n) - 1 of the ascending sort, with
-    q = 0 mapping to the minimum.
+    q = 0 mapping to the minimum. The selection is gathered into one
+    copy, which is partitioned in place.
     """
     if mask is not None:
         if mask.shape != data.shape:
@@ -290,11 +292,12 @@ def percentile(data: np.ndarray, q: float, mask: np.ndarray | None = None) -> fl
             )
         values = data[mask]
     else:
-        values = data.ravel()
+        values = data.flatten()
     if values.size == 0:
         raise ValidationError("percentile of an empty selection")
     k = nearest_rank_index(values.size, q)
-    return float(np.partition(values, k)[k])
+    values.partition(k)
+    return float(values[k])
 
 
 def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:

@@ -30,7 +30,7 @@ from dcenorm import mapping as mapping_mod
 from dcenorm.cli import load_cli_config, main
 from dcenorm.manifest import load_subject, subject_file
 from dcenorm.segmentation import SegmentationConfig
-from dcenorm.volume import FAT
+from dcenorm.volume import DENSE, FAT, TUMOR
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -88,6 +88,15 @@ def pipeline(tmp_path_factory):
 
 
 SUBJECTS = ["A000", "B000", "A001", "B001", "A002"]
+
+
+def _forbid_loading(monkeypatch, message):
+    """Make any load of a subject's volume or mask fail with ``message``: every stage loads through the manifest."""
+    def no_loading(*args, **kwargs):
+        raise AssertionError(message)
+
+    monkeypatch.setattr("dcenorm.manifest.load_volume", no_loading)
+    monkeypatch.setattr("dcenorm.manifest.load_mask", no_loading)
 
 
 class TestPipeline:
@@ -274,10 +283,7 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_denoise_flag_checked_before_subjects_load(self, pipeline, tmp_path, capsys, monkeypatch):
-        def no_loading(*args, **kwargs):
-            raise AssertionError("subject loaded before the flag was checked")
-
-        monkeypatch.setattr("dcenorm.cli._load_subject", no_loading)
+        _forbid_loading(monkeypatch, "subject loaded before the flag was checked")
         out = tmp_path / "f.csv"
         rc = main(["features", "--manifest", str(pipeline / "seg" / "manifest.json"),
                    "--out", str(out), "--denoise-median", "-1", "--jobs", "1"])
@@ -560,10 +566,7 @@ class TestErrorPaths:
         sliced = tmp_path / "after.json"
         sliced.write_text(json.dumps([_absolute_paths(r, norm) for r in records[:4]]))
 
-        def load_subject(entry):
-            raise AssertionError("a volume was loaded before the subjects were checked")
-
-        monkeypatch.setattr("dcenorm.evaluation.load_subject", load_subject)
+        _forbid_loading(monkeypatch, "a volume was loaded before the subjects were checked")
         rc = main(["evaluate", "--before", str(pipeline / "before.csv"), "--after", str(pipeline / "after.csv"),
                    "--manifest", str(pipeline / "seg" / "manifest.json"), "--manifest-after", str(sliced),
                    "--group-by", "te", "--out", str(tmp_path / "report.json")])
@@ -819,11 +822,7 @@ def test_single_file_output_may_not_overwrite_an_input(tmp_path, monkeypatch, ca
     assert main(["features", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "f.csv"),
                  "--jobs", "1"]) == 0
 
-    def no_loading(*args, **kwargs):
-        raise AssertionError("subject loaded before the outputs were checked")
-
-    monkeypatch.setattr("dcenorm.cli._load_subject", no_loading)
-    monkeypatch.setattr("dcenorm.evaluation.load_subject", no_loading)
+    _forbid_loading(monkeypatch, "subject loaded before the outputs were checked")
     argv, flag, victim = _SINGLE_FILE_OUTPUTS[case]
     before = _tree_bytes(tmp_path)
     rc, err = _run([a.format(data=data, tmp=tmp_path) for a in argv])
@@ -1036,25 +1035,50 @@ def test_streamed_normalize_matches_whole_series_apply_mapping(pipeline):
             assert (loaded.spacing_mm, loaded.modality_tag) == (volume.spacing_mm, volume.modality_tag)
 
 
-def test_normalize_job_holds_one_volume_and_its_map_besides_the_anchor_inputs(tmp_path):
-    """A job on a 3-post subject peaks at pre, post1 and the mask, plus one volume, its map, the map's
-    finiteness check and the block temporaries, whatever the number of posts."""
+def _job_peak(job):
+    """The peak traced allocation of ``job()``, run once beforehand so first-call allocations fall outside the trace."""
+    job()
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normalize_job_holds_pre_the_first_post_and_one_map(tmp_path):
+    """A job on a 3-post subject peaks at pre, post1 and pre's map, plus the block temporaries, whatever
+    the number of posts: the mask goes once the anchors are taken, and each volume once its map is written."""
     dims = (128, 128, 32)
     (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path / "data")
     assert len(entry.posts) == 3
     model = train_archetype([extract_anchors(*load_subject(entry))])
-    cli._normalize_job(entry, model, str(tmp_path / "first"), None)  # first-call allocations outside the trace
-    voxels = math.prod(dims)
-    volume, mask, check = 4 * voxels, voxels, voxels
+    out = iter(range(2))
+    volume = 4 * math.prod(dims)
     blocks = 6 * 8 * mapping_mod._BLOCK_VOXELS  # evaluate's float64 and intp temporaries on one block
-    bound = 2 * volume + mask + 2 * volume + check + blocks
-    tracemalloc.start()
-    try:
-        cli._normalize_job(entry, model, str(tmp_path / "norm"), None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    bound = 3 * volume + blocks
+    assert _job_peak(lambda: cli._normalize_job(entry, model, str(tmp_path / f"norm{next(out)}"), None)) <= bound
+
+
+@pytest.mark.parametrize("radius", [None, 1], ids=["plain", "denoised"])
+def test_features_job_holds_the_mask_and_one_volume(tmp_path, radius):
+    """A job on a 3-post subject with a tumor peaks at one volume, the mask, its fat and tumor sets and the
+    values gathered from them: 4 bytes a fat voxel, and at most 64 a dense or tumor voxel (the flat index,
+    three gathered values, the two maps and their float64 temporaries). With a median filter it adds the
+    volume's filtered grid and the filter's three copies of the widened box it reads the first post on
+    (the input, the padded copy and the output), which holds every other read box."""
+    dims = (128, 128, 32)
+    (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path / "data")
+    assert len(entry.posts) == 3
+    labels = load_mask(entry.mask).labels
+    voxels, fat, kinetic = labels.size, np.count_nonzero(labels == FAT), np.count_nonzero(np.isin(labels, (DENSE, TUMOR)))
+    assert np.count_nonzero(labels == TUMOR) > 1
+    bound = 4 * voxels + voxels + 2 * voxels + 4 * fat + 64 * kinetic
+    if radius is not None:
+        read = np.isin(labels, (FAT, DENSE, TUMOR)).nonzero()
+        padded = math.prod(int(axis.max() - axis.min()) + 1 + 4 * radius for axis in read)
+        bound += 4 * voxels + 3 * 4 * padded
+    assert _job_peak(lambda: cli._features_job(entry, radius, False)) <= bound
 
 
 @pytest.mark.parametrize("with_mask", [True, False], ids=["mask-given", "mask-less"])

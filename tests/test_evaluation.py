@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ from dcenorm import (
     roc_auc,
 )
 from dcenorm import manifest as manifest_module
-from dcenorm.evaluation import write_report_csv
+from dcenorm.evaluation import _tissue_intensity_summary, write_report_csv
 from dcenorm.features import FEATURE_NAMES
 from dcenorm.phantom import GroupSpec, PhantomConfig
+from dcenorm.volume import DENSE, FAT, HEART, TUMOR, load_mask
 
 
 def entry(sid, te=1.8, tr=4.0, field=1.5, label=None):
@@ -289,6 +291,23 @@ class TestBuildReport:
         assert sorted(Path(p).stem for p in loaded) == sorted(
             f"{e.subject_id}_{kind}" for e in manifest for kind in ("pre", "post1") for _ in range(2)
         )
+
+    def test_intensity_summary_holds_the_mask_and_one_volume(self, tmp_path):
+        """Pre's tissue means are taken before the first post loads, so the summary peaks at one volume,
+        the mask, one tissue's voxel set and that tissue's values in float32 and float64, plus 64 KiB
+        for the sidecars and small objects."""
+        (subject,) = generate_phantom(PhantomConfig(dims=(128, 128, 32), groups=(GroupSpec("A", 1),)), tmp_path)
+        labels = load_mask(subject.mask).labels
+        largest = max(np.count_nonzero(labels == label) for label in (FAT, DENSE, HEART, TUMOR))
+        bound = 4 * labels.size + labels.size + labels.size + 12 * largest + 2**16
+        _tissue_intensity_summary((subject,))  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            _tissue_intensity_summary((subject,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestReportCsv:

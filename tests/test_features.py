@@ -752,6 +752,12 @@ def test_maps_are_finite_and_bounded(arrays):
         assert np.abs(out).max() <= 1.000001e6
 
 
+def dynamic_range(arrays):
+    """Max minus min over the arrays, from each one's blocked range scan, as extraction takes eps."""
+    ranges = [features_module._value_range(array) for array in arrays]
+    return max(hi for _, hi in ranges) - min(lo for lo, _ in ranges)
+
+
 class TestDynamicRange:
     """The blocked range scan equals one min and one max per volume."""
 
@@ -767,11 +773,11 @@ class TestDynamicRange:
         volumes[holder].reshape(-1)[flat_index] = -np.finfo(np.float32).max
         volumes[(holder + 1) % 3].reshape(-1)[flat_index - 1] = 1e30
         expected = max(float(v.max()) for v in volumes) - min(float(v.min()) for v in volumes)
-        got = features_module._dynamic_range(volumes)
+        got = dynamic_range(volumes)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_single_voxel_series(self):
-        assert features_module._dynamic_range([const((1, 1, 1), 3), const((1, 1, 1), -2), const((1, 1, 1), 7)]) == 9.0
+        assert dynamic_range([const((1, 1, 1), 3), const((1, 1, 1), -2), const((1, 1, 1), 7)]) == 9.0
 
 
 class TestCroppedKernels:
@@ -830,8 +836,11 @@ class TestBoxFilter:
         assert not got[outside].view(np.uint32).any()  # +0.0 outside the box
 
     def test_no_box_filters_nothing(self, monkeypatch):
+        """A volume with no voxel to give is not filtered: a mask of background alone filters no volume."""
         monkeypatch.setattr(features_module, "median_filter", None)
-        assert features_module._filtered(vol(const((2, 2, 2), 1)), None, 1) is None
+        series = series_of(const((2, 2, 2), 1), [const((2, 2, 2), 2), const((2, 2, 2), 3)])
+        fv = extract_features(series, mask_of(np.zeros((2, 2, 2), dtype=np.uint8)), denoise_radius=1)
+        assert all(value is None for value in fv.values.values())
 
 
 def forced_scene(rng, shape, n_posts, labels):
@@ -933,7 +942,7 @@ class TestDenoisedScenes:
     def test_eps_is_that_of_the_unfiltered_series(self):
         """The tissue voxel's |Slast - S0| of 1 is at most eps of the raw series, so its SER is 0."""
         series, mask = undecided_gap_scene(np.random.default_rng(11))
-        assert 1e-6 * features_module._dynamic_range(v.data for v in series.volumes) > 9.0
+        assert 1e-6 * dynamic_range(v.data for v in series.volumes) > 9.0
         for radius in (None, 1):
             got = extract_features(series, mask, denoise_radius=radius)
             assert (got.values["F1"], got.values["F6"]) == (0.0, 0.0), radius

@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from dcenorm.segmentation import (
     segment_dense,
     segment_heart,
 )
-from dcenorm.volume import DENSE, FAT, HEART, TUMOR, percentile
+from dcenorm.volume import DENSE, FAT, HEART, TUMOR, nearest_rank_index, percentile
 
 from helpers import flat_vol, vol
 
@@ -364,7 +365,7 @@ class TestSegmentDense:
 class TestEnhancementThreshold:
     @given(st.integers(0, 2**32 - 1), st.floats(0.5, 100.0), st.booleans())
     def test_equals_the_percentile_of_the_subtraction_image(self, seed, q, ties):
-        """The threshold partitions the float64 subtraction image in place; it is that image's percentile."""
+        """The threshold is the percentile of the float64 subtraction image, though it forms no float64 grid."""
         rng = np.random.default_rng(seed)
         shape = (3, 5, 7)
         pre = rng.integers(0, 4, shape) if ties else rng.normal(100.0, 20.0, shape)
@@ -374,6 +375,63 @@ class TestEnhancementThreshold:
             return
         sub = post.data.astype(np.float64) - pre.data.astype(np.float64)
         assert _enhancement_threshold(pre, post, q) == percentile(sub, q)
+
+    # Each case below equals the percentile of the float64 image with numpy's
+    # warnings raised as errors: a RuntimeWarning on stderr would break the
+    # one-line error contract of a failing run.
+
+    @staticmethod
+    def threshold_and_reference(pre, post, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _enhancement_threshold(vol(pre), vol(post), q)
+        return got, percentile(post.astype(np.float64) - pre.astype(np.float64), q)
+
+    @pytest.mark.parametrize("block", [7, segmentation._SCAN_BLOCK])
+    @pytest.mark.parametrize("q", [0.5, 25.0, 50.0, 75.0, 99.0, 100.0])
+    def test_exact_where_the_float32_difference_rounds(self, monkeypatch, q, block):
+        """post near 2**30 less a pre with low bits: the difference needs more than 24 bits, so voxels that
+        share a float32 difference differ in float64. A 7-voxel scan block puts ties across block edges."""
+        monkeypatch.setattr(segmentation, "_SCAN_BLOCK", block)
+        rng = np.random.default_rng(3)
+        shape = (4, 6, 9)
+        pre = rng.uniform(0.0, 300.0, shape).astype(np.float32)
+        post = (2.0**30 + 128.0 * rng.integers(-2, 3, shape)).astype(np.float32)
+        rounded = post - pre
+        exact = post.astype(np.float64) - pre.astype(np.float64)
+        assert 10 * np.unique(rounded).size < np.unique(exact).size
+        got, want = self.threshold_and_reference(pre, post, q)
+        assert got == want
+
+    @pytest.mark.parametrize("q", [0.5, 5.0, 50.0, 95.0, 100.0])
+    def test_exact_where_the_float32_difference_overflows(self, q):
+        """post - pre beyond float32's range in both directions: infinite in float32, finite in float64."""
+        rng = np.random.default_rng(5)
+        shape = (3, 4, 5)
+        big = float(np.finfo(np.float32).max)
+        pre = rng.normal(0.0, 10.0, shape)
+        post = pre + rng.normal(5.0, 10.0, shape)
+        pre.flat[:9], post.flat[:9] = -big * rng.uniform(0.6, 1.0, 9), big * rng.uniform(0.6, 1.0, 9)
+        pre.flat[9:12], post.flat[9:12] = big * rng.uniform(0.6, 1.0, 3), -big * rng.uniform(0.6, 1.0, 3)
+        pre, post = pre.astype(np.float32), post.astype(np.float32)
+        with np.errstate(over="ignore"):
+            assert np.isinf(post - pre).sum() == 12
+        assert np.isfinite(post.astype(np.float64) - pre.astype(np.float64)).all()
+        got, want = self.threshold_and_reference(pre, post, q)
+        assert got == want
+
+    @pytest.mark.parametrize("q", [10.0, 30.0, 50.0, 70.0, 90.0, 99.0])
+    def test_exact_with_ties_at_rank_k(self, q):
+        """Integer-valued volumes, as scanners write them: long runs of equal differences, one at rank k."""
+        rng = np.random.default_rng(9)
+        shape = (5, 6, 7)
+        pre = rng.integers(0, 4, shape).astype(np.float32)
+        post = pre + rng.choice(np.float32([-1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0]), shape)
+        ordered = np.sort((post - pre).ravel())
+        k = nearest_rank_index(ordered.size, q)
+        assert ordered[k] in (ordered[k - 1], ordered[min(k + 1, ordered.size - 1)])
+        got, want = self.threshold_and_reference(pre, post, q)
+        assert got == want
 
 
 class TestSegmentHeart:
@@ -588,21 +646,38 @@ class TestClassicalPipeline:
             "subject D000 skipped: degenerate intensity histogram inside breast"
         ]
 
+    @pytest.mark.parametrize("air_fraction", [0.05, 0.9])
+    def test_labels_equal_assemble_mask_of_the_stages(self, phantom_subject, air_fraction):
+        """Each stage writes its labels as it finishes; that equals assembling the stages' voxel sets.
+        At an air fraction of 0.9 the air set overlaps the breast and the heart, so precedence decides."""
+        series, _ = phantom_subject
+        pre, cfg = series.pre, SegmentationConfig(air_fraction=air_fraction)
+        body, planes = body_and_planes(pre)
+        breast = segment_breast(pre, body, planes, cfg)
+        dense = segment_dense(pre, breast, cfg)
+        heart = segment_heart(pre, series.posts[0], body, planes, cfg)
+        air = segment_air(pre, cfg)
+        assert (air & breast).any() == (air & heart).any() == (air_fraction == 0.9)
+        none = np.zeros(pre.data.shape, dtype=bool)
+        want = assemble_mask(air, breast & ~dense, dense, heart, none, series.spacing_mm)
+        assert np.array_equal(classical_mask(series, cfg).labels, want.labels)
+
     def test_deterministic(self, phantom_subject):
         series, _ = phantom_subject
         a = classical_mask(series, SegmentationConfig())
         b = classical_mask(series, SegmentationConfig())
         assert np.array_equal(a.labels, b.labels)
 
-    def test_peak_allocation_within_its_inputs_masks_and_one_float64_grid(self, tmp_path):
-        """Loading pre and post1 and segmenting them peaks at those two volumes, the seven boolean grids
-        classical_mask holds (air, body, breast, dense, fat, heart, tumor) and one float64 grid."""
+    def test_peak_allocation_within_its_inputs_three_boolean_grids_and_one_float32_grid(self, tmp_path):
+        """Loading pre and post1 and segmenting them peaks at those two volumes, three byte grids (the
+        labels, the body mask and one stage's voxel set) and one float32 grid's worth of temporaries:
+        the heart threshold's float32 subtraction image, or the breast labelling's run counts on its box."""
         dims = (128, 128, 32)
         (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path)
         entry = dataclasses.replace(entry, posts=entry.posts[:1])
         classical_mask(load_series(entry), SegmentationConfig())  # first-call allocations outside the trace
         voxels = math.prod(dims)
-        bound = 2 * 4 * voxels + 7 * voxels + 8 * voxels
+        bound = 2 * 4 * voxels + 3 * voxels + 4 * voxels
         tracemalloc.start()
         try:
             classical_mask(load_series(entry), SegmentationConfig())
