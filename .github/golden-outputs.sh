@@ -125,7 +125,11 @@ produce_configured() {
 # tumor alike, no noise), a missing file and a NaN voxel. features and
 # evaluate load a subject's volumes one at a time, so their cases reach
 # those loaders: a mask on another grid, an illegal mask label, no mask
-# and a NaN voxel in post2. A case that exits 0 fails the step.
+# and a NaN voxel in post2. Every stage checks the grids from the
+# sidecars before it loads the mask: train on a first post on another
+# grid names that post's file, and on a mask that is both on another
+# grid and holds an illegal label reports the grid. A case that exits 0
+# fails the step.
 damage() {  # writes the damaged inputs of the errors step into the current directory
   python - <<'PY'
 import json, pathlib
@@ -164,10 +168,17 @@ volume("label_mask", record["mask"], np.where(first, 9, mask).astype("u1").tobyt
 manifest("label.json", mask="label_mask.json")
 volume("nofat_mask", record["mask"], np.where(mask == 2, 0, mask).astype("u1").tobytes())
 manifest("nofat.json", mask="nofat_mask.json")
-sidecar = json.loads((here / record["mask"]).read_text())
-(here / "grid_mask.json").write_text(json.dumps(dict(sidecar, spacing_mm=[2 * s for s in sidecar["spacing_mm"]])))
-(here / "grid_mask.raw").write_bytes(mask.tobytes())
+def regridded(name, source, payload):  # a copy of the volume ``source`` with twice its spacing and a new payload
+    sidecar = json.loads((here / source).read_text())
+    (here / f"{name}.json").write_text(json.dumps(dict(sidecar, spacing_mm=[2 * s for s in sidecar["spacing_mm"]])))
+    (here / f"{name}.raw").write_bytes(payload)
+
+regridded("grid_mask", record["mask"], mask.tobytes())
 manifest("grid.json", mask="grid_mask.json")
+regridded("grid_post1", record["posts"][0], (here / record["posts"][0].replace(".json", ".raw")).read_bytes())
+manifest("post-grid.json", posts=["grid_post1.json", *record["posts"][1:]])
+regridded("grid_label_mask", record["mask"], np.where(first, 9, mask).astype("u1").tobytes())
+manifest("two-defects.json", mask="grid_label_mask.json")
 # Both subjects, the first with the mask on another grid and the second in the high echo-time group,
 # so that evaluate reaches the tissue summary, which loads the masks.
 (here / "evaluate-grid.json").write_text(json.dumps([dict(record, mask="grid_mask.json"), dict(records[1], te_ms=2.6)]))
@@ -206,6 +217,8 @@ produce_errors() {
     fail manifest-parse train --manifest parse.json --out m.json &&
     fail mask-label train --manifest label.json --out m.json &&
     fail mask-grid train --manifest grid.json --out m.json &&
+    fail train-post-grid train --manifest post-grid.json --out m.json &&
+    fail train-mask-two-defects train --manifest two-defects.json --out m.json &&
     fail volume-payload segment --manifest short.json --out-dir seg &&
     fail model-version normalize --manifest data/manifest.json --model version-model.json --out-dir norm &&
     fail segmentation segment --manifest unsegmentable.json --out-dir seg &&

@@ -22,7 +22,7 @@ from .features import (
     write_features_csv,
 )
 from .manifest import StudySeries, SubjectEntry, load_manifest, load_series
-from .mapping import MappingFunction, apply_mapping, build_mapping, evaluate, export_mapping_curve, map_volume
+from .mapping import MappingFunction, build_mapping, evaluate, export_mapping_curve, map_volume
 from .model import NormalizationModel, load_model, rank_subjects, save_model, train_archetype
 from .phantom import GroupSpec, PhantomConfig, generate_phantom
 from .segmentation import SegmentationConfig, classical_mask
@@ -57,7 +57,6 @@ __all__ = [
     "TissueMask",
     "ValidationError",
     "Volume",
-    "apply_mapping",
     "build_mapping",
     "build_report",
     "classical_mask",

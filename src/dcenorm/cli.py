@@ -33,11 +33,10 @@ from pathlib import Path
 from . import anchors as anchors_mod
 from . import evaluation as eval_mod
 from .errors import DcenormError, MissingInputError, SubjectError, ValidationError
-from .features import extract_from_volumes, read_features_csv, write_features_csv
+from .features import extract_features, read_features_csv, write_features_csv
 from .manifest import (
     SubjectEntry, check_out_dir_holds_no_input, check_outputs_spare_inputs, check_subject_grids, load_manifest,
-    load_series, load_subject as _load_subject, load_subject_mask, load_volumes, manifest_files, read_labels_csv,
-    save_manifest, save_subject,
+    load_series, load_subject_mask, load_volumes, manifest_files, read_labels_csv, save_manifest, save_subject,
 )
 from .mapping import build_mapping, export_mapping_curve, map_volume, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
@@ -77,11 +76,15 @@ def load_cli_config(path: Path | str | None) -> CliConfig:
 
 # ---------------------------------------------------------------------------
 # per-subject workers (top level so process pools can pickle them)
+# Each reads a subject in ``manifest``'s one order: grids, mask, volumes.
 
 
 def _anchor_job(entry: SubjectEntry):
-    """A subject's anchors; only pre and the first post are loaded, since they are all the anchors read."""
-    return anchors_mod.extract_anchors(*_load_subject(dataclasses.replace(entry, posts=entry.posts[:1])))
+    """A subject's anchors; only pre and the first post are checked and loaded, since they are all the anchors read."""
+    entry = dataclasses.replace(entry, posts=entry.posts[:1])
+    check_subject_grids(entry)
+    mask = load_subject_mask(entry)
+    return anchors_mod.extract_anchors(load_series(entry), mask)
 
 
 def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConfig):
@@ -102,8 +105,8 @@ def _normalize_job(entry: SubjectEntry, model: NormalizationModel, out_dir: str,
     """Map a subject's volumes and write them one at a time.
 
     The grids are checked from the sidecars first, so a subject on two
-    grids is refused before any of its volumes is written. Only pre,
-    the first post and the mask are loaded for the anchors, and the
+    grids is refused before any of its volumes is written. Only the
+    mask, pre and the first post are loaded for the anchors, and the
     mask goes once they are taken. Each volume is let go once its map
     is written, and each later post is loaded when it is mapped. So the
     job holds pre and the first post while it maps pre, and after that
@@ -111,7 +114,8 @@ def _normalize_job(entry: SubjectEntry, model: NormalizationModel, out_dir: str,
     post loading.
     """
     check_subject_grids(entry)
-    series, mask = _load_subject(dataclasses.replace(entry, posts=entry.posts[:1]))
+    mask = load_subject_mask(entry)
+    series = load_series(dataclasses.replace(entry, posts=entry.posts[:1]))
     mapping = build_mapping(anchors_mod.extract_anchors(series, mask), model)
     held = list(series.volumes)
     del series, mask
@@ -136,14 +140,14 @@ def _mapping_file(mapping_dir: Path | str, subject_id: str) -> Path:
 def _features_job(entry: SubjectEntry, denoise_radius: int | None, normalized: bool):
     """A subject's features, with each volume loaded as extraction draws it and let go before the next.
 
-    The mask is loaded first, since it says what each volume gives, and
-    the grids are checked from the sidecars. So the job holds the mask
-    and one volume, and with a filter that volume's filtered grid too.
+    The mask is loaded before the volumes, since it says what each
+    volume gives. So the job holds the mask and one volume, and with a
+    filter that volume's filtered grid too.
     """
-    mask = load_subject_mask(entry)
     check_subject_grids(entry)
+    mask = load_subject_mask(entry)
     volumes = load_volumes((entry.pre, *entry.posts))
-    return extract_from_volumes(entry.subject_id, mask, volumes, len(entry.posts), denoise_radius, normalized)
+    return extract_features(entry.subject_id, mask, volumes, len(entry.posts), denoise_radius, normalized)
 
 
 # ---------------------------------------------------------------------------

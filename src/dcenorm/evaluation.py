@@ -159,8 +159,8 @@ def _tissue_intensity_summary(manifest: tuple[SubjectEntry, ...]) -> dict[str, d
         return None
     per_tissue: dict[str, list[float]] = {name: [] for name in _REPORT_TISSUES}
     for entry in manifest:
-        mask = load_subject_mask(entry)
         check_subject_grids(replace(entry, posts=entry.posts[:1]))
+        mask = load_subject_mask(entry)
         means: dict[str, list[float]] = {}
         for volume in load_volumes((entry.pre, entry.posts[0])):
             for name, label in _REPORT_TISSUES.items():

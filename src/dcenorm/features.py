@@ -26,11 +26,12 @@ both only at dense and tumor voxels, the only ones F1-F7 read.
 Standard deviations everywhere are population standard deviations
 (divide by n).
 
-Each volume is read once, as it loads, and let go before the next one
-loads: its range for eps, and the values the features read. The
-pre-contrast volume is read at dense and tumor and on the tumor's
-gradient box, the first post there and at fat, the last post at dense
-and tumor; a middle post gives only its range.
+``extract_features`` takes a subject's mask and its volumes, which it
+draws one at a time. Each volume is read once, as it loads, and let go
+before the next one loads: its range for eps, and the values the
+features read. The pre-contrast volume is read at dense and tumor and
+on the tumor's gradient box, the first post there and at fat, the last
+post at dense and tumor; a middle post gives only its range.
 
 With a median filter (``denoise_radius``) the features read the filtered
 series, but only the voxels they read are filtered: the box of each
@@ -53,7 +54,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .manifest import StudySeries
 from .volume import DENSE, FAT, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, median_filter, widen
 from .util import binary_cell, read_csv_records, write_csv
 
@@ -231,7 +231,7 @@ def _filtered(volume: Volume, box: _Box, radius: int) -> np.ndarray:
     is clipped by a grid face that the widened box shares, so it holds
     the same values in the same places as in the whole-grid filter, and
     so does its median. A read outside the box would get 0 in place of
-    a filtered value; ``extract_from_volumes`` names the tests that rule
+    a filtered value; ``extract_features`` names the tests that rule
     that out. The result is a plain float32 array: its values are
     medians of finite data, so it needs no finiteness scan.
     """
@@ -243,17 +243,6 @@ def _filtered(volume: Volume, box: _Box, radius: int) -> np.ndarray:
 
 
 def extract_features(
-    series: StudySeries,
-    mask: TissueMask,
-    denoise_radius: int | None = None,
-    normalized: bool = False,
-) -> FeatureVector:
-    """Compute the full feature vector for one loaded subject: ``extract_from_volumes`` on its volumes."""
-    check_same_grid(mask, series, f"subject {series.subject_id}: mask and series")
-    return extract_from_volumes(series.subject_id, mask, series.volumes, len(series.posts), denoise_radius, normalized)
-
-
-def extract_from_volumes(
     subject_id: str,
     mask: TissueMask,
     volumes: Iterable[Volume],
@@ -263,9 +252,9 @@ def extract_from_volumes(
 ) -> FeatureVector:
     """Compute the full feature vector of subject ``subject_id`` from ``volumes``: pre, then ``n_posts`` posts.
 
-    The volumes are on ``mask``'s grid, which the caller checks. Each is
-    read once, as it is drawn, and let go before the next is drawn, so
-    a caller that loads each volume as it is drawn holds one at a time.
+    Each volume must be on ``mask``'s grid. Each is checked against it
+    and read once, as it is drawn, and let go before the next is drawn,
+    so a caller that loads each volume as it is drawn holds one at a time.
     A volume gives its range, for eps, and the values the features read
     from it: pre-contrast its dense and tumor voxels and the tumor's
     gradient box, the first post those and its fat voxels, the last post
@@ -328,6 +317,7 @@ def extract_from_volumes(
     volumes = iter(volumes)
     for index in range(n_posts + 1):
         volume = next(volumes)
+        check_same_grid(mask, volume, f"subject {sid}: mask and series")
         v_lo, v_hi = _value_range(volume.data)
         lo, hi = min(lo, v_lo), max(hi, v_hi)
         if index in reads:

@@ -9,6 +9,10 @@ manifest is its tuple of entries. A subject's entry is the only source
 of its mask and of its acquisition parameters; ``dcenorm segment``
 writes a manifest that gives a mask for every subject.
 
+A stage reads a subject in one order: ``check_subject_grids`` on the
+files it reads, from their sidecars, then ``load_subject_mask``, then
+the volumes through ``load_series`` or ``load_volumes``.
+
 Datasets are written as they are read: ``save_subject`` names a
 subject's files ``<id>_pre``, ``<id>_post<k>`` and ``<id>_mask``, and
 ``save_manifest`` writes paths relative to the manifest's directory.
@@ -192,14 +196,6 @@ def load_subject_mask(entry: SubjectEntry) -> TissueMask:
             f"subject {entry.subject_id}: the manifest gives no mask; run `dcenorm segment` on it first"
         )
     return load_mask(entry.mask)
-
-
-def load_subject(entry: SubjectEntry) -> tuple[StudySeries, TissueMask]:
-    """Load the mask the entry names, then its series, and check the mask against the series geometry."""
-    mask = load_subject_mask(entry)
-    series = load_series(entry)
-    check_same_grid(mask, series, f"subject {entry.subject_id}: mask and series", entry.mask)
-    return series, mask
 
 
 def _record(entry: SubjectEntry, base_dir: Path) -> dict:

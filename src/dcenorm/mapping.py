@@ -12,19 +12,18 @@ One mapping is built per subject and applied unchanged to the
 pre-contrast volume and every post-contrast volume, which preserves
 within-subject intensity order and keeps enhancement ratios meaningful.
 ``map_volume`` maps one volume, so a caller may load, map and write a
-subject's volumes one at a time; ``apply_mapping`` maps a loaded series.
+subject's volumes one at a time.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .anchors import TISSUES, AnchorSet
 from .errors import NonFiniteDataError, SubjectError, ValidationError
-from .manifest import StudySeries
 from .model import NormalizationModel
 from .volume import Volume
 from .util import write_csv
@@ -180,12 +179,6 @@ def map_volume(mapping: MappingFunction, volume: Volume, subject_id: str) -> Vol
         return Volume(mapped.reshape(volume.data.shape), volume.spacing_mm, volume.modality_tag)
     except NonFiniteDataError as exc:
         raise NonFiniteDataError(f"subject {subject_id}: mapped {exc}") from None
-
-
-def apply_mapping(mapping: MappingFunction, series: StudySeries) -> StudySeries:
-    """Map every volume of a loaded series with ``map_volume``, the same function for each."""
-    pre, *posts = (map_volume(mapping, volume, series.subject_id) for volume in series.volumes)
-    return replace(series, pre=pre, posts=tuple(posts))
 
 
 def export_mapping_curve(mapping: MappingFunction) -> np.ndarray:

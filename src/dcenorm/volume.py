@@ -160,9 +160,10 @@ class Sidecar:
 def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sidecar:
     """Read and check the sidecar of the volume named by ``path``, and its payload's size, not its bytes.
 
-    Checks the dims, the spacing, the dtype (which must be ``expected_dtype``)
-    and the voxel order, and that the payload holds exactly the bytes the dims
-    require. Only the checks on voxel values are left to the loaders.
+    Checks the dims, the spacing, the dtype (which must be ``expected_dtype``),
+    the voxel order and the modality tag, which must be a string if given, and
+    that the payload holds exactly the bytes the dims require. Only the checks
+    on voxel values are left to the loaders.
     """
     sidecar_path, payload_path = volume_files(path)
     for p in (sidecar_path, payload_path):
@@ -196,15 +197,16 @@ def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sideca
     order = sidecar.get("order", VOXEL_ORDER)
     if order != VOXEL_ORDER:
         raise ValidationError(f"unsupported voxel order {order!r}", path=sidecar_path)
+    tag = sidecar.get("modality_tag", "")
+    if not isinstance(tag, str):
+        raise ValidationError(f"sidecar modality_tag must be a string, got {tag!r}", path=sidecar_path)
 
     nx, ny, nz = dims
     expected_bytes = nx * ny * nz * _ITEMSIZE[dtype]
     size = payload_path.stat().st_size
     if size != expected_bytes:
         raise ValidationError(f"payload is {size} bytes, dims {dims} require {expected_bytes}", path=payload_path)
-    return Sidecar(
-        (nx, ny, nz), tuple(float(s) for s in spacing), str(sidecar.get("modality_tag", "")), payload_path
-    )
+    return Sidecar((nx, ny, nz), tuple(float(s) for s in spacing), tag, payload_path)
 
 
 def _save_pair(path: Path | str, grid: Volume | TissueMask, dtype: str, payload: np.ndarray, **extra) -> Path:

@@ -2,12 +2,15 @@
 
 Everything here constructs in-memory objects; tests that need on-disk
 volumes write them through the package's own save functions so the
-round trip stays inside the code under test.
+round trip stays inside the code under test. The adapters at the end
+read a subject in the stages' order and run the package's per-volume
+functions over a whole ``StudySeries``.
 """
 
 import numpy as np
 
-from dcenorm import AnchorSet, StudySeries, TissueMask, Volume
+from dcenorm import AnchorSet, StudySeries, TissueMask, Volume, extract_features, map_volume
+from dcenorm.manifest import check_subject_grids, load_series, load_subject_mask
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -57,3 +60,21 @@ def labeled_scene(shape=(4, 6, 8), tumor=True):
         labels[nz // 2, ny // 2, 4] = 5
         labels[nz // 2, ny // 2, 5] = 5
     return labels
+
+
+def read_subject(entry):
+    """``(series, mask)`` of ``entry``, read in the stages' order: grids from the sidecars, the mask, the volumes."""
+    check_subject_grids(entry)
+    mask = load_subject_mask(entry)
+    return load_series(entry), mask
+
+
+def extract_series(series, mask, denoise_radius=None, normalized=False):
+    """``extract_features`` on the volumes of a loaded series."""
+    return extract_features(series.subject_id, mask, series.volumes, len(series.posts), denoise_radius, normalized)
+
+
+def map_series(mapping, series):
+    """Every volume of a loaded series mapped with ``map_volume``, the same function for each."""
+    pre, *posts = (map_volume(mapping, volume, series.subject_id) for volume in series.volumes)
+    return StudySeries(series.subject_id, pre, tuple(posts))

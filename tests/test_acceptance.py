@@ -19,12 +19,10 @@ from dcenorm import (
     GroupingSpec,
     SegmentationConfig,
     Volume,
-    apply_mapping,
     build_mapping,
     classical_mask,
     evaluate,
     extract_anchors,
-    extract_features,
     generate_phantom,
     group_subjects,
     ks_statistic,
@@ -39,6 +37,8 @@ from dcenorm import (
 from dcenorm.anchors import AnchorSet
 from dcenorm.model import NormalizationModel
 from dcenorm.phantom import PhantomConfig
+
+from helpers import extract_series, map_series
 
 TISSUES = ("air", "fat", "dense", "heart")
 
@@ -75,7 +75,7 @@ def run_pipeline(cfg, out_dir, train_count=30):
     train_ids = [e.subject_id for e in manifest[:train_count]]
     model = train_archetype([anchors[sid] for sid in train_ids])
     normed = {
-        sid: apply_mapping(build_mapping(anchors[sid], model), series[sid]) for sid in series
+        sid: map_series(build_mapping(anchors[sid], model), series[sid]) for sid in series
     }
     groups = group_subjects(manifest, GroupingSpec(key="te"))
     return SimpleNamespace(
@@ -98,10 +98,10 @@ def cohort(tmp_path_factory):
     t0 = time.perf_counter()
     state = run_pipeline(PhantomConfig(), out)
     state.before = {
-        sid: extract_features(state.series[sid], state.masks[sid]) for sid in state.series
+        sid: extract_series(state.series[sid], state.masks[sid]) for sid in state.series
     }
     state.after = {
-        sid: extract_features(state.normed[sid], state.masks[sid], normalized=True)
+        sid: extract_series(state.normed[sid], state.masks[sid], normalized=True)
         for sid in state.series
     }
     state.elapsed = time.perf_counter() - t0
@@ -169,7 +169,7 @@ def test_denoising_restores_texture_alignment(noisy_cohort, announce):
     with gate(announce, "noise-vs-denoise"):
         def f6_ks(radius):
             feats = {
-                sid: extract_features(
+                sid: extract_series(
                     noisy_cohort.normed[sid],
                     noisy_cohort.masks[sid],
                     denoise_radius=radius,
@@ -391,7 +391,7 @@ def test_runtime_budget_on_clinical_grid(tmp_path, announce):
         anchors = extract_anchors(series, mask)
         model = train_archetype([anchors])
         mapping = build_mapping(anchors, model)
-        apply_mapping(mapping, series)
+        map_series(mapping, series)
         subject_elapsed = time.perf_counter() - t0
         assert subject_elapsed < 10.0
 

@@ -21,16 +21,18 @@ from hypothesis import strategies as st
 
 import dcenorm
 from dcenorm import (
-    GroupSpec, PhantomConfig, TissueMask, Volume, apply_mapping, build_mapping, extract_anchors, generate_phantom,
+    GroupSpec, PhantomConfig, TissueMask, Volume, build_mapping, extract_anchors, generate_phantom, map_volume,
     load_manifest, load_mask, load_model, load_series, load_volume, read_features_csv, save_mask, save_volume,
     train_archetype,
 )
 from dcenorm import cli
 from dcenorm import mapping as mapping_mod
 from dcenorm.cli import load_cli_config, main
-from dcenorm.manifest import load_subject, subject_file
+from dcenorm.manifest import subject_file
 from dcenorm.segmentation import SegmentationConfig
 from dcenorm.volume import DENSE, FAT, TUMOR
+
+from helpers import read_subject
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -121,7 +123,7 @@ class TestPipeline:
         assert [a["subject_id"] for a in anchors] == SUBJECTS
         assert all(a["v_fat"] > a["v_air"] for a in anchors)
         for record, entry in zip(anchors, load_manifest(pipeline / "seg" / "manifest.json")):
-            expected = dataclasses.asdict(extract_anchors(*load_subject(entry)))
+            expected = dataclasses.asdict(extract_anchors(*read_subject(entry)))
             assert list(record.items()) == list(expected.items())
 
     def test_normalize_outputs_load_as_manifest(self, pipeline):
@@ -966,13 +968,13 @@ def test_segment_runs_without_scipy(pipeline, tmp_path):
 
 
 def _damaged_subject(pipeline, directory: Path, volume: str, payload, sidecar=None, with_mask=True) -> Path:
-    """A one-subject manifest in ``directory`` for the cohort's A000, whose ``volume`` ("post<k>" or
+    """A one-subject manifest in ``directory`` for the cohort's A000, whose ``volume`` ("pre", "post<k>" or
     "mask") is a copy there with its payload bytes passed through ``payload`` and its sidecar file,
     if given, through ``sidecar``. Returns the manifest's path."""
     data = pipeline / "data"
     record = _absolute_paths(json.loads((data / "manifest.json").read_text())[0], data)
     post = int(volume[4:]) - 1 if volume.startswith("post") else None
-    source = Path(record["posts"][post] if post is not None else record["mask"])
+    source = Path(record["posts"][post] if post is not None else record[volume])
     copy = directory / f"A000_{volume}"
     (directory / f"{copy.name}.json").write_bytes(source.read_bytes())
     (directory / f"{copy.name}.raw").write_bytes(payload(source.with_suffix(".raw").read_bytes()))
@@ -981,7 +983,7 @@ def _damaged_subject(pipeline, directory: Path, volume: str, payload, sidecar=No
     if post is not None:
         record["posts"][post] = f"{copy}.json"
     else:
-        record["mask"] = f"{copy}.json"
+        record[volume] = f"{copy}.json"
     if not with_mask:
         del record["mask"]
     (directory / "manifest.json").write_text(json.dumps([record]))
@@ -1021,14 +1023,72 @@ def test_normalize_refuses_a_post_on_another_grid_before_writing_a_volume(pipeli
     assert os.listdir(tmp_path / "norm") == []
 
 
-def test_streamed_normalize_matches_whole_series_apply_mapping(pipeline):
-    """normalize maps and writes one volume at a time; each file equals the whole series mapped at once."""
+def _regridded_cohort(pipeline, directory: Path, volume: str) -> tuple[Path, str]:
+    """The fixture's segmented cohort, with A000's ``volume`` ("mask" or "post1") a copy in ``directory`` whose
+    sidecar doubles the spacing; a mask copy also holds the illegal label 9. Returns the manifest's path and the
+    grid error that the copy should end in."""
+    seg = pipeline / "seg"
+    records = [_absolute_paths(record, seg) for record in json.loads((seg / "manifest.json").read_text())]
+    source = Path(records[0]["mask"] if volume == "mask" else records[0]["posts"][0])
+    sidecar = json.loads(source.read_text())
+    doubled = [2 * s for s in sidecar["spacing_mm"]]
+    copy = directory / f"A000_{volume}"
+    (directory / f"{copy.name}.json").write_text(json.dumps(dict(sidecar, spacing_mm=doubled)))
+    payload = source.with_suffix(".raw").read_bytes()
+    (directory / f"{copy.name}.raw").write_bytes(b"\x09" + payload[1:] if volume == "mask" else payload)
+    if volume == "mask":
+        records[0]["mask"] = f"{copy}.json"
+    else:
+        records[0]["posts"][0] = f"{copy}.json"
+    (directory / "manifest.json").write_text(json.dumps(records))
+    what = "mask and series" if volume == "mask" else "post1 and pre"
+    dims, spacing = tuple(sidecar["dims"]), tuple(float(s) for s in sidecar["spacing_mm"])
+    grids = f"dims {dims} and {dims}, spacing {tuple(float(s) for s in doubled)} and {spacing}"
+    return directory / "manifest.json", f"subject A000: {what} are on different grids: {grids} [{copy}.json]"
+
+
+@pytest.mark.parametrize("volume", ["mask", "post1"])
+@pytest.mark.parametrize("command", ["train", "normalize", "features", "evaluate"])
+def test_every_stage_checks_the_grids_it_reads_before_it_loads(pipeline, tmp_path, monkeypatch, command, volume):
+    """Each stage reads a subject in one order: the grids from the sidecars, then the mask, then the volumes. So a
+    mask or first post on another grid is one error line naming its file, before any payload is read, and a mask's
+    illegal label is not reached."""
+    manifest, error = _regridded_cohort(pipeline, tmp_path, volume)
+    argv = {
+        "train": ["train", "--out", str(tmp_path / "model.json"), "--jobs", "1"],
+        "normalize": ["normalize", "--model", str(pipeline / "model.json"), "--out-dir", str(tmp_path / "norm"),
+                      "--jobs", "1"],
+        "features": ["features", "--out", str(tmp_path / "f.csv"), "--jobs", "1"],
+        "evaluate": ["evaluate", "--before", str(pipeline / "before.csv"), "--after", str(pipeline / "after.csv"),
+                     "--group-by", "te", "--out", str(tmp_path / "report.json")],
+    }[command]
+    _forbid_loading(monkeypatch, "a payload was read before the grids were checked")
+    assert _run([*argv, "--manifest", str(manifest)]) == (1, f"error[validation]: {error}\n")
+
+
+def test_non_string_modality_tag_rejected(pipeline, tmp_path):
+    """A sidecar's modality tag is copied into every volume written from it, so it must be a string."""
+    def dict_tag(sidecar: Path):
+        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), modality_tag={"echo": [1, 2]})))
+
+    manifest = _damaged_subject(pipeline, tmp_path, "pre", lambda payload: payload, sidecar=dict_tag)
+    rc, err = _launch(["normalize", "--manifest", str(manifest), "--model", str(pipeline / "model.json"),
+                       "--out-dir", str(tmp_path / "norm"), "--jobs", "1"])
+    sidecar = tmp_path / "A000_pre.json"
+    want = f"error[validation]: sidecar modality_tag must be a string, got {{'echo': [1, 2]}} [{sidecar}]\n"
+    assert (rc, err) == (1, want)
+    assert os.listdir(tmp_path / "norm") == []
+
+
+def test_streamed_normalize_matches_map_volume_over_the_loaded_series(pipeline):
+    """normalize maps and writes one volume at a time; each file equals map_volume over the loaded series."""
     model = load_model(pipeline / "model.json")
     norm = pipeline / "norm"
     for entry in load_manifest(pipeline / "seg" / "manifest.json"):
-        series, mask = load_subject(entry)
-        want = apply_mapping(build_mapping(extract_anchors(series, mask), model), series)
-        for k, volume in enumerate(want.volumes):
+        series, mask = read_subject(entry)
+        mapping = build_mapping(extract_anchors(series, mask), model)
+        for k, raw in enumerate(series.volumes):
+            volume = map_volume(mapping, raw, entry.subject_id)
             written = subject_file(entry.subject_id, norm, k)
             assert written.with_suffix(".raw").read_bytes() == volume.data.tobytes(), written
             loaded = load_volume(written)
@@ -1052,7 +1112,7 @@ def test_normalize_job_holds_pre_the_first_post_and_one_map(tmp_path):
     dims = (128, 128, 32)
     (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path / "data")
     assert len(entry.posts) == 3
-    model = train_archetype([extract_anchors(*load_subject(entry))])
+    model = train_archetype([extract_anchors(*read_subject(entry))])
     out = iter(range(2))
     volume = 4 * math.prod(dims)
     blocks = 6 * 8 * mapping_mod._BLOCK_VOXELS  # evaluate's float64 and intp temporaries on one block

@@ -28,13 +28,11 @@ from dcenorm.features import (
     write_features_csv,
 )
 from dcenorm import features as features_module
-from dcenorm.manifest import load_subject
-from dcenorm.mapping import apply_mapping
 from dcenorm.model import NormalizationModel
 from dcenorm.phantom import GroupSpec, PhantomConfig
 from dcenorm.volume import DENSE, FAT, TUMOR
 
-from helpers import anchor_set, labeled_scene, mask_of, series_of, vol
+from helpers import anchor_set, extract_series, labeled_scene, map_series, mask_of, read_subject, series_of, vol
 
 
 def const(shape, value):
@@ -345,7 +343,7 @@ def features_oracle(series, mask):
 class TestExtractFeatures:
     def test_full_vector_matches_oracle(self, rng):
         series, mask = random_scene(rng)
-        got = extract_features(series, mask)
+        got = extract_series(series, mask)
         expected = features_oracle(series, mask)
         for name in FEATURE_NAMES:
             assert got.values[name] == pytest.approx(
@@ -355,7 +353,7 @@ class TestExtractFeatures:
     def test_absent_tumor_blanks_tumor_features(self, rng, caplog):
         series, mask = random_scene(rng, tumor=False)
         with caplog.at_level(logging.WARNING):
-            fv = extract_features(series, mask)
+            fv = extract_series(series, mask)
         for name in ("F2", "F4", "F5", "F8", "F9", "F14", "F15"):
             assert fv.values[name] is None, name
         for name in ("F1", "F3", "F6", "F7", "F10", "F11", "F12", "F13"):
@@ -364,7 +362,7 @@ class TestExtractFeatures:
 
     def test_single_post_blanks_enhancement_ratio_features(self, rng):
         series, mask = random_scene(rng, n_posts=1)
-        fv = extract_features(series, mask)
+        fv = extract_series(series, mask)
         assert fv.values["F1"] is None
         assert fv.values["F2"] is None
         assert fv.values["F6"] is None
@@ -375,7 +373,7 @@ class TestExtractFeatures:
         labels = np.array(mask.labels)
         tumor_idx = np.argwhere(labels == 5)
         labels[tuple(tumor_idx[0])] = 3
-        fv = extract_features(series, mask_of(labels, series.spacing_mm))
+        fv = extract_series(series, mask_of(labels, series.spacing_mm))
         assert fv.values["F9"] is None
         assert fv.values["F14"] is not None
 
@@ -387,7 +385,7 @@ class TestExtractFeatures:
             series.pre.data, [post1] + [p.data for p in series.posts[1:]],
             spacing=series.spacing_mm,
         )
-        fv = extract_features(patched, mask)
+        fv = extract_series(patched, mask)
         assert fv.values["F10"] == 77.0
         assert fv.values["F11"] == 0.0
 
@@ -395,31 +393,40 @@ class TestExtractFeatures:
         series, _ = random_scene(rng)
         small = mask_of(labeled_scene((4, 6, 8))[:, :, :6])
         with pytest.raises(ValidationError, match="dims"):
-            extract_features(series, small)
+            extract_series(series, small)
 
     def test_mask_spacing_mismatch_rejected(self, rng):
         series, mask = random_scene(rng)
         other = mask_of(mask.labels, tuple(2.0 * s for s in series.spacing_mm))
         with pytest.raises(ValidationError, match="mask and series are on different grids"):
-            extract_features(series, other)
+            extract_series(series, other)
+
+    def test_each_drawn_volume_is_checked_against_the_mask(self, rng):
+        """A post on another grid is refused as it is drawn, though pre is on the mask's grid."""
+        series, mask = random_scene(rng)
+        other = vol(series.posts[0].data, tuple(2.0 * s for s in series.spacing_mm))
+        volumes = iter((series.pre, other, *series.posts[1:]))
+        with pytest.raises(ValidationError, match="mask and series are on different grids"):
+            extract_features(series.subject_id, mask, volumes, len(series.posts))
+        assert next(volumes) is series.posts[1]  # nothing drawn after the refused post
 
     def test_denoise_equals_prefiltered_series(self, rng):
         series, mask = random_scene(rng)
-        denoised = extract_features(series, mask, denoise_radius=1)
+        denoised = extract_series(series, mask, denoise_radius=1)
         filtered = series_of(
             median_filter(series.pre, 1).data,
             [median_filter(p, 1).data for p in series.posts],
             spacing=series.spacing_mm,
         )
-        plain = extract_features(filtered, mask)
+        plain = extract_series(filtered, mask)
         assert denoised.values == plain.values
         assert denoised.denoised
         assert not plain.denoised
 
     def test_denoising_leaves_major_axis_alone(self, rng):
         series, mask = random_scene(rng)
-        a = extract_features(series, mask)
-        b = extract_features(series, mask, denoise_radius=1)
+        a = extract_series(series, mask)
+        b = extract_series(series, mask, denoise_radius=1)
         assert a.values["F9"] == b.values["F9"]
 
     def test_major_axis_ignores_intensities(self, rng):
@@ -428,9 +435,9 @@ class TestExtractFeatures:
             anchor_set("s", 0, 50, 120, 300),
             NormalizationModel(10, 80, 200, 500, "arch", 1, "now"),
         )
-        mapped = apply_mapping(mapping, series)
-        a = extract_features(series, mask)
-        b = extract_features(mapped, mask, normalized=True)
+        mapped = map_series(mapping, series)
+        a = extract_series(series, mask)
+        b = extract_series(mapped, mask, normalized=True)
         assert a.values["F9"] == b.values["F9"]
         assert b.normalized
 
@@ -441,8 +448,8 @@ class TestExtractFeatures:
             [p.data * 4.0 for p in series.posts],
             spacing=series.spacing_mm,
         )
-        a = extract_features(series, mask)
-        b = extract_features(scaled, mask)
+        a = extract_series(series, mask)
+        b = extract_series(scaled, mask)
         for name in ("F1", "F2", "F3", "F4", "F5", "F6", "F9"):
             assert b.values[name] == a.values[name], name
         for name in ("F7", "F8"):
@@ -452,7 +459,7 @@ class TestExtractFeatures:
 
     def test_spreads_non_negative_entropies_bounded(self, rng):
         series, mask = random_scene(rng)
-        fv = extract_features(series, mask)
+        fv = extract_series(series, mask)
         for name in ("F6", "F11", "F13", "F15"):
             assert fv.values[name] >= 0.0
         assert 0.0 <= fv.values["F7"] <= 6.0
@@ -462,9 +469,9 @@ class TestExtractFeatures:
 class TestFeatureCsv:
     def _rows(self, rng):
         series, mask = random_scene(rng)
-        full = extract_features(series, mask)
+        full = extract_series(series, mask)
         series2, mask2 = random_scene(rng, tumor=False)
-        partial = extract_features(
+        partial = extract_series(
             series_of(series2.pre.data, [p.data for p in series2.posts],
                       subject_id="s1", spacing=series2.spacing_mm),
             mask2,
@@ -688,7 +695,7 @@ class TestGatheredExtraction:
     @given(scenes(), st.sampled_from([None, 1, 2]))
     def test_matches_whole_grid_reference(self, scene, radius):
         series, mask = scene
-        got = extract_features(series, mask, denoise_radius=radius)
+        got = extract_series(series, mask, denoise_radius=radius)
         assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=radius))
 
     @pytest.mark.parametrize("label_kind", LABEL_KINDS)
@@ -699,7 +706,7 @@ class TestGatheredExtraction:
     def test_edge_cases_match_whole_grid_reference(self, shape, n_posts, series_kind, label_kind, caplog):
         series, mask = scene_of(np.random.default_rng(7), shape, n_posts, series_kind, label_kind)
         with caplog.at_level(logging.WARNING):
-            got = extract_features(series, mask)
+            got = extract_series(series, mask)
         assert_same_features(got, whole_grid_extract_features(series, mask))
         assert caplog.text.count("no dense label") == (got.values["F3"] is None)
         assert ("no tumor label" in caplog.text) == (got.values["F4"] is None)
@@ -712,7 +719,7 @@ class TestGatheredExtraction:
         series = series_of(pre, [post, last])
         mask = mask_of(np.array([[[DENSE, 0, 0, DENSE]]]))
         with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
-            extract_features(series, mask)
+            extract_series(series, mask)
         assert "subject s0: 1 voxels guarded in enhancement ratio" in caplog.messages
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="dcenorm.features"):
@@ -839,7 +846,7 @@ class TestBoxFilter:
         """A volume with no voxel to give is not filtered: a mask of background alone filters no volume."""
         monkeypatch.setattr(features_module, "median_filter", None)
         series = series_of(const((2, 2, 2), 1), [const((2, 2, 2), 2), const((2, 2, 2), 3)])
-        fv = extract_features(series, mask_of(np.zeros((2, 2, 2), dtype=np.uint8)), denoise_radius=1)
+        fv = extract_series(series, mask_of(np.zeros((2, 2, 2), dtype=np.uint8)), denoise_radius=1)
         assert all(value is None for value in fv.values.values())
 
 
@@ -935,7 +942,7 @@ class TestDenoisedScenes:
     def test_matches_reference_filtering_read_boxes_only(self, case, rng, monkeypatch):
         series, mask = random_scene(rng) if case == "random" else denoise_scene(case)
         filtered = count_filtered_voxels(monkeypatch)
-        got = extract_features(series, mask, denoise_radius=1)
+        got = extract_series(series, mask, denoise_radius=1)
         assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=1))
         assert sorted(filtered) == read_box_sizes(mask, len(series.posts), 1)
 
@@ -944,15 +951,15 @@ class TestDenoisedScenes:
         series, mask = undecided_gap_scene(np.random.default_rng(11))
         assert 1e-6 * dynamic_range(v.data for v in series.volumes) > 9.0
         for radius in (None, 1):
-            got = extract_features(series, mask, denoise_radius=radius)
+            got = extract_series(series, mask, denoise_radius=radius)
             assert (got.values["F1"], got.values["F6"]) == (0.0, 0.0), radius
 
 
 def test_denoising_filters_only_the_read_boxes(tmp_path, monkeypatch):
     cfg = PhantomConfig(dims=(48, 48, 16), groups=(GroupSpec(name="A", n_subjects=1, noise_sigma=10.0),))
-    series, mask = load_subject(generate_phantom(cfg, str(tmp_path), jobs=1)[0])
+    series, mask = read_subject(generate_phantom(cfg, str(tmp_path), jobs=1)[0])
     filtered = count_filtered_voxels(monkeypatch)
-    got = extract_features(series, mask, denoise_radius=1)
+    got = extract_series(series, mask, denoise_radius=1)
     assert_same_features(got, whole_grid_extract_features(series, mask, denoise_radius=1))
     assert sorted(filtered) == read_box_sizes(mask, len(series.posts), 1)
     assert sum(filtered) < 0.3 * sum(v.data.size for v in series.volumes)

@@ -19,7 +19,7 @@ from dcenorm import (
     save_volume,
 )
 from dcenorm.manifest import (
-    check_subject_grids, load_subject, read_labels_csv, save_labels, save_manifest, save_subject, subject_file,
+    check_subject_grids, load_subject_mask, read_labels_csv, save_labels, save_manifest, save_subject, subject_file,
 )
 from dcenorm.volume import FAT
 
@@ -219,8 +219,8 @@ class TestCheckSubjectGrids:
         assert str(dataset / "mask") in str(info.value)
 
 
-class TestLoadSubject:
-    """``load_subject`` loads the entry's mask and checks it against the series geometry."""
+class TestSubjectMask:
+    """A stage checks the entry's grids with ``check_subject_grids``, then loads its mask with ``load_subject_mask``."""
 
     def entry(self, directory, mask):
         pre = np.zeros((2, 3, 4), dtype=np.float32)
@@ -232,20 +232,20 @@ class TestLoadSubject:
     def test_matching_mask_loads(self, tmp_path):
         labels = np.zeros((2, 3, 4), dtype=np.uint8)
         labels[0, 0, 0] = FAT
-        series, mask = load_subject(self.entry(tmp_path, TissueMask(labels, (1, 1, 1))))
-        assert series.subject_id == "s1"
-        assert np.array_equal(mask.labels, labels)
+        entry = self.entry(tmp_path, TissueMask(labels, (1, 1, 1)))
+        check_subject_grids(entry)
+        assert np.array_equal(load_subject_mask(entry).labels, labels)
 
     def test_dims_mismatch_rejected(self, tmp_path):
         entry = self.entry(tmp_path, TissueMask(np.zeros((2, 3, 5), np.uint8), (1, 1, 1)))
         with pytest.raises(ValidationError, match="dims") as info:
-            load_subject(entry)
+            check_subject_grids(entry)
         assert str(tmp_path / "m") in str(info.value)
 
     def test_spacing_mismatch_rejected(self, tmp_path):
         entry = self.entry(tmp_path, TissueMask(np.zeros((2, 3, 4), np.uint8), (2, 2, 2)))
         with pytest.raises(ValidationError, match="spacing") as info:
-            load_subject(entry)
+            check_subject_grids(entry)
         assert str(tmp_path / "m") in str(info.value)
 
     def test_illegal_label_rejected(self, tmp_path):
@@ -253,14 +253,17 @@ class TestLoadSubject:
         raw = bytearray((tmp_path / "m.raw").read_bytes())
         raw[0] = 7
         (tmp_path / "m.raw").write_bytes(bytes(raw))
-        with pytest.raises(ValidationError, match="7"):
-            load_subject(entry)
+        check_subject_grids(entry)  # a label is a voxel value, which the sidecars do not show
+        with pytest.raises(ValidationError, match="7") as info:
+            load_subject_mask(entry)
+        assert str(tmp_path / "m.raw") in str(info.value)
 
     def test_entry_without_mask_rejected(self, dataset):
         entry = load_manifest(write_manifest(dataset, [record("s1")]))[0]
         assert entry.mask is None
+        check_subject_grids(entry)
         with pytest.raises(ValidationError, match="s1: the manifest gives no mask; run `dcenorm segment`"):
-            load_subject(entry)
+            load_subject_mask(entry)
 
 
 @pytest.mark.parametrize("subject_id", [

@@ -10,7 +10,6 @@ from dcenorm import (
     NonFiniteDataError,
     SubjectError,
     ValidationError,
-    apply_mapping,
     build_mapping,
     evaluate,
     export_mapping_curve,
@@ -24,7 +23,7 @@ from dcenorm import mapping as mapping_mod
 from dcenorm.mapping import write_mapping_curve
 from dcenorm.model import NormalizationModel
 
-from helpers import anchor_set, series_of
+from helpers import anchor_set, map_series, series_of
 
 
 def model_of(air, fat, dense, heart):
@@ -274,12 +273,14 @@ class TestEvaluate:
             assert np.array_equal(np.signbit(got), np.signbit(want))  # == does not tell -0.0 from 0.0
 
 
-class TestApplyMapping:
+class TestMapVolume:
+    """``map_volume`` over each volume of a series, through the test-side ``map_series``."""
+
     def test_identity_mapping_preserves_voxels(self, rng):
         data = rng.uniform(0, 200, size=(3, 4, 5)).astype(np.float32)
         series = series_of(data, [data * 2], subject_id="s7")
         f = mapping_of((0, 10, 50, 100), (0, 10, 50, 100))
-        mapped = apply_mapping(f, series)
+        mapped = map_series(f, series)
         assert np.array_equal(mapped.pre.data, data)
         assert mapped.subject_id == "s7"
         assert mapped.pre.data.dtype == np.float32
@@ -288,7 +289,7 @@ class TestApplyMapping:
         data = rng.uniform(-50, 400, size=(4, 5, 6)).astype(np.float32)
         series = series_of(data, [data + 1])
         f = random_mapping(rng)
-        mapped = apply_mapping(f, series)
+        mapped = map_series(f, series)
         order = np.argsort(data.ravel(), kind="stable")
         assert np.all(np.diff(mapped.pre.data.ravel()[order]) >= 0)
 
@@ -296,13 +297,13 @@ class TestApplyMapping:
         pre = rng.uniform(0, 100, size=(2, 3, 4)).astype(np.float32)
         series = series_of(pre, [pre, pre.copy()])
         f = random_mapping(rng)
-        mapped = apply_mapping(f, series)
+        mapped = map_series(f, series)
         assert np.array_equal(mapped.posts[0].data, mapped.pre.data)
         assert np.array_equal(mapped.posts[1].data, mapped.pre.data)
 
     @given(built_mappings(), st.integers(0, 2**32 - 1))
     def test_blocks_join_bit_for_bit(self, f, seed):
-        """apply_mapping evaluates in blocks; its store equals one whole-volume evaluate cast to float32."""
+        """map_volume evaluates in blocks; its store equals one whole-volume evaluate cast to float32."""
         rng = np.random.default_rng(seed)
         v = np.array(f.knots_v)
         span = v[3] - v[0]
@@ -314,9 +315,9 @@ class TestApplyMapping:
                 want = [evaluate(f, vol.data).astype(np.float32) for vol in (series.pre, *series.posts)]
             if not all(np.isfinite(w).all() for w in want):  # a steep tail can pass float32's range
                 with pytest.raises(NonFiniteDataError, match="subject s: mapped volume"):
-                    apply_mapping(f, series)
+                    map_series(f, series)
                 continue
-            mapped = apply_mapping(f, series)
+            mapped = map_series(f, series)
             for got, w in zip((mapped.pre, *mapped.posts), want):
                 assert got.data.shape == w.shape
                 assert np.array_equal(got.data.view(np.uint32), w.view(np.uint32))
@@ -341,7 +342,7 @@ class TestApplyMapping:
             want = [evaluate(f, vol.data).astype(np.float32) for vol in series.volumes]
         if not all(np.isfinite(w).all() for w in want):  # a steep tail can pass float32's range
             return
-        for raw, got in zip(series.volumes, apply_mapping(f, series).volumes):
+        for raw, got in zip(series.volumes, map_series(f, series).volumes):
             for reduce in (np.max, np.min):
                 want = np.float32(evaluate(f, float(reduce(raw.data))))
                 assert (reduce(got.data) + np.float32(0)).tobytes() == (want + np.float32(0)).tobytes()
@@ -408,8 +409,8 @@ class TestRankPreservation:
                 pre=median_filter(series.pre, 1),
                 posts=tuple(median_filter(p, 1) for p in series.posts),
             )
-            mapped = apply_mapping(mapping, series)
-            mapped_filtered = apply_mapping(mapping, filtered)
+            mapped = map_series(mapping, series)
+            mapped_filtered = map_series(mapping, filtered)
             pairs = zip((mapped.pre,) + mapped.posts, (mapped_filtered.pre,) + mapped_filtered.posts)
             for after_map, after_filter in pairs:
                 assert np.array_equal(median_filter(after_map, 1).data, after_filter.data)
