@@ -128,8 +128,10 @@ produce_configured() {
 # and a NaN voxel in post2. Every stage checks the grids from the
 # sidecars before it loads the mask: train on a first post on another
 # grid names that post's file, and on a mask that is both on another
-# grid and holds an illegal label reports the grid. A case that exits 0
-# fails the step.
+# grid and holds an illegal label reports the grid. A manifest, a sidecar
+# and a labels CSV that are not UTF-8 each name the file, and a payload
+# path that is a directory is an I/O failure. A case that exits 0 fails
+# the step.
 damage() {  # writes the damaged inputs of the errors step into the current directory
   python - <<'PY'
 import json, pathlib
@@ -191,6 +193,14 @@ model = json.loads((here / "model.json").read_text())
 (here / "small-phantom.json").write_text('{"dims": [4, 4, 4]}')
 (here / "entry.json").write_text('[{"subject_id": "s0"}]')
 (here / "parse.json").write_text('[\n{"subject_id": }\n]')
+(here / "not-utf8.json").write_bytes(b"\xff" + (here / "entry.json").read_bytes())
+(here / "latin_pre.json").write_bytes(b"\xff" + (here / record["pre"]).read_bytes())
+(here / "latin_pre.raw").write_bytes((here / record["pre"].replace(".json", ".raw")).read_bytes())
+manifest("sidecar-not-utf8.json", pre="latin_pre.json")
+(here / "labels-not-utf8.csv").write_bytes(b"subject_id,label\nA000,1\nA\xff01,0\n")
+(here / "dir_post1.json").write_text((here / record["posts"][0]).read_text())
+(here / "dir_post1.raw").mkdir()
+manifest("payload-dir.json", posts=["dir_post1.json", *record["posts"][1:]])
 PY
 }
 fail() {  # case name, then the arguments of a dcenorm run that must fail, with --jobs 1 where it takes one
@@ -233,7 +243,11 @@ produce_errors() {
     fail features-no-mask features --manifest unsegmentable.json --out f.csv &&
     fail features-nan-post2 features --manifest nan-post2.json --out f.csv &&
     fail evaluate-mask-grid evaluate --before features.csv --after features.csv --manifest evaluate-grid.json \
-      --group-by te --out report.json)
+      --group-by te --out report.json &&
+    fail manifest-not-utf8 train --manifest not-utf8.json --out m.json &&
+    fail sidecar-not-utf8 train --manifest sidecar-not-utf8.json --out m.json &&
+    fail labels-not-utf8 auc --features features.csv --labels labels-not-utf8.csv --out auc.csv &&
+    fail payload-dir features --manifest payload-dir.json --out f.csv)
 }
 
 status=0

@@ -91,11 +91,11 @@ def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConf
     """Classically mask a subject whose grids ``check_subject_grids`` has passed.
 
     Returns ``(entry naming the mask written, None)``, or ``(None, reason)`` when segmentation fails.
-    Only pre and the first post are loaded: they are all the chain reads.
+    Only pre and the first post are loaded, as the chain draws them: it reads no other volume, and
+    draws the first post only for the heart stage.
     """
-    series = load_series(dataclasses.replace(entry, posts=entry.posts[:1]))
     try:
-        mask = classical_mask(series, seg_config)
+        mask = classical_mask(load_volumes((entry.pre, entry.posts[0])), seg_config)
     except SubjectError as exc:
         return None, str(exc)
     return save_subject(entry, out_dir, mask=mask), None

@@ -3,8 +3,8 @@
 Only classes that some code tells apart exist:
 
 - ``cli.main`` maps ``MissingInputError`` (a referenced file does not
-  exist) to exit code 2, together with OS-level errors, and any other
-  ``DcenormError`` to exit code 1.
+  exist, or is not a regular file) to exit code 2, together with
+  OS-level errors, and any other ``DcenormError`` to exit code 1.
 - ``ValidationError`` covers every content failure: malformed or
   inconsistent files, configs, manifests, masks, models and flags.
   ``load_mask`` catches it to add the payload file, and
@@ -35,7 +35,7 @@ class ValidationError(DcenormError):
 
 
 class MissingInputError(DcenormError):
-    """A required input file does not exist."""
+    """A required input file does not exist, or is not a regular file."""
 
 
 class NonFiniteDataError(ValidationError):

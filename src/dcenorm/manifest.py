@@ -285,7 +285,9 @@ def check_outputs_spare_inputs(inputs, outputs: dict) -> None:
     their resolved directory and their name, and each directory is
     resolved once. The error names the flags of the first two outputs
     that share a file, else the flag and the first output that is an
-    input.
+    input. An output that exists and is not a regular file (a
+    directory, a FIFO, a device) is an OSError naming its flag: a write
+    would replace it.
     """
     directories, written = {}, {}
     for flag, files in outputs.items():
@@ -301,6 +303,9 @@ def check_outputs_spare_inputs(inputs, outputs: dict) -> None:
     # An output that does not exist yet is no file the run reads, so ``inputs``,
     # which may be a generator, is drawn only when some output exists.
     existing = [(flag, Path(file)) for flag, files in outputs.items() for file in files if Path(file).exists()]
+    for flag, file in existing:
+        if not file.is_file():
+            raise OSError(f"{flag} exists and is not a regular file [{file}]")
     if not existing:
         return
     resolved = {Path(file).resolve() for file in inputs}

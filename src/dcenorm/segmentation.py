@@ -16,28 +16,41 @@ approximation: the closing is the textbook one with the grid's outside
 read as 0, and the labels number the components in the scan order of
 their first voxels, as the common image libraries do. The tests compare
 both, element for element, with such a library.
+
+``classical_mask`` holds pre, the uint8 label grid and the body mask
+throughout, and post1 only while the heart stage runs. Each stage adds
+about one byte grid: the air selection, the Otsu bin indices, the breast
+candidate, the dense set or the heart. Everything else is block- or
+box-sized: the two percentile thresholds are selected from
+``_SCAN_BLOCK``-voxel blocks (``_select``), and components are labelled
+and painted as runs along x (``_label``, ``_paint``), with no label
+grid. So the chain peaks at two volumes and three byte grids, 11 bytes
+a voxel, plus about 2 MB.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import SubjectError, ValidationError
-from .manifest import StudySeries
 from .util import is_number
 from .volume import (
-    AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, nearest_rank_index, percentile,
-    widen,
+    AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, nearest_rank_index, widen,
 )
 
 OTSU_BINS = 256
 # Values binned per step in otsu_upper_class: each float64 temporary is 512 KiB.
 _OTSU_BLOCK = 2**16
-# Voxels per step of _enhancement_threshold's scan of pre and post1.
+# Voxels per step of the blocked scans: _select's passes, _label's run
+# extraction, _paint's indices and the heart stage's slabs.
 _SCAN_BLOCK = 2**16
+# Values in _select's strided sample, which sets its first bound.
+_SAMPLE = 2**14
 
 
 @dataclass
@@ -133,15 +146,88 @@ def otsu_upper_class(values: np.ndarray) -> np.ndarray | None:
     return (idx > t).reshape(values.shape)
 
 
+def _select(values: Callable[[slice], np.ndarray], n: int, k: int, block: int) -> float:
+    """The ``k``-th smallest (0-based) of ``n`` values, exactly, read ``block`` values at a time.
+
+    ``values(s)`` returns the values at the slice ``s`` of the n, as a
+    new array or a view: the passes read consecutive blocks, the sample a
+    strided slice. The values may hold infinities but no NaN.
+
+    A strided sample of about ``_SAMPLE`` values sets a bracket lo <= hi:
+    its order statistics a few standard deviations either side of the
+    rank the answer is expected to have in it, or an infinity where that
+    runs off the sample's end. One pass counts the values at or below lo
+    and those below hi, and keeps only those strictly between, so ties
+    at either bound are counted, never kept. When rank k falls between
+    the two counts, the answer is the kept value of its rank. When it
+    falls among the ties at a bound, the answer is that bound; the
+    count that shows this comes from a pass on which the bound was the
+    other end of the bracket, or from the same pass when lo == hi.
+    Otherwise the bracket missed: the next one reaches four times as far
+    out on that side from the bound it crossed. So a second pass is made
+    only on a miss, or for a tie at a bound, and a bracket that reaches
+    an infinity cannot miss on that side.
+
+    Working memory is the sample, one block's temporaries and the values
+    kept. Where the sample represents the values, those are the values
+    within about eight of the sample's standard deviations of rank k:
+    under 2% of them at the 5th percentile of 2**22 values. A sample that
+    misrepresents them can widen the bracket up to all the values.
+
+    The result is a float. A zero may come back with the other sign
+    than a sort would give it, which no comparison tells apart.
+    """
+    sample = values(slice(0, n, max(1, n // _SAMPLE)))
+    m = sample.size
+    at = (k + 0.5) * m / n
+    width = 4.0 * math.sqrt(at * (1.0 - at / m)) + 4.0
+
+    def lower(width):  # (lo, values below lo): known for an infinite bound only
+        rank = math.floor(at - width)
+        return (np.partition(sample, rank)[rank], None) if rank >= 0 else (-math.inf, 0)
+
+    def upper(width):  # (hi, values at or below hi): known for an infinite bound only
+        rank = math.ceil(at + width)
+        return (np.partition(sample, rank)[rank], None) if rank < m else (math.inf, n)
+
+    (lo, below_lo), (hi, upto_hi) = lower(width), upper(width)
+    while True:
+        kept, upto_lo, below_hi = [], 0, 0
+        for start in range(0, n, block):
+            part = values(slice(start, start + block))
+            low, high = part <= lo, part < hi
+            upto_lo += int(np.count_nonzero(low))
+            below_hi += int(np.count_nonzero(high))
+            kept.append(part[np.greater(high, low)])
+        if lo == hi:
+            below_lo, upto_hi = below_hi, upto_lo
+        if upto_lo <= k < below_hi:
+            kept = np.concatenate(kept)
+            kept.partition(k - upto_lo)
+            return float(kept[k - upto_lo])
+        width *= 4.0
+        if k < upto_lo:
+            if below_lo is not None and below_lo <= k:
+                return float(lo)
+            (hi, upto_hi), (lo, below_lo) = (lo, upto_lo), lower(width)
+        else:
+            if upto_hi is not None and k < upto_hi:
+                return float(hi)
+            (lo, below_lo), (hi, upto_hi) = (hi, below_hi), upper(width)
+
+
 def segment_air(pre: Volume, config: SegmentationConfig) -> np.ndarray:
     """Select the darkest ``air_fraction`` of the pre-contrast volume.
 
     Ties at the threshold value are all included, so the result can be
     slightly larger than the nominal fraction; a constant volume comes
-    back fully selected.
+    back fully selected. The threshold is the nearest-rank percentile,
+    as ``volume.percentile`` takes it, selected by ``_select`` with no
+    copy of the grid.
     """
-    threshold = percentile(pre.data, config.air_fraction * 100.0)
-    return pre.data <= threshold
+    flat = pre.data.reshape(-1)
+    k = nearest_rank_index(flat.size, config.air_fraction * 100.0)
+    return pre.data <= _select(flat.__getitem__, flat.size, k, _SCAN_BLOCK)
 
 
 def body_mask(pre: Volume) -> np.ndarray:
@@ -207,60 +293,63 @@ def _closing(mask: np.ndarray, radius: int) -> np.ndarray:
 _FORWARD_ROWS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """26-connected components of a 3-D mask, numbered 1, 2, ... in scan order.
+def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """26-connected components of a 3-D mask, as runs along x numbered in scan order.
 
-    Returns the int32 label array and the number of components.
+    Returns ``(start, stop, label, count)``: each run's first and
+    one-past-last flat index in the C order of ``mask``'s shape, the
+    component label of each run, 1 to ``count``, and the number of
+    components. ``_paint`` writes runs into a grid.
 
-    The mask is cut into runs along x, numbered in scan order. Two runs
+    The runs are read in z-slabs of about ``_SCAN_BLOCK`` voxels, as the
+    rises and falls of each row, and numbered in scan order. Two runs
     touch when their rows are 26-neighbours and their x ranges overlap
     once one is widened by a voxel on each side, so each run's
     neighbours in a forward row are a contiguous range of run numbers,
-    read off prefix counts of run starts and run ends. Every pair joins
-    a later run to an earlier one, so the first union hooks each run
-    under the earliest run it touches. A union-find then points every
-    run at its root and hooks the larger of two roots under the smaller,
-    until no pair has two roots. Each root is then the smallest run
-    number of its component, whose first voxel in scan order is the
-    component's, so ranking the roots numbers the components in scan
-    order.
+    found by ``np.searchsorted`` over the runs' starts and stops. Those
+    are keyed by the row they would have with an empty row before and
+    after each slice's rows, so that no range reaches into another row.
+    Every pair joins a later run to an earlier one, so the first union
+    hooks each run under the earliest run it touches. A union-find then
+    points every run at its root and hooks the larger of two roots under
+    the smaller, until no pair has two roots. Each root is then the
+    smallest run number of its component, whose first voxel in scan
+    order is the component's, so ranking the roots numbers the
+    components in scan order. Working memory is a few arrays of one
+    entry per run.
     """
     nz, ny, nx = mask.shape
-    # An empty row before and after each slice's rows, and an empty slice
-    # after the last, give every run all four forward rows.
-    padded = np.zeros((nz + 1, ny + 2, nx), dtype=bool)
-    padded[:nz, 1 : ny + 1] = mask
-    rows = padded.reshape(-1, nx)
-    first = rows.copy()
-    first[:, 1:] &= ~rows[:, :-1]
-    last = rows.copy()
-    last[:, :-1] &= ~rows[:, 1:]
-    index = np.int32 if rows.size < 2**31 else np.int64
-    # Runs started at or before each flat position, and runs ended before it.
-    started = np.cumsum(first.ravel(), dtype=index)
-    ended = np.concatenate((np.zeros(1, index), np.cumsum(last.ravel(), dtype=index)))
-    n_runs = int(started[-1])
+    step = max(1, _SCAN_BLOCK // (ny * nx))
+    starts, stops = [], []
+    for z in range(0, nz, step):
+        rows = mask[z : z + step].reshape(-1, nx)
+        # A row's rises and falls alternate, a rise first: each run's start, then its stop.
+        row, x = np.divmod(np.flatnonzero(np.diff(rows, axis=1, prepend=False, append=False)), nx + 1)
+        flat = (row + z * ny) * nx + x
+        starts.append(flat[0::2])
+        stops.append(flat[1::2])
+    start, stop = np.concatenate(starts), np.concatenate(stops)
+    n_runs = start.size
     if n_runs == 0:
-        return np.zeros(mask.shape, dtype=np.int32), 0
-    start = np.flatnonzero(first).astype(index)
-    stop = np.flatnonzero(last).astype(index) + 1
-    del padded, rows, first, last  # the runs and the prefix counts hold all that is read from here on
+        return start, stop, np.zeros(0, dtype=np.int32), 0
+    # Keys in the grid of rows padded by an empty row on each side of a slice's rows.
+    shift = (2 * (start // (ny * nx)) + 1) * nx
+    start_key, stop_key = start + shift, stop + shift
     # The run widened by a voxel on each side, within its row.
-    left = start - (start % nx != 0)
-    right = stop - (stop % nx == 0)
+    left = start_key - (start % nx != 0)
+    right = stop_key + (stop % nx != 0)
 
-    runs = np.arange(n_runs, dtype=index)
+    runs = np.arange(n_runs)
     pairs_a, pairs_b = [], []
     for dz, dy in _FORWARD_ROWS:
         offset = (dz * (ny + 2) + dy) * nx
-        lo = ended[left + offset]
-        count = started[right + offset] - lo
+        lo = np.searchsorted(stop_key, left + offset, side="right")
+        count = np.searchsorted(start_key, right + offset, side="left") - lo
         pairs_a.append(np.repeat(runs, count))
         # Run i's pairs sit at block_start[i] onwards and name lo[i], lo[i] + 1, ...
-        block_start = np.cumsum(count, dtype=index) - count
-        pairs_b.append(np.repeat(lo - block_start, count) + np.arange(pairs_a[-1].size, dtype=index))
+        block_start = np.cumsum(count) - count
+        pairs_b.append(np.repeat(lo - block_start, count) + np.arange(pairs_a[-1].size))
     a, b = np.concatenate(pairs_a), np.concatenate(pairs_b)
-    del started, ended
     parent = runs.copy()
     np.minimum.at(parent, b, a)
     while True:
@@ -276,24 +365,47 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
         a, b, root_a, root_b = a[differ], b[differ], root_a[differ], root_b[differ]
         np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
     rank = np.cumsum(parent == runs, dtype=np.int32)
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    labels[mask] = np.repeat(rank[parent], stop - start)
-    return labels, int(rank[-1])
+    return start, stop, rank[parent], int(rank[-1])
+
+
+def _paint(grid: np.ndarray, box: tuple[slice, slice, slice], start: np.ndarray, stop: np.ndarray, value) -> None:
+    """Set the runs ``start:stop`` of ``grid[box]``, flat indices in the box's C order as ``_label`` gives them, to ``value``.
+
+    ``grid`` must be C-contiguous. The voxel indices are formed for about
+    ``_SCAN_BLOCK`` voxels at a time.
+    """
+    if start.size == 0:
+        return
+    _, ny, nx = grid.shape
+    by, bx = box[1].stop - box[1].start, box[2].stop - box[2].start
+    corner = (box[0].start * ny + box[1].start) * nx + box[2].start
+    row = start // bx
+    # A box row (z, y) starts at grid index corner + (z * ny + y) * nx.
+    first = corner + ((row // by) * ny + row % by) * nx + start % bx
+    length = stop - start
+    ends = np.cumsum(length)
+    cuts = np.searchsorted(ends, np.arange(_SCAN_BLOCK, int(ends[-1]), _SCAN_BLOCK), side="right")
+    bounds = [0, *cuts, start.size]
+    flat = grid.reshape(-1)
+    for a, b in zip(bounds, bounds[1:]):
+        n = length[a:b]
+        # Run i's voxels sit at offsets cumsum(n)[i] - n[i] onwards of the chunk's index array.
+        flat[np.repeat(first[a:b] - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))] = value
 
 
 def _drop_small_components(mask: np.ndarray, min_voxels: int) -> np.ndarray:
-    # Every component lies inside the bounding box, and labels are
-    # numbered in scan order, which the box keeps.
+    """Clear, in place, the 26-connected components of the C-contiguous ``mask`` below ``min_voxels``; return ``mask``.
+
+    Every component lies inside the bounding box, where it is labelled.
+    """
     box = bounding_box(mask)
     if box is None:
         return mask
-    labeled, _ = _label(mask[box])
-    sizes = np.bincount(labeled.ravel())
-    keep = sizes >= min_voxels
-    keep[0] = False
-    kept = np.zeros(mask.shape, dtype=bool)
-    kept[box] = keep[labeled]
-    return kept
+    start, stop, label, _ = _label(mask[box])
+    sizes = np.bincount(label, weights=stop - start)
+    small = (sizes < min_voxels)[label]
+    _paint(mask, box, start[small], stop[small], False)
+    return mask
 
 
 def segment_breast(
@@ -322,21 +434,24 @@ def segment_breast(
     which is what the closing reads beyond the grid. No component
     crosses the labelling's box, and labels keep their scan order
     inside it.
+
+    The candidate is one copy of ``body`` with each slice's rows behind
+    its plane cleared. The closing is written back into its box, and
+    small components are cleared from it run by run, so the stage holds
+    one byte grid besides box-sized temporaries.
     """
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
     if not body.any():
         raise SubjectError("no body voxels above the air threshold")
-    yy = np.arange(body.shape[1])[None, :, None]
-    anterior = yy <= planes[:, None, None]
-    candidate = body & anterior
+    candidate = body.copy()
+    for z, plane in enumerate(planes):
+        candidate[z, plane + 1 :] = False
     if config.morphology_radius > 0:
         # Never None: each slice's chest-wall row holds body voxels.
         box = widen(bounding_box(candidate), (config.morphology_radius,) * 3, candidate.shape)
-        closed = np.zeros(candidate.shape, dtype=bool)
-        closed[box] = _closing(candidate[box], config.morphology_radius)
-        candidate = closed
-    candidate = _drop_small_components(candidate, config.min_component_voxels)
+        candidate[box] = _closing(candidate[box], config.morphology_radius)
+    _drop_small_components(candidate, config.min_component_voxels)
     if not candidate.any():
         raise SubjectError("breast segmentation produced an empty mask")
     return candidate
@@ -366,38 +481,24 @@ def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -
 def _enhancement_threshold(pre: Volume, post1: Volume, q: float) -> float:
     """The nearest-rank ``q``-th percentile of the float64 subtraction image post1 - pre, as ``volume.percentile`` takes it.
 
-    No float64 grid is formed. A voxel's float32 and float64
-    differences are both its exact difference, rounded, and rounding is
-    monotone, so a voxel whose float32 difference is below another's
-    has a float64 difference at most the other's. So the float32 image
-    is partitioned in place at rank k, giving its k-th value t, and the
-    answer is the float64 difference of rank k - n among the voxels
-    whose float32 difference is t, where n voxels fall below t. Those
-    two come from one blocked scan of pre and post1. A float32
-    difference that overflows is an infinity, which orders the same
-    way. Raises SubjectError when no voxel enhances.
+    No subtraction grid is formed: ``_select`` takes the float64
+    differences block by block, which gives the float64 percentile
+    directly. A zero threshold may come back as -0.0; the threshold is
+    only compared (``>=``) and never written, so that cannot change a
+    mask. Raises SubjectError when no voxel enhances, which a scan of
+    pre and post1 that stops at the first block with an enhancing voxel
+    decides.
     """
-    with np.errstate(over="ignore"):  # an overflow is an infinity, which the ranks take as it is
-        sub = np.subtract(post1.data, pre.data).reshape(-1)
-        if not sub.max() > 0:  # a positive difference never rounds to 0
-            raise SubjectError("subtraction image shows no enhancement")
-        k = nearest_rank_index(sub.size, q)
-        sub.partition(k)
-        t = sub[k]
-        del sub
-        below, tied = 0, []
-        pre_flat, post_flat = pre.data.reshape(-1), post1.data.reshape(-1)
-        for start in range(0, pre_flat.size, _SCAN_BLOCK):
-            block = slice(start, start + _SCAN_BLOCK)
-            s0, s1 = pre_flat[block], post_flat[block]
-            diff = s1 - s0
-            below += int(np.count_nonzero(diff < t))
-            at = diff == t
-            tied.append(np.subtract(s1[at], s0[at], dtype=np.float64))
-    tied = np.concatenate(tied)
-    rank = k - below
-    tied.partition(rank)
-    return float(tied[rank])
+    pre_flat, post_flat = pre.data.reshape(-1), post1.data.reshape(-1)
+    n = pre_flat.size
+    blocks = (slice(start, start + _SCAN_BLOCK) for start in range(0, n, _SCAN_BLOCK))
+    if not any(np.any(post_flat[block] > pre_flat[block]) for block in blocks):
+        raise SubjectError("subtraction image shows no enhancement")
+
+    def difference(s: slice) -> np.ndarray:
+        return np.subtract(post_flat[s], pre_flat[s], dtype=np.float64)
+
+    return _select(difference, n, nearest_rank_index(n, q), _SCAN_BLOCK)
 
 
 def segment_heart(
@@ -414,35 +515,47 @@ def segment_heart(
     (no enhancement anywhere, or a component below the size floor) is
     an error so callers can skip the subject explicitly.
 
-    The threshold is taken by ``_enhancement_threshold``, whose float32
-    subtraction image is the only whole-grid array it forms; the
-    threshold is still the percentile of the float64 image. The
-    candidates are then found on the bounding box of the body behind
-    the chest wall, where the subtraction is formed again in float64.
+    The threshold is taken by ``_enhancement_threshold`` from blocks of
+    the float64 subtraction image. The candidates are then found on the
+    outer box: the slices and rows behind the chest wall that hold body
+    voxels, across the full width. There they are formed in z-slabs of
+    about ``_SCAN_BLOCK`` voxels, the subtraction again in float64, into
+    one byte array of the box.
 
     Components are labelled by ``_label``, which numbers them in the
     scan order of their first voxels, so a tie for the largest goes to
     the component that comes first in scan order. They are labelled on
     the candidates' bounding box only. That is exact: no component
     crosses the box, and labels keep their scan order inside it, so ties
-    resolve as on the full grid.
+    resolve as on the full grid. The candidates are let go before the
+    heart's runs are painted into the grid returned.
     """
     check_same_grid(post1, pre, "post1 and pre")
     if body.shape != pre.data.shape:
         raise ValidationError("body mask shape does not match volume")
     threshold = _enhancement_threshold(pre, post1, config.heart_enhancement_percentile)
-    yy = np.arange(body.shape[1])[None, :, None]
-    behind = body & (yy > planes[:, None, None])
-    outer = bounding_box(behind)
+    # Rows behind each slice's plane that hold body voxels: a voxel is behind the chest wall where its row is one.
+    rows = body.any(axis=2) & (np.arange(body.shape[1]) > planes[:, None])
+    zs, ys = np.flatnonzero(rows.any(axis=1)), np.flatnonzero(rows.any(axis=0))
     box = None
-    if outer is not None:
-        near = behind[outer] & (np.subtract(post1.data[outer], pre.data[outer], dtype=np.float64) >= threshold)
+    if zs.size:
+        z0, y0 = int(zs[0]), int(ys[0])
+        z1, y1 = int(zs[-1]) + 1, int(ys[-1]) + 1
+        near = np.empty((z1 - z0, y1 - y0, body.shape[2]), dtype=bool)
+        step = max(1, _SCAN_BLOCK // near[0].size)
+        for z in range(z0, z1, step):
+            slab = (slice(z, min(z + step, z1)), slice(y0, y1))
+            out = near[z - z0 : slab[0].stop - z0]
+            np.greater_equal(np.subtract(post1.data[slab], pre.data[slab], dtype=np.float64), threshold, out=out)
+            out &= body[slab]
+            out &= rows[slab][:, :, None]
+        del out  # a view, which would keep the candidates alive
         box = bounding_box(near)
     if box is None:
         raise SubjectError("no heart candidates behind the chest wall")
-    labeled, _ = _label(near[box])
-    sizes = np.bincount(labeled.ravel())
-    sizes[0] = 0
+    start, stop, label, _ = _label(near[box])
+    del near
+    sizes = np.bincount(label, weights=stop - start)
     best = int(np.argmax(sizes))
     if sizes[best] < config.min_component_voxels:
         raise SubjectError(
@@ -450,7 +563,9 @@ def segment_heart(
             f"below the floor of {config.min_component_voxels}"
         )
     heart = np.zeros(body.shape, dtype=bool)
-    heart[outer][box] = labeled == best
+    in_grid = (slice(z0 + box[0].start, z0 + box[0].stop), slice(y0 + box[1].start, y0 + box[1].stop), box[2])
+    keep = label == best
+    _paint(heart, in_grid, start[keep], stop[keep], True)
     return heart
 
 
@@ -480,27 +595,43 @@ def assemble_mask(
     return TissueMask(labels, spacing_mm)
 
 
-def classical_mask(series: StudySeries, config: SegmentationConfig) -> TissueMask:
-    """Run the full classical pipeline for one subject.
+def classical_mask(volumes: Iterable[Volume], config: SegmentationConfig) -> TissueMask:
+    """Run the full classical pipeline for one subject, given its volumes in order: pre, then post1.
 
-    Each stage writes its labels as it finishes, in ``assemble_mask``'s
-    order of precedence (air, then fat and dense, then heart), so a
-    later label overrides an earlier one as there, and no stage's voxel
-    set is held past its stage but the body mask, which the heart stage
-    reads too. Dense tissue lies inside the breast, so labelling the
-    breast fat and then its dense voxels dense gives fat the breast
-    minus dense. No tumor stage exists here; tumor labels only enter
-    through an externally supplied mask.
+    ``volumes`` may be a generator. Pre is drawn first and post1 only
+    after the dense stage, when the heart stage needs it; no later
+    volume is drawn. Each stage writes its labels as it finishes, in
+    ``assemble_mask``'s order of precedence (air, then fat and dense,
+    then heart), so a later label overrides an earlier one as there, and
+    no stage's voxel set is held past its stage but the body mask, which
+    the heart stage reads too. Dense tissue lies inside the breast, so
+    labelling the breast fat and then its dense voxels dense gives fat
+    the breast minus dense. No tumor stage exists here; tumor labels
+    only enter through an externally supplied mask. The module
+    docstring states the working memory this gives.
     """
-    pre = series.pre
+    volumes = iter(volumes)
+    pre = _draw(volumes, "pre")
     labels = np.zeros(pre.data.shape, dtype=np.uint8)
-    labels[segment_air(pre, config)] = AIR
+    # The body mask comes first, so that no grid-sized block is freed before
+    # its Otsu split allocates two: glibc's malloc raises its mmap threshold to
+    # the size of a freed mmapped block, and later grids then land in the heap.
+    # With the air selection freed first, 12 MB of freed heap was still
+    # resident when post1 loaded, on a 256x256x60 subject.
     body = body_mask(pre)
+    labels[segment_air(pre, config)] = AIR
     planes = chest_wall_planes(body)
     breast = segment_breast(pre, body, planes, config)
     dense = segment_dense(pre, breast, config)
     labels[breast] = FAT
     labels[dense] = DENSE
     del breast, dense
-    labels[segment_heart(pre, series.posts[0], body, planes, config)] = HEART
-    return TissueMask(labels, series.spacing_mm)
+    labels[segment_heart(pre, _draw(volumes, "post1"), body, planes, config)] = HEART
+    return TissueMask(labels, pre.spacing_mm)
+
+
+def _draw(volumes: Iterator[Volume], name: str) -> Volume:
+    volume = next(volumes, None)
+    if volume is None:
+        raise ValidationError(f"classical segmentation needs pre and post1; {name} is missing")
+    return volume

@@ -6,7 +6,6 @@ import csv
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from numbers import Integral, Real
 from pathlib import Path
@@ -16,10 +15,19 @@ from .errors import MissingInputError, ValidationError
 
 
 def atomic_write_bytes(path: Path | str, data: bytes | memoryview) -> None:
-    """Write ``data``, any C-contiguous buffer, to ``path`` via a temp file and atomic rename."""
+    """Write ``data``, any C-contiguous buffer, to ``path`` via a temp file and atomic rename.
+
+    The temp file is a new name in ``path``'s directory, created with mode
+    0o666 less the umask, as any new file is. An existing ``path`` that is
+    not a regular file (a directory, a FIFO, a device) is refused with an
+    OSError, not replaced.
+    """
     path = Path(path)
+    if path.exists() and not path.is_file():
+        raise OSError(f"output exists and is not a regular file [{path}]")
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -61,6 +69,11 @@ def write_csv(path: Path | str, header: Sequence[str], rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def not_utf8(exc: UnicodeDecodeError, path: Path | str) -> ValidationError:
+    """The error for a text file ``path`` whose bytes ``exc`` found not to be UTF-8."""
+    return ValidationError(f"file is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} cannot be decoded", path=path)
+
+
 def read_json(path: Path | str) -> Any:
     path = Path(path)
     if not path.exists():
@@ -68,6 +81,8 @@ def read_json(path: Path | str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc, path) from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
@@ -102,7 +117,7 @@ def read_csv_records(path: Path | str, columns: Sequence[str], what: str) -> Ite
     if not path.exists():
         raise MissingInputError(f"{what} not found", path=path)
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.DictReader(_utf8_lines(handle, path))
         # Sorted lists, not sets: the reader would keep only a repeated column's last values.
         header = reader.fieldnames or []
         if sorted(header) != sorted(columns):
@@ -116,6 +131,14 @@ def read_csv_records(path: Path | str, columns: Sequence[str], what: str) -> Ite
                 raise ValidationError(f"duplicate subject {subject} in {what}", path=path)
             seen.add(subject)
             yield subject, record
+
+
+def _utf8_lines(handle, path: Path) -> Iterator[str]:
+    """The lines of the text file ``handle``, opened as UTF-8; bytes that are not UTF-8 end in ``not_utf8``'s error."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc, path) from exc
 
 
 def binary_cell(record: dict, column: str, subject: str, path: Path | str) -> int:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingInputError, NonFiniteDataError, ValidationError
-from .util import atomic_write_bytes, atomic_write_json, is_number
+from .util import atomic_write_bytes, atomic_write_json, is_number, not_utf8
 
 VOLUME_DTYPE = "f32le"
 MASK_DTYPE = "u8"
@@ -160,18 +160,21 @@ class Sidecar:
 def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sidecar:
     """Read and check the sidecar of the volume named by ``path``, and its payload's size, not its bytes.
 
-    Checks the dims, the spacing, the dtype (which must be ``expected_dtype``),
-    the voxel order and the modality tag, which must be a string if given, and
+    Checks that both files are regular files, that the sidecar is UTF-8 JSON,
+    the dims, the spacing, the dtype (which must be ``expected_dtype``), the
+    voxel order and the modality tag, which must be a string if given, and
     that the payload holds exactly the bytes the dims require. Only the checks
     on voxel values are left to the loaders.
     """
     sidecar_path, payload_path = volume_files(path)
     for p in (sidecar_path, payload_path):
-        if not p.exists():
-            raise MissingInputError("volume file not found", path=p)
+        if not p.is_file():  # missing, or a directory, or a FIFO that a read would wait on
+            raise MissingInputError("volume file is not a regular file" if p.exists() else "volume file not found", path=p)
     try:
         with open(sidecar_path, "r", encoding="utf-8") as handle:
             sidecar = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc, sidecar_path) from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"sidecar is not valid JSON: {exc}", path=sidecar_path) from exc
     if not isinstance(sidecar, dict):

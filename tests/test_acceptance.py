@@ -387,7 +387,7 @@ def test_runtime_budget_on_clinical_grid(tmp_path, announce):
         series = load_series(manifest[0])
 
         t0 = time.perf_counter()
-        mask = classical_mask(series, SegmentationConfig())
+        mask = classical_mask(series.volumes, SegmentationConfig())
         anchors = extract_anchors(series, mask)
         model = train_archetype([anchors])
         mapping = build_mapping(anchors, model)

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -831,6 +832,44 @@ def test_single_file_output_may_not_overwrite_an_input(tmp_path, monkeypatch, ca
     assert _tree_bytes(tmp_path) == before
     assert rc == 1
     assert err == f"error[validation]: {flag} would overwrite an input file [{victim.format(data=data, tmp=tmp_path)}]\n"
+
+
+def test_an_output_that_is_not_a_regular_file_is_refused_before_any_subject_loads(tmp_path, monkeypatch):
+    """A FIFO at --out: one io line, nothing read, and the FIFO left as it was rather than replaced by a file."""
+    data = tmp_path / "data"
+    generate_phantom(PhantomConfig(dims=(16, 16, 8), groups=(GroupSpec(name="A", n_subjects=1),)), data)
+    fifo = tmp_path / "features.csv"
+    os.mkfifo(fifo)
+    _forbid_loading(monkeypatch, "subject loaded before the outputs were checked")
+    rc, err = _run(["features", "--manifest", str(data / "manifest.json"), "--out", str(fifo), "--jobs", "1"])
+    assert (rc, err) == (2, f"error[io]: --out exists and is not a regular file [{fifo}]\n")
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+
+@pytest.mark.parametrize("case", ["manifest", "sidecar", "labels"])
+def test_text_that_is_not_utf8_is_one_validation_line(tmp_path, monkeypatch, case):
+    """A manifest, a sidecar or a labels CSV holding a byte 0xff ends in one line naming the file."""
+    monkeypatch.chdir(tmp_path)
+    generate_phantom(PhantomConfig(dims=(16, 16, 8), groups=(GroupSpec(name="A", n_subjects=2),)), "data")
+    assert main(["features", "--manifest", "data/manifest.json", "--out", "f.csv", "--jobs", "1"]) == 0
+    if case == "labels":
+        Path("labels.csv").write_bytes(b"subject_id,label\nA000,1\nA\xff01,0\n")
+        argv, bad = ["auc", "--features", "f.csv", "--labels", "labels.csv", "--out", "auc.csv"], "labels.csv"
+    else:
+        bad = "data/manifest.json" if case == "manifest" else "data/A000_pre.json"
+        Path(bad).write_bytes(b"\xff" + Path(bad).read_bytes())
+        argv = ["train", "--manifest", "data/manifest.json", "--out", "model.json", "--jobs", "1"]
+    assert _run(argv) == (1, f"error[validation]: file is not UTF-8 text: byte 0xff cannot be decoded [{bad}]\n")
+
+
+def test_a_payload_that_is_a_directory_is_an_io_failure(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    generate_phantom(PhantomConfig(dims=(16, 16, 8), groups=(GroupSpec(name="A", n_subjects=1),)), "data")
+    payload = Path("data/A000_post1.raw")
+    payload.unlink()
+    payload.mkdir()
+    rc, err = _run(["features", "--manifest", "data/manifest.json", "--out", "f.csv", "--jobs", "1"])
+    assert (rc, err) == (2, f"error[io]: volume file is not a regular file [{payload}]\n")
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -23,7 +23,7 @@ from dcenorm import (
 )
 from dcenorm import segmentation
 from dcenorm.cli import main
-from dcenorm.manifest import load_manifest, save_manifest
+from dcenorm.manifest import load_manifest, load_volumes, save_manifest
 from dcenorm.segmentation import (
     OTSU_BINS,
     _closing,
@@ -309,7 +309,7 @@ class TestSegmentBreast:
 
     def test_breast_sits_anterior_of_heart(self, phantom_subject):
         series, _ = phantom_subject
-        mask = classical_mask(series, SegmentationConfig())
+        mask = classical_mask(series.volumes, SegmentationConfig())
         breast_y = np.nonzero(mask.tissue(FAT) | mask.tissue(DENSE))[1]
         heart_y = np.nonzero(mask.tissue(HEART))[1]
         assert breast_y.max() < heart_y.mean()
@@ -356,10 +356,80 @@ class TestSegmentDense:
     def test_phantom_fat_dense_partition_breast(self, phantom_subject):
         series, _ = phantom_subject
         breast = segment_breast(series.pre, *body_and_planes(series.pre), SegmentationConfig())
-        mask = classical_mask(series, SegmentationConfig())
+        mask = classical_mask(series.volumes, SegmentationConfig())
         fat_or_dense = mask.tissue(FAT) | mask.tissue(DENSE)
         # heart has precedence but never overlaps the breast territory
         assert np.array_equal(fat_or_dense, breast)
+
+
+SPECIAL_VALUES = [-math.inf, -1e30, -2.5, -0.0, 0.0, 1.0, 3.0, 1e30, math.inf]
+
+
+@st.composite
+def selections(draw):
+    """Values for ``_select``: a pool with infinities, signed zeros and ties, random floats, or one
+    repeated value; the dtype; a rank, often 0 or n - 1; and the block size."""
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["pool", "random", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "pool":
+        pool = draw(st.lists(st.sampled_from(SPECIAL_VALUES), min_size=1, max_size=5))
+        values = rng.choice(pool, n)
+    elif kind == "random":
+        values = rng.normal(0.0, 100.0, n)
+    else:
+        values = np.full(n, draw(st.sampled_from(SPECIAL_VALUES)))
+    values = values.astype(draw(st.sampled_from([np.float32, np.float64])))
+    k = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
+    return values, k, draw(st.sampled_from([1, 7, 2**16]))
+
+
+def selected(values, k, block):
+    """``_select``'s value of rank k, reading ``values`` through a slice, and the passes it made."""
+    starts = []
+
+    def read(s):
+        if s.step is None:
+            starts.append(s.start)
+        return values[s]
+
+    got = segmentation._select(read, values.size, k, block)
+    return got, starts.count(0)
+
+
+class TestSelect:
+    """The blocked selection behind both percentile thresholds, against the sort's nearest rank."""
+
+    @given(selections(), st.sampled_from([2**14, 200, 3]))
+    def test_equals_the_sorted_value_of_rank_k(self, selection, sample):
+        values, k, block = selection
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segmentation, "_SAMPLE", sample)
+            got, _ = selected(values, k, block)
+        assert got == np.sort(values)[k]  # 0.0 == -0.0: a zero's sign is not asserted
+
+    @pytest.mark.parametrize("side, q", [("above", 50.0), ("below", 50.0), ("above", 99.0), ("below", 1.0)])
+    def test_exact_where_the_sample_misleads(self, monkeypatch, side, q):
+        """Every sampled value lies beyond all the others, on the side that puts the first bracket past the
+        answer, so it misses; the later passes still find the exact value."""
+        monkeypatch.setattr(segmentation, "_SAMPLE", 256)
+        n = 256 * 40
+        values = np.random.default_rng(1).normal(0.0, 1.0, n)
+        values[:: n // 256] += 1e6 if side == "above" else -1e6
+        k = nearest_rank_index(n, q)
+        got, passes = selected(values, k, 1000)
+        assert got == np.sort(values)[k]
+        assert passes >= 2
+
+    @pytest.mark.parametrize("q", [5.0, 50.0, 99.0])
+    def test_ties_resolve_at_a_bound_without_keeping_them(self, q):
+        """Integer values with long runs of ties, as scanners write them: the answer is a bound of the
+        bracket, and no pass keeps the ties it counts."""
+        values = np.random.default_rng(2).integers(0, 5, 50_000).astype(np.float32)
+        k = nearest_rank_index(values.size, q)
+        got, passes = selected(values, k, segmentation._SCAN_BLOCK)
+        assert got == np.sort(values)[k]
+        assert passes <= 2
 
 
 class TestEnhancementThreshold:
@@ -496,7 +566,7 @@ class TestBoundingBoxCrops:
     @given(masks(), st.floats(0.0, 1.0))
     def test_drop_small_components_matches_full_volume(self, mask, fraction):
         floor = min_voxels(mask, fraction)
-        assert_same_outcome(_drop_small_components(mask, floor), full_volume_drop_small_components(mask, floor))
+        assert_same_outcome(_drop_small_components(mask.copy(), floor), full_volume_drop_small_components(mask, floor))
 
     @given(masks(), st.booleans(), st.integers(0, 3), st.floats(0.0, 1.0))
     # one voxel exactly r from every face: the closing keeps it only when
@@ -545,6 +615,16 @@ def kernel_masks(draw):
     return (x + phase) % draw(st.integers(2, 4)) == 0
 
 
+def painted_labels(mask):
+    """``_label``'s runs painted into an int32 label grid of ``mask``'s shape, and the component count."""
+    start, stop, label, count = _label(mask)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    flat = labels.reshape(-1)
+    for first, end, value in zip(start, stop, label):
+        flat[first:end] = value
+    return labels, count
+
+
 class TestMorphologyKernels:
     """The numpy closing and labelling against scipy.ndimage, which the program does not import."""
 
@@ -568,17 +648,17 @@ class TestMorphologyKernels:
     @example(np.eye(6, dtype=bool)[:, :, None])
     def test_label_matches_ndimage(self, mask):
         want, n = ndimage.label(mask, structure=CONN26)
-        got, count = _label(mask)
+        got, count = painted_labels(mask)
         assert count == n
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(9, 40, 70), (30, 17, 3), (4, 3, 130)])
     @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.9])
     def test_label_matches_ndimage_on_larger_masks(self, shape, density):
-        """Many runs per row and many rows, so run numbers and prefix counts cross row ends."""
+        """Many runs per row and many rows, so run numbers and neighbour ranges cross row ends."""
         mask = np.random.default_rng(7).random(shape) < density
         want, n = ndimage.label(mask, structure=CONN26)
-        got, count = _label(mask)
+        got, count = painted_labels(mask)
         assert count == n and np.array_equal(got, want)
 
 
@@ -610,7 +690,7 @@ class TestAssembleMask:
 class TestClassicalPipeline:
     def test_phantom_dice_all_tissues(self, phantom_subject):
         series, truth = phantom_subject
-        mask = classical_mask(series, SegmentationConfig())
+        mask = classical_mask(series.volumes, SegmentationConfig())
         truth_breast = truth.tissue(FAT) | truth.tissue(DENSE) | truth.tissue(TUMOR)
         got_breast = mask.tissue(FAT) | mask.tissue(DENSE)
         # the classical pipeline has no tumor stage, so the phantom's
@@ -623,7 +703,7 @@ class TestClassicalPipeline:
 
     def test_air_count_matches_fraction(self, phantom_subject):
         series, _ = phantom_subject
-        mask = classical_mask(series, SegmentationConfig())
+        mask = classical_mask(series.volumes, SegmentationConfig())
         # phantom noise makes intensity ties vanishingly unlikely
         assert mask.counts()["air"] == math.ceil(0.05 * series.pre.data.size)
 
@@ -636,7 +716,7 @@ class TestClassicalPipeline:
         (good,) = generate_phantom(PhantomConfig(groups=(GroupSpec("A", 1),)), tmp_path / "good", jobs=1)
         with caplog.at_level(logging.WARNING):
             with pytest.raises(SubjectError, match="^degenerate intensity histogram inside breast$"):
-                classical_mask(load_series(flat), SegmentationConfig())
+                classical_mask(load_series(flat).volumes, SegmentationConfig())
         assert not caplog.records
         save_manifest(tmp_path, [dataclasses.replace(entry, mask=None) for entry in (flat, good)])
         assert main(["segment", "--manifest", str(tmp_path / "manifest.json"),
@@ -660,27 +740,45 @@ class TestClassicalPipeline:
         assert (air & breast).any() == (air & heart).any() == (air_fraction == 0.9)
         none = np.zeros(pre.data.shape, dtype=bool)
         want = assemble_mask(air, breast & ~dense, dense, heart, none, series.spacing_mm)
-        assert np.array_equal(classical_mask(series, cfg).labels, want.labels)
+        assert np.array_equal(classical_mask(series.volumes, cfg).labels, want.labels)
+
+    def test_post1_is_drawn_for_the_heart_stage_only(self, phantom_subject, monkeypatch):
+        series, _ = phantom_subject
+        events = []
+        for name in ("segment_dense", "segment_heart"):
+            stage = getattr(segmentation, name)
+            monkeypatch.setattr(segmentation, name, lambda *args, stage=stage: events.append(stage.__name__) or stage(*args))
+
+        def volumes():
+            yield series.pre
+            events.append("post1 drawn")
+            yield series.posts[0]
+            events.append("post2 drawn")
+
+        classical_mask(volumes(), SegmentationConfig())
+        assert events == ["segment_dense", "post1 drawn", "segment_heart"]
+        with pytest.raises(ValidationError, match="^classical segmentation needs pre and post1; post1 is missing$"):
+            classical_mask([series.pre], SegmentationConfig())
 
     def test_deterministic(self, phantom_subject):
         series, _ = phantom_subject
-        a = classical_mask(series, SegmentationConfig())
-        b = classical_mask(series, SegmentationConfig())
+        a = classical_mask(series.volumes, SegmentationConfig())
+        b = classical_mask(series.volumes, SegmentationConfig())
         assert np.array_equal(a.labels, b.labels)
 
-    def test_peak_allocation_within_its_inputs_three_boolean_grids_and_one_float32_grid(self, tmp_path):
-        """Loading pre and post1 and segmenting them peaks at those two volumes, three byte grids (the
-        labels, the body mask and one stage's voxel set) and one float32 grid's worth of temporaries:
-        the heart threshold's float32 subtraction image, or the breast labelling's run counts on its box."""
-        dims = (128, 128, 32)
+    def test_peak_allocation_within_two_volumes_three_byte_grids_and_2_mib(self, tmp_path):
+        """Loading pre and post1 as ``segment`` draws them and segmenting them peaks at those two volumes,
+        three byte grids (the labels, the body mask and one stage's voxel set) and 2 MiB of block- and
+        run-sized temporaries. On this grid 2 MiB is one byte a voxel."""
+        dims = (256, 256, 32)
         (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path)
-        entry = dataclasses.replace(entry, posts=entry.posts[:1])
-        classical_mask(load_series(entry), SegmentationConfig())  # first-call allocations outside the trace
+        files = (entry.pre, entry.posts[0])
+        classical_mask(load_volumes(files), SegmentationConfig())  # first-call allocations outside the trace
         voxels = math.prod(dims)
-        bound = 2 * 4 * voxels + 3 * voxels + 4 * voxels
+        bound = 2 * 4 * voxels + 3 * voxels + 2 * 2**20
         tracemalloc.start()
         try:
-            classical_mask(load_series(entry), SegmentationConfig())
+            classical_mask(load_volumes(files), SegmentationConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -694,7 +792,7 @@ class TestClassicalPipeline:
             return chest_wall_planes(body)
 
         monkeypatch.setattr(segmentation, "chest_wall_planes", counted)
-        classical_mask(phantom_subject[0], SegmentationConfig())
+        classical_mask(phantom_subject[0].volumes, SegmentationConfig())
         assert len(calls) == 1
 
 

@@ -1,10 +1,14 @@
+import os
+import stat
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dcenorm.util import binary_cell, read_csv_records, write_csv
+from dcenorm import ValidationError
+from dcenorm.util import atomic_write_bytes, binary_cell, read_csv_records, read_json, write_csv
 
 
 def _written(directory, cells):
@@ -39,3 +43,40 @@ class TestWriteCsv:
         assert cells[0] == ""
         record = {"c1": cells[1], "c2": cells[2]}
         assert [binary_cell(record, c, "s0", path) for c in ("c1", "c2")] == [1, 0]
+
+
+class TestTextInputs:
+    def test_json_that_is_not_utf8_is_one_validation_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b"\xff[]")
+        with pytest.raises(ValidationError) as info:
+            read_json(path)
+        assert str(info.value) == f"file is not UTF-8 text: byte 0xff cannot be decoded [{path}]"
+
+    def test_csv_that_is_not_utf8_is_one_validation_error_naming_the_file(self, tmp_path):
+        """The bad byte sits in a row, past the header: the reader decodes it while it yields records."""
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"subject_id,label\nA000,1\nA\xe901,0\n")
+        with pytest.raises(ValidationError) as info:
+            list(read_csv_records(path, ("subject_id", "label"), "labels CSV"))
+        assert str(info.value) == f"file is not UTF-8 text: byte 0xe9 cannot be decoded [{path}]"
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(tmp_path / "out.bin", b"data")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_an_existing_fifo_is_refused_not_replaced(self, tmp_path):
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError, match="not a regular file"):
+            atomic_write_bytes(fifo, b"data")
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

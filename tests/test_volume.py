@@ -140,6 +140,22 @@ class TestVolumeIO:
         with pytest.raises(ValidationError, match="sidecar is not valid JSON"):
             load_volume(tmp_path / "v")
 
+    def test_sidecar_not_utf8(self, tmp_path):
+        (tmp_path / "v.json").write_bytes(b"\xff{}")
+        (tmp_path / "v.raw").write_bytes(f32_bytes([0]))
+        with pytest.raises(ValidationError) as info:
+            load_volume(tmp_path / "v")
+        assert str(info.value) == f"file is not UTF-8 text: byte 0xff cannot be decoded [{tmp_path / 'v.json'}]"
+
+    def test_payload_that_is_a_directory_is_missing(self, tmp_path):
+        """An I/O failure, not a size mismatch: the directory's own size is never read as the payload's."""
+        path = write_pair(tmp_path, "v", [2, 2, 1], f32_bytes([1, 2, 3, 4]))
+        (tmp_path / "v.raw").unlink()
+        (tmp_path / "v.raw").mkdir()
+        with pytest.raises(MissingInputError) as info:
+            read_sidecar(path)
+        assert str(info.value) == f"volume file is not a regular file [{tmp_path / 'v.raw'}]"
+
     def test_single_voxel_payload_is_four_bytes(self, tmp_path):
         save_volume(vol(np.zeros((1, 1, 1)) + 7.5), tmp_path / "one")
         assert (tmp_path / "one.raw").stat().st_size == 4
