@@ -130,8 +130,14 @@ produce_configured() {
 # grid names that post's file, and on a mask that is both on another
 # grid and holds an illegal label reports the grid. A manifest, a sidecar
 # and a labels CSV that are not UTF-8 each name the file, and a payload
-# path that is a directory is an I/O failure. A case that exits 0 fails
-# the step.
+# path that is a directory is an I/O failure. A FIFO where normalize would
+# write the second subject's pre is refused before the first subject is
+# written (out-dir-fifo; the FIFO is removed after the case, so that the
+# two sides' directories compare). One anchor and target rule: train
+# refuses a subject whose constant pre ties its air, fat and dense anchors
+# (train-degenerate-anchors), as normalize does (degenerate-anchors), and
+# normalize refuses a model whose fat and dense targets are equal
+# (equal-targets). A case that exits 0 fails the step.
 damage() {  # writes the damaged inputs of the errors step into the current directory
   python - <<'PY'
 import json, pathlib
@@ -188,6 +194,7 @@ volume("short_post1", record["posts"][0], (here / record["posts"][0].replace(".j
 manifest("short.json", posts=["short_post1.json", *record["posts"][1:]])
 model = json.loads((here / "model.json").read_text())
 (here / "version-model.json").write_text(json.dumps(dict(model, format_version=999)))
+(here / "equal-model.json").write_text(json.dumps(dict(model, m_dense=model["m_fat"])))
 (here / "falling-model.json").write_text(json.dumps(dict(model, m_heart=-1000.0)))
 (here / "unknown-key.json").write_text('{"segmentation": {"colour": 1}}')
 (here / "small-phantom.json").write_text('{"dims": [4, 4, 4]}')
@@ -247,7 +254,11 @@ produce_errors() {
     fail manifest-not-utf8 train --manifest not-utf8.json --out m.json &&
     fail sidecar-not-utf8 train --manifest sidecar-not-utf8.json --out m.json &&
     fail labels-not-utf8 auc --features features.csv --labels labels-not-utf8.csv --out auc.csv &&
-    fail payload-dir features --manifest payload-dir.json --out f.csv)
+    fail payload-dir features --manifest payload-dir.json --out f.csv &&
+    mkdir fifo && mkfifo fifo/A001_pre.raw &&
+    fail out-dir-fifo normalize --manifest data/manifest.json --model model.json --out-dir fifo && rm fifo/A001_pre.raw &&
+    fail equal-targets normalize --manifest data/manifest.json --model equal-model.json --out-dir norm &&
+    fail train-degenerate-anchors train --manifest flat.json --out m.json)
 }
 
 status=0

@@ -36,7 +36,8 @@ from .errors import DcenormError, MissingInputError, SubjectError, ValidationErr
 from .features import extract_features, read_features_csv, write_features_csv
 from .manifest import (
     SubjectEntry, check_out_dir_holds_no_input, check_outputs_spare_inputs, check_subject_grids, load_manifest,
-    load_series, load_subject_mask, load_volumes, manifest_files, read_labels_csv, save_manifest, save_subject,
+    load_series, load_subject_mask, load_volumes, manifest_files, out_dir_files, read_labels_csv, save_manifest,
+    save_subject,
 )
 from .mapping import build_mapping, export_mapping_curve, map_volume, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
@@ -105,32 +106,22 @@ def _normalize_job(entry: SubjectEntry, model: NormalizationModel, out_dir: str,
     """Map a subject's volumes and write them one at a time.
 
     The grids are checked from the sidecars first, so a subject on two
-    grids is refused before any of its volumes is written. Only the
-    mask, pre and the first post are loaded for the anchors, and the
-    mask goes once they are taken. Each volume is let go once its map
-    is written, and each later post is loaded when it is mapped. So the
-    job holds pre and the first post while it maps pre, and after that
-    two volumes: one and its map, or the last one mapped and the next
-    post loading.
+    grids is refused before any of its volumes is written. The anchors
+    are then taken as ``_anchor_job`` takes them, from the mask, pre and
+    the first post, which all go once they are taken. The subject is
+    then read a second time, one volume at a time: each is mapped,
+    written and let go. So the job holds the mask and two volumes while
+    it takes the anchors, and after that two grids: a volume and its map,
+    or the last volume mapped and the next one loading.
     """
     check_subject_grids(entry)
-    mask = load_subject_mask(entry)
-    series = load_series(dataclasses.replace(entry, posts=entry.posts[:1]))
-    mapping = build_mapping(anchors_mod.extract_anchors(series, mask), model)
-    held = list(series.volumes)
-    del series, mask
+    mapping = build_mapping(_anchor_job(entry), model)
     sid = entry.subject_id
-    volumes = itertools.chain(_drained(held), load_volumes(entry.posts[1:]))
+    volumes = load_volumes((entry.pre, *entry.posts))
     written = save_subject(entry, out_dir, (map_volume(mapping, volume, sid) for volume in volumes))
     if mapping_dir is not None:
         write_mapping_curve(_mapping_file(mapping_dir, sid), export_mapping_curve(mapping))
     return written
-
-
-def _drained(items: list):
-    """Yield the items of ``items`` in turn, each removed from the list as it is yielded."""
-    while items:
-        yield items.pop(0)
 
 
 def _mapping_file(mapping_dir: Path | str, subject_id: str) -> Path:
@@ -165,7 +156,9 @@ def _cmd_segment(args) -> int:
     cli_cfg = load_cli_config(args.config)
     entries = load_manifest(args.manifest)
     unmasked = [entry for entry in entries if entry.mask is None]
-    check_out_dir_holds_no_input(args.out_dir, manifest_files(args.manifest, entries))
+    inputs = list(manifest_files(args.manifest, entries))
+    check_out_dir_holds_no_input(args.out_dir, inputs)
+    check_outputs_spare_inputs(inputs, {"--out-dir": out_dir_files(args.out_dir, unmasked, volumes=False)})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Every subject's grids are checked here, from the sidecars; a mask the
@@ -211,7 +204,8 @@ def _cmd_normalize(args) -> int:
     inputs = [Path(args.model), *manifest_files(args.manifest, manifest)]
     check_out_dir_holds_no_input(args.out_dir, inputs)
     curves = [_mapping_file(args.emit_mapping, e.subject_id) for e in manifest] if args.emit_mapping else []
-    check_outputs_spare_inputs(inputs, {"--emit-mapping": curves})
+    outputs = {"--out-dir": out_dir_files(args.out_dir, manifest, volumes=True), "--emit-mapping": curves}
+    check_outputs_spare_inputs(inputs, outputs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.emit_mapping:

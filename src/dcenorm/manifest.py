@@ -16,6 +16,8 @@ the volumes through ``load_series`` or ``load_volumes``.
 Datasets are written as they are read: ``save_subject`` names a
 subject's files ``<id>_pre``, ``<id>_post<k>`` and ``<id>_mask``, and
 ``save_manifest`` writes paths relative to the manifest's directory.
+``out_dir_files`` lists those files before a run writes them, so that
+``check_outputs_spare_inputs`` can refuse one that is not a regular file.
 """
 
 from __future__ import annotations
@@ -223,6 +225,17 @@ def subject_file(subject_id: str, out_dir: Path | str, index: int | None) -> Pat
     return Path(out_dir) / f"{subject_id}_{name}.json"
 
 
+def out_dir_files(out_dir: Path | str, entries, volumes: bool) -> list[Path]:
+    """Every file a run writes in ``out_dir`` for ``entries``: the sidecar and payload that ``save_subject`` writes
+    for each volume of each entry (pre, then each post) if ``volumes``, else for its mask; then the manifest."""
+    files = []
+    for entry in entries:
+        for index in range(len(entry.posts) + 1) if volumes else (None,):
+            files.extend(volume_files(subject_file(entry.subject_id, out_dir, index)))
+    files.append(Path(out_dir) / "manifest.json")
+    return files
+
+
 def save_subject(entry: SubjectEntry, out_dir: Path | str, volumes=(), mask: TissueMask | None = None) -> SubjectEntry:
     """Write ``volumes`` (pre, then each post) and ``mask``, those given, in ``out_dir``; return ``entry`` naming them.
 
@@ -286,8 +299,9 @@ def check_outputs_spare_inputs(inputs, outputs: dict) -> None:
     resolved once. The error names the flags of the first two outputs
     that share a file, else the flag and the first output that is an
     input. An output that exists and is not a regular file (a
-    directory, a FIFO, a device) is an OSError naming its flag: a write
-    would replace it.
+    directory, a FIFO, a device) is an OSError naming its flag and the
+    file: a write would replace it. Checked before any subject is read,
+    this leaves nothing half written.
     """
     directories, written = {}, {}
     for flag, files in outputs.items():
@@ -305,7 +319,7 @@ def check_outputs_spare_inputs(inputs, outputs: dict) -> None:
     existing = [(flag, Path(file)) for flag, files in outputs.items() for file in files if Path(file).exists()]
     for flag, file in existing:
         if not file.is_file():
-            raise OSError(f"{flag} exists and is not a regular file [{file}]")
+            raise OSError(f"an output of {flag} exists and is not a regular file [{file}]")
     if not existing:
         return
     resolved = {Path(file).resolve() for file in inputs}

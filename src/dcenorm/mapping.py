@@ -18,6 +18,7 @@ subject's volumes one at a time.
 from __future__ import annotations
 
 import functools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,20 +84,15 @@ class MappingFunction:
 def build_mapping(anchors: AnchorSet, model: NormalizationModel) -> MappingFunction:
     """Pair subject anchors with model targets into a mapping.
 
-    Control points are sorted by the subject's anchor values. Equal
-    anchor values are rejected naming the colliding tissues; a target
-    sequence that decreases in that order is rejected as non-monotone.
+    Control points are sorted by the subject's anchor values, which an
+    ``AnchorSet`` holds distinct. A target sequence that decreases in
+    that order is rejected as non-monotone.
     """
     subject_values = anchors.values()
     target_values = model.values()
     triples = sorted(
         ((subject_values[t], target_values[t], t) for t in TISSUES), key=lambda p: p[0]
     )
-    for (v0, _, t0), (v1, _, t1) in zip(triples, triples[1:]):
-        if v0 == v1:
-            raise SubjectError(
-                f"subject {anchors.subject_id}: tissues {t0!r} and {t1!r} share anchor value {v0}"
-            )
     ms = [m for _, m, _ in triples]
     for (_, m0, t0), (_, m1, t1) in zip(triples, triples[1:]):
         if m1 < m0:
@@ -164,12 +160,15 @@ def map_volume(mapping: MappingFunction, volume: Volume, subject_id: str) -> Vol
     so each float64 temporary is one block long, whatever the volume
     size, and stays in cache. Blocks join bit for bit: the map is
     pointwise. Working memory is the output and the block temporaries.
+    The output is its own anonymous mapping, not a malloc block, so its
+    pages leave the process when the result is let go: the heap keeps
+    no freed grid that would sit beside the next one.
 
     A result beyond float32's range stores as infinity, which ``Volume``
     rejects; the error names the subject.
     """
     src = volume.data.reshape(-1)
-    mapped = np.empty(src.shape, dtype=np.float32)
+    mapped = np.frombuffer(mmap.mmap(-1, src.nbytes), dtype=np.float32)
     # A non-finite result is reported once, by Volume's check below, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, src.size, _BLOCK_VOXELS):

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import TISSUES, AnchorSet
+from .anchors import TISSUES, AnchorSet, shared_value
 from .errors import ValidationError
 from .util import atomic_write_json, is_number, read_json
 
@@ -124,6 +124,7 @@ def save_model(model: NormalizationModel, path) -> None:
 
 
 def load_model(path) -> NormalizationModel:
+    """Read a model file; a malformed or missing value, or two targets that are equal, is a ValidationError naming it."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValidationError("model file must contain a JSON object", path=path)
@@ -137,7 +138,7 @@ def load_model(path) -> NormalizationModel:
         if key in data and not is_number(data[key], Integral if key == "n_training" else Real):
             raise ValidationError(f"model key {key!r} has a malformed value {data[key]!r}", path=path)
     try:
-        return NormalizationModel(
+        model = NormalizationModel(
             m_air=float(data["m_air"]),
             m_fat=float(data["m_fat"]),
             m_dense=float(data["m_dense"]),
@@ -149,3 +150,8 @@ def load_model(path) -> NormalizationModel:
         )
     except KeyError as exc:
         raise ValidationError(f"model file is missing key {exc.args[0]!r}", path=path) from exc
+    shared = shared_value(model.values())
+    if shared is not None:
+        t0, t1, value = shared
+        raise ValidationError(f"tissues {t0!r} and {t1!r} share target value {value}", path=path)
+    return model

@@ -13,12 +13,21 @@ In memory that layout corresponds to a C-contiguous array of shape
 ``(nz, ny, nx)`` indexed ``data[z, y, x]``. All modules in this package
 use that indexing convention. The y axis is the anterior-posterior
 axis with y = 0 at the anterior (breast side).
+
+A loaded volume or mask is a read-only view of a mapping of its payload
+file, not a copy: its pages are the page cache's, they leave the process
+when the grid is let go, and the malloc heap never holds them. So an
+input must not be rewritten in place while a grid loaded from it lives.
+dcenorm never does so: every output is written to a new file and renamed
+into place.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +39,7 @@ from .util import atomic_write_bytes, atomic_write_json, is_number, not_utf8
 VOLUME_DTYPE = "f32le"
 MASK_DTYPE = "u8"
 VOXEL_ORDER = "x-fastest"
-_ITEMSIZE = {VOLUME_DTYPE: 4, MASK_DTYPE: 1}
+_ARRAY_DTYPE = {VOLUME_DTYPE: np.dtype("<f4"), MASK_DTYPE: np.dtype(np.uint8)}
 
 # Tissue label codes used in masks. Background covers anything that is
 # none of the named tissues.
@@ -204,12 +213,28 @@ def read_sidecar(path: Path | str, expected_dtype: str = VOLUME_DTYPE) -> Sideca
     if not isinstance(tag, str):
         raise ValidationError(f"sidecar modality_tag must be a string, got {tag!r}", path=sidecar_path)
 
-    nx, ny, nz = dims
-    expected_bytes = nx * ny * nz * _ITEMSIZE[dtype]
-    size = payload_path.stat().st_size
-    if size != expected_bytes:
-        raise ValidationError(f"payload is {size} bytes, dims {dims} require {expected_bytes}", path=payload_path)
-    return Sidecar((nx, ny, nz), tuple(float(s) for s in spacing), tag, payload_path)
+    _check_payload_size(payload_path.stat().st_size, dims, dtype, payload_path)
+    return Sidecar(tuple(dims), tuple(float(s) for s in spacing), tag, payload_path)
+
+
+def _check_payload_size(size: int, dims, dtype: str, payload_path: Path) -> None:
+    expected = math.prod(dims) * _ARRAY_DTYPE[dtype].itemsize
+    if size != expected:
+        raise ValidationError(f"payload is {size} bytes, dims {list(dims)} require {expected}", path=payload_path)
+
+
+def _mapped_payload(sidecar: Sidecar, dtype: str) -> np.ndarray:
+    """The payload of a checked sidecar as a flat read-only array over a read-only mapping of the file.
+
+    The size is checked again on the open file, so a payload truncated or
+    extended since ``read_sidecar`` is the same ValidationError, not a
+    shape error. The mapping lives as long as the array, and any view of it.
+    """
+    with open(sidecar.payload_path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        _check_payload_size(size, sidecar.dims, dtype, sidecar.payload_path)
+        payload = mmap.mmap(handle.fileno(), size, access=mmap.ACCESS_READ)
+    return np.frombuffer(payload, dtype=_ARRAY_DTYPE[dtype])
 
 
 def _save_pair(path: Path | str, grid: Volume | TissueMask, dtype: str, payload: np.ndarray, **extra) -> Path:
@@ -231,10 +256,10 @@ def _save_pair(path: Path | str, grid: Volume | TissueMask, dtype: str, payload:
 
 
 def load_volume(path: Path | str) -> Volume:
-    """Load an intensity volume from its sidecar/payload pair."""
+    """Load an intensity volume from its sidecar/payload pair, as a view of its mapped payload."""
     sidecar = read_sidecar(path, VOLUME_DTYPE)
+    flat = _mapped_payload(sidecar, VOLUME_DTYPE)
     try:
-        flat = np.frombuffer(sidecar.payload_path.read_bytes(), dtype="<f4")
         return Volume.from_flat(flat, sidecar.dims, sidecar.spacing_mm, sidecar.modality_tag)
     except NonFiniteDataError as exc:
         raise NonFiniteDataError(str(exc), path=sidecar.payload_path) from exc
@@ -246,9 +271,10 @@ def save_volume(volume: Volume, path: Path | str) -> Path:
 
 
 def load_mask(path: Path | str) -> TissueMask:
+    """Load a tissue mask like ``load_volume``, as a view of its mapped payload."""
     sidecar = read_sidecar(path, MASK_DTYPE)
     nx, ny, nz = sidecar.dims
-    labels = np.frombuffer(sidecar.payload_path.read_bytes(), dtype=np.uint8).reshape(nz, ny, nx)
+    labels = _mapped_payload(sidecar, MASK_DTYPE).reshape(nz, ny, nx)
     try:
         return TissueMask(labels, sidecar.spacing_mm)
     except ValidationError as exc:

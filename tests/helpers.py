@@ -4,13 +4,23 @@ Everything here constructs in-memory objects; tests that need on-disk
 volumes write them through the package's own save functions so the
 round trip stays inside the code under test. The adapters at the end
 read a subject in the stages' order and run the package's per-volume
-functions over a whole ``StudySeries``.
+functions over a whole ``StudySeries``. ``peak_rss_growth`` measures a
+job's memory in a fresh interpreter.
 """
 
-import numpy as np
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import dcenorm
 from dcenorm import AnchorSet, StudySeries, TissueMask, Volume, extract_features, map_volume
-from dcenorm.manifest import check_subject_grids, load_series, load_subject_mask
+from dcenorm.manifest import check_subject_grids, load_series, load_subject_mask, load_volumes
+from dcenorm.segmentation import SegmentationConfig, classical_mask
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -78,3 +88,48 @@ def map_series(mapping, series):
     """Every volume of a loaded series mapped with ``map_volume``, the same function for each."""
     pre, *posts = (map_volume(mapping, volume, series.subject_id) for volume in series.volumes)
     return StudySeries(series.subject_id, pre, tuple(posts))
+
+
+_GROWTH_SCRIPT = """
+import pickle, sys
+
+def status(key):
+    with open("/proc/self/status") as lines:
+        return next(int(line.split()[1]) * 1024 for line in lines if line.startswith(key + ":"))
+
+fn, warm_up, job = pickle.loads(sys.stdin.buffer.read())
+fn(*warm_up)
+resident = status("VmRSS")
+fn(*job)
+print(status("VmHWM") - resident)
+"""
+
+
+def peak_rss_growth(fn, warm_up: tuple, job: tuple) -> int:
+    """Bytes by which ``fn(*job)`` lifts a fresh interpreter's peak resident set above the set it held before.
+
+    ``fn(*warm_up)`` runs first, on a small input, so that imports and
+    first-call allocations fall outside the measure while the peak so far
+    stays near the resident set. Unlike tracemalloc, the resident set holds
+    every page the job touches: mapped payloads, anonymous mappings, and
+    heap that malloc keeps after a free. ``fn`` and the arguments are
+    pickled, so ``fn`` is a module-level function.
+
+    The peak is the interpreter's own ``VmHWM``, not ``ru_maxrss``: a
+    child's ``ru_maxrss`` starts at the peak of the process that launched
+    it, here the test runner. Linux only, since both come from
+    ``/proc/self/status``.
+    """
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads VmRSS and VmHWM from /proc/self/status, as Linux gives them")
+    paths = [str(Path(dcenorm.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _GROWTH_SCRIPT], input=pickle.dumps((fn, warm_up, job)), env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return int(done.stdout)
+
+
+def segment_volumes(files):
+    """``classical_mask`` over the volumes ``files`` name, drawn as ``segment`` draws them."""
+    return classical_mask(load_volumes(files), SegmentationConfig())

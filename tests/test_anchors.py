@@ -34,7 +34,7 @@ class TestExtractAnchors:
         labels[0, 0, 0] = 1
         labels[0, 0, 1] = 2
         labels[0, 0, 2] = 3
-        pre = np.zeros((1, 1, 10), dtype=np.float32)
+        pre = np.arange(10, dtype=np.float32).reshape(1, 1, 10)  # air, fat and dense anchors 0, 1 and 2
         post1 = np.arange(1, 11, dtype=np.float32).reshape(1, 1, 10)
         post2 = np.full((1, 1, 10), 500, dtype=np.float32)
         anchors = extract_anchors(series_of(pre, [post1, post2]), mask_of(labels))
@@ -44,7 +44,7 @@ class TestExtractAnchors:
     def test_heart_ten_values_p90(self):
         labels = np.full((1, 1, 13), 4, dtype=np.uint8)
         labels[0, 0, :3] = [1, 2, 3]
-        pre = np.zeros((1, 1, 13), dtype=np.float32)
+        pre = np.arange(13, dtype=np.float32).reshape(1, 1, 13)  # air, fat and dense anchors 0, 1 and 2
         post = np.concatenate([[0, 0, 0], np.arange(1, 11)]).astype(np.float32)
         anchors = extract_anchors(
             series_of(pre, [post.reshape(1, 1, 13)]), mask_of(labels)
@@ -111,7 +111,7 @@ class TestExtractAnchors:
 
     def test_source_counts_recorded(self):
         labels = labeled_scene(shape=(2, 2, 8), tumor=False)
-        pre = np.ones(labels.shape, dtype=np.float32)
+        pre = labels.astype(np.float32)  # one value per tissue, so no two anchors tie
         anchors = extract_anchors(series_of(pre, [pre]), mask_of(labels))
         assert anchors.source_counts == {"air": 8, "fat": 8, "dense": 8, "heart": 8}
 
@@ -138,3 +138,9 @@ class TestAnchorSet:
     def test_rejects_zero_source_count(self):
         with pytest.raises(ValidationError, match="fat"):
             AnchorSet("s1", 1, 2, 3, 4, {"air": 1, "fat": 0, "dense": 1, "heart": 1})
+
+    def test_rejects_two_tissues_that_share_a_value(self):
+        """The pair named is the first in ascending order of value, as a map's control points would collide."""
+        with pytest.raises(SubjectError) as info:
+            anchor_set("s1", 5.0, 5.0, 1.0, 1.0)
+        assert str(info.value) == "subject s1: tissues 'dense' and 'heart' share anchor value 1.0"

@@ -31,9 +31,9 @@ from dcenorm import mapping as mapping_mod
 from dcenorm.cli import load_cli_config, main
 from dcenorm.manifest import subject_file
 from dcenorm.segmentation import SegmentationConfig
-from dcenorm.volume import DENSE, FAT, TUMOR
+from dcenorm.volume import AIR, BACKGROUND, DENSE, FAT, HEART, TUMOR
 
-from helpers import read_subject
+from helpers import peak_rss_growth, read_subject
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -387,7 +387,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("targets", [
         {"m_heart": 1e300},  # overflows float32
-        {"m_air": -1.7e308, "m_dense": -1.7e308, "m_fat": 1.7e308, "m_heart": 1.7e308},  # inf rise: NaN at a knot
+        {"m_air": -1.7e308, "m_dense": -1.6e308, "m_fat": 1.6e308, "m_heart": 1.7e308},  # inf rise: NaN at a knot
     ], ids=["overflow", "nan"])
     def test_normalize_non_finite_result_prints_only_its_error_line(self, tmp_path, targets):
         """Finite but extreme model targets map some voxels to no float32 value; run as a real
@@ -842,8 +842,60 @@ def test_an_output_that_is_not_a_regular_file_is_refused_before_any_subject_load
     os.mkfifo(fifo)
     _forbid_loading(monkeypatch, "subject loaded before the outputs were checked")
     rc, err = _run(["features", "--manifest", str(data / "manifest.json"), "--out", str(fifo), "--jobs", "1"])
-    assert (rc, err) == (2, f"error[io]: --out exists and is not a regular file [{fifo}]\n")
+    assert (rc, err) == (2, f"error[io]: an output of --out exists and is not a regular file [{fifo}]\n")
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("segment", "A001_mask.raw"), ("normalize", "A001_pre.raw"), ("normalize", "manifest.json"),
+])
+def test_an_out_dir_file_that_is_not_a_regular_file_is_refused_before_any_subject_loads(tmp_path, monkeypatch,
+                                                                                      command, name):
+    """A FIFO where segment or normalize would write a later subject's file, or the manifest: one io line,
+    nothing read and nothing written, where the run used to write the first subject and then fail."""
+    monkeypatch.chdir(tmp_path)
+    generate_phantom(PhantomConfig(dims=(16, 16, 8), groups=(GroupSpec(name="A", n_subjects=2),)), "data")
+    assert main(["train", "--manifest", "data/manifest.json", "--out", "model.json", "--jobs", "1"]) == 0
+    records = json.loads(Path("data/manifest.json").read_text())
+    Path("data/nomask.json").write_text(json.dumps([{k: v for k, v in r.items() if k != "mask"} for r in records]))
+    Path("out").mkdir()
+    os.mkfifo(Path("out", name))
+    _forbid_loading(monkeypatch, "subject loaded before the outputs were checked")
+    argv = {
+        "segment": ["segment", "--manifest", "data/nomask.json"],
+        "normalize": ["normalize", "--manifest", "data/manifest.json", "--model", "model.json"],
+    }[command]
+    rc, err = _run([*argv, "--out-dir", "out", "--jobs", "1"])
+    assert (rc, err) == (2, f"error[io]: an output of --out-dir exists and is not a regular file [out/{name}]\n")
+    assert os.listdir("out") == [name]
+    assert stat.S_ISFIFO(Path("out", name).lstat().st_mode)
+
+
+@pytest.mark.parametrize("command", ["train", "normalize"])
+def test_a_subject_whose_anchors_tie_stops_train_and_normalize(pipeline, tmp_path, command):
+    """A constant pre puts air, fat and dense at one value: train refuses that subject as normalize does,
+    with one line, and writes nothing."""
+    manifest = _damaged_subject(pipeline, tmp_path, "pre", lambda payload: np.full(len(payload) // 4, 7.0, "<f4").tobytes())
+    argv = {
+        "train": ["train", "--out", str(tmp_path / "model.json")],
+        "normalize": ["normalize", "--model", str(pipeline / "model.json"), "--out-dir", str(tmp_path / "norm")],
+    }[command]
+    before = _tree_bytes(tmp_path)
+    rc, err = _run([*argv, "--manifest", str(manifest), "--jobs", "1"])
+    assert (rc, err) == (1, "error[validation]: subject A000: tissues 'air' and 'fat' share anchor value 7.0\n")
+    assert _tree_bytes(tmp_path) == before
+
+
+def test_a_model_with_equal_targets_is_refused_before_any_subject_loads(pipeline, tmp_path, monkeypatch):
+    """A model whose fat and dense targets are equal would send both tissues to one value."""
+    model = json.loads((pipeline / "model.json").read_text())
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(dict(model, m_dense=model["m_fat"])))
+    _forbid_loading(monkeypatch, "subject loaded before the model was checked")
+    rc, err = _run(["normalize", "--manifest", str(pipeline / "seg" / "manifest.json"), "--model", str(bad),
+                    "--out-dir", str(tmp_path / "norm"), "--jobs", "1"])
+    assert (rc, err) == (1, f"error[validation]: tissues 'fat' and 'dense' share target value {model['m_fat']} [{bad}]\n")
+    assert not (tmp_path / "norm").exists()
 
 
 @pytest.mark.parametrize("case", ["manifest", "sidecar", "labels"])
@@ -1145,18 +1197,35 @@ def _job_peak(job):
         tracemalloc.stop()
 
 
-def test_normalize_job_holds_pre_the_first_post_and_one_map(tmp_path):
-    """A job on a 3-post subject peaks at pre, post1 and pre's map, plus the block temporaries, whatever
-    the number of posts: the mask goes once the anchors are taken, and each volume once its map is written."""
-    dims = (128, 128, 32)
-    (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path / "data")
+def _air_in_one_slice(entry):
+    """Relabel the entry's air as background outside its first slice, so that its anchors gather few voxels."""
+    mask = load_mask(entry.mask)
+    labels = mask.labels.copy()
+    labels[1:][labels[1:] == AIR] = BACKGROUND
+    save_mask(TissueMask(labels, mask.spacing_mm), entry.mask)
+    return labels
+
+
+def test_normalize_job_holds_the_mask_pre_and_the_first_post_then_one_volume_and_its_map(tmp_path):
+    """A job on a 3-post subject lifts the resident set by at most what it holds while it takes the anchors:
+    the mask, pre, the first post, one tissue's voxel set and that tissue's gathered values, with the block
+    temporaries of the map and 1 MiB of small objects on top. All of these go before the volumes are read again,
+    one at a time, each held with only its map. Air is kept to one slice of the mask, so that the anchors gather
+    few voxels and a job that held pre's map beside pre and the first post would cross the bound."""
+    dims = (256, 256, 32)
+    (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path / "job")
+    (warm,) = generate_phantom(PhantomConfig(dims=(64, 64, 16), groups=(GroupSpec("A", 1),)), tmp_path / "warm")
     assert len(entry.posts) == 3
+    labels = _air_in_one_slice(entry)
+    _air_in_one_slice(warm)
     model = train_archetype([extract_anchors(*read_subject(entry))])
-    out = iter(range(2))
-    volume = 4 * math.prod(dims)
+    voxels = math.prod(dims)
+    largest = max(np.count_nonzero(labels == label) for label in (AIR, FAT, DENSE, HEART))
     blocks = 6 * 8 * mapping_mod._BLOCK_VOXELS  # evaluate's float64 and intp temporaries on one block
-    bound = 3 * volume + blocks
-    assert _job_peak(lambda: cli._normalize_job(entry, model, str(tmp_path / f"norm{next(out)}"), None)) <= bound
+    bound = voxels + 2 * 4 * voxels + voxels + 4 * largest + blocks + 2**20
+    growth = peak_rss_growth(cli._normalize_job, (warm, model, str(tmp_path / "norm0"), None),
+                             (entry, model, str(tmp_path / "norm1"), None))
+    assert growth <= bound
 
 
 @pytest.mark.parametrize("radius", [None, 1], ids=["plain", "denoised"])

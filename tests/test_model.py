@@ -14,6 +14,8 @@ from dcenorm import (
 from helpers import anchor_set
 
 TISSUES = ("air", "fat", "dense", "heart")
+# Added to small integer anchors, column by column: no two tissues of a subject tie, and each tissue's ranks stay.
+TISSUE_OFFSETS = 100.0 * np.arange(4)
 
 
 def sets_from_matrix(matrix, ids=None):
@@ -48,19 +50,19 @@ def archetype_oracle(anchor_sets):
 
 class TestRankSubjects:
     def test_distinct_values(self):
-        sets = sets_from_matrix([[5, 0, 0, 0], [1, 0, 0, 0], [3, 0, 0, 0]])
-        # air differs, the rest is constant filler
+        sets = sets_from_matrix([[5, 10, 20, 30], [1, 10, 20, 30], [3, 10, 20, 30]])
+        # air differs, the rest is constant filler that no air value ties with
         assert list(rank_subjects(sets, "air")) == [3.0, 1.0, 2.0]
 
     def test_full_tie_averages_positions(self):
-        sets = sets_from_matrix([[2, 0, 0, 0], [2, 0, 0, 0]])
+        sets = sets_from_matrix([[2, 10, 20, 30], [2, 10, 20, 30]])
         assert list(rank_subjects(sets, "air")) == [1.5, 1.5]
 
     def test_matches_pairwise_oracle(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 15))
             values = rng.integers(0, 6, size=n).astype(float)
-            sets = sets_from_matrix([[v, 0, 0, 0] for v in values])
+            sets = sets_from_matrix([[v, 10, 20, 30] for v in values])
             got = rank_subjects(sets, "air")
             expected = [rank_oracle(list(values), i) for i in range(n)]
             assert list(got) == expected
@@ -68,7 +70,7 @@ class TestRankSubjects:
     def test_ranks_sum_to_triangular_number(self, rng):
         n = 12
         values = rng.integers(0, 4, size=n).astype(float)
-        sets = sets_from_matrix([[v, 0, 0, 0] for v in values])
+        sets = sets_from_matrix([[v, 10, 20, 30] for v in values])
         assert rank_subjects(sets, "air").sum() == n * (n + 1) / 2.0
 
     def test_unknown_tissue(self):
@@ -107,13 +109,13 @@ class TestTrainArchetype:
     def test_matches_rescoring_oracle(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 12))
-            matrix = rng.integers(0, 8, size=(n, 4)).astype(float)
+            matrix = rng.integers(0, 8, size=(n, 4)) + TISSUE_OFFSETS
             sets = sets_from_matrix(matrix)
             model = train_archetype(sets)
             assert model.archetype_subject_id == archetype_oracle(sets)
 
     def test_training_order_invariance(self, rng):
-        matrix = rng.integers(0, 10, size=(9, 4)).astype(float)
+        matrix = rng.integers(0, 10, size=(9, 4)) + TISSUE_OFFSETS
         sets = sets_from_matrix(matrix)
         shuffled = list(sets)
         rng.shuffle(shuffled)
@@ -178,6 +180,15 @@ class TestModelIO:
         (tmp_path / "model.json").write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="m_fat"):
             load_model(tmp_path / "model.json")
+
+    def test_equal_targets_refused_naming_the_file(self, tmp_path):
+        """Targets follow the anchors' rule: no two tissues share a value."""
+        path = tmp_path / "model.json"
+        save_model(self._model(), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), m_heart=3.0)))
+        with pytest.raises(ValidationError) as info:
+            load_model(path)
+        assert str(info.value) == f"tissues 'dense' and 'heart' share target value 3.0 [{path}]"
 
     def test_non_object_payload(self, tmp_path):
         (tmp_path / "model.json").write_text("[1, 2]")

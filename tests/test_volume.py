@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from dcenorm import (
     save_mask,
     save_volume,
 )
+from dcenorm import volume as volume_module
 from dcenorm.volume import MASK_DTYPE, base_path, bounding_box, nearest_rank_index, read_sidecar, widen
 
 from helpers import mask_of, vol
@@ -114,10 +116,11 @@ class TestVolumeIO:
     def test_read_sidecar_checks_the_payload_size_without_reading_it(self, tmp_path, monkeypatch):
         path = write_pair(tmp_path, "v", [2, 2, 1], f32_bytes([1, 2, 3, np.nan]), spacing=(1, 2, 3), tag="pre")
 
-        def no_read(self):
-            raise AssertionError(f"read {self}")
+        def no_read(*args, **kwargs):
+            raise AssertionError(f"payload read: {args}")
 
         monkeypatch.setattr(Path, "read_bytes", no_read)
+        monkeypatch.setattr(mmap, "mmap", no_read)
         sidecar = read_sidecar(path)
         assert (sidecar.dims, sidecar.spacing_mm, sidecar.modality_tag) == ((2, 2, 1), (1.0, 2.0, 3.0), "pre")
         assert sidecar.payload_path == tmp_path / "v.raw"
@@ -126,6 +129,28 @@ class TestVolumeIO:
             read_sidecar(path)
         with pytest.raises(ValidationError, match="u8"):
             read_sidecar(path, MASK_DTYPE)
+
+    @pytest.mark.parametrize("load, dtype, payload", [
+        (load_volume, "f32le", f32_bytes([1, 2, 3, 4])), (load_mask, "u8", bytes([0, 1, 2, 3])),
+    ], ids=["volume", "mask"])
+    @pytest.mark.parametrize("change", [-1, 1], ids=["truncated", "extended"])
+    def test_payload_resized_after_its_sidecar_was_read_is_the_size_error(self, tmp_path, monkeypatch, load, dtype,
+                                                                          payload, change):
+        """The loader checks the size of the file it maps, so a payload resized after ``read_sidecar`` checked it
+        is the same ValidationError naming the payload, not a shape error."""
+        path = write_pair(tmp_path, "v", [2, 2, 1], payload, dtype=dtype)
+        raw = tmp_path / "v.raw"
+
+        def then_resize(*args):
+            sidecar = read_sidecar(*args)
+            raw.write_bytes(payload[:change] if change < 0 else payload + payload[:change])
+            return sidecar
+
+        monkeypatch.setattr(volume_module, "read_sidecar", then_resize)
+        with pytest.raises(ValidationError) as info:
+            load(path)
+        size = len(payload) + change
+        assert str(info.value) == f"payload is {size} bytes, dims [2, 2, 1] require {len(payload)} [{raw}]"
 
     @pytest.mark.parametrize("spacing", [[0, 1, 1], [1, -2.5, 1]])
     def test_non_positive_spacing_in_sidecar(self, tmp_path, spacing):
