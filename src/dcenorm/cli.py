@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import itertools
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -37,9 +38,9 @@ from .features import extract_features, read_features_csv, write_features_csv
 from .manifest import (
     SubjectEntry, check_out_dir_holds_no_input, check_outputs_spare_inputs, check_subject_grids, load_manifest,
     load_series, load_subject_mask, load_volumes, manifest_files, out_dir_files, read_labels_csv, save_manifest,
-    save_subject,
+    save_subject, subject_file,
 )
-from .mapping import build_mapping, export_mapping_curve, map_volume, write_mapping_curve
+from .mapping import build_mapping, export_mapping_curve, map_buffer, map_volume, write_mapping_curve
 from .model import NormalizationModel, load_model, save_model, train_archetype
 from .phantom import PhantomConfig, generate_phantom, phantom_config_from_json
 from .segmentation import SegmentationConfig, classical_mask
@@ -84,8 +85,13 @@ def _anchor_job(entry: SubjectEntry):
     """A subject's anchors; only pre and the first post are checked and loaded, since they are all the anchors read."""
     entry = dataclasses.replace(entry, posts=entry.posts[:1])
     check_subject_grids(entry)
+    return _anchors(entry)
+
+
+def _anchors(entry: SubjectEntry):
+    """The anchors of a subject whose grids are checked, from its mask, pre and first post."""
     mask = load_subject_mask(entry)
-    return anchors_mod.extract_anchors(load_series(entry), mask)
+    return anchors_mod.extract_anchors(load_series(dataclasses.replace(entry, posts=entry.posts[:1])), mask)
 
 
 def _segment_job(entry: SubjectEntry, out_dir: str, seg_config: SegmentationConfig):
@@ -108,17 +114,20 @@ def _normalize_job(entry: SubjectEntry, model: NormalizationModel, out_dir: str,
     The grids are checked from the sidecars first, so a subject on two
     grids is refused before any of its volumes is written. The anchors
     are then taken as ``_anchor_job`` takes them, from the mask, pre and
-    the first post, which all go once they are taken. The subject is
-    then read a second time, one volume at a time: each is mapped,
-    written and let go. So the job holds the mask and two volumes while
-    it takes the anchors, and after that two grids: a volume and its map,
-    or the last volume mapped and the next one loading.
+    the first post, which all go once they are taken; their grids are
+    not checked a second time. The subject is then read a second time,
+    one volume at a time: each is mapped into the one ``map_buffer`` the
+    job makes for the subject, written and let go. So the job holds the
+    mask and two volumes while it takes the anchors, and after that two
+    grids: the buffer and the volume being mapped or loaded.
     """
-    check_subject_grids(entry)
-    mapping = build_mapping(_anchor_job(entry), model)
+    voxels = math.prod(check_subject_grids(entry).dims)
+    mapping = build_mapping(_anchors(entry), model)
     sid = entry.subject_id
-    volumes = load_volumes((entry.pre, *entry.posts))
-    written = save_subject(entry, out_dir, (map_volume(mapping, volume, sid) for volume in volumes))
+    out = map_buffer(voxels)
+    # map, unlike a generator expression, keeps no volume once it has passed on its map.
+    maps = map(lambda volume: map_volume(mapping, volume, sid, out), load_volumes((entry.pre, *entry.posts)))
+    written = save_subject(entry, out_dir, maps)
     if mapping_dir is not None:
         write_mapping_curve(_mapping_file(mapping_dir, sid), export_mapping_curve(mapping))
     return written
@@ -158,7 +167,8 @@ def _cmd_segment(args) -> int:
     unmasked = [entry for entry in entries if entry.mask is None]
     inputs = list(manifest_files(args.manifest, entries))
     check_out_dir_holds_no_input(args.out_dir, inputs)
-    check_outputs_spare_inputs(inputs, {"--out-dir": out_dir_files(args.out_dir, unmasked, volumes=False)})
+    masks = (subject_file(entry.subject_id, args.out_dir, None) for entry in unmasked)
+    check_outputs_spare_inputs(inputs, {"--out-dir": out_dir_files(args.out_dir, masks)})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Every subject's grids are checked here, from the sidecars; a mask the
@@ -204,7 +214,8 @@ def _cmd_normalize(args) -> int:
     inputs = [Path(args.model), *manifest_files(args.manifest, manifest)]
     check_out_dir_holds_no_input(args.out_dir, inputs)
     curves = [_mapping_file(args.emit_mapping, e.subject_id) for e in manifest] if args.emit_mapping else []
-    outputs = {"--out-dir": out_dir_files(args.out_dir, manifest, volumes=True), "--emit-mapping": curves}
+    volumes = (subject_file(e.subject_id, args.out_dir, k) for e in manifest for k in range(len(e.posts) + 1))
+    outputs = {"--out-dir": out_dir_files(args.out_dir, volumes), "--emit-mapping": curves}
     check_outputs_spare_inputs(inputs, outputs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

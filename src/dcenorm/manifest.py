@@ -34,8 +34,8 @@ from .util import (
     atomic_write_json, binary_cell, is_number, json_object, read_csv_records, read_json, write_csv,
 )
 from .volume import (
-    MASK_DTYPE, TissueMask, Volume, check_same_grid, load_mask, load_volume, read_sidecar, save_mask, save_volume,
-    volume_files,
+    MASK_DTYPE, Sidecar, TissueMask, Volume, check_same_grid, load_mask, load_volume, read_sidecar, save_mask,
+    save_volume, volume_files,
 )
 
 _REQUIRED_KEYS = {"subject_id", "pre", "posts", "te_ms", "tr_ms", "field_t"}
@@ -160,8 +160,8 @@ class StudySeries:
         return self.pre.spacing_mm
 
 
-def check_subject_grids(entry: SubjectEntry) -> None:
-    """Check from the sidecars that the entry's volumes, and the mask it gives, share one grid.
+def check_subject_grids(entry: SubjectEntry) -> Sidecar:
+    """Check from the sidecars that the entry's volumes, and the mask it gives, share one grid; return pre's sidecar.
 
     Reads no payload: each payload's size is checked, but the checks on
     voxel values (finite intensities, known mask labels) are left to the
@@ -175,6 +175,7 @@ def check_subject_grids(entry: SubjectEntry) -> None:
     if entry.mask is not None:
         mask = read_sidecar(entry.mask, MASK_DTYPE)
         check_same_grid(mask, pre, f"subject {sid}: mask and series", entry.mask)
+    return pre
 
 
 def load_volumes(paths: Iterable[Path]) -> Iterator[Volume]:
@@ -225,15 +226,10 @@ def subject_file(subject_id: str, out_dir: Path | str, index: int | None) -> Pat
     return Path(out_dir) / f"{subject_id}_{name}.json"
 
 
-def out_dir_files(out_dir: Path | str, entries, volumes: bool) -> list[Path]:
-    """Every file a run writes in ``out_dir`` for ``entries``: the sidecar and payload that ``save_subject`` writes
-    for each volume of each entry (pre, then each post) if ``volumes``, else for its mask; then the manifest."""
-    files = []
-    for entry in entries:
-        for index in range(len(entry.posts) + 1) if volumes else (None,):
-            files.extend(volume_files(subject_file(entry.subject_id, out_dir, index)))
-    files.append(Path(out_dir) / "manifest.json")
-    return files
+def out_dir_files(out_dir: Path | str, sidecars: Iterable[Path]) -> list[Path]:
+    """Every file a run writes in ``out_dir``: each of ``sidecars``, as ``subject_file`` names them, and its
+    payload, then the manifest."""
+    return [*(file for sidecar in sidecars for file in volume_files(sidecar)), Path(out_dir) / "manifest.json"]
 
 
 def save_subject(entry: SubjectEntry, out_dir: Path | str, volumes=(), mask: TissueMask | None = None) -> SubjectEntry:

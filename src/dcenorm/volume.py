@@ -116,8 +116,10 @@ class TissueMask:
         arr = np.ascontiguousarray(self.labels, dtype=np.uint8)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"mask labels must be 3D and non-empty, got shape {arr.shape}")
-        bad = arr > MAX_LABEL
-        if bad.any():
+        # max forms no grid-sized temporary, whose free would raise malloc's mmap threshold to a grid's size
+        # and so keep later freed voxel sets on the heap; the offending voxel is found only on failure.
+        if arr.max() > MAX_LABEL:
+            bad = arr > MAX_LABEL
             raise ValidationError(f"illegal label value {int(arr[bad][0])} (max allowed {MAX_LABEL})")
         arr.flags.writeable = False
         object.__setattr__(self, "labels", arr)

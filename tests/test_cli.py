@@ -12,7 +12,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1186,17 +1185,6 @@ def test_streamed_normalize_matches_map_volume_over_the_loaded_series(pipeline):
             assert (loaded.spacing_mm, loaded.modality_tag) == (volume.spacing_mm, volume.modality_tag)
 
 
-def _job_peak(job):
-    """The peak traced allocation of ``job()``, run once beforehand so first-call allocations fall outside the trace."""
-    job()
-    tracemalloc.start()
-    try:
-        job()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _air_in_one_slice(entry):
     """Relabel the entry's air as background outside its first slice, so that its anchors gather few voxels."""
     mask = load_mask(entry.mask)
@@ -1234,9 +1222,11 @@ def test_features_job_holds_the_mask_and_one_volume(tmp_path, radius):
     values gathered from them: 4 bytes a fat voxel, and at most 64 a dense or tumor voxel (the flat index,
     three gathered values, the two maps and their float64 temporaries). With a median filter it adds the
     volume's filtered grid and the filter's three copies of the widened box it reads the first post on
-    (the input, the padded copy and the output), which holds every other read box."""
+    (the input, the padded copy and the output), which holds every other read box. The resident set counts the
+    mapped volumes and mask, so a job that held a second volume while it read one would cross the bound."""
     dims = (128, 128, 32)
     (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path / "data")
+    (warm,) = generate_phantom(PhantomConfig(dims=(64, 64, 16), groups=(GroupSpec("A", 1),)), tmp_path / "warm")
     assert len(entry.posts) == 3
     labels = load_mask(entry.mask).labels
     voxels, fat, kinetic = labels.size, np.count_nonzero(labels == FAT), np.count_nonzero(np.isin(labels, (DENSE, TUMOR)))
@@ -1246,7 +1236,7 @@ def test_features_job_holds_the_mask_and_one_volume(tmp_path, radius):
         read = np.isin(labels, (FAT, DENSE, TUMOR)).nonzero()
         padded = math.prod(int(axis.max() - axis.min()) + 1 + 4 * radius for axis in read)
         bound += 4 * voxels + 3 * 4 * padded
-    assert _job_peak(lambda: cli._features_job(entry, radius, False)) <= bound
+    assert peak_rss_growth(cli._features_job, (warm, radius, False), (entry, radius, False)) <= bound
 
 
 @pytest.mark.parametrize("with_mask", [True, False], ids=["mask-given", "mask-less"])

@@ -301,6 +301,17 @@ class TestMapVolume:
         assert np.array_equal(mapped.posts[0].data, mapped.pre.data)
         assert np.array_equal(mapped.posts[1].data, mapped.pre.data)
 
+    def test_maps_into_a_given_buffer_as_into_one_of_their_own(self, rng):
+        """Volume after volume mapped into one map_buffer: each result views the buffer and equals a map of its own."""
+        f = random_mapping(rng)
+        volumes = series_of(rng.uniform(-50, 400, size=(3, 4, 5)).astype(np.float32), [np.ones((3, 4, 5))]).volumes
+        out = mapping_mod.map_buffer(60)
+        for volume in volumes:
+            alone = mapping_mod.map_volume(f, volume, "s")
+            got = mapping_mod.map_volume(f, volume, "s", out)
+            assert np.shares_memory(got.data, np.frombuffer(out, dtype=np.float32))
+            assert np.array_equal(got.data.view(np.uint32), alone.data.view(np.uint32))
+
     @given(built_mappings(), st.integers(0, 2**32 - 1))
     def test_blocks_join_bit_for_bit(self, f, seed):
         """map_volume evaluates in blocks; its store equals one whole-volume evaluate cast to float32."""
