@@ -83,5 +83,6 @@ def extract_anchors(series: StudySeries, mask: TissueMask) -> AnchorSet:
             raise SubjectError(f"subject {series.subject_id}: tissue {tissue!r} is empty")
         counts[tissue] = n
         values[tissue] = percentile(data, q, mask=selected)
+        del selected  # not held while the next tissue's set is formed
 
     return AnchorSet(series.subject_id, *(values[t] for t in TISSUES), source_counts=counts)

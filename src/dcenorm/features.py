@@ -27,11 +27,11 @@ Standard deviations everywhere are population standard deviations
 (divide by n).
 
 ``extract_features`` takes a subject's mask and its volumes, which it
-draws one at a time. Each volume is read once, as it loads, and let go
-before the next one loads: its range for eps, and the values the
-features read. The pre-contrast volume is read at dense and tumor and
-on the tumor's gradient box, the first post there and at fat, the last
-post at dense and tumor; a middle post gives only its range.
+draws one at a time. Each volume is let go before the next one loads.
+It gives the range that ``Volume`` took as it loaded, for eps, and the
+values the features read. The pre-contrast volume is read at dense and
+tumor and on the tumor's gradient box, the first post there and at fat,
+the last post at dense and tumor; a middle post gives only its range.
 
 With a median filter (``denoise_radius``) the features read the filtered
 series, but only the voxels they read are filtered: the box of each
@@ -76,22 +76,6 @@ class FeatureVector:
         missing = [n for n in FEATURE_NAMES if n not in self.values]
         if missing:
             raise ValidationError(f"feature vector is missing entries: {missing}")
-
-
-# Voxels per block of the dynamic-range scan: 512 KB of float32, so a
-# block's max reads what its min left in cache.
-_RANGE_BLOCK_VOXELS = 2**17
-
-
-def _value_range(array: np.ndarray) -> tuple[float, float]:
-    """The min and the max of a non-empty ``array``, in one blocked pass."""
-    lo, hi = math.inf, -math.inf
-    flat = array.reshape(-1)
-    for start in range(0, flat.size, _RANGE_BLOCK_VOXELS):
-        block = flat[start : start + _RANGE_BLOCK_VOXELS]
-        lo = min(lo, float(block.min()))
-        hi = max(hi, float(block.max()))
-    return lo, hi
 
 
 def ser_map(s0: np.ndarray, s1: np.ndarray, slast: np.ndarray, eps: float) -> tuple[np.ndarray, int]:
@@ -255,10 +239,11 @@ def extract_features(
     Each volume must be on ``mask``'s grid. Each is checked against it
     and read once, as it is drawn, and let go before the next is drawn,
     so a caller that loads each volume as it is drawn holds one at a time.
-    A volume gives its range, for eps, and the values the features read
-    from it: pre-contrast its dense and tumor voxels and the tumor's
-    gradient box, the first post those and its fat voxels, the last post
-    its dense and tumor voxels. Middle posts give only their range.
+    A volume gives its ``value_range``, which it took when it was made,
+    for eps, and the values the features read from it: pre-contrast its
+    dense and tumor voxels and the tumor's gradient box, the first post
+    those and its fat voxels, the last post its dense and tumor voxels.
+    Middle posts give only their range, so no voxel of theirs is read.
 
     Features whose source labels are absent come back as None. F9 is
     mask-only. F1-F7 come from ``ser_map`` and ``washin_map`` run on the
@@ -318,8 +303,7 @@ def extract_features(
     for index in range(n_posts + 1):
         volume = next(volumes)
         check_same_grid(mask, volume, f"subject {sid}: mask and series")
-        v_lo, v_hi = _value_range(volume.data)
-        lo, hi = min(lo, v_lo), max(hi, v_hi)
+        lo, hi = min(lo, volume.value_range[0]), max(hi, volume.value_range[1])
         if index in reads:
             data = volume.data if denoise_radius is None else _filtered(volume, boxes[index], denoise_radius)
             gathered[index] = data.reshape(-1)[voxels]

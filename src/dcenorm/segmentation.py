@@ -21,36 +21,34 @@ both, element for element, with such a library.
 throughout, and post1 only while the heart stage runs. Each stage adds
 about one byte grid: the air selection, the Otsu bin indices, the breast
 candidate, the dense set or the heart. Everything else is block- or
-box-sized: the two percentile thresholds are selected from
-``_SCAN_BLOCK``-voxel blocks (``_select``), and components are labelled
-and painted as runs along x (``_label``, ``_paint``), with no label
-grid. So the chain peaks at two volumes and three byte grids, 11 bytes
-a voxel, plus about 2 MB.
+box-sized: the two percentile thresholds are taken by
+``volume.select_rank``, which reads blocks and forms no copy, and
+components are labelled and painted as runs along x (``_label``,
+``_paint``), with no label grid. So the chain peaks at two volumes and
+three byte grids, 11 bytes a voxel, plus about 2 MB.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import SubjectError, ValidationError
 from .util import is_number
 from .volume import (
-    AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, nearest_rank_index, widen,
+    AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, nearest_rank_index, percentile,
+    select_rank, widen,
 )
 
 OTSU_BINS = 256
 # Values binned per step in otsu_upper_class: each float64 temporary is 512 KiB.
 _OTSU_BLOCK = 2**16
-# Voxels per step of the blocked scans: _select's passes, _label's run
-# extraction, _paint's indices and the heart stage's slabs.
+# Voxels per step of the blocked scans: _label's run extraction, _paint's
+# indices, and the heart stage's enhancement scan and slabs.
 _SCAN_BLOCK = 2**16
-# Values in _select's strided sample, which sets its first bound.
-_SAMPLE = 2**14
 
 
 @dataclass
@@ -146,88 +144,15 @@ def otsu_upper_class(values: np.ndarray) -> np.ndarray | None:
     return (idx > t).reshape(values.shape)
 
 
-def _select(values: Callable[[slice], np.ndarray], n: int, k: int, block: int) -> float:
-    """The ``k``-th smallest (0-based) of ``n`` values, exactly, read ``block`` values at a time.
-
-    ``values(s)`` returns the values at the slice ``s`` of the n, as a
-    new array or a view: the passes read consecutive blocks, the sample a
-    strided slice. The values may hold infinities but no NaN.
-
-    A strided sample of about ``_SAMPLE`` values sets a bracket lo <= hi:
-    its order statistics a few standard deviations either side of the
-    rank the answer is expected to have in it, or an infinity where that
-    runs off the sample's end. One pass counts the values at or below lo
-    and those below hi, and keeps only those strictly between, so ties
-    at either bound are counted, never kept. When rank k falls between
-    the two counts, the answer is the kept value of its rank. When it
-    falls among the ties at a bound, the answer is that bound; the
-    count that shows this comes from a pass on which the bound was the
-    other end of the bracket, or from the same pass when lo == hi.
-    Otherwise the bracket missed: the next one reaches four times as far
-    out on that side from the bound it crossed. So a second pass is made
-    only on a miss, or for a tie at a bound, and a bracket that reaches
-    an infinity cannot miss on that side.
-
-    Working memory is the sample, one block's temporaries and the values
-    kept. Where the sample represents the values, those are the values
-    within about eight of the sample's standard deviations of rank k:
-    under 2% of them at the 5th percentile of 2**22 values. A sample that
-    misrepresents them can widen the bracket up to all the values.
-
-    The result is a float. A zero may come back with the other sign
-    than a sort would give it, which no comparison tells apart.
-    """
-    sample = values(slice(0, n, max(1, n // _SAMPLE)))
-    m = sample.size
-    at = (k + 0.5) * m / n
-    width = 4.0 * math.sqrt(at * (1.0 - at / m)) + 4.0
-
-    def lower(width):  # (lo, values below lo): known for an infinite bound only
-        rank = math.floor(at - width)
-        return (np.partition(sample, rank)[rank], None) if rank >= 0 else (-math.inf, 0)
-
-    def upper(width):  # (hi, values at or below hi): known for an infinite bound only
-        rank = math.ceil(at + width)
-        return (np.partition(sample, rank)[rank], None) if rank < m else (math.inf, n)
-
-    (lo, below_lo), (hi, upto_hi) = lower(width), upper(width)
-    while True:
-        kept, upto_lo, below_hi = [], 0, 0
-        for start in range(0, n, block):
-            part = values(slice(start, start + block))
-            low, high = part <= lo, part < hi
-            upto_lo += int(np.count_nonzero(low))
-            below_hi += int(np.count_nonzero(high))
-            kept.append(part[np.greater(high, low)])
-        if lo == hi:
-            below_lo, upto_hi = below_hi, upto_lo
-        if upto_lo <= k < below_hi:
-            kept = np.concatenate(kept)
-            kept.partition(k - upto_lo)
-            return float(kept[k - upto_lo])
-        width *= 4.0
-        if k < upto_lo:
-            if below_lo is not None and below_lo <= k:
-                return float(lo)
-            (hi, upto_hi), (lo, below_lo) = (lo, upto_lo), lower(width)
-        else:
-            if upto_hi is not None and k < upto_hi:
-                return float(hi)
-            (lo, below_lo), (hi, upto_hi) = (hi, below_hi), upper(width)
-
-
 def segment_air(pre: Volume, config: SegmentationConfig) -> np.ndarray:
     """Select the darkest ``air_fraction`` of the pre-contrast volume.
 
     Ties at the threshold value are all included, so the result can be
     slightly larger than the nominal fraction; a constant volume comes
-    back fully selected. The threshold is the nearest-rank percentile,
-    as ``volume.percentile`` takes it, selected by ``_select`` with no
-    copy of the grid.
+    back fully selected. The threshold is ``volume.percentile``'s
+    nearest-rank one, which forms no copy of the grid.
     """
-    flat = pre.data.reshape(-1)
-    k = nearest_rank_index(flat.size, config.air_fraction * 100.0)
-    return pre.data <= _select(flat.__getitem__, flat.size, k, _SCAN_BLOCK)
+    return pre.data <= percentile(pre.data, 100 * config.air_fraction)
 
 
 def body_mask(pre: Volume) -> np.ndarray:
@@ -481,24 +406,22 @@ def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -
 def _enhancement_threshold(pre: Volume, post1: Volume, q: float) -> float:
     """The nearest-rank ``q``-th percentile of the float64 subtraction image post1 - pre, as ``volume.percentile`` takes it.
 
-    No subtraction grid is formed: ``_select`` takes the float64
-    differences block by block, which gives the float64 percentile
-    directly. A zero threshold may come back as -0.0; the threshold is
-    only compared (``>=``) and never written, so that cannot change a
-    mask. Raises SubjectError when no voxel enhances, which a scan of
-    pre and post1 that stops at the first block with an enhancing voxel
-    decides.
+    No subtraction grid is formed: ``volume.select_rank``, the selector
+    behind ``percentile``, reads the float64 differences block by block,
+    which gives the float64 percentile directly. A zero threshold may
+    come back as -0.0; the threshold is only compared (``>=``) and never
+    written, so that cannot change a mask. Raises SubjectError when no
+    voxel enhances, which a scan of pre and post1 that stops at the
+    first block with an enhancing voxel decides.
     """
     pre_flat, post_flat = pre.data.reshape(-1), post1.data.reshape(-1)
     n = pre_flat.size
     blocks = (slice(start, start + _SCAN_BLOCK) for start in range(0, n, _SCAN_BLOCK))
     if not any(np.any(post_flat[block] > pre_flat[block]) for block in blocks):
         raise SubjectError("subtraction image shows no enhancement")
-
-    def difference(s: slice) -> np.ndarray:
-        return np.subtract(post_flat[s], pre_flat[s], dtype=np.float64)
-
-    return _select(difference, n, nearest_rank_index(n, q), _SCAN_BLOCK)
+    return select_rank(
+        lambda s: np.subtract(post_flat[s], pre_flat[s], dtype=np.float64), n, n, nearest_rank_index(n, q)
+    )
 
 
 def segment_heart(

@@ -8,6 +8,7 @@ functions over a whole ``StudySeries``. ``peak_rss_growth`` measures a
 job's memory in a fresh interpreter.
 """
 
+import math
 import os
 import pickle
 import subprocess
@@ -33,6 +34,12 @@ def flat_vol(values, spacing=UNIT):
     """A (1, 1, n) volume holding the given 1-D sequence."""
     arr = np.asarray(values, dtype=np.float32).reshape(1, 1, -1)
     return Volume(arr, spacing)
+
+
+def percentile_oracle(values, q):
+    """Nearest-rank percentile by a sort: the value at 0-based index ceil(q/100 * n) - 1 of the ascending order."""
+    ordered = np.sort(np.asarray(values).reshape(-1))
+    return ordered[max(math.ceil(q * ordered.size / 100.0) - 1, 0)]
 
 
 def mask_of(labels, spacing=UNIT):

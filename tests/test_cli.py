@@ -27,10 +27,11 @@ from dcenorm import (
 )
 from dcenorm import cli
 from dcenorm import mapping as mapping_mod
+from dcenorm import volume as volume_mod
 from dcenorm.cli import load_cli_config, main
 from dcenorm.manifest import subject_file
 from dcenorm.segmentation import SegmentationConfig
-from dcenorm.volume import AIR, BACKGROUND, DENSE, FAT, HEART, TUMOR
+from dcenorm.volume import AIR, DENSE, FAT, HEART, TUMOR
 
 from helpers import peak_rss_growth, read_subject
 
@@ -1185,32 +1186,26 @@ def test_streamed_normalize_matches_map_volume_over_the_loaded_series(pipeline):
             assert (loaded.spacing_mm, loaded.modality_tag) == (volume.spacing_mm, volume.modality_tag)
 
 
-def _air_in_one_slice(entry):
-    """Relabel the entry's air as background outside its first slice, so that its anchors gather few voxels."""
-    mask = load_mask(entry.mask)
-    labels = mask.labels.copy()
-    labels[1:][labels[1:] == AIR] = BACKGROUND
-    save_mask(TissueMask(labels, mask.spacing_mm), entry.mask)
-    return labels
-
-
 def test_normalize_job_holds_the_mask_pre_and_the_first_post_then_one_volume_and_its_map(tmp_path):
     """A job on a 3-post subject lifts the resident set by at most what it holds while it takes the anchors:
-    the mask, pre, the first post, one tissue's voxel set and that tissue's gathered values, with the block
+    the mask, pre, the first post, one tissue's voxel set and the selector's working memory, with the block
     temporaries of the map and 1 MiB of small objects on top. All of these go before the volumes are read again,
-    one at a time, each held with only its map. Air is kept to one slice of the mask, so that the anchors gather
-    few voxels and a job that held pre's map beside pre and the first post would cross the bound."""
+    one at a time, each held with only its map. The phantom's air is most of its grid, so a job that gathered
+    a tissue's values, or held pre's map beside pre and the first post, would cross the bound."""
     dims = (256, 256, 32)
     (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path / "job")
     (warm,) = generate_phantom(PhantomConfig(dims=(64, 64, 16), groups=(GroupSpec("A", 1),)), tmp_path / "warm")
     assert len(entry.posts) == 3
-    labels = _air_in_one_slice(entry)
-    _air_in_one_slice(warm)
+    labels = load_mask(entry.mask).labels
     model = train_archetype([extract_anchors(*read_subject(entry))])
     voxels = math.prod(dims)
     largest = max(np.count_nonzero(labels == label) for label in (AIR, FAT, DENSE, HEART))
+    assert largest > voxels // 2
+    # select_rank's: the sample and a partitioned copy, at most 2 * _SAMPLE float32 values each; one block's
+    # float32 values and three flags a value; and the values kept, under 1/16 of the tissue, twice over.
+    selection = 2 * 2 * 4 * volume_mod._SAMPLE + (4 + 3) * volume_mod._SCAN_BLOCK + 2 * 4 * largest // 16
     blocks = 6 * 8 * mapping_mod._BLOCK_VOXELS  # evaluate's float64 and intp temporaries on one block
-    bound = voxels + 2 * 4 * voxels + voxels + 4 * largest + blocks + 2**20
+    bound = voxels + 2 * 4 * voxels + voxels + selection + blocks + 2**20
     growth = peak_rss_growth(cli._normalize_job, (warm, model, str(tmp_path / "norm0"), None),
                              (entry, model, str(tmp_path / "norm1"), None))
     assert growth <= bound

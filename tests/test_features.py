@@ -28,6 +28,7 @@ from dcenorm.features import (
     write_features_csv,
 )
 from dcenorm import features as features_module
+from dcenorm import volume as volume_module
 from dcenorm.model import NormalizationModel
 from dcenorm.phantom import GroupSpec, PhantomConfig
 from dcenorm.volume import DENSE, FAT, TUMOR
@@ -39,9 +40,15 @@ def const(shape, value):
     return np.full(shape, float(value), dtype=np.float32)
 
 
+def dynamic_range(arrays):
+    """Max minus min over the arrays, from one whole-array min and max each: the oracle of a series' range."""
+    arrays = list(arrays)
+    return max(float(a.max()) for a in arrays) - min(float(a.min()) for a in arrays)
+
+
 def eps_of(*arrays):
     """1e-6 of the range of the values of ``arrays``, the eps extraction takes for them as a series."""
-    return 1e-6 * (max(float(a.max()) for a in arrays) - min(float(a.min()) for a in arrays))
+    return 1e-6 * dynamic_range(arrays)
 
 
 def ser_of(s0, s1, slast):
@@ -759,32 +766,27 @@ def test_maps_are_finite_and_bounded(arrays):
         assert np.abs(out).max() <= 1.000001e6
 
 
-def dynamic_range(arrays):
-    """Max minus min over the arrays, from each one's blocked range scan, as extraction takes eps."""
-    ranges = [features_module._value_range(array) for array in arrays]
-    return max(hi for _, hi in ranges) - min(lo for lo, _ in ranges)
-
-
 class TestDynamicRange:
-    """The blocked range scan equals one min and one max per volume."""
+    """A volume's blocked range scan equals one min and one max of its data."""
 
     @pytest.mark.parametrize("holder", [0, 1, 2])
     @pytest.mark.parametrize("where", ["first", "last", "middle"])
     def test_matches_whole_volume_min_and_max(self, rng, where, holder):
-        # One full block and a partial second per volume; the minimum
+        # Two full scan blocks and a partial third per volume; the minimum
         # sits in volume ``holder`` and the maximum in the next one, both
-        # in the first block, the partial one, or across the block edge.
+        # in the first block, the partial one, or across a block edge.
         shape = (3, 240, 190)
         volumes = [rng.normal(100.0, 20.0, shape).astype(np.float32) for _ in range(3)]
-        flat_index = {"first": 5, "middle": 2 ** 17, "last": volumes[0].size - 1}[where]
+        flat_index = {"first": 5, "middle": volume_module._SCAN_BLOCK, "last": volumes[0].size - 1}[where]
         volumes[holder].reshape(-1)[flat_index] = -np.finfo(np.float32).max
         volumes[(holder + 1) % 3].reshape(-1)[flat_index - 1] = 1e30
-        expected = max(float(v.max()) for v in volumes) - min(float(v.min()) for v in volumes)
-        got = dynamic_range(volumes)
-        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        ranges = [vol(v).value_range for v in volumes]
+        assert ranges == [(float(v.min()), float(v.max())) for v in volumes]
+        got = max(hi for _, hi in ranges) - min(lo for lo, _ in ranges)
+        assert np.float64(got).tobytes() == np.float64(dynamic_range(volumes)).tobytes()
 
     def test_single_voxel_series(self):
-        assert dynamic_range([const((1, 1, 1), 3), const((1, 1, 1), -2), const((1, 1, 1), 7)]) == 9.0
+        assert [vol(const((1, 1, 1), v)).value_range for v in (3, -2, 7)] == [(3.0, 3.0), (-2.0, -2.0), (7.0, 7.0)]
 
 
 class TestCroppedKernels:

@@ -38,9 +38,10 @@ from dcenorm.segmentation import (
     segment_dense,
     segment_heart,
 )
-from dcenorm.volume import DENSE, FAT, HEART, TUMOR, nearest_rank_index, percentile
+from dcenorm import volume as volume_module
+from dcenorm.volume import DENSE, FAT, HEART, TUMOR, nearest_rank_index
 
-from helpers import flat_vol, peak_rss_growth, segment_volumes, vol
+from helpers import flat_vol, peak_rss_growth, percentile_oracle, segment_volumes, vol
 
 
 def dice(a, b):
@@ -97,7 +98,7 @@ def full_volume_segment_heart(pre, post1, body, config):
     sub = post1.data.astype(np.float64) - pre.data.astype(np.float64)
     if not (sub > 0).any():
         raise SubjectError("subtraction image shows no enhancement")
-    threshold = percentile(sub, config.heart_enhancement_percentile)
+    threshold = percentile_oracle(sub, config.heart_enhancement_percentile)
     planes = chest_wall_planes(body)
     yy = np.arange(body.shape[1])[None, :, None]
     posterior = yy > planes[:, None, None]
@@ -361,76 +362,6 @@ class TestSegmentDense:
         assert np.array_equal(fat_or_dense, breast)
 
 
-SPECIAL_VALUES = [-math.inf, -1e30, -2.5, -0.0, 0.0, 1.0, 3.0, 1e30, math.inf]
-
-
-@st.composite
-def selections(draw):
-    """Values for ``_select``: a pool with infinities, signed zeros and ties, random floats, or one
-    repeated value; the dtype; a rank, often 0 or n - 1; and the block size."""
-    n = draw(st.integers(1, 400))
-    kind = draw(st.sampled_from(["pool", "random", "constant"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "pool":
-        pool = draw(st.lists(st.sampled_from(SPECIAL_VALUES), min_size=1, max_size=5))
-        values = rng.choice(pool, n)
-    elif kind == "random":
-        values = rng.normal(0.0, 100.0, n)
-    else:
-        values = np.full(n, draw(st.sampled_from(SPECIAL_VALUES)))
-    values = values.astype(draw(st.sampled_from([np.float32, np.float64])))
-    k = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
-    return values, k, draw(st.sampled_from([1, 7, 2**16]))
-
-
-def selected(values, k, block):
-    """``_select``'s value of rank k, reading ``values`` through a slice, and the passes it made."""
-    starts = []
-
-    def read(s):
-        if s.step is None:
-            starts.append(s.start)
-        return values[s]
-
-    got = segmentation._select(read, values.size, k, block)
-    return got, starts.count(0)
-
-
-class TestSelect:
-    """The blocked selection behind both percentile thresholds, against the sort's nearest rank."""
-
-    @given(selections(), st.sampled_from([2**14, 200, 3]))
-    def test_equals_the_sorted_value_of_rank_k(self, selection, sample):
-        values, k, block = selection
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(segmentation, "_SAMPLE", sample)
-            got, _ = selected(values, k, block)
-        assert got == np.sort(values)[k]  # 0.0 == -0.0: a zero's sign is not asserted
-
-    @pytest.mark.parametrize("side, q", [("above", 50.0), ("below", 50.0), ("above", 99.0), ("below", 1.0)])
-    def test_exact_where_the_sample_misleads(self, monkeypatch, side, q):
-        """Every sampled value lies beyond all the others, on the side that puts the first bracket past the
-        answer, so it misses; the later passes still find the exact value."""
-        monkeypatch.setattr(segmentation, "_SAMPLE", 256)
-        n = 256 * 40
-        values = np.random.default_rng(1).normal(0.0, 1.0, n)
-        values[:: n // 256] += 1e6 if side == "above" else -1e6
-        k = nearest_rank_index(n, q)
-        got, passes = selected(values, k, 1000)
-        assert got == np.sort(values)[k]
-        assert passes >= 2
-
-    @pytest.mark.parametrize("q", [5.0, 50.0, 99.0])
-    def test_ties_resolve_at_a_bound_without_keeping_them(self, q):
-        """Integer values with long runs of ties, as scanners write them: the answer is a bound of the
-        bracket, and no pass keeps the ties it counts."""
-        values = np.random.default_rng(2).integers(0, 5, 50_000).astype(np.float32)
-        k = nearest_rank_index(values.size, q)
-        got, passes = selected(values, k, segmentation._SCAN_BLOCK)
-        assert got == np.sort(values)[k]
-        assert passes <= 2
-
-
 class TestEnhancementThreshold:
     @given(st.integers(0, 2**32 - 1), st.floats(0.5, 100.0), st.booleans())
     def test_equals_the_percentile_of_the_subtraction_image(self, seed, q, ties):
@@ -443,25 +374,25 @@ class TestEnhancementThreshold:
         if not (post.data.astype(np.float64) > pre.data).any():
             return
         sub = post.data.astype(np.float64) - pre.data.astype(np.float64)
-        assert _enhancement_threshold(pre, post, q) == percentile(sub, q)
+        assert _enhancement_threshold(pre, post, q) == percentile_oracle(sub, q)
 
-    # Each case below equals the percentile of the float64 image with numpy's
-    # warnings raised as errors: a RuntimeWarning on stderr would break the
-    # one-line error contract of a failing run.
+    # Each case below equals the sorted percentile of the float64 image with
+    # numpy's warnings raised as errors: a RuntimeWarning on stderr would
+    # break the one-line error contract of a failing run.
 
     @staticmethod
     def threshold_and_reference(pre, post, q):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _enhancement_threshold(vol(pre), vol(post), q)
-        return got, percentile(post.astype(np.float64) - pre.astype(np.float64), q)
+        return got, percentile_oracle(post.astype(np.float64) - pre.astype(np.float64), q)
 
-    @pytest.mark.parametrize("block", [7, segmentation._SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [7, volume_module._SCAN_BLOCK])
     @pytest.mark.parametrize("q", [0.5, 25.0, 50.0, 75.0, 99.0, 100.0])
     def test_exact_where_the_float32_difference_rounds(self, monkeypatch, q, block):
         """post near 2**30 less a pre with low bits: the difference needs more than 24 bits, so voxels that
         share a float32 difference differ in float64. A 7-voxel scan block puts ties across block edges."""
-        monkeypatch.setattr(segmentation, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(volume_module, "_SCAN_BLOCK", block)
         rng = np.random.default_rng(3)
         shape = (4, 6, 9)
         pre = rng.uniform(0.0, 300.0, shape).astype(np.float32)

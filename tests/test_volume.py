@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -26,7 +26,7 @@ from dcenorm import (
 from dcenorm import volume as volume_module
 from dcenorm.volume import MASK_DTYPE, base_path, bounding_box, nearest_rank_index, read_sidecar, widen
 
-from helpers import mask_of, vol
+from helpers import mask_of, percentile_oracle, vol
 
 
 def write_pair(directory, name, dims, payload_bytes, dtype="f32le", order="x-fastest",
@@ -93,6 +93,14 @@ class TestVolumeIO:
         path = write_pair(tmp_path, "v", [2, 1, 1], f32_bytes([1.0, np.nan]))
         with pytest.raises(NonFiniteDataError):
             load_volume(path)
+
+    def test_non_finite_voxel_in_a_later_block_names_the_payload(self, tmp_path):
+        values = np.ones(2 * volume_module._SCAN_BLOCK + 5, dtype=np.float32)
+        values[-3] = np.inf
+        path = write_pair(tmp_path, "v", [values.size, 1, 1], values.tobytes())
+        with pytest.raises(NonFiniteDataError) as info:
+            load_volume(path)
+        assert str(info.value) == f"volume contains NaN or infinite values [{tmp_path / 'v.raw'}]"
 
     def test_bad_dims_in_sidecar(self, tmp_path):
         path = write_pair(tmp_path, "v", [2, 0, 1], b"", dtype="f32le")
@@ -244,6 +252,21 @@ class TestVolumeContainer:
         with pytest.raises(NonFiniteDataError):
             vol([[[np.nan]]])
 
+    @given(st.integers(0, 3 * 200 * 300 - 1), st.sampled_from([math.nan, math.inf, -math.inf]))
+    @example(volume_module._SCAN_BLOCK, math.nan)
+    @example(3 * 200 * 300 - 1, math.nan)
+    def test_rejects_a_non_finite_voxel_in_any_range_block(self, index, value):
+        """Two full range blocks and a partial third, finite but for one voxel: whichever block holds it,
+        the range scan refuses the volume."""
+        data = np.arange(3 * 200 * 300, dtype=np.float32).reshape(3, 200, 300)
+        data.reshape(-1)[index] = value
+        with pytest.raises(NonFiniteDataError):
+            vol(data)
+
+    def test_value_range_is_the_min_and_max(self):
+        data = np.arange(3 * 200 * 300, dtype=np.float32).reshape(3, 200, 300) - 7.0
+        assert vol(data).value_range == (-7.0, float(data.size - 8))
+
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValidationError):
             Volume(np.zeros((1, 1, 1), dtype=np.float32), (1.0, 0.0, 1.0))
@@ -287,10 +310,98 @@ class TestTissueMask:
             load_mask(tmp_path / "m")
 
 
-def percentile_oracle(values, q):
-    ordered = sorted(values)
-    k = max(math.ceil(q * len(ordered) / 100.0) - 1, 0)
-    return ordered[k]
+SPECIAL_VALUES = [-math.inf, -1e30, -2.5, -0.0, 0.0, 1.0, 3.0, 1e30, math.inf]
+
+
+@st.composite
+def selections(draw):
+    """Values for ``select_rank``: a pool with infinities, signed zeros and ties, random floats, or one
+    repeated value, in either dtype; no mask, or one selecting about half of them, a few or just one; a
+    rank of the selected values, often the first or the last; and the scan block."""
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["pool", "random", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "pool":
+        pool = draw(st.lists(st.sampled_from(SPECIAL_VALUES), min_size=1, max_size=5))
+        values = rng.choice(pool, n)
+    elif kind == "random":
+        values = rng.normal(0.0, 100.0, n)
+    else:
+        values = np.full(n, draw(st.sampled_from(SPECIAL_VALUES)))
+    values = values.astype(draw(st.sampled_from([np.float32, np.float64])))
+    share = draw(st.sampled_from([None, 0.5, 0.02, 0.0]))
+    mask = None
+    if share is not None:
+        mask = rng.random(n) < share
+        mask[rng.integers(n)] = True
+    count = n if mask is None else int(np.count_nonzero(mask))
+    k = draw(st.one_of(st.just(0), st.just(count - 1), st.integers(0, count - 1)))
+    return values, mask, k, draw(st.sampled_from([1, 7, 2**16]))
+
+
+def selected(values, mask, k):
+    """``select_rank``'s value of rank k of ``values`` at ``mask``, read through slices, and the passes it made."""
+    starts = []
+
+    def read(s):
+        if s.step is None:
+            starts.append(s.start)
+        return values[s] if mask is None else values[s][mask[s]]
+
+    count = values.size if mask is None else int(np.count_nonzero(mask))
+    return volume_module.select_rank(read, values.size, count, k), starts.count(0)
+
+
+class TestSelect:
+    """The blocked selection behind every percentile, against the sort's nearest rank."""
+
+    @given(selections(), st.sampled_from([2**14, 200, 3]))
+    def test_equals_the_sorted_value_of_rank_k(self, selection, sample):
+        values, mask, k, block = selection
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(volume_module, "_SAMPLE", sample)
+            patch.setattr(volume_module, "_SCAN_BLOCK", block)
+            got, _ = selected(values, mask, k)
+        assert got == np.sort(values if mask is None else values[mask])[k]  # 0.0 == -0.0: a zero's sign is not asserted
+
+    @pytest.mark.parametrize("q", [0.0, 50.0, 100.0])
+    def test_exact_where_the_sample_holds_no_selected_value(self, monkeypatch, q):
+        """A mask off every sampled position leaves the sample empty; the bracket is then unbounded, and one
+        pass keeps every selected value."""
+        monkeypatch.setattr(volume_module, "_SAMPLE", 16)
+        n = 16 * 40
+        values = np.random.default_rng(4).normal(0.0, 1.0, n)
+        mask = np.zeros(n, dtype=bool)
+        mask[5::40] = True
+        assert not mask[:: n // 16].any()
+        k = nearest_rank_index(int(mask.sum()), q)
+        got, passes = selected(values, mask, k)
+        assert got == np.sort(values[mask])[k]
+        assert passes == 1
+
+    @pytest.mark.parametrize("side, q", [("above", 50.0), ("below", 50.0), ("above", 99.0), ("below", 1.0)])
+    def test_exact_where_the_sample_misleads(self, monkeypatch, side, q):
+        """Every sampled value lies beyond all the others, on the side that puts the first bracket past the
+        answer, so it misses; the later passes still find the exact value."""
+        monkeypatch.setattr(volume_module, "_SAMPLE", 256)
+        monkeypatch.setattr(volume_module, "_SCAN_BLOCK", 1000)
+        n = 256 * 40
+        values = np.random.default_rng(1).normal(0.0, 1.0, n)
+        values[:: n // 256] += 1e6 if side == "above" else -1e6
+        k = nearest_rank_index(n, q)
+        got, passes = selected(values, None, k)
+        assert got == np.sort(values)[k]
+        assert passes >= 2
+
+    @pytest.mark.parametrize("q", [5.0, 50.0, 99.0])
+    def test_ties_resolve_at_a_bound_without_keeping_them(self, q):
+        """Integer values with long runs of ties, as scanners write them: the answer is a bound of the
+        bracket, and no pass keeps the ties it counts."""
+        values = np.random.default_rng(2).integers(0, 5, 50_000).astype(np.float32)
+        k = nearest_rank_index(values.size, q)
+        got, passes = selected(values, None, k)
+        assert got == np.sort(values)[k]
+        assert passes <= 2
 
 
 class TestPercentile:
@@ -336,6 +447,21 @@ class TestPercentile:
         mask = np.array([[[False, True, True, False]]])
         assert percentile(data, 100, mask=mask) == 30.0
         assert percentile(data, 0, mask=mask) == 20.0
+
+    @given(selections(), st.floats(0, 100), st.sampled_from([2**14, 200, 3]))
+    def test_masked_matches_the_oracle(self, selection, q, sample):
+        values, mask, _, block = selection
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(volume_module, "_SAMPLE", sample)
+            patch.setattr(volume_module, "_SCAN_BLOCK", block)
+            got = percentile(values, q, mask=mask)
+        assert got == percentile_oracle(values if mask is None else values[mask], q)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32])
+    def test_non_boolean_mask_rejected(self, dtype):
+        """numpy would index by such a mask's values: [1, 0, 1] would select 20, 10 and 20."""
+        with pytest.raises(ValidationError, match="mask must be boolean"):
+            percentile(np.array([10.0, 20.0, 30.0]), 100, mask=np.array([1, 0, 1], dtype=dtype))
 
     def test_empty_selection_rejected(self):
         data = np.zeros((1, 1, 3), dtype=np.float32)
