@@ -22,7 +22,7 @@ throughout, and post1 only while the heart stage runs. Each stage adds
 about one byte grid: the air selection, the Otsu bin indices, the breast
 candidate, the dense set or the heart. Everything else is block- or
 box-sized: the two percentile thresholds are taken by
-``volume.select_rank``, which reads blocks and forms no copy, and
+``volume._kth_smallest``, which reads blocks and forms no copy, and
 components are labelled and painted as runs along x (``_label``,
 ``_paint``), with no label grid. So the chain peaks at two volumes and
 three byte grids, 11 bytes a voxel, plus about 2 MB.
@@ -40,7 +40,7 @@ from .errors import SubjectError, ValidationError
 from .util import is_number
 from .volume import (
     AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, nearest_rank_index, percentile,
-    select_rank, widen,
+    _kth_smallest, widen,
 )
 
 OTSU_BINS = 256
@@ -406,7 +406,7 @@ def segment_dense(pre: Volume, breast: np.ndarray, config: SegmentationConfig) -
 def _enhancement_threshold(pre: Volume, post1: Volume, q: float) -> float:
     """The nearest-rank ``q``-th percentile of the float64 subtraction image post1 - pre, as ``volume.percentile`` takes it.
 
-    No subtraction grid is formed: ``volume.select_rank``, the selector
+    No subtraction grid is formed: ``volume._kth_smallest``, the selector
     behind ``percentile``, reads the float64 differences block by block,
     which gives the float64 percentile directly. A zero threshold may
     come back as -0.0; the threshold is only compared (``>=``) and never
@@ -419,9 +419,8 @@ def _enhancement_threshold(pre: Volume, post1: Volume, q: float) -> float:
     blocks = (slice(start, start + _SCAN_BLOCK) for start in range(0, n, _SCAN_BLOCK))
     if not any(np.any(post_flat[block] > pre_flat[block]) for block in blocks):
         raise SubjectError("subtraction image shows no enhancement")
-    return select_rank(
-        lambda s: np.subtract(post_flat[s], pre_flat[s], dtype=np.float64), n, n, nearest_rank_index(n, q)
-    )
+    k = nearest_rank_index(n, q)
+    return _kth_smallest(lambda s: np.subtract(post_flat[s], pre_flat[s], dtype=np.float64), n, n, k)
 
 
 def segment_heart(

@@ -22,7 +22,7 @@ dcenorm never does so: every output is written to a new file and renamed
 into place.
 
 Every percentile in the package, the anchors' and the classical
-segmenter's, is taken by one selector, ``select_rank``, which reads
+segmenter's, is taken by one selector, ``_kth_smallest``, which reads
 blocks and gathers no copy of the selection.
 """
 
@@ -328,29 +328,33 @@ def nearest_rank_index(n: int, q: float) -> int:
     return max(math.ceil(q * n / 100.0) - 1, 0)
 
 
-def select_rank(values: Callable[[slice], np.ndarray], n: int, count: int, k: int) -> float:
+def _kth_smallest(values: Callable[[slice], np.ndarray], n: int, count: int, k: int) -> float:
     """The ``k``-th smallest (0-based) of ``count`` values held at ``n`` grid positions, exactly, read by blocks.
 
     ``values(s)`` returns the values at the slice ``s`` of the positions,
     in position order, as a new array or a view; a position may hold no
     value, as a voxel outside a mask does. The passes read blocks of
-    ``_SCAN_BLOCK`` positions, the sample a strided slice. The values may
-    hold infinities but no NaN.
+    ``_SCAN_BLOCK`` positions. The values may hold infinities but no NaN.
+    A zero may come back with the other sign than a sort would give it,
+    which no comparison tells apart.
 
-    The m values at a strided sample of about ``_SAMPLE`` positions set a
-    bracket lo <= hi: their order statistics a few standard deviations
-    either side of the rank the answer is expected to have among them, or
-    an infinity where that runs off the sample's end (always, when m is
-    0). One pass counts the values at or below lo and those below hi, and
-    keeps only those strictly between, so ties at either bound are
-    counted, never kept. When rank k falls between the two counts, the
-    answer is the kept value of its rank. When it falls among the ties at
-    a bound, the answer is that bound; the count that shows this comes
-    from a pass on which the bound was the other end of the bracket, or
-    from the same pass when lo == hi. Otherwise the bracket missed: the
-    next one reaches four times as far out on that side from the bound it
-    crossed. So a second pass is made only on a miss or for a tie at a
-    bound, and a bracket that reaches an infinity cannot miss on that side.
+    The sample reads every position when ``count`` is at most ``_SAMPLE``,
+    else a strided slice of about ``_SAMPLE`` positions. When its m values
+    are all the ``count``, the answer is taken from them with no pass.
+    Otherwise they set a bracket lo <= hi: their order statistics a few
+    standard deviations either side of the rank the answer is expected to
+    have among them, or an infinity where that runs off the sample's end
+    (always, when m is 0). One pass counts the values at or below lo and
+    those below hi, and keeps only those strictly between, so ties at
+    either bound are counted, never kept. When rank k falls between the
+    two counts, the answer is the kept value of its rank. When it falls
+    among the ties at a bound, the answer is that bound; the count that
+    shows this comes from a pass on which the bound was the other end of
+    the bracket, or from the same pass when lo == hi. Otherwise the
+    bracket missed: the next one reaches four times as far out on that
+    side from the bound it crossed. So a second pass is made only on a
+    miss or for a tie at a bound, and a bracket that reaches an infinity
+    cannot miss on that side.
 
     Working memory is the sample and a partitioned copy, one block's
     values with three flags a value, and the values kept, twice over while
@@ -358,12 +362,11 @@ def select_rank(values: Callable[[slice], np.ndarray], n: int, count: int, k: in
     sample's ranks, so where the sample represents the values that share
     of them is kept: 6.4% at m = 2**12, 3.2% at m = 2**14. A sample that
     misrepresents them can widen the bracket up to all the values.
-
-    A zero may come back with the other sign than a sort would give it,
-    which no comparison tells apart.
     """
-    sample = values(slice(0, n, max(1, n // _SAMPLE)))
+    sample = values(slice(0, n, 1 if count <= _SAMPLE else max(1, n // _SAMPLE)))
     m = sample.size
+    if m == count:  # the sample holds every value
+        return float(np.partition(sample, k)[k])
     at = (k + 0.5) * m / count
     width = 4.0 * math.sqrt(at * (m - at) / max(m, 1)) + 4.0
 
@@ -406,20 +409,20 @@ def percentile(data: np.ndarray, q: float, mask: np.ndarray | None = None) -> fl
 
     The value at 0-based index ceil(q/100 * n) - 1 of the ascending sort
     of the n selected values, q = 0 giving the minimum; a zero may come
-    back with either sign. ``select_rank`` reads the data and the mask a
+    back with either sign. ``_kth_smallest`` reads the data and the mask a
     block at a time, so no copy of the selection is formed. A mask that is
     not boolean is refused: numpy would index by its values.
     """
     flat = data.reshape(-1)
     if mask is None:
-        return select_rank(flat.__getitem__, flat.size, flat.size, nearest_rank_index(flat.size, q))
+        return _kth_smallest(flat.__getitem__, flat.size, flat.size, nearest_rank_index(flat.size, q))
     if mask.dtype != np.bool_:
         raise ValidationError(f"percentile mask must be boolean, got dtype {mask.dtype}")
     if mask.shape != data.shape:
         raise ValidationError(f"mask shape {mask.shape} does not match data shape {data.shape}")
     selected = mask.reshape(-1)
     count = int(np.count_nonzero(selected))
-    return select_rank(lambda s: flat[s][selected[s]], flat.size, count, nearest_rank_index(count, q))
+    return _kth_smallest(lambda s: flat[s][selected[s]], flat.size, count, nearest_rank_index(count, q))
 
 
 def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:

@@ -1201,7 +1201,7 @@ def test_normalize_job_holds_the_mask_pre_and_the_first_post_then_one_volume_and
     voxels = math.prod(dims)
     largest = max(np.count_nonzero(labels == label) for label in (AIR, FAT, DENSE, HEART))
     assert largest > voxels // 2
-    # select_rank's: the sample and a partitioned copy, at most 2 * _SAMPLE float32 values each; one block's
+    # _kth_smallest's: the sample and a partitioned copy, at most 2 * _SAMPLE float32 values each; one block's
     # float32 values and three flags a value; and the values kept, under 1/16 of the tissue, twice over.
     selection = 2 * 2 * 4 * volume_mod._SAMPLE + (4 + 3) * volume_mod._SCAN_BLOCK + 2 * 4 * largest // 16
     blocks = 6 * 8 * mapping_mod._BLOCK_VOXELS  # evaluate's float64 and intp temporaries on one block

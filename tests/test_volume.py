@@ -315,7 +315,7 @@ SPECIAL_VALUES = [-math.inf, -1e30, -2.5, -0.0, 0.0, 1.0, 3.0, 1e30, math.inf]
 
 @st.composite
 def selections(draw):
-    """Values for ``select_rank``: a pool with infinities, signed zeros and ties, random floats, or one
+    """Values for ``_kth_smallest``: a pool with infinities, signed zeros and ties, random floats, or one
     repeated value, in either dtype; no mask, or one selecting about half of them, a few or just one; a
     rank of the selected values, often the first or the last; and the scan block."""
     n = draw(st.integers(1, 400))
@@ -340,7 +340,7 @@ def selections(draw):
 
 
 def selected(values, mask, k):
-    """``select_rank``'s value of rank k of ``values`` at ``mask``, read through slices, and the passes it made."""
+    """``_kth_smallest``'s value of rank k of ``values`` at ``mask``, read through slices, and the passes it made."""
     starts = []
 
     def read(s):
@@ -349,7 +349,7 @@ def selected(values, mask, k):
         return values[s] if mask is None else values[s][mask[s]]
 
     count = values.size if mask is None else int(np.count_nonzero(mask))
-    return volume_module.select_rank(read, values.size, count, k), starts.count(0)
+    return volume_module._kth_smallest(read, values.size, count, k), starts.count(0)
 
 
 class TestSelect:
@@ -372,12 +372,23 @@ class TestSelect:
         n = 16 * 40
         values = np.random.default_rng(4).normal(0.0, 1.0, n)
         mask = np.zeros(n, dtype=bool)
-        mask[5::40] = True
-        assert not mask[:: n // 16].any()
+        mask[5::20] = True
+        assert mask.sum() > 16 and not mask[:: n // 16].any()
         k = nearest_rank_index(int(mask.sum()), q)
         got, passes = selected(values, mask, k)
         assert got == np.sort(values[mask])[k]
         assert passes == 1
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_a_selection_no_larger_than_the_sample_is_read_once(self, monkeypatch, masked):
+        """Up to ``_SAMPLE`` values, the sample reads every position, so it holds them all: no pass is made."""
+        monkeypatch.setattr(volume_module, "_SAMPLE", 64)
+        values = np.random.default_rng(5).normal(0.0, 1.0, 64 if not masked else 640)
+        mask = None if not masked else np.arange(values.size) % 10 == 3
+        for k in (0, 31, 63):
+            got, passes = selected(values, mask, k)
+            assert got == np.sort(values if mask is None else values[mask])[k]
+            assert passes == 0
 
     @pytest.mark.parametrize("side, q", [("above", 50.0), ("below", 50.0), ("above", 99.0), ("below", 1.0)])
     def test_exact_where_the_sample_misleads(self, monkeypatch, side, q):
