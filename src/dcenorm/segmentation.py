@@ -40,15 +40,12 @@ from .errors import SubjectError, ValidationError
 from .util import is_number
 from .volume import (
     AIR, DENSE, FAT, HEART, TUMOR, TissueMask, Volume, bounding_box, check_same_grid, nearest_rank_index, percentile,
-    _kth_smallest, widen,
+    _SCAN_BLOCK, _kth_smallest, widen,
 )
 
 OTSU_BINS = 256
 # Values binned per step in otsu_upper_class: each float64 temporary is 512 KiB.
 _OTSU_BLOCK = 2**16
-# Voxels per step of the blocked scans: _label's run extraction, _paint's
-# indices, and the heart stage's enhancement scan and slabs.
-_SCAN_BLOCK = 2**16
 
 
 @dataclass

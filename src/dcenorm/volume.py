@@ -65,7 +65,9 @@ LABEL_NAMES = {
 }
 MAX_LABEL = TUMOR
 
-# Values per step of the blocked scans: a volume's range and the selector's passes.
+# Values per step of the blocked scans: a volume's range, the selector's
+# passes, and segmentation's run extraction, painting, enhancement scan and
+# heart slabs.
 _SCAN_BLOCK = 2**16
 # Grid positions in the selector's strided sample, which sets its first bracket.
 _SAMPLE = 2**14

@@ -178,6 +178,23 @@ def outcome(fn, *args):
         return str(exc)
 
 
+def counting_passes(patch):
+    """Patch segmentation's selector to record each pass it makes over the grid positions; returns the record."""
+    passes = []
+    select = segmentation._kth_smallest
+
+    def counted(values, n, count, k):
+        def read(s):
+            if s.step is None and s.start == 0:  # a pass's first block: the sample's slice has a step
+                passes.append(k)
+            return values(s)
+
+        return select(read, n, count, k)
+
+    patch.setattr(segmentation, "_kth_smallest", counted)
+    return passes
+
+
 def assert_same_outcome(got, want):
     assert type(got) is type(want)
     if isinstance(want, str):
@@ -362,36 +379,51 @@ class TestSegmentDense:
         assert np.array_equal(fat_or_dense, breast)
 
 
+# The selector's sample size: at 16 every exactness case below reads at
+# least twice as many values, so the sample is strided and the selector
+# makes at least one pass of the float64 differences; at the default the
+# sample holds them all and no pass is made.
+SAMPLES = [16, volume_module._SAMPLE]
+
+
 class TestEnhancementThreshold:
-    @given(st.integers(0, 2**32 - 1), st.floats(0.5, 100.0), st.booleans())
-    def test_equals_the_percentile_of_the_subtraction_image(self, seed, q, ties):
+    # Each case equals the sorted percentile of the float64 image with
+    # numpy's warnings raised as errors: a RuntimeWarning on stderr would
+    # break the one-line error contract of a failing run.
+
+    @staticmethod
+    def threshold_and_reference(pre, post, q, sample):
+        """The threshold of float32 ``pre`` and ``post`` with the selector's sample patched to ``sample``, and
+        the oracle's. Asserts that the selector made a pass exactly when the grid holds twice the sample or
+        more, so that the sample is strided and leaves values out."""
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("error")
+            patch.setattr(volume_module, "_SAMPLE", sample)
+            passes = counting_passes(patch)
+            got = _enhancement_threshold(vol(pre), vol(post), q)
+        assert bool(passes) == (pre.size >= 2 * sample)
+        return got, percentile_oracle(post.astype(np.float64) - pre.astype(np.float64), q)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.5, 100.0), st.booleans(), st.sampled_from(SAMPLES))
+    def test_equals_the_percentile_of_the_subtraction_image(self, seed, q, ties, sample):
         """The threshold is the percentile of the float64 subtraction image, though it forms no float64 grid."""
         rng = np.random.default_rng(seed)
         shape = (3, 5, 7)
         pre = rng.integers(0, 4, shape) if ties else rng.normal(100.0, 20.0, shape)
         post = pre + (rng.integers(-1, 3, shape) if ties else rng.normal(5.0, 20.0, shape))
-        pre, post = vol(pre), vol(post)
-        if not (post.data.astype(np.float64) > pre.data).any():
+        pre, post = pre.astype(np.float32), post.astype(np.float32)
+        if not (post > pre).any():
             return
-        sub = post.data.astype(np.float64) - pre.data.astype(np.float64)
-        assert _enhancement_threshold(pre, post, q) == percentile_oracle(sub, q)
+        got, want = self.threshold_and_reference(pre, post, q, sample)
+        assert got == want
 
-    # Each case below equals the sorted percentile of the float64 image with
-    # numpy's warnings raised as errors: a RuntimeWarning on stderr would
-    # break the one-line error contract of a failing run.
-
-    @staticmethod
-    def threshold_and_reference(pre, post, q):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _enhancement_threshold(vol(pre), vol(post), q)
-        return got, percentile_oracle(post.astype(np.float64) - pre.astype(np.float64), q)
-
+    @pytest.mark.parametrize("sample", SAMPLES)
     @pytest.mark.parametrize("block", [7, volume_module._SCAN_BLOCK])
     @pytest.mark.parametrize("q", [0.5, 25.0, 50.0, 75.0, 99.0, 100.0])
-    def test_exact_where_the_float32_difference_rounds(self, monkeypatch, q, block):
+    def test_exact_where_the_float32_difference_rounds(self, monkeypatch, q, block, sample):
         """post near 2**30 less a pre with low bits: the difference needs more than 24 bits, so voxels that
-        share a float32 difference differ in float64. A 7-voxel scan block puts ties across block edges."""
+        share a float32 difference differ in float64. With a 16-value sample, a 7-voxel block puts ties
+        across the block edges of the selector's passes."""
         monkeypatch.setattr(volume_module, "_SCAN_BLOCK", block)
         rng = np.random.default_rng(3)
         shape = (4, 6, 9)
@@ -400,11 +432,12 @@ class TestEnhancementThreshold:
         rounded = post - pre
         exact = post.astype(np.float64) - pre.astype(np.float64)
         assert 10 * np.unique(rounded).size < np.unique(exact).size
-        got, want = self.threshold_and_reference(pre, post, q)
+        got, want = self.threshold_and_reference(pre, post, q, sample)
         assert got == want
 
+    @pytest.mark.parametrize("sample", SAMPLES)
     @pytest.mark.parametrize("q", [0.5, 5.0, 50.0, 95.0, 100.0])
-    def test_exact_where_the_float32_difference_overflows(self, q):
+    def test_exact_where_the_float32_difference_overflows(self, q, sample):
         """post - pre beyond float32's range in both directions: infinite in float32, finite in float64."""
         rng = np.random.default_rng(5)
         shape = (3, 4, 5)
@@ -417,11 +450,12 @@ class TestEnhancementThreshold:
         with np.errstate(over="ignore"):
             assert np.isinf(post - pre).sum() == 12
         assert np.isfinite(post.astype(np.float64) - pre.astype(np.float64)).all()
-        got, want = self.threshold_and_reference(pre, post, q)
+        got, want = self.threshold_and_reference(pre, post, q, sample)
         assert got == want
 
+    @pytest.mark.parametrize("sample", SAMPLES)
     @pytest.mark.parametrize("q", [10.0, 30.0, 50.0, 70.0, 90.0, 99.0])
-    def test_exact_with_ties_at_rank_k(self, q):
+    def test_exact_with_ties_at_rank_k(self, q, sample):
         """Integer-valued volumes, as scanners write them: long runs of equal differences, one at rank k."""
         rng = np.random.default_rng(9)
         shape = (5, 6, 7)
@@ -430,7 +464,7 @@ class TestEnhancementThreshold:
         ordered = np.sort((post - pre).ravel())
         k = nearest_rank_index(ordered.size, q)
         assert ordered[k] in (ordered[k - 1], ordered[min(k + 1, ordered.size - 1)])
-        got, want = self.threshold_and_reference(pre, post, q)
+        got, want = self.threshold_and_reference(pre, post, q, sample)
         assert got == want
 
 
@@ -513,8 +547,11 @@ class TestBoundingBoxCrops:
         got = outcome(segment_breast, pre, body, chest_wall_planes(body), cfg)
         assert_same_outcome(got, outcome(full_volume_segment_breast, pre, body, cfg))
 
-    @given(masks(), st.booleans(), st.floats(1.0, 100.0), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
-    def test_segment_heart_matches_full_volume(self, body, chest_wall, pct, seed, fraction):
+    @given(
+        masks(), st.booleans(), st.floats(1.0, 100.0), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+        st.sampled_from(SAMPLES),
+    )
+    def test_segment_heart_matches_full_volume(self, body, chest_wall, pct, seed, fraction, sample):
         if chest_wall:
             # a full front row in every slice, and at most half of each row
             # behind it, put the chest wall at y = 0 and the rest behind it
@@ -523,7 +560,12 @@ class TestBoundingBoxCrops:
         sub = np.random.default_rng(seed).integers(0, 4, body.shape)
         cfg = SegmentationConfig(heart_enhancement_percentile=pct, min_component_voxels=min_voxels(body, fraction))
         pre, post = vol(np.zeros(body.shape)), vol(sub)
-        got = outcome(segment_heart, pre, post, body, chest_wall_planes(body), cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(volume_module, "_SAMPLE", sample)
+            passes = counting_passes(patch)
+            got = outcome(segment_heart, pre, post, body, chest_wall_planes(body), cfg)
+        # unless nothing enhances, the threshold is selected with a pass once the sample is strided
+        assert bool(passes) == (sub.size >= 2 * sample and (sub > 0).any())
         assert_same_outcome(got, outcome(full_volume_segment_heart, pre, post, body, cfg))
 
 
