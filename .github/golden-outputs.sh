@@ -63,9 +63,11 @@ classical() {  # out, extra phantom flags
     run features --manifest "$1/masks/manifest.json" --out "$1/features.csv" &&
     run features --manifest "$1/masks/manifest.json" --out "$1/denoised.csv" --denoise-median 1
 }
-produce_classical_masks() {
+clinical_config() {  # writes the two-subject 256x256x60 phantom's config to $root/clinical.json
   echo '{"dims": [256, 256, 60], "groups": [{"name": "A", "n_subjects": 1}, {"name": "B", "n_subjects": 1, "scale": 1.5, "offset": 50.0, "te_ms": 2.6, "tr_ms": 5.2, "field_t": 3.0}]}' > "$root/clinical.json"
-  classical "$1/default" && classical "$1/clinical" --config "$root/clinical.json" &&
+}
+produce_classical_masks() {
+  clinical_config && classical "$1/default" && classical "$1/clinical" --config "$root/clinical.json" &&
     ls "$1"/*/masks/*_mask.raw "$1"/*/norm/*_post3.raw > /dev/null
 }
 
@@ -90,10 +92,16 @@ produce_denoised() {
   noisy "$1/seed0" 0 1 2 && noisy "$1/seed8" 8 1
 }
 
-# train --emit-anchors on the seed-0 phantom: no walkthrough step writes the anchors file.
-produce_anchors() {
-  run phantom --out "$1/data" --seed 0 &&
+# train --emit-anchors, which no walkthrough step runs, on the seed-0 phantom
+# and on the clinical-pair phantom, each with its ground-truth masks. On the
+# seed-0 phantom only air is larger than the selector's sample; on the
+# clinical pair every tissue is, so each anchor is selected by blocked passes.
+anchors() {  # out, extra phantom flags
+  run phantom --out "$1/data" --seed 0 "${@:2}" &&
     run train --manifest "$1/data/manifest.json" --out "$1/model.json" --emit-anchors "$1/anchors.json"
+}
+produce_anchors() {
+  clinical_config && anchors "$1/default" && anchors "$1/clinical" --config "$root/clinical.json"
 }
 
 # The walkthrough's stages on the seed-0 phantom with its masks dropped,

@@ -1,8 +1,8 @@
 """Per-subject anchor intensities for the four reference tissues.
 
 Air, fat and dense anchors are nearest-rank medians of the pre-contrast
-volume inside the corresponding label. The heart anchor is the 90th
-percentile of the first post-contrast volume inside the heart label,
+volume inside the corresponding label. The heart anchor is the
+nearest-rank p90 of the first post-contrast volume inside the heart label,
 read high in the distribution because heart intensity is too
 inhomogeneous for a median to be stable there. The rule is fixed, so a
 model's targets and every subject it maps are measured the same way.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SubjectError, ValidationError
 from .manifest import StudySeries
-from .volume import AIR, DENSE, FAT, HEART, TissueMask, check_same_grid, percentile
+from .volume import AIR, DENSE, FAT, HEART, TissueMask, _SCAN_BLOCK, _kth_smallest, check_same_grid, nearest_rank_index
 
 TISSUES = ("air", "fat", "dense", "heart")
 
@@ -65,24 +65,27 @@ class AnchorSet:
 def extract_anchors(series: StudySeries, mask: TissueMask) -> AnchorSet:
     """Compute the four anchor intensities for one subject.
 
+    Each tissue is counted over blocks of ``_SCAN_BLOCK`` labels, then ``volume._kth_smallest`` reads the
+    volume's values at the tissue's labels a block at a time; only a tissue of at most ``volume._SAMPLE``
+    voxels is read in one slice, with a boolean of the whole grid.
+
     Raises SubjectError naming the tissue when a label is empty, or the
     two tissues when two anchors share a value; callers decide whether
     that skips the subject or aborts.
     """
     check_same_grid(mask, series, f"subject {series.subject_id}: mask and series")
 
-    pre, post1 = series.pre.data, series.posts[0].data
+    labels, pre, post1 = mask.labels.reshape(-1), series.pre.data.reshape(-1), series.posts[0].data.reshape(-1)
     counts: dict[str, int] = {}
     values: dict[str, float] = {}
     for tissue, code, data, q in (
         ("air", AIR, pre, 50.0), ("fat", FAT, pre, 50.0), ("dense", DENSE, pre, 50.0), ("heart", HEART, post1, 90.0),
     ):
-        selected = mask.tissue(code)
-        n = int(np.count_nonzero(selected))
-        if n == 0:
+        blocks = (labels[start : start + _SCAN_BLOCK] for start in range(0, labels.size, _SCAN_BLOCK))
+        count = sum(int(np.count_nonzero(block == code)) for block in blocks)
+        if count == 0:
             raise SubjectError(f"subject {series.subject_id}: tissue {tissue!r} is empty")
-        counts[tissue] = n
-        values[tissue] = percentile(data, q, mask=selected)
-        del selected  # not held while the next tissue's set is formed
+        counts[tissue] = count
+        values[tissue] = _kth_smallest(lambda s: data[s][labels[s] == code], labels.size, count, nearest_rank_index(count, q))
 
     return AnchorSet(series.subject_id, *(values[t] for t in TISSUES), source_counts=counts)

@@ -44,8 +44,6 @@ from .volume import (
 )
 
 OTSU_BINS = 256
-# Values binned per step in otsu_upper_class: each float64 temporary is 512 KiB.
-_OTSU_BLOCK = 2**16
 
 
 @dataclass
@@ -92,30 +90,33 @@ class SegmentationConfig:
 def otsu_upper_class(values: np.ndarray) -> np.ndarray | None:
     """Split values at the Otsu threshold of a fixed-bin histogram.
 
-    Returns a boolean array marking the upper-intensity class, or None
-    when the histogram is degenerate (constant input, or no split with
-    two non-empty classes). Values are binned over [min, max] into
-    ``OTSU_BINS`` equal bins and both the histogram and the class
-    assignment use the same bin indices, so the split is exactly
-    reproducible.
-
-    The bin indices are computed in float64 blocks of ``_OTSU_BLOCK``
-    values into one uint8 array, and the histogram adds up each block's
-    counts, so working memory is that array plus the block temporaries.
+    Returns a boolean array of ``values``' shape marking the
+    upper-intensity class, or None when the histogram is degenerate
+    (constant input, or no split with two non-empty classes). Values are
+    binned over [min, max] into ``OTSU_BINS`` equal bins and both the
+    histogram and the class assignment use the same bin indices, so the
+    split is exactly reproducible.
     """
     values = np.asarray(values)
     if values.size == 0:
         raise ValidationError("otsu split of an empty selection")
-    lo = float(values.min())
-    hi = float(values.max())
+    return _otsu_split(values, float(values.min()), float(values.max()))
+
+
+def _otsu_split(values: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
+    """``otsu_upper_class`` of non-empty ``values`` whose min and max are ``lo`` and ``hi``.
+
+    The bin indices are computed in float64 blocks of ``_SCAN_BLOCK`` values into one uint8 array, and the
+    histogram adds up each block's counts, so working memory is that array plus the block temporaries.
+    """
     if hi == lo:
         return None
     flat = values.reshape(-1)
     idx = np.empty(flat.shape, dtype=np.uint8)
     counts = np.zeros(OTSU_BINS, dtype=np.int64)
     scale = OTSU_BINS / (hi - lo)
-    for start in range(0, flat.size, _OTSU_BLOCK):
-        block = slice(start, start + _OTSU_BLOCK)
+    for start in range(0, flat.size, _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
         bins = np.floor((flat[block].astype(np.float64) - lo) * scale)
         np.minimum(bins, OTSU_BINS - 1, out=bins)  # the maximum lands in the last bin
         idx[block] = bins
@@ -159,12 +160,10 @@ def body_mask(pre: Volume) -> np.ndarray:
     percentile: the air fraction is a prevalence convention for the air
     anchor, not a separator, and fails whenever the actual air fraction
     differs from it. Returns an all-False array when the volume has no
-    separable structure.
+    separable structure. It is binned over ``pre.value_range``: no second min and max scan.
     """
-    upper = otsu_upper_class(pre.data.ravel())
-    if upper is None:
-        return np.zeros(pre.data.shape, dtype=bool)
-    return upper.reshape(pre.data.shape)
+    upper = _otsu_split(pre.data, *pre.value_range)
+    return np.zeros(pre.data.shape, dtype=bool) if upper is None else upper
 
 
 def chest_wall_planes(body: np.ndarray) -> np.ndarray:

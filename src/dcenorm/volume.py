@@ -21,9 +21,9 @@ input must not be rewritten in place while a grid loaded from it lives.
 dcenorm never does so: every output is written to a new file and renamed
 into place.
 
-Every percentile in the package, the anchors' and the classical
-segmenter's, is taken by one selector, ``_kth_smallest``, which reads
-blocks and gathers no copy of the selection.
+Every order statistic in the package is taken by one selector, ``_kth_smallest``, which reads blocks through
+its caller's reader: of a whole array (``percentile``), of a volume at one tissue's labels (the anchors) or of
+the float64 subtraction image (the heart threshold).
 """
 
 from __future__ import annotations
@@ -406,25 +406,15 @@ def _kth_smallest(values: Callable[[slice], np.ndarray], n: int, count: int, k: 
             (lo, below_lo), (hi, upto_hi) = (hi, below_hi), upper(width)
 
 
-def percentile(data: np.ndarray, q: float, mask: np.ndarray | None = None) -> float:
-    """Nearest-rank percentile of an array, optionally restricted to a boolean mask of its shape.
+def percentile(data: np.ndarray, q: float) -> float:
+    """Nearest-rank percentile of an array: the value at 0-based index ceil(q/100 * n) - 1 of its ascending sort.
 
-    The value at 0-based index ceil(q/100 * n) - 1 of the ascending sort
-    of the n selected values, q = 0 giving the minimum; a zero may come
-    back with either sign. ``_kth_smallest`` reads the data and the mask a
-    block at a time, so no copy of the selection is formed. A mask that is
-    not boolean is refused: numpy would index by its values.
+    q = 0 gives the minimum, and a zero may come back with either sign.
+    ``_kth_smallest`` reads the array a block at a time, so no copy of it
+    is formed.
     """
     flat = data.reshape(-1)
-    if mask is None:
-        return _kth_smallest(flat.__getitem__, flat.size, flat.size, nearest_rank_index(flat.size, q))
-    if mask.dtype != np.bool_:
-        raise ValidationError(f"percentile mask must be boolean, got dtype {mask.dtype}")
-    if mask.shape != data.shape:
-        raise ValidationError(f"mask shape {mask.shape} does not match data shape {data.shape}")
-    selected = mask.reshape(-1)
-    count = int(np.count_nonzero(selected))
-    return _kth_smallest(lambda s: flat[s][selected[s]], flat.size, count, nearest_rank_index(count, q))
+    return _kth_smallest(flat.__getitem__, flat.size, flat.size, nearest_rank_index(flat.size, q))
 
 
 def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:

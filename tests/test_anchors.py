@@ -1,11 +1,14 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dcenorm import AnchorSet, SubjectError, ValidationError, extract_anchors
+from dcenorm import AnchorSet, GroupSpec, PhantomConfig, SubjectError, ValidationError, extract_anchors, generate_phantom
+from dcenorm import anchors as anchors_module
+from dcenorm import volume as volume_module
+from dcenorm.volume import AIR, DENSE, FAT, HEART
 
-from helpers import anchor_set, labeled_scene, mask_of, series_of, vol
+from helpers import anchor_set, labeled_scene, mask_of, percentile_oracle, read_subject, series_of
 
 
 def scene_series(rng, shape=(4, 6, 8), scale=1.0):
@@ -16,9 +19,24 @@ def scene_series(rng, shape=(4, 6, 8), scale=1.0):
     return series_of(pre, [post]), mask_of(labels), pre, post
 
 
-def nearest_rank(values, q):
-    ordered = sorted(values)
-    return ordered[max(math.ceil(q * len(ordered) / 100.0) - 1, 0)]
+def counting_passes(patch):
+    """Patch the anchors' selector to count the passes each selection makes over the grid positions; returns
+    one count per selection."""
+    passes = []
+    select = anchors_module._kth_smallest
+
+    def counted(values, n, count, k):
+        passes.append(0)
+
+        def read(s):
+            if s.step is None and s.start == 0:  # a pass's first block: the sample's slice has a step
+                passes[-1] += 1
+            return values(s)
+
+        return select(read, n, count, k)
+
+    patch.setattr(anchors_module, "_kth_smallest", counted)
+    return passes
 
 
 class TestExtractAnchors:
@@ -55,10 +73,36 @@ class TestExtractAnchors:
         for _ in range(30):
             series, mask, pre, post = scene_series(rng)
             anchors = extract_anchors(series, mask)
-            assert anchors.v_air == nearest_rank(pre[mask.tissue(1)], 50)
-            assert anchors.v_fat == nearest_rank(pre[mask.tissue(2)], 50)
-            assert anchors.v_dense == nearest_rank(pre[mask.tissue(3)], 50)
-            assert anchors.v_heart == nearest_rank(post[mask.tissue(4)], 90)
+            assert anchors.v_air == percentile_oracle(pre[mask.tissue(1)], 50)
+            assert anchors.v_fat == percentile_oracle(pre[mask.tissue(2)], 50)
+            assert anchors.v_dense == percentile_oracle(pre[mask.tissue(3)], 50)
+            assert anchors.v_heart == percentile_oracle(post[mask.tissue(4)], 90)
+
+    @pytest.mark.parametrize("block", [7, volume_module._SCAN_BLOCK])
+    @pytest.mark.parametrize("ties", [True, False], ids=["ties", "distinct"])
+    def test_exact_through_the_blocked_pass(self, rng, ties, block):
+        """With a 16-position sample, each tissue's 120 voxels make the selector pass over the grid, the labels
+        read a block at a time. The sample's stride of 60 positions hits air and dense but no fat or heart
+        voxel, and a 7-voxel block puts ties across the block edges of the count and the passes."""
+        labels = labeled_scene((6, 10, 16), tumor=False)
+        assert set(labels.reshape(-1)[:: labels.size // 16]) == {0, AIR, DENSE}
+        draw = (lambda: rng.integers(0, 4, labels.shape)) if ties else (lambda: rng.normal(0.0, 1.0, labels.shape))
+        pre = (draw() + 10.0 * labels).astype(np.float32)  # each tissue's values apart from the others'
+        post = (draw() + 100.0).astype(np.float32)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(volume_module, "_SAMPLE", 16)
+            for module in (volume_module, anchors_module):
+                patch.setattr(module, "_SCAN_BLOCK", block)
+            passes = counting_passes(patch)
+            anchors = extract_anchors(series_of(pre, [post]), mask_of(labels))
+        assert len(passes) == 4 and min(passes) >= 1
+        assert anchors.values() == {
+            "air": percentile_oracle(pre[labels == AIR], 50),
+            "fat": percentile_oracle(pre[labels == FAT], 50),
+            "dense": percentile_oracle(pre[labels == DENSE], 50),
+            "heart": percentile_oracle(post[labels == HEART], 90),
+        }
+        assert anchors.source_counts == {"air": 120, "fat": 120, "dense": 120, "heart": 120}
 
     def test_scale_equivariance(self, rng):
         # powers of two keep float32 scaling exact
@@ -124,6 +168,25 @@ class TestExtractAnchors:
         # carving the tumor out of the dense block changes the dense median
         b = extract_anchors(series_of(pre, [post]), mask_of(without))
         assert a.source_counts["dense"] == b.source_counts["dense"] - 2
+
+
+def test_forms_no_tissue_grid(tmp_path):
+    """On a 256x256x32 phantom subject every tissue is larger than the selector's sample, so each is selected
+    by blocked passes. The traced peak stays within the selector's working memory: the sample and a partitioned
+    copy, at most 2 * _SAMPLE float32 values each; one block's float32 values and three flags a value; and the
+    values kept, under 1/16 of the tissue, twice over. A tissue's boolean grid, 2 MiB here, would cross it."""
+    (entry,) = generate_phantom(PhantomConfig(dims=(256, 256, 32), groups=(GroupSpec("A", 1),)), tmp_path)
+    series, mask = read_subject(entry)
+    counts = [int(np.count_nonzero(mask.labels == code)) for code in (AIR, FAT, DENSE, HEART)]
+    assert min(counts) > volume_module._SAMPLE
+    bound = 2 * 2 * 4 * volume_module._SAMPLE + 7 * volume_module._SCAN_BLOCK + 2 * 4 * max(counts) // 16
+    tracemalloc.start()
+    try:
+        extract_anchors(series, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 class TestAnchorSet:

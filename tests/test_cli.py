@@ -1188,10 +1188,10 @@ def test_streamed_normalize_matches_map_volume_over_the_loaded_series(pipeline):
 
 def test_normalize_job_holds_the_mask_pre_and_the_first_post_then_one_volume_and_its_map(tmp_path):
     """A job on a 3-post subject lifts the resident set by at most what it holds while it takes the anchors:
-    the mask, pre, the first post, one tissue's voxel set and the selector's working memory, with the block
-    temporaries of the map and 1 MiB of small objects on top. All of these go before the volumes are read again,
-    one at a time, each held with only its map. The phantom's air is most of its grid, so a job that gathered
-    a tissue's values, or held pre's map beside pre and the first post, would cross the bound."""
+    the mask, pre, the first post and the selector's working memory, with the block temporaries of the map and
+    1 MiB of small objects on top. All of these go before the volumes are read again, one at a time, each held
+    with only its map. The phantom's air is most of its grid, so a job that gathered a tissue's values, formed
+    a tissue's voxel set, or held pre's map beside pre and the first post, would cross the bound."""
     dims = (256, 256, 32)
     (entry,) = generate_phantom(PhantomConfig(dims=dims, groups=(GroupSpec("A", 1),)), tmp_path / "job")
     (warm,) = generate_phantom(PhantomConfig(dims=(64, 64, 16), groups=(GroupSpec("A", 1),)), tmp_path / "warm")
@@ -1205,7 +1205,7 @@ def test_normalize_job_holds_the_mask_pre_and_the_first_post_then_one_volume_and
     # float32 values and three flags a value; and the values kept, under 1/16 of the tissue, twice over.
     selection = 2 * 2 * 4 * volume_mod._SAMPLE + (4 + 3) * volume_mod._SCAN_BLOCK + 2 * 4 * largest // 16
     blocks = 6 * 8 * mapping_mod._BLOCK_VOXELS  # evaluate's float64 and intp temporaries on one block
-    bound = voxels + 2 * 4 * voxels + voxels + selection + blocks + 2**20
+    bound = voxels + 2 * 4 * voxels + selection + blocks + 2**20
     growth = peak_rss_growth(cli._normalize_job, (warm, model, str(tmp_path / "norm0"), None),
                              (entry, model, str(tmp_path / "norm1"), None))
     assert growth <= bound

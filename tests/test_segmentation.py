@@ -259,12 +259,12 @@ class TestOtsu:
         with pytest.raises(ValidationError):
             otsu_upper_class(np.array([]))
 
-    @pytest.mark.parametrize("block", [7, 1000, segmentation._OTSU_BLOCK])
+    @pytest.mark.parametrize("block", [7, 1000, segmentation._SCAN_BLOCK])
     @pytest.mark.parametrize("kind", ["normal", "integers"])
     def test_blocks_match_the_whole_array_formula(self, monkeypatch, rng, block, kind):
         """Several blocks, the minimum and the maximum each in more than one of them, and for integers every
         value on a bin edge (the bins are one unit wide): the blocked split equals the whole-array one."""
-        monkeypatch.setattr(segmentation, "_OTSU_BLOCK", block)
+        monkeypatch.setattr(segmentation, "_SCAN_BLOCK", block)
         n = max(3 * block + 5, 5000)
         if kind == "normal":
             values = rng.normal(100.0, 30.0, n).astype(np.float32)
@@ -290,6 +290,13 @@ class TestBodyAndChestWall:
 
     def test_body_mask_constant_volume_empty(self):
         assert not body_mask(vol(np.full((3, 3, 3), 5.0))).any()
+
+    def test_body_mask_is_the_split_of_the_whole_grid(self, rng):
+        """Binned over the volume's stored range, across three scan blocks, the body is the split that the
+        whole-array formula gives."""
+        data = rng.normal(100.0, 30.0, (3, 150, 300)).astype(np.float32)
+        assert data.size > 2 * segmentation._SCAN_BLOCK
+        assert np.array_equal(body_mask(vol(data)), whole_array_otsu_upper_class(data))
 
     def test_plane_is_posterior_most_wide_row(self):
         body = np.zeros((3, 16, 24), dtype=bool)
